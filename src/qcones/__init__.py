@@ -18,8 +18,6 @@ from .graph6 import decode_graph6, encode_graph6
 from .graphs import (
     ConeSpec,
     MultiGraph,
-    build,
-    complete_bipartite_graph,
     complete_graph,
     components_and_bipartiteness,
     cone,
@@ -27,19 +25,18 @@ from .graphs import (
     cycle_graph,
     digon,
     disjoint_union,
+    format_spec_text,
     g_family_spec,
+    parse_spec_text,
     path_graph,
     realize,
     star_graph,
     t_bar_f_bar,
-    z_tree,
 )
 from .eigen import (
     QSpectrum,
     QuarticData,
     adjacency_matrix,
-    char_poly_4x4,
-    jacobi_eigenvalues,
     q_matrix,
     q_spectrum,
     quartic_roots,
@@ -79,6 +76,5 @@ from .search import (
     search_exhaustive,
     search_family,
 )
-from .cli import format_spec_text, parse_spec_text
 
 __version__ = "0.1.0"

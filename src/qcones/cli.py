@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
 import sys
 
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     QConesError,
     ScaleError,
 )
-from .graphs import ConeSpec, MultiGraph, realize
+from .graphs import ConeSpec, MultiGraph, format_spec_text, parse_spec_text, realize
 from .graph6 import decode_graph6, encode_graph6
 from .eigen import (
     GROUP_TOL,
@@ -41,93 +41,6 @@ from .search import (
 )
 
 _STATUS_BY_CODE = {0: "ok", 2: "error", 3: "mismatch", 4: "inapplicable", 5: "scale"}
-
-
-# ---------------------------------------------------------------------------
-# spec text grammar
-# ---------------------------------------------------------------------------
-
-_PREFIX = re.compile(r"^\s*K1\s+[vV](\s+|\s*$)")
-_TERM_PATTERNS = (
-    (re.compile(r"^C(\d+)$"), "cycle"),
-    (re.compile(r"^P(\d+)$"), "path"),
-    (re.compile(r"^(\d*)K2$"), "k2"),
-    (re.compile(r"^(\d*)K1$"), "k1"),
-    (re.compile(r"^K13$"), "star"),
-)
-
-
-def _parse_term(term: str, pos: int) -> tuple[str, int]:
-    for pattern, kind in _TERM_PATTERNS:
-        m = pattern.match(term)
-        if not m:
-            continue
-        if kind == "star":
-            return kind, 1
-        raw = m.group(1)
-        if kind in ("k2", "k1"):
-            count = int(raw) if raw else 1
-            if count < 1:
-                raise FormatError(f"count must be >= 1 in {term!r} at position {pos}")
-            return kind, count
-        size = int(raw)
-        if kind == "cycle" and size < 2:
-            raise FormatError(f"cycle length must be >= 2 in {term!r} at position {pos}")
-        if kind == "path" and size < 1:
-            raise FormatError(f"path order must be >= 1 in {term!r} at position {pos}")
-        return kind, size
-    raise FormatError(f"unknown term {term!r} at position {pos}")
-
-
-def parse_spec_text(text: str) -> ConeSpec:
-    """Parse the compact cone grammar, e.g. "K1 v C3 + C5 + 2K2 + 1K1".
-
-    The leading "K1 v" is optional.  Terms are '+'-separated: Ck (cycle,
-    2 = digon), Pl (path), qK2, sK1 and K13.  Errors carry the 1-based
-    character position of the offending term.
-    """
-    offset = 0
-    m = _PREFIX.match(text)
-    if m:
-        offset = m.end()
-    body = text[offset:]
-    if not body.strip():
-        raise FormatError(f"empty cone description at position {offset + 1}")
-    cycles: list[int] = []
-    paths: list[int] = []
-    stars = 0
-    pos = offset
-    for chunk in body.split("+"):
-        term = chunk.strip()
-        term_pos = pos + (len(chunk) - len(chunk.lstrip())) + 1
-        pos += len(chunk) + 1
-        if not term:
-            raise FormatError(f"empty term at position {term_pos}")
-        kind, value = _parse_term(term, term_pos)
-        if kind == "cycle":
-            cycles.append(value)
-        elif kind == "path":
-            paths.append(value)
-        elif kind == "k2":
-            paths.extend([2] * value)
-        elif kind == "k1":
-            paths.extend([1] * value)
-        else:
-            stars += 1
-    return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
-
-
-def format_spec_text(spec: ConeSpec) -> str:
-    """Canonical text for a spec: stars, cycles, long paths, then qK2 + sK1."""
-    terms = ["K13"] * spec.stars13
-    terms += [f"C{k}" for k in spec.cycles]
-    terms += [f"P{l}" for l in spec.paths if l >= 3]
-    k2 = sum(1 for l in spec.paths if l == 2)
-    if k2:
-        terms.append(f"{k2}K2")
-    if spec.s:
-        terms.append(f"{spec.s}K1")
-    return "K1 v " + " + ".join(terms)
 
 
 def _read_input(text: str) -> tuple[MultiGraph, ConeSpec | None]:
@@ -188,8 +101,7 @@ def _moment_payload(mom) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +118,7 @@ def _closed_spectrum(spec: ConeSpec, group_tol: float) -> QSpectrum:
         return closed_spectrum_G(spec, group_tol=group_tol)
     if spec.is_f_family():
         return closed_spectrum_F(spec, group_tol=group_tol)
-    raise InapplicableError(
+    raise FormatError(
         "closed form covers cones over cycles+K2+K1 with or without one star"
     )
 
@@ -223,10 +135,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         # a spec-less or out-of-family input cannot take the closed route
         if spec is None:
             raise FormatError("closed form needs a cone spec input")
-        try:
-            closed = _closed_spectrum(spec, args.group_tol)
-        except InapplicableError as exc:
-            raise FormatError(str(exc)) from None
+        closed = _closed_spectrum(spec, args.group_tol)
         result["closed"] = _spectrum_payload(closed)
     if mode in ("numeric", "both"):
         numeric = q_spectrum(graph, group_tol=args.group_tol)
@@ -471,6 +380,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerances(args) -> None:
+    """--tol and --group-tol must be finite and >= 0 wherever they exist."""
+    for name in ("tol", "group_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            flag = "--" + name.replace("_", "-")
+            raise ParameterError(f"{flag} must be finite and >= 0, got {value}")
+
+
 def _params_for(args) -> dict:
     if args.command == "spectrum":
         return {
@@ -496,11 +414,13 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "command": args.command,
         "input": args.input,
-        "params": _params_for(args),
+        "params": None,
         "result": None,
         "status": "ok",
     }
     try:
+        _check_tolerances(args)
+        doc["params"] = _params_for(args)
         result, code = _HANDLERS[args.command](args)
     except QConesError as exc:
         if isinstance(exc, ScaleError):

@@ -106,23 +106,31 @@ def _cycle_values(k: int) -> list[tuple[float, str]]:
 _QUARTIC_TAGS = ("quartic-1", "quartic-2", "quartic-3", "quartic-4")
 
 
+def _closed_spectrum(
+    spec: ConeSpec, s: int, t: int, extra: list[tuple[float, str]], group_tol: float
+) -> QSpectrum:
+    """Quartic roots at (n, q, s), the constants 1^(s+q-1), 3^(q-1), 5^(t-1)
+    and `extra`, then k-1 lift values per cycle.  Constants come before
+    lifts, so where a lift equals a constant exactly the constant's tag is
+    listed first."""
+    q = spec.q
+    roots = quartic_roots(quartic_coeffs(spec.n, q, s))
+    tagged: list[tuple[float, str]] = list(zip(roots, _QUARTIC_TAGS))
+    tagged += [(1.0, "1")] * (s + q - 1) + extra
+    tagged += [(3.0, "3")] * (q - 1) + [(5.0, "5")] * (t - 1)
+    for k in spec.cycles:
+        tagged += _cycle_values(k)
+    assert len(tagged) == spec.n
+    values, sources = zip(*tagged)
+    return QSpectrum(values, group_tol=group_tol, sources=sources)
+
+
 def closed_spectrum_G(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Exact spectrum of a cycles+K2+K1 cone: four quartic roots, the
     constants 5^(t-1), 3^(q-1), 1^(s+q-1), and k-1 lift values per cycle."""
     if not spec.is_g_family():
         raise FamilyError("closed form needs cycles (>= 3) plus K2 and K1 blocks")
-    n, q, s, t = spec.n, spec.q, spec.s, spec.t
-    roots = quartic_roots(quartic_coeffs(n, q, s))
-    tagged: list[tuple[float, str]] = list(zip(roots, _QUARTIC_TAGS))
-    tagged += [(5.0, "5")] * (t - 1)
-    tagged += [(3.0, "3")] * (q - 1)
-    tagged += [(1.0, "1")] * (s + q - 1)
-    for k in spec.cycles:
-        tagged += _cycle_values(k)
-    values = [v for v, _ in tagged]
-    sources = [src for _, src in tagged]
-    assert len(values) == n
-    return QSpectrum(values, group_tol=group_tol, sources=sources)
+    return _closed_spectrum(spec, spec.s, spec.t, [], group_tol)
 
 
 def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
@@ -134,22 +142,7 @@ def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum
     """
     if not spec.is_f_family():
         raise FamilyError("closed form needs exactly one star block, K2s, cycles >= 3")
-    n = spec.n
-    q = spec.q
-    s = spec.s + 1
-    t = spec.t + 1
-    roots = quartic_roots(quartic_coeffs(n, q, s))
-    tagged: list[tuple[float, str]] = list(zip(roots, _QUARTIC_TAGS))
-    tagged += [(1.0, "1")] * (s + q - 1)
-    tagged += [(2.0, "2")] * 2
-    tagged += [(3.0, "3")] * (q - 1)
-    tagged += [(5.0, "5")] * (t - 1)
-    for k in spec.cycles:
-        tagged += _cycle_values(k)
-    values = [v for v, _ in tagged]
-    sources = [src for _, src in tagged]
-    assert len(values) == n
-    return QSpectrum(values, group_tol=group_tol, sources=sources)
+    return _closed_spectrum(spec, spec.s + 1, spec.t + 1, [(2.0, "2")] * 2, group_tol)
 
 
 def largest_q_eigenvalue(spec: ConeSpec) -> float:
@@ -197,11 +190,7 @@ def eigenvector_families(
     differences (2, one-star family only), and 'quartic' (4).  Any residual
     above the threshold signals a construction bug and raises.
     """
-    if spec.is_g_family():
-        f_mode = False
-    elif spec.is_f_family():
-        f_mode = True
-    else:
+    if not (spec.is_g_family() or spec.is_f_family()):
         raise FamilyError("eigenvector construction needs a family spec")
     lay = spec.layout()
     qm = q_matrix(realize(spec))
@@ -243,50 +232,33 @@ def eigenvector_families(
             else:
                 vec[list(block)] = np.sin(2.0 * math.pi * (k - j) * offsets / k)
             add("cycle-lift", 3.0 + 2.0 * math.cos(2.0 * math.pi * j / k), vec)
-
-    if not f_mode:
-        for j in range(1, spec.t):
-            vec = np.zeros(n)
-            vec[list(lay.cycles[0])] = -float(spec.cycles[j])
-            vec[list(lay.cycles[j])] = float(spec.cycles[0])
-            add("eig-5", 5.0, vec)
-        roots = quartic_roots(quartic_coeffs(n, spec.q, spec.s))
-        for rho in roots:
-            vec = np.empty(n)
-            vec[list(iso)] = (rho - 3.0) * (rho - 5.0)
-            for u, w in lay.k2_pairs:
-                vec[[u, w]] = (rho - 1.0) * (rho - 5.0)
-            for block in lay.cycles:
-                vec[list(block)] = (rho - 1.0) * (rho - 3.0)
-            vec[lay.apex] = (rho - 1.0) * (rho - 3.0) * (rho - 5.0)
-            add("quartic", rho, vec)
-        return out
-
-    leaves, center = lay.stars[0]
-    if iso:
-        # the one eigenvalue-1 vector that couples a pendant to the star
+    for j in range(1, spec.t):
         vec = np.zeros(n)
-        vec[iso[0]] = 2.0
-        vec[list(leaves)] = -1.0
-        vec[center] = 1.0
-        add("eig-1", 1.0, vec)
-    for other in (leaves[1], leaves[2]):
-        vec = np.zeros(n)
-        vec[leaves[0]] = -1.0
-        vec[other] = 1.0
-        add("eig-2", 2.0, vec)
-    if spec.cycles:
-        for j in range(1, spec.t):
-            vec = np.zeros(n)
-            vec[list(lay.cycles[0])] = -float(spec.cycles[j])
-            vec[list(lay.cycles[j])] = float(spec.cycles[0])
-            add("eig-5", 5.0, vec)
-        vec = np.zeros(n)
-        vec[list(lay.cycles[0])] = -6.0 / spec.cycles[0]
-        vec[list(leaves)] = 1.0
-        vec[center] = 3.0
+        vec[list(lay.cycles[0])] = -float(spec.cycles[j])
+        vec[list(lay.cycles[j])] = float(spec.cycles[0])
         add("eig-5", 5.0, vec)
-    roots = quartic_roots(quartic_coeffs(n, spec.q, spec.s + 1))
+
+    for leaves, center in lay.stars:
+        if iso:
+            # the one eigenvalue-1 vector that couples a pendant to the star
+            vec = np.zeros(n)
+            vec[iso[0]] = 2.0
+            vec[list(leaves)] = -1.0
+            vec[center] = 1.0
+            add("eig-1", 1.0, vec)
+        for other in (leaves[1], leaves[2]):
+            vec = np.zeros(n)
+            vec[leaves[0]] = -1.0
+            vec[other] = 1.0
+            add("eig-2", 2.0, vec)
+        if spec.cycles:
+            vec = np.zeros(n)
+            vec[list(lay.cycles[0])] = -6.0 / spec.cycles[0]
+            vec[list(leaves)] = 1.0
+            vec[center] = 3.0
+            add("eig-5", 5.0, vec)
+    # the star family shares the quartic of its source, whose s is one larger
+    roots = quartic_roots(quartic_coeffs(n, spec.q, spec.s + spec.stars13))
     for rho in roots:
         vec = np.empty(n)
         vec[list(iso)] = 1.0 / (rho - 1.0)
@@ -294,8 +266,9 @@ def eigenvector_families(
             vec[[u, w]] = 1.0 / (rho - 3.0)
         for block in lay.cycles:
             vec[list(block)] = 1.0 / (rho - 5.0)
-        vec[list(leaves)] = (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))
-        vec[center] = (rho + 1.0) / ((rho - 1.0) * (rho - 5.0))
+        for leaves, center in lay.stars:
+            vec[list(leaves)] = (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))
+            vec[center] = (rho + 1.0) / ((rho - 1.0) * (rho - 5.0))
         vec[lay.apex] = 1.0
         add("quartic", rho, vec)
     return out

@@ -1,4 +1,5 @@
-"""Multigraph carrier, named builders, cones and brute-force structure counts.
+"""Multigraph carrier, named builders, cones, brute-force structure counts,
+and the cone spec text grammar.
 
 Vertices are always 0..n-1.  Edge multiplicities live in a symmetric integer
 matrix with zero diagonal; a digon (one vertex pair joined by two parallel
@@ -9,11 +10,12 @@ multiplicities <= 1.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ScaleError, UnsupportedGraphError
+from .errors import FormatError, ParameterError, ScaleError, UnsupportedGraphError
 
 MAX_VERTICES = 4096
 
@@ -137,51 +139,11 @@ def complete_graph(n: int) -> MultiGraph:
     return MultiGraph.from_edges(n, itertools.combinations(range(n), 2))
 
 
-def complete_bipartite_graph(a: int, b: int) -> MultiGraph:
-    """K_{a,b}; the first part is 0..a-1, the second a..a+b-1."""
-    if a < 1 or b < 1:
-        raise ParameterError("both parts need at least one vertex")
-    return MultiGraph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def star_graph(n: int) -> MultiGraph:
     """Star on n vertices: leaves 0..n-2, center n-1 (center last)."""
     if n < 2:
         raise ParameterError("star needs n >= 2")
     return MultiGraph.from_edges(n, [(i, n - 1) for i in range(n - 1)])
-
-
-def z_tree(n: int) -> MultiGraph:
-    """Tree obtained from the path 0..n-2 by duplicating its last vertex.
-
-    The duplicate n-1 attaches to n-3, the neighbor of the copied endvertex;
-    n = 4 gives the star on four vertices.
-    """
-    if n < 4:
-        raise ParameterError("endvertex duplication needs n >= 4")
-    edges = [(i, i + 1) for i in range(n - 2)]
-    edges.append((n - 3, n - 1))
-    return MultiGraph.from_edges(n, edges)
-
-
-_BUILDERS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "complete_bipartite": complete_bipartite_graph,
-    "star": star_graph,
-    "Z_tree": z_tree,
-    "digon": digon,
-}
-
-
-def build(kind: str, *sizes: int) -> MultiGraph:
-    """Dispatch to a named builder; `kind` is one of _BUILDERS' keys."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ParameterError(f"unknown graph kind {kind!r}") from None
-    return builder(*sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +389,10 @@ class ConeSpec:
 
 def realize(spec: ConeSpec) -> MultiGraph:
     """Cone graph of a spec with the documented vertex order (apex last)."""
-    lay = spec.layout()
     n = spec.n
+    if n > MAX_VERTICES:
+        raise ScaleError(f"cone order {n} exceeds {MAX_VERTICES} vertices")
+    lay = spec.layout()
     arr = np.zeros((n, n), dtype=np.int64)
     for block in lay.long_paths:
         for u, v in zip(block, block[1:]):
@@ -455,3 +419,92 @@ def g_family_spec(cycles, q: int, s: int) -> ConeSpec:
     if q < 0 or s < 0:
         raise ParameterError("q and s must be >= 0")
     return ConeSpec(cycles=tuple(cycles), paths=(2,) * q + (1,) * s)
+
+
+# ---------------------------------------------------------------------------
+# spec text grammar
+# ---------------------------------------------------------------------------
+
+_PREFIX = re.compile(r"^\s*K1\s+[vV](\s+|\s*$)")
+_TERM_PATTERNS = (
+    (re.compile(r"^C(\d+)$"), "cycle"),
+    (re.compile(r"^P(\d+)$"), "path"),
+    (re.compile(r"^(\d*)K2$"), "k2"),
+    (re.compile(r"^(\d*)K1$"), "k1"),
+    (re.compile(r"^K13$"), "star"),
+)
+
+
+def _parse_term(term: str, pos: int) -> tuple[str, int]:
+    for pattern, kind in _TERM_PATTERNS:
+        m = pattern.match(term)
+        if not m:
+            continue
+        if kind == "star":
+            return kind, 1
+        raw = m.group(1)
+        if kind in ("k2", "k1"):
+            count = int(raw) if raw else 1
+            if count < 1:
+                raise FormatError(f"count must be >= 1 in {term!r} at position {pos}")
+            if count > MAX_VERTICES:  # parse_spec_text expands counts block by block
+                raise ScaleError(f"count {count} in {term!r} exceeds {MAX_VERTICES} vertices")
+            return kind, count
+        size = int(raw)
+        if kind == "cycle" and size < 2:
+            raise FormatError(f"cycle length must be >= 2 in {term!r} at position {pos}")
+        if kind == "path" and size < 1:
+            raise FormatError(f"path order must be >= 1 in {term!r} at position {pos}")
+        return kind, size
+    raise FormatError(f"unknown term {term!r} at position {pos}")
+
+
+def parse_spec_text(text: str) -> ConeSpec:
+    """Parse the compact cone grammar, e.g. "K1 v C3 + C5 + 2K2 + 1K1".
+
+    The leading "K1 v" is optional.  Terms are '+'-separated: Ck (cycle,
+    2 = digon), Pl (path), qK2, sK1 and K13.  Errors carry the 1-based
+    character position of the offending term.
+    """
+    offset = 0
+    m = _PREFIX.match(text)
+    if m:
+        offset = m.end()
+    body = text[offset:]
+    if not body.strip():
+        raise FormatError(f"empty cone description at position {offset + 1}")
+    cycles: list[int] = []
+    paths: list[int] = []
+    stars = 0
+    pos = offset
+    for chunk in body.split("+"):
+        term = chunk.strip()
+        term_pos = pos + (len(chunk) - len(chunk.lstrip())) + 1
+        pos += len(chunk) + 1
+        if not term:
+            raise FormatError(f"empty term at position {term_pos}")
+        kind, value = _parse_term(term, term_pos)
+        if kind == "cycle":
+            cycles.append(value)
+        elif kind == "path":
+            paths.append(value)
+        elif kind == "k2":
+            paths.extend([2] * value)
+        elif kind == "k1":
+            paths.extend([1] * value)
+        else:
+            stars += 1
+    return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+
+
+def format_spec_text(spec: ConeSpec) -> str:
+    """Canonical text for a spec: stars, cycles, long paths, then qK2 + sK1."""
+    terms = ["K13"] * spec.stars13
+    terms += [f"C{k}" for k in spec.cycles]
+    terms += [f"P{l}" for l in spec.paths if l >= 3]
+    k2 = sum(1 for l in spec.paths if l == 2)
+    if k2:
+        terms.append(f"{k2}K2")
+    if spec.s:
+        terms.append(f"{spec.s}K1")
+    return "K1 v " + " + ".join(terms)

@@ -186,15 +186,14 @@ def _mask_graph(mask: int, n: int, pairs) -> MultiGraph:
     return MultiGraph(arr)
 
 
-def _scan_chunk(args) -> list[int]:
-    """Pre-filter one contiguous bitmask range; returns surviving masks.
+def _scan_chunk(args) -> list[tuple[int, float]]:
+    """Scan one contiguous bitmask range for graphs cospectral with the target.
 
     Filters in order: edge count, degree-square sum and third moment as
-    exact integers, then a batched dense eigensolve kept deliberately
-    slack.  The caller re-verifies every survivor at full precision, so
-    this stage only has to avoid false negatives.
+    exact integers, then a batched dense eigensolve at `tol`.  Returns
+    (mask, spectral distance) for every mask that passes all four.
     """
-    lo, hi, n, pairs, m_t, d2_t, t3_t, tvals, pre_tol = args
+    lo, hi, n, pairs, m_t, d2_t, t3_t, tvals, tol = args
     k = len(pairs)
     masks = np.arange(lo, hi, dtype=np.uint32).astype("<u4")
     bits = np.unpackbits(
@@ -226,9 +225,9 @@ def _scan_chunk(args) -> list[int]:
     qm = adj.astype(np.float64)
     idx = np.arange(n)
     qm[:, idx, idx] = deg
-    vals = np.linalg.eigvalsh(qm)
-    keep = np.abs(vals - np.asarray(tvals)).max(axis=1) <= pre_tol
-    return [int(m) for m in masks[keep]]
+    dist = np.abs(np.linalg.eigvalsh(qm) - np.asarray(tvals)).max(axis=1)
+    keep = dist <= tol
+    return [(int(m), float(d)) for m, d in zip(masks[keep], dist[keep])]
 
 
 def search_exhaustive(
@@ -237,10 +236,11 @@ def search_exhaustive(
     """Sweep every labeled simple graph on n vertices for cospectral mates.
 
     `target` may be a graph, a cone spec, or a spectrum; the order comes
-    from the spectrum size and is capped at 8.  Hits are isomorphism-class
-    representatives in lowest-bitmask order, each re-verified at full
-    tolerance after the slack pre-filter.  Isomorphic hits report distance
-    zero: equal graphs have equal spectra, solver noise aside.
+    from the spectrum size and is capped at 8.  Masks pass exact integer
+    moment filters and then a batched eigensolve at `tol`; hits are
+    isomorphism-class representatives of the survivors in lowest-bitmask
+    order.  Isomorphic hits report distance zero: equal graphs have equal
+    spectra, solver noise aside.
     """
     tgraph: MultiGraph | None = None
     if isinstance(target, ConeSpec):
@@ -270,9 +270,8 @@ def search_exhaustive(
         return SearchReport(target, float(tol), (), True, total)
     t1, t2, t3 = ints
     tvals = tuple(float(v) for v in np.sort(tspec.values))
-    pre_tol = float(tol) + 1e-6
     chunks = [
-        (lo, min(lo + _CHUNK, total), n, pairs, t1 // 2, t2 - t1, t3, tvals, pre_tol)
+        (lo, min(lo + _CHUNK, total), n, pairs, t1 // 2, t2 - t1, t3, tvals, float(tol))
         for lo in range(0, total, _CHUNK)
     ]
     if jobs == 1 or len(chunks) == 1:
@@ -282,11 +281,8 @@ def search_exhaustive(
             survivor_lists = list(pool.map(_scan_chunk, chunks))
     compare = tgraph if tgraph is not None and tgraph.is_simple() else None
     hits: list[SearchHit] = []
-    for mask in itertools.chain.from_iterable(survivor_lists):
+    for mask, dist in itertools.chain.from_iterable(survivor_lists):
         g = _mask_graph(mask, n, pairs)
-        dist = spectrum_compare(tspec, q_spectrum(g))
-        if dist > tol:
-            continue
         if any(isomorphic(g, h.candidate) for h in hits):
             continue
         iso = compare is not None and isomorphic(g, compare)

@@ -1,14 +1,20 @@
-"""Shared test utilities: random graphs and naive counting oracles.
+"""Shared test utilities: random graphs and independent oracles.
 
 The counters here are deliberately written in the dumbest possible way
-(subset enumeration) so they share no code path with the package.
+(subset enumeration) so they share no code path with the package.  The
+cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
+characteristic polynomial are independent checks on LAPACK and on the
+quotient quartic.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from qcones import MultiGraph
+from qcones import ContractViolationError, MultiGraph, ParameterError
+
+OFF_DIAGONAL_FACTOR = 1e-13
+_MAX_SWEEPS = 64
 
 
 def random_graph(rng, n: int, p: float) -> MultiGraph:
@@ -78,3 +84,103 @@ def naive_f_bar(g: MultiGraph) -> int:
         for u, v in combinations(range(g.n), 2)
         if adj(u, v)
     )
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue oracles
+# ---------------------------------------------------------------------------
+
+def _rotate(a: np.ndarray, p: int, q: int) -> None:
+    apq = a[p, q]
+    app = a[p, p]
+    aqq = a[q, q]
+    diff = aqq - app
+    if abs(diff) > 1e150 * abs(apq):
+        # tau or tau*tau would overflow; the angle degenerates to apq/diff
+        t = apq / diff
+    else:
+        tau = diff / (2.0 * apq)
+        if tau >= 0.0:
+            t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+        else:
+            t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * col_q
+    a[:, q] = s * col_p + c * col_q
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * row_q
+    a[q, :] = s * row_p + c * row_q
+    # explicit two-sided updates are more accurate than the matrix products
+    a[p, p] = app - t * apq
+    a[q, q] = aqq + t * apq
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+
+
+def jacobi_eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, descending.
+
+    Cyclic-by-row plane rotations run until the off-diagonal Frobenius norm
+    is at most 1e-13 of the full norm.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError("matrix must be square")
+    n = a.shape[0]
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
+        raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
+    a = 0.5 * (a + a.T)
+    if n == 1:
+        return a.diagonal().copy()
+    norm = float(np.linalg.norm(a))
+    target = OFF_DIAGONAL_FACTOR * norm
+    for _ in range(_MAX_SWEEPS):
+        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
+        if off <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p, q] != 0.0:
+                    _rotate(a, p, q)
+    else:
+        raise ArithmeticError("plane rotations failed to converge")
+    return np.sort(a.diagonal())[::-1].copy()
+
+
+def _det3(sub: np.ndarray) -> float:
+    return float(
+        sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
+        - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
+        + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
+    )
+
+
+def char_poly_4x4(matrix) -> tuple[float, float, float, float, float]:
+    """Monic characteristic polynomial coefficients of a 4x4 matrix.
+
+    Principal-minor expansion; exact in float64 for the small integer
+    matrices the tests feed it.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.shape != (4, 4):
+        raise ParameterError("expected a 4x4 matrix")
+
+    def principal(idx: tuple[int, ...]) -> float:
+        sub = m[np.ix_(idx, idx)]
+        if len(idx) == 2:
+            return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
+        return _det3(sub)
+
+    e1 = float(m.trace())
+    e2 = sum(principal(idx) for idx in combinations(range(4), 2))
+    e3 = sum(principal(idx) for idx in combinations(range(4), 3))
+    e4 = sum(
+        (-1) ** j * m[0, j] * _det3(np.delete(np.delete(m, 0, axis=0), j, axis=1))
+        for j in range(4)
+    )
+    return (1.0, -e1, float(e2), -float(e3), float(e4))

@@ -96,7 +96,7 @@ class TestSpectrumCommand:
         assert doc["status"] == "ok"
         assert set(doc) == {"command", "input", "params", "result", "status"}
         assert doc["command"] == "spectrum"
-        assert doc["result"]["distance"] == 1.7763568394e-15
+        assert doc["result"]["distance"] <= 1e-13
         assert doc["result"]["n"] == 7
 
     def test_default_mode_is_both(self, capsys):
@@ -139,6 +139,20 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == GOLDEN_SPECTRUM_CSV
 
+    def test_both_routes_agree_at_n47(self, capsys):
+        # the plane-rotation solver did not converge on this F-family cone
+        text = "K1 v K13 + C6 + C6 + C4 + C4 + C4 + 5K2 + 8K1"
+        code, doc, _ = run_json(capsys, "spectrum", text, "--both")
+        assert code == 0
+        assert doc["result"]["n"] == 47
+        assert doc["result"]["distance"] <= doc["result"]["tolerance"]
+
+    @pytest.mark.parametrize("text", ["K1 v C999999999", "K1 v 999999999K1"])
+    def test_order_capped_before_allocation(self, capsys, text):
+        code, doc, _ = run_json(capsys, "spectrum", text)
+        assert code == 5
+        assert doc["status"] == "scale"
+
 
 class TestMomentsCommand:
     def test_flagship_counts(self, capsys):
@@ -156,7 +170,7 @@ class TestMomentsCommand:
         code, doc, _ = run_json(capsys, "moments", "Bw", "--from", "both")
         assert code == 0
         assert doc["result"]["counts_moments"]["t3"] == 66
-        assert doc["result"]["relative_discrepancy"] == 0.0
+        assert doc["result"]["relative_discrepancy"] <= 1e-13
 
     def test_k3_csv(self, capsys):
         code, out, _ = run_cli(
@@ -183,7 +197,7 @@ class TestMateCommand:
         assert code == 0
         result = doc["result"]
         assert result["mate"] == "K1 v K13 + 1K2"
-        assert result["distance"] == 8.881784197e-16
+        assert result["distance"] <= 1e-13
         assert result["cospectral_within_tolerance"] is True
         assert result["moment_delta"] == {
             "t1": 0,
@@ -287,6 +301,32 @@ class TestProbeCommand:
         assert code == 0
         assert doc["result"]["status"] == "skipped"
 
+    def test_path_versus_cycle_at_n47(self, capsys):
+        text = "K1 v K13 + C6 + C6 + C4 + C4 + P6 + 4K2 + 8K1"
+        code, doc, _ = run_json(capsys, "probe", text, "--lemma", "5.1")
+        assert code == 0
+        assert doc["result"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", FLAGSHIP_TEXT, "--tol"),
+        ("spectrum", FLAGSHIP_TEXT, "--group-tol"),
+        ("mate", FLAGSHIP_TEXT, "--theorem", "13", "--tol"),
+        ("search", FLAGSHIP_TEXT, "--family", "--tol"),
+    ],
+    ids=["spectrum-tol", "spectrum-group-tol", "mate-tol", "search-tol"],
+)
+def test_bad_tolerance_rejected(capsys, argv, value):
+    code, out, _ = run_cli(capsys, *argv, value)
+    # a NaN or Infinity token would make the document invalid JSON
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in output"))
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "must be finite and >= 0" in doc["error"]
+
 
 def test_entry_point_subprocess():
     proc = subprocess.run(
@@ -298,3 +338,14 @@ def test_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["counts_moments"]["t1"] == 20
+
+
+def test_module_entry_point_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qcones.cli",
+         "spectrum", "K1 v C3 + K2 + K1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"

@@ -11,7 +11,6 @@ from qcones import (
     FamilyError,
     InapplicableError,
     ParameterError,
-    char_poly_4x4,
     closed_spectrum_F,
     closed_spectrum_G,
     eigenvector_families,
@@ -27,6 +26,8 @@ from qcones import (
     spectrum_compare,
     triangle_star_mate,
 )
+
+from helpers import char_poly_4x4
 
 FLAGSHIP = g_family_spec([3], 1, 1)
 

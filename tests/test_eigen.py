@@ -1,4 +1,4 @@
-"""Eigenvalue machinery: Jacobi solver, grouped spectra, quartic roots."""
+"""Eigenvalue machinery: the Jacobi oracle, grouped spectra, quartic roots."""
 
 import math
 import random
@@ -14,12 +14,10 @@ from qcones import (
     ParameterError,
     QSpectrum,
     QuarticData,
-    char_poly_4x4,
     cycle_graph,
     digon,
     disjoint_union,
     g_family_spec,
-    jacobi_eigenvalues,
     path_graph,
     q_matrix,
     q_spectrum,
@@ -28,6 +26,8 @@ from qcones import (
     realize,
     spectrum_compare,
 )
+
+from helpers import char_poly_4x4, jacobi_eigenvalues
 
 # Signless Laplacian spectrum of the 7-vertex triangle cone, frozen from the
 # package's own 12-significant-digit output after cross-checks against both

@@ -10,7 +10,6 @@ from qcones import (
     MultiGraph,
     ParameterError,
     UnsupportedGraphError,
-    build,
     complete_graph,
     components_and_bipartiteness,
     cone,
@@ -24,7 +23,6 @@ from qcones import (
     realize,
     star_graph,
     t_bar_f_bar,
-    z_tree,
 )
 
 from helpers import (
@@ -110,34 +108,10 @@ class TestBuilders:
         assert g.degree(3) == 3
         assert g.num_edges == 3
 
-    def test_z_tree_smallest_is_a_star(self):
-        assert isomorphic(z_tree(4), star_graph(4))
-
-    def test_z_tree_degrees(self):
-        # Path on n-1 vertices plus one leaf hung at position n-3.
-        g = z_tree(6)
-        assert g.n == 6
-        assert sorted(g.degrees()) == [1, 1, 1, 2, 2, 3]
-
-    def test_z_tree_too_small(self):
-        with pytest.raises(ParameterError):
-            z_tree(3)
-
     def test_digon(self):
         g = digon()
         assert g.mult[0, 1] == 2
         assert tuple(g.degrees()) == (2, 2)
-
-    def test_build_dispatch(self):
-        assert build("cycle", 5) == cycle_graph(5)
-        assert build("path", 3) == path_graph(3)
-        assert build("star", 6) == star_graph(6)
-        assert build("complete", 4) == complete_graph(4)
-        assert build("Z_tree", 5) == z_tree(5)
-
-    def test_build_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            build("moebius", 5)
 
 
 class TestUnionAndCone:
