@@ -23,6 +23,7 @@ from .graphs import (
     cone,
     count_subgraphs,
     cycle_graph,
+    degree_profile,
     digon,
     disjoint_union,
     format_spec_text,
@@ -60,6 +61,7 @@ from .moments import (
     brute_counts,
     counts_closed_form,
     delta_moments,
+    moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
     solve_degree_system,
@@ -68,7 +70,6 @@ from .search import (
     ProbeResult,
     SearchHit,
     SearchReport,
-    degree_profile,
     enumerate_family,
     isomorphic,
     recognize_cone,

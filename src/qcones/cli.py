@@ -31,7 +31,12 @@ from .eigen import (
     sym_eigenvalues,
 )
 from .cones import closed_spectrum_F, closed_spectrum_G, even_cycle_split_candidate, triangle_star_mate
-from .moments import delta_moments, moments_from_counts, moments_from_spectrum
+from .moments import (
+    delta_moments,
+    moments_closed_form,
+    moments_from_counts,
+    moments_from_spectrum,
+)
 from .search import (
     COSPECTRAL_TOL,
     recognize_cone,
@@ -160,7 +165,8 @@ def cmd_moments(args) -> tuple[dict, int]:
     }
     counted = None
     if args.source in ("counts", "both"):
-        counted = moments_from_counts(graph)
+        # cones take the block-additive closed form, other graphs brute counts
+        counted = moments_from_counts(graph) if spec is None else moments_closed_form(spec)
         result["counts_moments"] = _moment_payload(counted)
     if args.source in ("spectrum", "both"):
         spectral = moments_from_spectrum(

@@ -10,6 +10,7 @@ multiplicities <= 1.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -214,6 +215,13 @@ def _require_countable(g: MultiGraph) -> None:
         raise ScaleError(f"brute-force counting capped at n <= {MAX_COUNT_VERTICES}")
 
 
+def _vertex_tuples(n: int, k: int) -> np.ndarray:
+    """All increasing k-tuples of 0..n-1 as rows; fromiter skips the
+    per-tuple objects a list of tuples would build."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=k * math.comb(n, k)).reshape(-1, k)
+
+
 def count_subgraphs(g: MultiGraph, pattern: str) -> int:
     """Count P3, C3 or C4 subgraphs by direct enumeration.
 
@@ -227,16 +235,10 @@ def count_subgraphs(g: MultiGraph, pattern: str) -> int:
         d = g.degrees()
         return int((d * (d - 1) // 2).sum())
     if pattern == "C3":
-        if g.n < 3:
-            return 0
-        trip = np.array(list(itertools.combinations(range(g.n), 3)))
-        a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
+        a, b, c = _vertex_tuples(g.n, 3).T
         return int((adj[a, b] & adj[b, c] & adj[a, c]).sum())
     if pattern == "C4":
-        if g.n < 4:
-            return 0
-        quad = np.array(list(itertools.combinations(range(g.n), 4)))
-        a, b, c, d = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
+        a, b, c, d = _vertex_tuples(g.n, 4).T
         total = 0
         # the three cyclic orderings of a labeled quadruple
         for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
@@ -414,6 +416,16 @@ def realize(spec: ConeSpec) -> MultiGraph:
     return MultiGraph(arr)
 
 
+def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
+    """Base-vertex counts (n1, n2, n3, n4) by degree inside the cone.
+
+    n1 isolated vertices, n2 path endpoints and star leaves, n3 cycle and
+    path-interior vertices, n4 star centers.
+    """
+    n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
+    return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
+
+
 def g_family_spec(cycles, q: int, s: int) -> ConeSpec:
     """Convenience constructor for cycles + q K2 blocks + s isolated vertices."""
     if q < 0 or s < 0:
@@ -443,19 +455,24 @@ def _parse_term(term: str, pos: int) -> tuple[str, int]:
         if kind == "star":
             return kind, 1
         raw = m.group(1)
+        # int() refuses very long digit strings (leading zeros count too);
+        # any value that long is over the cap
+        digits = raw.lstrip("0")
+        if len(digits) > len(str(MAX_VERTICES)):
+            raise ScaleError(
+                f"{len(digits)}-digit number at position {pos} exceeds {MAX_VERTICES}"
+            )
+        value = int(digits or "0") if raw else 1
         if kind in ("k2", "k1"):
-            count = int(raw) if raw else 1
-            if count < 1:
+            if value < 1:
                 raise FormatError(f"count must be >= 1 in {term!r} at position {pos}")
-            if count > MAX_VERTICES:  # parse_spec_text expands counts block by block
-                raise ScaleError(f"count {count} in {term!r} exceeds {MAX_VERTICES} vertices")
-            return kind, count
-        size = int(raw)
-        if kind == "cycle" and size < 2:
+            if value > MAX_VERTICES:  # parse_spec_text expands counts block by block
+                raise ScaleError(f"count {value} in {term!r} exceeds {MAX_VERTICES} vertices")
+        elif kind == "cycle" and value < 2:
             raise FormatError(f"cycle length must be >= 2 in {term!r} at position {pos}")
-        if kind == "path" and size < 1:
+        elif kind == "path" and value < 1:
             raise FormatError(f"path order must be >= 1 in {term!r} at position {pos}")
-        return kind, size
+        return kind, value
     raise FormatError(f"unknown term {term!r} at position {pos}")
 
 

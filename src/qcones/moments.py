@@ -13,7 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FamilyError, ParameterError
-from .graphs import ConeSpec, MultiGraph, count_subgraphs, realize, t_bar_f_bar
+from .graphs import (
+    ConeSpec,
+    MultiGraph,
+    count_subgraphs,
+    degree_profile,
+    realize,
+    t_bar_f_bar,
+)
 
 
 class MomentVector(NamedTuple):
@@ -58,16 +65,19 @@ def brute_counts(g: MultiGraph) -> CountVector:
     )
 
 
-def moments_from_counts(g: MultiGraph) -> MomentVector:
-    """Exact integer moment vector (T1..T4, S4) of a simple graph."""
-    counts = brute_counts(g)
-    m2 = 2 * g.num_edges
-    t1 = m2
-    t2 = counts.d2 + m2
+def _moments(m: int, counts: CountVector) -> MomentVector:
+    """Exact integer moment vector (T1..T4, S4) from m edges and the counts."""
+    t1 = 2 * m
+    t2 = counts.d2 + 2 * m
     t3 = 6 * counts.c3 + counts.d3 + 3 * counts.d2
-    s4 = m2 + 4 * counts.p3 + 8 * counts.c4
+    s4 = 2 * m + 4 * counts.p3 + 8 * counts.c4
     t4 = s4 + counts.t_term + counts.f_term + counts.d4 + 4 * counts.d3
     return MomentVector(t1, t2, t3, t4, s4)
+
+
+def moments_from_counts(g: MultiGraph) -> MomentVector:
+    """Exact integer moment vector (T1..T4, S4) of a simple graph."""
+    return _moments(g.num_edges, brute_counts(g))
 
 
 def moments_from_spectrum(q_spec, adjacency_spec=None) -> MomentVector:
@@ -87,28 +97,61 @@ def moments_from_spectrum(q_spec, adjacency_spec=None) -> MomentVector:
     return MomentVector(*sums, s4)
 
 
-def counts_closed_form(spec: ConeSpec) -> CountVector:
-    """Closed-form counts for a cycles+K2+K1 cone, no graph realization.
+def _cone_counts(spec: ConeSpec) -> tuple[int, CountVector]:
+    """(edge count, counts) of a simple cone, summed block by block.
 
-    The 4-cycle count and the triangle count use the corrected unified
-    expressions (base edges plus per-block corrections); both are
-    cross-checked against brute force in the test suite.
+    A base vertex of base degree h has cone degree h + 1; the apex has
+    degree N = n - 1 and is joined to every base vertex.
     """
-    if not spec.is_g_family():
-        raise FamilyError("closed-form counts need a cycles+K2+K1 cone")
-    n, q, s = spec.n, spec.q, spec.s
-    k3 = sum(1 for k in spec.cycles if k == 3)
-    k4 = sum(1 for k in spec.cycles if k == 4)
-    cyc = n - 1 - 2 * q - s
-    p3 = 3 * (n - 1 - s) - 4 * q + (n - 1) * (n - 2) // 2
-    c3 = cyc + q + k3
-    c4 = n - 2 * q - s - 1 + k4
-    t_term = 8 * ((n + 5) * (n - s - 1) - q * (n + 7) + 9 * k3)
-    f_term = 4 * (3 * (n + 2) * (n - 1 - 2 * q) + 4 * q * n - s * (2 * n + 7))
-    d2 = (n - 1) ** 2 + s + 4 * 2 * q + 9 * cyc
-    d3 = (n - 1) ** 3 + s + 8 * 2 * q + 27 * cyc
-    d4 = (n - 1) ** 4 + s + 16 * 2 * q + 81 * cyc
-    return CountVector(p3, c3, c4, t_term, f_term, d2, d3, d4)
+    if spec.has_digon():
+        raise FamilyError("closed-form counts need a simple cone (no C2 block)")
+    by_h = degree_profile(spec)
+    big_n = spec.n - 1
+    m_h = sum(spec.cycles) + sum(l - 1 for l in spec.paths) + 3 * spec.stars13
+    # sum over base edges of d(u) d(v): cycle edges 3*3, a K2 2*2, a longer
+    # path two end edges 2*3 and l - 3 inner 3*3, claw edges 2*4
+    edge_dd = 9 * sum(spec.cycles) + 24 * spec.stars13 + sum(
+        4 if l == 2 else 9 * l - 15 for l in spec.paths if l >= 2
+    )
+    k3 = spec.cycles.count(3)
+    d1, d2, d3, d4 = (
+        big_n ** r + sum(c * (h + 1) ** r for h, c in enumerate(by_h))
+        for r in (1, 2, 3, 4)
+    )
+    m = m_h + big_n
+    counts = CountVector(
+        p3=(d2 - 2 * m) // 2,
+        # a triangle is a base edge plus the apex, or a C3 block
+        c3=m_h + k3,
+        # a 4-cycle is a base 2-path closed through the apex, or a C4 block
+        c4=spec.cycles.count(4) + by_h[2] + 3 * by_h[3],
+        # triangles at the apex: m_H; at a base vertex: its base degree, plus
+        # one on a C3 block (whose three vertices have cone degree 3)
+        t_term=8 * (m_h * big_n + sum(c * h * (h + 1) for h, c in enumerate(by_h)) + 9 * k3),
+        # edges at the apex, then base edges
+        f_term=4 * (big_n * (d1 - big_n) + edge_dd),
+        d2=d2,
+        d3=d3,
+        d4=d4,
+    )
+    return m, counts
+
+
+def counts_closed_form(spec: ConeSpec) -> CountVector:
+    """Closed-form counts for any simple cone spec, no graph realization.
+
+    Every block adds fixed terms from its base degrees, its base edges'
+    endpoint degrees and whether it is a C3 or C4 block; the apex adds the
+    rest.  Cross-checked against brute force in the test suite.  Digon
+    specs raise FamilyError.
+    """
+    return _cone_counts(spec)[1]
+
+
+def moments_closed_form(spec: ConeSpec) -> MomentVector:
+    """Exact integer moment vector (T1..T4, S4) of a simple cone spec,
+    equal to moments_from_counts(realize(spec)) with no graph built."""
+    return _moments(*_cone_counts(spec))
 
 
 def delta_moments(spec_g: ConeSpec, spec_other: ConeSpec) -> tuple[int, int]:

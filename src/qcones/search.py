@@ -19,7 +19,7 @@ from .errors import ParameterError, ScaleError, UnsupportedGraphError
 from .graphs import ConeSpec, MultiGraph, components_and_bipartiteness, realize
 from .graph6 import pair_order
 from .eigen import QSpectrum, q_spectrum, spectrum_compare
-from .moments import moments_from_counts, solve_degree_system
+from .moments import moments_closed_form, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
 PROBE_TOL = 1e-8
@@ -27,6 +27,8 @@ PROBE_TOL = 1e-8
 STRICT_MARGIN = 1e-9
 
 MAX_EXHAUSTIVE_VERTICES = 8
+# the candidate count grows like the partitions of the base order
+MAX_FAMILY_VERTICES = 64
 MAX_ISO_VERTICES = 16
 
 _CHUNK = 1 << 20
@@ -73,16 +75,6 @@ def _partitions(
     for first in range(hi, min_part - 1, -1):
         for rest in _partitions(total - first, min_part, first, sub_parts):
             yield (first,) + rest
-
-
-def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
-    """Base-vertex counts (n1, n2, n3, n4) by degree inside the cone.
-
-    n1 isolated vertices, n2 path endpoints and star leaves, n3 cycle and
-    path-interior vertices, n4 star centers.
-    """
-    n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
-    return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
 
 
 def enumerate_family(
@@ -135,12 +127,17 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     """Scan all family candidates sharing the target's order and moments.
 
     Candidate degree profiles are recovered from the first three spectral
-    moments (with and without a star block), enumerated, filtered on exact
-    integer moments, and the survivors compared spectrally.  The target is
-    always its own hit at distance zero.
+    moments (with and without a star block), enumerated, filtered on their
+    closed-form integer moments, and only the survivors are realized and
+    compared spectrally.  The target is always its own hit at distance zero.
+    Targets above MAX_FAMILY_VERTICES raise ScaleError before enumeration.
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
+    if target.n > MAX_FAMILY_VERTICES:
+        raise ScaleError(
+            f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
+        )
     tspec = q_spectrum(realize(target))
     n = target.n
     t1, t2, t3, t4 = (round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
@@ -156,8 +153,7 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         if cand == target:
             hits.append(SearchHit(cand, 0.0, True))
             continue
-        cmom = moments_from_counts(realize(cand))
-        if (cmom.t1, cmom.t2, cmom.t3, cmom.t4) != (t1, t2, t3, t4):
+        if moments_closed_form(cand)[:4] != (t1, t2, t3, t4):
             continue
         dist = spectrum_compare(tspec, q_spectrum(realize(cand)))
         if dist <= tol:

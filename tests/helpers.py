@@ -4,14 +4,28 @@ The counters here are deliberately written in the dumbest possible way
 (subset enumeration) so they share no code path with the package.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
-quotient quartic.
+quotient quartic.  The brute-path family search realizes and brute-counts
+every candidate, the reference for the closed-form moment filter.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from qcones import ContractViolationError, MultiGraph, ParameterError
+from qcones import (
+    ContractViolationError,
+    MultiGraph,
+    ParameterError,
+    SearchHit,
+    SearchReport,
+    enumerate_family,
+    moments_from_counts,
+    q_spectrum,
+    realize,
+    solve_degree_system,
+    spectrum_compare,
+)
 
 OFF_DIAGONAL_FACTOR = 1e-13
 _MAX_SWEEPS = 64
@@ -184,3 +198,40 @@ def char_poly_4x4(matrix) -> tuple[float, float, float, float, float]:
         for j in range(4)
     )
     return (1.0, -e1, float(e2), -float(e3), float(e4))
+
+
+# ---------------------------------------------------------------------------
+# family search reference
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _brute_moments(cand):
+    # targets of one order and degree profile share their candidates
+    return tuple(moments_from_counts(realize(cand))[:4])
+
+
+def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
+    """search_family with the moment filter on realized, brute-counted
+    candidates (n <= 64)."""
+    tspec = q_spectrum(realize(target))
+    n = target.n
+    t1, t2, t3, t4 = (round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+    candidates = {target}
+    for n4 in (0, 1):
+        counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
+        if counts is not None:
+            candidates.update(enumerate_family(n, (*counts, n4)))
+    hits = []
+    for cand in candidates:
+        if cand == target:
+            hits.append(SearchHit(cand, 0.0, True))
+            continue
+        if _brute_moments(cand) != (t1, t2, t3, t4):
+            continue
+        dist = spectrum_compare(tspec, q_spectrum(realize(cand)))
+        if dist <= tol:
+            hits.append(SearchHit(cand, dist, False))
+    hits.sort(key=lambda h: (
+        h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
+    ))
+    return SearchReport(target, float(tol), tuple(hits), False, len(candidates))

@@ -30,12 +30,13 @@ from qcones import (
     realize,
     run_probe,
     search_exhaustive,
+    search_family,
     spectrum_compare,
     sym_eigenvalues,
     triangle_star_mate,
 )
 
-from helpers import random_graph
+from helpers import brute_search_family, random_graph
 
 SEED = 20260819
 COSPECTRAL_TOL = 1e-8
@@ -126,6 +127,17 @@ def test_criterion_05_closed_counts_exact_on_grid():
         if spec.n > 40:
             continue
         assert counts_closed_form(spec) == brute_counts(realize(spec))
+        checked += 1
+    assert checked >= 100
+
+
+def test_family_search_matches_brute_path_on_grid():
+    # the closed-form moment filter must keep exactly what brute counting kept
+    checked = 0
+    for spec in G_GRID:
+        if spec.n > 24:
+            continue
+        assert search_family(spec) == brute_search_family(spec), spec
         checked += 1
     assert checked >= 100
 

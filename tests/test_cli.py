@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,10 +14,12 @@ from qcones import (
     disjoint_union,
     encode_graph6,
     g_family_spec,
+    realize,
 )
 from qcones.cli import format_spec_text, main, parse_spec_text
 
 FLAGSHIP_TEXT = "K1 v C3 + 1K2 + 1K1"
+MOMENT_REL_TOL = 1e-7
 
 GOLDEN_SPECTRUM_CSV = """\
 index,closed,numeric,source
@@ -69,6 +72,15 @@ class TestSpecText:
     def test_format_canonical_order(self):
         spec = ConeSpec(cycles=(3, 4), paths=(3, 2, 1), stars13=1)
         assert format_spec_text(spec) == "K1 v K13 + C4 + C3 + P3 + 1K2 + 1K1"
+
+    def test_leading_zeros_past_the_int_digit_limit(self):
+        # int() counts leading zeros towards its 4300-digit limit
+        zeros = "0" * 5000
+        assert parse_spec_text(f"K1 v C{zeros}3 + {zeros}2K2") == ConeSpec(
+            cycles=(3,), paths=(2, 2)
+        )
+        with pytest.raises(FormatError):
+            parse_spec_text(f"K1 v {zeros}K1")
 
     def test_roundtrip(self):
         specs = [
@@ -153,6 +165,13 @@ class TestSpectrumCommand:
         assert code == 5
         assert doc["status"] == "scale"
 
+    @pytest.mark.parametrize("term", ["C{}", "P{}", "{}K2", "{}K1"])
+    def test_numbers_past_the_int_digit_limit(self, capsys, term):
+        # int() raises a plain ValueError beyond 4300 digits
+        code, doc, _ = run_json(capsys, "spectrum", "K1 v " + term.format("1" * 5000))
+        assert code == 5
+        assert doc["status"] == "scale"
+
 
 class TestMomentsCommand:
     def test_flagship_counts(self, capsys):
@@ -178,6 +197,22 @@ class TestMomentsCommand:
         )
         assert code == 0
         assert out == GOLDEN_K3_MOMENTS_CSV
+
+    def test_cone_beyond_the_brute_count_cap(self, capsys):
+        text = "K1 v C4 + P40 + K13 + P30 + 3K2 + 15K1"
+        code, doc, _ = run_json(capsys, "moments", text, "--from", "both")
+        assert code == 0
+        assert doc["result"]["n"] == 100
+        assert doc["result"]["relative_discrepancy"] <= MOMENT_REL_TOL
+
+    def test_graph6_cone_matches_spec_text(self, capsys):
+        # a recognized graph6 cone (graph6 stops at n = 62) takes the closed form too
+        text = "K1 v C4 + P30 + K13 + 3K2 + 5K1"
+        _, doc, _ = run_json(capsys, "moments", text)
+        code, g6_doc, _ = run_json(capsys, "moments", encode_graph6(realize(parse_spec_text(text))))
+        assert code == 0
+        assert g6_doc["result"]["spec"] == doc["result"]["spec"]
+        assert g6_doc["result"]["counts_moments"] == doc["result"]["counts_moments"]
 
     def test_multigraph_rejected(self, capsys):
         code, doc, _ = run_json(capsys, "moments", "K1 v C2 + 1K1")
@@ -267,6 +302,13 @@ class TestSearchCommand:
         code, doc, _ = run_json(
             capsys, "search", "K1 v C6 + 2K2 + 1K1", "--exhaustive"
         )
+        assert code == 5
+        assert doc["status"] == "scale"
+
+    def test_family_order_capped_before_enumeration(self, capsys):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "search", "K1 v C70 + 2K2 + K1", "--family")
+        assert time.perf_counter() - start < 1.0
         assert code == 5
         assert doc["status"] == "scale"
 

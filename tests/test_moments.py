@@ -18,6 +18,7 @@ from qcones import (
     delta_moments,
     digon,
     g_family_spec,
+    moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
     path_graph,
@@ -124,11 +125,39 @@ class TestCountsClosedForm:
             spec = g_family_spec(cycles, q, s)
             assert counts_closed_form(spec) == brute_counts(realize(spec))
 
+    def test_paths_and_stars_match_brute(self):
+        for spec in (
+            ConeSpec(cycles=(3,), paths=(3, 2, 1)),
+            ConeSpec(paths=(2,), stars13=1),
+            ConeSpec(paths=(1,)),
+            ConeSpec(paths=(9, 4), stars13=2),
+        ):
+            assert counts_closed_form(spec) == brute_counts(realize(spec))
+
     def test_rejects_non_family(self):
+        # digons make the cone a multigraph, outside the counted family
         with pytest.raises(FamilyError):
-            counts_closed_form(ConeSpec(cycles=(3,), paths=(3, 2, 1)))
+            counts_closed_form(ConeSpec(cycles=(4, 2), paths=(1,)))
         with pytest.raises(FamilyError):
-            counts_closed_form(ConeSpec(paths=(2,), stars13=1))
+            moments_closed_form(ConeSpec(cycles=(2,), paths=(2,)))
+
+    def test_matches_brute_force_on_random_cones(self):
+        # long paths, 0-2 stars and C3/C4 blocks, n <= 40
+        rng = random.Random(33)
+        checked = 0
+        while checked < 200:
+            cycles = [rng.choice((3, 3, 4, 4, 5, 6, 8)) for _ in range(rng.randint(0, 3))]
+            paths = [rng.choice((1, 1, 2, 2, 3, 4, 6, 11, 17, 25)) for _ in range(rng.randint(0, 4))]
+            stars = rng.randint(0, 2)
+            if not (cycles or paths or stars):
+                continue
+            spec = ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+            if spec.n > 40:
+                continue
+            g = realize(spec)
+            assert counts_closed_form(spec) == brute_counts(g), spec
+            assert moments_closed_form(spec) == moments_from_counts(g), spec
+            checked += 1
 
 
 class TestDeltaMoments:
