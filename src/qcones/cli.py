@@ -3,7 +3,10 @@
 Every run prints a single JSON document on stdout with the fields
 {command, input, params, result, status}; diagnostics go to stderr.
 Exit codes: 0 success, 2 input error, 3 verification mismatch or probe
-failure, 4 inapplicable construction, 5 scale limit.
+failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
+internally built object failed its own check; a bug, not bad input).
+Each subparser declares its handler, its `params` echo and (spectrum and
+moments) its CSV renderer with `set_defaults`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import sys
 
 from .errors import (
+    ConstructionError,
     FormatError,
     InapplicableError,
     ParameterError,
@@ -45,14 +49,23 @@ from .search import (
     search_family,
 )
 
-_STATUS_BY_CODE = {0: "ok", 2: "error", 3: "mismatch", 4: "inapplicable", 5: "scale"}
+# exit code and status per error class; the nearest class in the MRO wins
+_EXIT_BY_ERROR = {
+    ScaleError: (5, "scale"),
+    InapplicableError: (4, "inapplicable"),
+    ConstructionError: (6, "internal"),
+    QConesError: (2, "error"),
+}
 
 
-def _read_input(text: str) -> tuple[MultiGraph, ConeSpec | None]:
-    """Interpret the input as spec text, falling back to graph6."""
+def _read_input(text: str) -> tuple[MultiGraph | None, ConeSpec | None]:
+    """Interpret the input as spec text, falling back to graph6.
+
+    Spec text comes back unrealized (graph None); `_graph` builds the
+    matrix on demand.
+    """
     try:
         spec = parse_spec_text(text)
-        return realize(spec), spec
     except (FormatError, ParameterError) as spec_err:
         try:
             graph = decode_graph6(text)
@@ -61,6 +74,18 @@ def _read_input(text: str) -> tuple[MultiGraph, ConeSpec | None]:
                 f"input is neither a cone spec ({spec_err}) nor graph6 ({g6_err})"
             ) from None
         return graph, recognize_cone(graph)
+    return None, spec
+
+
+def _graph(graph: MultiGraph | None, spec: ConeSpec | None) -> MultiGraph:
+    return realize(spec) if graph is None else graph
+
+
+def _describe(graph: MultiGraph | None, spec: ConeSpec | None) -> dict:
+    return {
+        "n": spec.n if graph is None else graph.n,
+        "spec": None if spec is None else format_spec_text(spec),
+    }
 
 
 def _require_spec(spec: ConeSpec | None, purpose: str) -> ConeSpec:
@@ -113,11 +138,6 @@ def _emit(doc: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _spectrum_mode(args) -> str:
-    chosen = [m for m in ("numeric", "closed", "both") if getattr(args, m)]
-    return chosen[0] if chosen else "both"
-
-
 def _closed_spectrum(spec: ConeSpec, group_tol: float) -> QSpectrum:
     if spec.is_g_family():
         return closed_spectrum_G(spec, group_tol=group_tol)
@@ -129,23 +149,19 @@ def _closed_spectrum(spec: ConeSpec, group_tol: float) -> QSpectrum:
 
 
 def cmd_spectrum(args) -> tuple[dict, int]:
-    mode = _spectrum_mode(args)
     graph, spec = _read_input(args.input)
-    result: dict = {
-        "n": graph.n,
-        "spec": None if spec is None else format_spec_text(spec),
-    }
+    result = _describe(graph, spec)
     code = 0
-    if mode in ("closed", "both"):
+    if args.mode in ("closed", "both"):
         # a spec-less or out-of-family input cannot take the closed route
         if spec is None:
             raise FormatError("closed form needs a cone spec input")
         closed = _closed_spectrum(spec, args.group_tol)
         result["closed"] = _spectrum_payload(closed)
-    if mode in ("numeric", "both"):
-        numeric = q_spectrum(graph, group_tol=args.group_tol)
+    if args.mode in ("numeric", "both"):
+        numeric = q_spectrum(_graph(graph, spec), group_tol=args.group_tol)
         result["numeric"] = _spectrum_payload(numeric)
-    if mode == "both":
+    if args.mode == "both":
         distance = spectrum_compare(closed, numeric)
         result["distance"] = _f(distance)
         result["tolerance"] = _f(args.tol)
@@ -156,19 +172,17 @@ def cmd_spectrum(args) -> tuple[dict, int]:
 
 def cmd_moments(args) -> tuple[dict, int]:
     graph, spec = _read_input(args.input)
-    if not graph.is_simple():
+    simple = not spec.has_digon() if graph is None else graph.is_simple()
+    if not simple:
         raise ParameterError("moment identities are defined for simple graphs only")
-    result: dict = {
-        "n": graph.n,
-        "spec": None if spec is None else format_spec_text(spec),
-        "from": args.source,
-    }
+    result = {**_describe(graph, spec), "from": args.source}
     counted = None
     if args.source in ("counts", "both"):
         # cones take the block-additive closed form, other graphs brute counts
         counted = moments_from_counts(graph) if spec is None else moments_closed_form(spec)
         result["counts_moments"] = _moment_payload(counted)
     if args.source in ("spectrum", "both"):
+        graph = _graph(graph, spec)
         spectral = moments_from_spectrum(
             q_spectrum(graph),
             adjacency_spec=sym_eigenvalues(adjacency_matrix(graph)),
@@ -194,10 +208,11 @@ def cmd_mate(args) -> tuple[dict, int]:
     }
     if args.theorem == "13":
         mate = triangle_star_mate(spec)
-        mate_spec = q_spectrum(realize(mate))
+        mate_graph = realize(mate)
+        mate_spec = q_spectrum(mate_graph)
         distance = spectrum_compare(target_spec, mate_spec)
         tm = moments_from_counts(target_graph)
-        mm = moments_from_counts(realize(mate))
+        mm = moments_from_counts(mate_graph)
         result.update(
             {
                 "mate": format_spec_text(mate),
@@ -236,7 +251,7 @@ def cmd_search(args) -> tuple[dict, int]:
     graph, spec = _read_input(args.input)
     if args.jobs < 1:
         raise ParameterError("--jobs must be >= 1")
-    if args.family:
+    if args.mode == "family":
         target = _require_spec(spec, "family search")
         report = search_family(target, tol=args.tol)
         hits = [
@@ -248,7 +263,7 @@ def cmd_search(args) -> tuple[dict, int]:
             for h in report.hits
         ]
     else:
-        report = search_exhaustive(graph, tol=args.tol, jobs=args.jobs)
+        report = search_exhaustive(_graph(graph, spec), tol=args.tol, jobs=args.jobs)
         hits = [
             {
                 "graph6": encode_graph6(h.candidate),
@@ -259,7 +274,7 @@ def cmd_search(args) -> tuple[dict, int]:
             for h in report.hits
         ]
     result = {
-        "mode": "family" if args.family else "exhaustive",
+        "mode": args.mode,
         "target": None if spec is None else format_spec_text(spec),
         "tolerance": _f(report.tolerance),
         "cardinality": report.cardinality,
@@ -271,8 +286,7 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_probe(args) -> tuple[dict, int]:
-    graph, _ = _read_input(args.input)
-    outcome = run_probe(graph, args.lemma)
+    outcome = run_probe(_graph(*_read_input(args.input)), args.lemma)
     result = {
         "probe": outcome.probe,
         "status": outcome.status,
@@ -280,15 +294,6 @@ def cmd_probe(args) -> tuple[dict, int]:
         "message": outcome.message,
     }
     return result, 3 if outcome.status == "fail" else 0
-
-
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "moments": cmd_moments,
-    "mate": cmd_mate,
-    "search": cmd_search,
-    "probe": cmd_probe,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +306,9 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_spectrum(result: dict, mode: str) -> str:
+def _csv_spectrum(result: dict) -> str:
     lines = []
-    if mode == "both":
+    if "closed" in result and "numeric" in result:
         closed = result["closed"]
         numeric = result["numeric"]
         sources = closed.get("sources") or [""] * len(closed["values"])
@@ -312,7 +317,7 @@ def _csv_spectrum(result: dict, mode: str) -> str:
         for i, (c, x, s) in enumerate(rows, start=1):
             lines.append(f"{i},{_csv_cell(c)},{_csv_cell(x)},{s}")
     else:
-        key = "closed" if mode == "closed" else "numeric"
+        key = "closed" if "closed" in result else "numeric"
         payload = result[key]
         sources = payload.get("sources") or [""] * len(payload["values"])
         lines.append("index,value,source")
@@ -341,6 +346,18 @@ def _csv_moments(result: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _mode_flags(parser, required: bool, **flags: str) -> None:
+    """Mutually exclusive flags, each storing its own name in `mode`.
+
+    argparse checks the exclusion only for values that differ from a flag's
+    default, so the flags default to SUPPRESS rather than to `mode`'s default.
+    """
+    group = parser.add_mutually_exclusive_group(required=required)
+    for name, help_text in flags.items():
+        group.add_argument(f"--{name}", dest="mode", action="store_const", const=name,
+                           default=argparse.SUPPRESS, help=help_text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcones",
@@ -352,38 +369,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of a cone spec or graph6 input")
+    sp.set_defaults(handler=cmd_spectrum, render_csv=_csv_spectrum, mode="both", echo=(
+        ("mode", "mode"), ("tol", "tol"), ("group_tol", "group_tol"), ("format", "format")))
     sp.add_argument("input", help="cone spec text or graph6 string")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--numeric", action="store_true", help="numeric route only")
-    mode.add_argument("--closed", action="store_true", help="closed form only")
-    mode.add_argument("--both", action="store_true", help="both routes plus distance (default)")
+    _mode_flags(sp, False, numeric="numeric route only", closed="closed form only",
+                both="both routes plus distance (default)")
     sp.add_argument("--tol", type=float, default=COSPECTRAL_TOL, help="comparison tolerance")
     sp.add_argument("--group-tol", type=float, default=GROUP_TOL, dest="group_tol")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     mo = sub.add_parser("moments", help="spectral moments of a simple graph")
+    mo.set_defaults(handler=cmd_moments, render_csv=_csv_moments,
+                    echo=(("from", "source"), ("format", "format")))
     mo.add_argument("input", help="cone spec text or graph6 string")
     mo.add_argument("--from", dest="source", choices=("counts", "spectrum", "both"), default="counts")
     mo.add_argument("--format", choices=("json", "csv"), default="json")
 
     ma = sub.add_parser("mate", help="cospectral mate or rewiring candidate")
+    ma.set_defaults(handler=cmd_mate, echo=(("theorem", "theorem"), ("tol", "tol")))
     ma.add_argument("input", help="cone spec text or graph6 string")
     ma.add_argument("--theorem", required=True, help="construction id: 11 or 13")
     ma.add_argument("--tol", type=float, default=COSPECTRAL_TOL)
 
     se = sub.add_parser("search", help="cospectral-mate search")
+    se.set_defaults(handler=cmd_search, echo=(("mode", "mode"), ("tol", "tol")))
     se.add_argument("input", help="cone spec text or graph6 string")
-    which = se.add_mutually_exclusive_group(required=True)
-    which.add_argument("--family", action="store_true", help="structured family scan")
-    which.add_argument("--exhaustive", action="store_true", help="all simple graphs, n <= 8")
+    _mode_flags(se, True, family="structured family scan", exhaustive="all simple graphs, n <= 8")
     se.add_argument("--tol", type=float, default=COSPECTRAL_TOL)
     se.add_argument("--jobs", type=int, default=1, help="worker processes (exhaustive)")
 
     pr = sub.add_parser("probe", help="structural fact checks")
+    pr.set_defaults(handler=cmd_probe, echo=(("lemma", "lemma"),))
     pr.add_argument("input", help="cone spec text or graph6 string")
     pr.add_argument("--lemma", required=True, help="probe id, e.g. 2.4")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _check_tolerances(args) -> None:
@@ -395,28 +418,8 @@ def _check_tolerances(args) -> None:
             raise ParameterError(f"{flag} must be finite and >= 0, got {value}")
 
 
-def _params_for(args) -> dict:
-    if args.command == "spectrum":
-        return {
-            "mode": _spectrum_mode(args),
-            "tol": _f(args.tol),
-            "group_tol": _f(args.group_tol),
-            "format": args.format,
-        }
-    if args.command == "moments":
-        return {"from": args.source, "format": args.format}
-    if args.command == "mate":
-        return {"theorem": args.theorem, "tol": _f(args.tol)}
-    if args.command == "search":
-        return {
-            "mode": "family" if args.family else "exhaustive",
-            "tol": _f(args.tol),
-        }
-    return {"lemma": args.lemma}
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     doc = {
         "command": args.command,
         "input": args.input,
@@ -426,27 +429,21 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         _check_tolerances(args)
-        doc["params"] = _params_for(args)
-        result, code = _HANDLERS[args.command](args)
+        params = {key: getattr(args, dest) for key, dest in args.echo}
+        doc["params"] = {k: _f(v) if isinstance(v, float) else v for k, v in params.items()}
+        result, code = args.handler(args)
     except QConesError as exc:
-        if isinstance(exc, ScaleError):
-            code = 5
-        elif isinstance(exc, InapplicableError):
-            code = 4
-        else:
-            code = 2
-        doc["status"] = _STATUS_BY_CODE[code]
+        code, doc["status"] = next(
+            _EXIT_BY_ERROR[cls] for cls in type(exc).__mro__ if cls in _EXIT_BY_ERROR
+        )
         doc["error"] = str(exc)
         print(f"qcones: {exc}", file=sys.stderr)
         _emit(doc)
         return code
     doc["result"] = result
-    doc["status"] = _STATUS_BY_CODE[code]
+    doc["status"] = "mismatch" if code == 3 else "ok"
     if getattr(args, "format", "json") == "csv":
-        if args.command == "spectrum":
-            sys.stdout.write(_csv_spectrum(result, _spectrum_mode(args)))
-        else:
-            sys.stdout.write(_csv_moments(result))
+        sys.stdout.write(args.render_csv(result))
     else:
         _emit(doc)
     return code

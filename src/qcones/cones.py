@@ -179,16 +179,14 @@ def _residual(qm: np.ndarray, value: float, vec: np.ndarray) -> float:
     return float(np.abs(err).max() / max(1.0, np.abs(vec).max()))
 
 
-def eigenvector_families(
-    spec: ConeSpec, residual_tol: float = RESIDUAL_TOL
-) -> list[EigenFamily]:
+def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
     """Full explicit eigenbasis for a family spec.
 
     Labels and counts: 'eig-1' pendant/K2 difference vectors (s+q-1 of them),
     'eig-3' consecutive-K2 vectors (q-1), 'eig-5' cycle-pair vectors (t-1),
     'cycle-lift' zero-sum cycle vectors (k-1 per cycle), 'eig-2' star-leaf
     differences (2, one-star family only), and 'quartic' (4).  Any residual
-    above the threshold signals a construction bug and raises.
+    above RESIDUAL_TOL signals a construction bug and raises.
     """
     if not (spec.is_g_family() or spec.is_f_family()):
         raise FamilyError("eigenvector construction needs a family spec")
@@ -199,7 +197,7 @@ def eigenvector_families(
 
     def add(label: str, value: float, vec: np.ndarray) -> None:
         res = _residual(qm, value, vec)
-        if res > residual_tol:
+        if res > RESIDUAL_TOL:
             raise ConstructionError(
                 f"{label} vector for {value} has residual {res:.3e}"
             )

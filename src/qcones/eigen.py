@@ -184,8 +184,8 @@ class QuarticData:
         return ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
 
 
-def quartic_roots(data: QuarticData, width: float = 1e-13) -> tuple[float, float, float, float]:
-    """Bisect each bracket to the requested width, then polish once.
+def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
+    """Bisect each bracket to width 1e-13, then polish once.
 
     Raises if a bracket shows no sign change or a polished root fails the
     residual bound 1e-9 * max |coefficient|.
@@ -198,7 +198,7 @@ def quartic_roots(data: QuarticData, width: float = 1e-13) -> tuple[float, float
         if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
             raise BracketError(f"no sign change on bracket ({lo}, {hi})")
         neg_left = flo < 0.0
-        while hi - lo > width:
+        while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
             fmid = data(mid)
             if fmid == 0.0:

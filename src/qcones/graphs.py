@@ -46,7 +46,7 @@ class MultiGraph:
         self._mult = arr
 
     @classmethod
-    def from_edges(cls, n: int, edges, multiplicity: int = 1) -> "MultiGraph":
+    def from_edges(cls, n: int, edges) -> "MultiGraph":
         """Build from an edge list; repeated pairs accumulate multiplicity."""
         if n < 1:
             raise ParameterError("need at least one vertex")
@@ -54,8 +54,8 @@ class MultiGraph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ParameterError(f"bad edge ({u}, {v}) for n={n}")
-            arr[u, v] += multiplicity
-            arr[v, u] += multiplicity
+            arr[u, v] += 1
+            arr[v, u] += 1
         return cls(arr)
 
     @property
@@ -389,11 +389,15 @@ class ConeSpec:
         )
 
 
+def _check_order(spec: ConeSpec) -> ConeSpec:
+    if spec.n > MAX_VERTICES:
+        raise ScaleError(f"cone order {spec.n} exceeds {MAX_VERTICES} vertices")
+    return spec
+
+
 def realize(spec: ConeSpec) -> MultiGraph:
     """Cone graph of a spec with the documented vertex order (apex last)."""
-    n = spec.n
-    if n > MAX_VERTICES:
-        raise ScaleError(f"cone order {n} exceeds {MAX_VERTICES} vertices")
+    n = _check_order(spec).n
     lay = spec.layout()
     arr = np.zeros((n, n), dtype=np.int64)
     for block in lay.long_paths:
@@ -481,7 +485,8 @@ def parse_spec_text(text: str) -> ConeSpec:
 
     The leading "K1 v" is optional.  Terms are '+'-separated: Ck (cycle,
     2 = digon), Pl (path), qK2, sK1 and K13.  Errors carry the 1-based
-    character position of the offending term.
+    character position of the offending term.  A cone of more than
+    MAX_VERTICES vertices raises ScaleError, as realize would.
     """
     offset = 0
     m = _PREFIX.match(text)
@@ -511,7 +516,7 @@ def parse_spec_text(text: str) -> ConeSpec:
             paths.extend([1] * value)
         else:
             stars += 1
-    return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+    return _check_order(ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars))
 
 
 def format_spec_text(spec: ConeSpec) -> str:

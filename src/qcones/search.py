@@ -77,13 +77,7 @@ def _partitions(
             yield (first,) + rest
 
 
-def enumerate_family(
-    n: int,
-    profile: tuple[int, int, int, int],
-    allow_cycles: bool = True,
-    allow_paths: bool = True,
-    allow_stars: bool = True,
-) -> list[ConeSpec]:
+def enumerate_family(n: int, profile: tuple[int, int, int, int]) -> list[ConeSpec]:
     """All cone specs of order n whose base realizes the degree profile.
 
     An inconsistent or infeasible profile yields an empty list rather than
@@ -95,17 +89,14 @@ def enumerate_family(
     n1, n2, n3, n4 = (int(x) for x in profile)
     if min(n1, n2, n3, n4) < 0 or n1 + n2 + n3 + n4 != n - 1:
         return []
-    if n4 > 1 or (n4 and not allow_stars):
+    if n4 > 1:
         return []
     endpoints = n2 - 3 * n4
     if endpoints < 0 or endpoints % 2:
         return []
     p = endpoints // 2
-    if p and not allow_paths:
-        return []
     found: set[ConeSpec] = set()
-    cycle_sums = range(n3 + 1) if allow_cycles else (0,)
-    for csum in cycle_sums:
+    for csum in range(n3 + 1):
         interior = n3 - csum
         if p == 0 and interior:
             continue

@@ -9,7 +9,9 @@ import pytest
 
 from qcones import (
     ConeSpec,
+    ConstructionError,
     FormatError,
+    ScaleError,
     cycle_graph,
     disjoint_union,
     encode_graph6,
@@ -32,6 +34,37 @@ index,closed,numeric,source
 7,0.728860316504,0.728860316504,quartic-4
 """
 
+GOLDEN_NUMERIC_CSV = """\
+index,value,source
+1,7.69075779415,
+2,4.2040547983,
+3,2.37632709104,
+4,2,
+5,2,
+6,1,
+7,0.728860316504,
+"""
+
+GOLDEN_CLOSED_CSV = """\
+index,value,source
+1,7.69075779415,quartic-1
+2,4.2040547983,quartic-2
+3,2.37632709104,quartic-3
+4,2,3+2cos(2π/3)
+5,2,3+2cos(4π/3)
+6,1,1
+7,0.728860316504,quartic-4
+"""
+
+GOLDEN_COUNTS_CSV = """\
+name,value
+t1,20
+t2,92
+t3,560
+t4,3876
+s4,148
+"""
+
 GOLDEN_K3_MOMENTS_CSV = """\
 name,counts,spectrum
 t1,6,6
@@ -40,6 +73,10 @@ t3,66,66
 t4,258,258
 s4,18,18
 """
+
+
+def _no_realize(spec):
+    raise AssertionError("the command built an n x n matrix")
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +137,10 @@ class TestSpecText:
         with pytest.raises(FormatError):
             parse_spec_text("K1 v")
 
+    def test_order_capped(self):
+        with pytest.raises(ScaleError, match="cone order 5001 exceeds 4096 vertices"):
+            parse_spec_text("K1 v C5000")
+
 
 class TestSpectrumCommand:
     def test_both_routes_agree(self, capsys):
@@ -151,6 +192,20 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == GOLDEN_SPECTRUM_CSV
 
+    @pytest.mark.parametrize(
+        "mode, golden", [("--numeric", GOLDEN_NUMERIC_CSV), ("--closed", GOLDEN_CLOSED_CSV)]
+    )
+    def test_single_route_csv_golden(self, capsys, mode, golden):
+        code, out, _ = run_cli(capsys, "spectrum", FLAGSHIP_TEXT, mode, "--format", "csv")
+        assert code == 0
+        assert out == golden
+
+    def test_closed_route_builds_no_matrix(self, capsys, monkeypatch):
+        monkeypatch.setattr("qcones.cli.realize", _no_realize)
+        code, doc, _ = run_json(capsys, "spectrum", "K1 v C300 + 2K2 + K1", "--closed")
+        assert code == 0
+        assert doc["result"]["n"] == 306
+
     def test_both_routes_agree_at_n47(self, capsys):
         # the plane-rotation solver did not converge on this F-family cone
         text = "K1 v K13 + C6 + C6 + C4 + C4 + C4 + 5K2 + 8K1"
@@ -162,6 +217,14 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("text", ["K1 v C999999999", "K1 v 999999999K1"])
     def test_order_capped_before_allocation(self, capsys, text):
         code, doc, _ = run_json(capsys, "spectrum", text)
+        assert code == 5
+        assert doc["status"] == "scale"
+
+    @pytest.mark.parametrize(
+        "argv", [("spectrum", "--closed"), ("moments",), ("moments", "--from", "counts")]
+    )
+    def test_order_capped_on_routes_without_a_matrix(self, capsys, argv):
+        code, doc, _ = run_json(capsys, argv[0], "K1 v C5000", *argv[1:])
         assert code == 5
         assert doc["status"] == "scale"
 
@@ -191,6 +254,18 @@ class TestMomentsCommand:
         assert doc["result"]["counts_moments"]["t3"] == 66
         assert doc["result"]["relative_discrepancy"] <= 1e-13
 
+    def test_counts_csv_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", FLAGSHIP_TEXT, "--from", "counts", "--format", "csv")
+        assert code == 0
+        assert out == GOLDEN_COUNTS_CSV
+
+    def test_counts_from_spec_text_build_no_matrix(self, capsys, monkeypatch):
+        monkeypatch.setattr("qcones.cli.realize", _no_realize)
+        code, doc, _ = run_json(capsys, "moments", "K1 v C4000 + P90", "--from", "counts")
+        assert code == 0
+        assert doc["result"]["n"] == 4091
+        assert doc["result"]["counts_moments"]["t1"] == 2 * (4000 + 89 + 4090)
+
     def test_k3_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "Bw", "--from", "both", "--format", "csv"
@@ -218,6 +293,12 @@ class TestMomentsCommand:
         code, doc, _ = run_json(capsys, "moments", "K1 v C2 + 1K1")
         assert code == 2
         assert doc["status"] == "error"
+
+    @pytest.mark.parametrize("source", ["counts", "spectrum", "both"])
+    def test_multigraph_rejected_on_every_route(self, capsys, source):
+        code, doc, _ = run_json(capsys, "moments", "K1 v C2 + 1K1", "--from", source)
+        assert code == 2
+        assert doc["error"] == "moment identities are defined for simple graphs only"
 
     def test_empty_spec_rejected(self, capsys):
         code, doc, _ = run_json(capsys, "moments", "K1 v")
@@ -265,6 +346,18 @@ class TestMateCommand:
     def test_unknown_theorem(self, capsys):
         code, doc, _ = run_json(capsys, "mate", FLAGSHIP_TEXT, "--theorem", "12")
         assert code == 2
+
+    def test_construction_error_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(spec):
+            raise ConstructionError("candidate moment shift 8 should be zero")
+
+        monkeypatch.setattr("qcones.cli.even_cycle_split_candidate", broken)
+        code, doc, err = run_json(capsys, "mate", "K1 v C6 + 2K2 + 1K1", "--theorem", "11")
+        assert code == 6
+        assert doc["status"] == "internal"
+        assert doc["result"] is None
+        assert doc["error"] == "candidate moment shift 8 should be zero"
+        assert "Traceback" not in err
 
 
 class TestSearchCommand:
@@ -348,6 +441,40 @@ class TestProbeCommand:
         code, doc, _ = run_json(capsys, "probe", text, "--lemma", "5.1")
         assert code == 0
         assert doc["result"]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (("spectrum", FLAGSHIP_TEXT),
+         {"mode": "both", "tol": 1e-08, "group_tol": 1e-09, "format": "json"}),
+        (("spectrum", FLAGSHIP_TEXT, "--numeric", "--tol", "1e-6", "--group-tol", "1e-7"),
+         {"mode": "numeric", "tol": 1e-06, "group_tol": 1e-07, "format": "json"}),
+        (("moments", FLAGSHIP_TEXT, "--from", "both"), {"from": "both", "format": "json"}),
+        (("mate", FLAGSHIP_TEXT, "--theorem", "13"), {"theorem": "13", "tol": 1e-08}),
+        (("search", FLAGSHIP_TEXT, "--family"), {"mode": "family", "tol": 1e-08}),
+        (("search", FLAGSHIP_TEXT, "--exhaustive", "--tol", "1e-6"),
+         {"mode": "exhaustive", "tol": 1e-06}),
+        (("probe", FLAGSHIP_TEXT, "--lemma", "2.4"), {"lemma": "2.4"}),
+    ],
+    ids=["spectrum-default", "spectrum-numeric", "moments", "mate", "search-family",
+         "search-exhaustive", "probe"],
+)
+def test_params_golden(capsys, argv, params):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["params"] == params
+
+
+def test_one_process_runs_many_commands(capsys):
+    # the parser is shared across calls; no mode may carry over
+    modes = []
+    for argv in (("spectrum", FLAGSHIP_TEXT, "--closed"), ("spectrum", FLAGSHIP_TEXT),
+                 ("search", FLAGSHIP_TEXT, "--family")):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        modes.append(doc["params"]["mode"])
+    assert modes == ["closed", "both", "family"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

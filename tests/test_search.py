@@ -110,13 +110,6 @@ class TestEnumerateFamily:
     def test_two_stars_out_of_scope(self):
         assert enumerate_family(12, (1, 8, 0, 2)) == []
 
-    def test_block_type_switches(self):
-        profile = degree_profile(FLAGSHIP)
-        assert ConeSpec(paths=(5, 1)) not in enumerate_family(
-            7, profile, allow_paths=False
-        )
-        assert FLAGSHIP not in enumerate_family(7, profile, allow_cycles=False)
-
     def test_complete_against_naive_generation(self):
         for n in range(2, 10):
             universe = naive_specs(n - 1)
