@@ -6,6 +6,7 @@ from .errors import (
     ComparisonError,
     ConstructionError,
     ContractViolationError,
+    EigensolverError,
     FamilyError,
     FormatError,
     InapplicableError,

@@ -4,7 +4,8 @@ Every run prints a single JSON document on stdout with the fields
 {command, input, params, result, status}; diagnostics go to stderr.
 Exit codes: 0 success, 2 input error, 3 verification mismatch or probe
 failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
-internally built object failed its own check; a bug, not bad input).
+internally built object failed its own check, or LAPACK's eigensolver
+failed; a bug, not bad input).
 Each subparser declares its handler, its `params` echo and (spectrum and
 moments) its CSV renderer with `set_defaults`.
 """
@@ -18,6 +19,7 @@ import sys
 
 from .errors import (
     ConstructionError,
+    EigensolverError,
     FormatError,
     InapplicableError,
     ParameterError,
@@ -34,9 +36,8 @@ from .eigen import (
     spectrum_compare,
     sym_eigenvalues,
 )
-from .cones import closed_spectrum_F, closed_spectrum_G, even_cycle_split_candidate, triangle_star_mate
+from .cones import _even_cycle_split, closed_spectrum_F, closed_spectrum_G, triangle_star_mate
 from .moments import (
-    delta_moments,
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
@@ -54,6 +55,7 @@ _EXIT_BY_ERROR = {
     ScaleError: (5, "scale"),
     InapplicableError: (4, "inapplicable"),
     ConstructionError: (6, "internal"),
+    EigensolverError: (6, "internal"),
     QConesError: (2, "error"),
 }
 
@@ -229,8 +231,9 @@ def cmd_mate(args) -> tuple[dict, int]:
             }
         )
         return result, 0
-    candidate, distance = even_cycle_split_candidate(spec)
-    ds4, dt4 = delta_moments(spec, candidate)
+    candidate, ds4, dt4 = _even_cycle_split(spec)
+    candidate_spec = q_spectrum(realize(candidate))
+    distance = spectrum_compare(target_spec, candidate_spec)
     result.update(
         {
             "candidate": format_spec_text(candidate),
@@ -240,7 +243,7 @@ def cmd_mate(args) -> tuple[dict, int]:
             "cospectral_within_tolerance": bool(distance <= args.tol),
             "spectra": {
                 "target": _spectrum_payload(target_spec),
-                "candidate": _spectrum_payload(q_spectrum(realize(candidate))),
+                "candidate": _spectrum_payload(candidate_spec),
             },
         }
     )

@@ -3,7 +3,8 @@
 Every numeric spectrum in the package comes from LAPACK's symmetric
 eigensolver (`np.linalg.eigvalsh`) behind `sym_eigenvalues`; the inputs are
 small integer positive-semidefinite matrices, where it agrees with an
-independent plane-rotation solver to within 1e-13.
+independent plane-rotation solver to within 1e-13.  A LAPACK failure raises
+`EigensolverError`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     BracketError,
     ComparisonError,
     ContractViolationError,
+    EigensolverError,
     ParameterError,
 )
 from .graphs import MultiGraph
@@ -125,6 +127,14 @@ class QSpectrum:
         return f"QSpectrum({parts})"
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of one symmetric matrix or a stack of them."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK eigensolver failed: {exc}") from None
+
+
 def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
     a = np.array(matrix, dtype=np.float64)
@@ -133,7 +143,7 @@ def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
-    return QSpectrum(np.linalg.eigvalsh(0.5 * (a + a.T)), group_tol=group_tol)
+    return QSpectrum(_eigvalsh(0.5 * (a + a.T)), group_tol=group_tol)
 
 
 def q_spectrum(g: MultiGraph, group_tol: float = GROUP_TOL) -> QSpectrum:

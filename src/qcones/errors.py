@@ -43,3 +43,7 @@ class ScaleError(QConesError, ValueError):
 
 class ConstructionError(QConesError, ArithmeticError):
     """An internally built object failed its own residual check; a bug, not bad input."""
+
+
+class EigensolverError(QConesError, ArithmeticError):
+    """LAPACK's symmetric eigensolver failed; an internal error, not bad input."""

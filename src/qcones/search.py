@@ -2,15 +2,18 @@
 
 The family search enumerates cones over disjoint cycles, paths and at most
 one 4-vertex star that share the target's order and moment data.  The
-exhaustive search sweeps every labeled simple graph at desk scale.  Probes
-re-check interlacing, nullity and largest-eigenvalue facts numerically.
+exhaustive search covers every labeled simple graph at desk scale, visiting
+only those with the target's edge count and keeping one per isomorphism
+class.  Probes re-check interlacing, nullity and largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Union
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import ParameterError, ScaleError, UnsupportedGraphError
 from .graphs import ConeSpec, MultiGraph, components_and_bipartiteness, realize
 from .graph6 import pair_order
-from .eigen import QSpectrum, q_spectrum, spectrum_compare
+from .eigen import QSpectrum, _eigvalsh, q_spectrum, spectrum_compare
 from .moments import moments_closed_form, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
@@ -31,7 +34,8 @@ MAX_EXHAUSTIVE_VERTICES = 8
 MAX_FAMILY_VERTICES = 64
 MAX_ISO_VERTICES = 16
 
-_CHUNK = 1 << 20
+# masks paired per exhaustive scan block
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,61 +177,158 @@ def _mask_graph(mask: int, n: int, pairs) -> MultiGraph:
     return MultiGraph(arr)
 
 
-def _scan_chunk(args) -> list[tuple[int, float]]:
-    """Scan one contiguous bitmask range for graphs cospectral with the target.
+@lru_cache(maxsize=None)
+def _half_tables(n: int):
+    """Split-half tables over the `pair_order` edge bits.
 
-    Filters in order: edge count, degree-square sum and third moment as
-    exact integers, then a batched dense eigensolve at `tol`.  Returns
-    (mask, spectral distance) for every mask that passes all four.
+    The low half holds bits [0, k // 2), the high half the rest.  For each
+    half and each popcount p, the entry is (masks, degrees, degree-square
+    sums) of every sub-mask of that half with p edges, masks in ascending
+    order and shifted to their place in the full mask.
     """
-    lo, hi, n, pairs, m_t, d2_t, t3_t, tvals, tol = args
+    pairs = pair_order(n)
     k = len(pairs)
-    masks = np.arange(lo, hi, dtype=np.uint32).astype("<u4")
-    bits = np.unpackbits(
-        masks.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
-    )[:, :k]
-    keep = bits.sum(axis=1, dtype=np.int64) == m_t
-    masks, bits = masks[keep], bits[keep].astype(np.int64)
+    halves = []
+    for lo, hi in ((0, k // 2), (k // 2, k)):
+        width = hi - lo
+        sub = np.arange(1 << width, dtype=np.int64)
+        bits = (sub[:, None] >> np.arange(width)) & 1
+        inc = np.zeros((width, n), dtype=np.int64)
+        for e, (u, v) in enumerate(pairs[lo:hi]):
+            inc[e, u] = inc[e, v] = 1
+        deg = bits @ inc
+        pop = bits.sum(axis=1)
+        sq = (deg * deg).sum(axis=1).astype(np.float64)
+        halves.append([
+            (sub[pop == p] << lo, deg[pop == p].astype(np.uint8), sq[pop == p])
+            for p in range(width + 1)
+        ])
+    return halves
+
+
+@lru_cache(maxsize=None)
+def _triangle_masks(n: int) -> np.ndarray:
+    """The three-edge mask of every vertex triple."""
+    pos = {pair: e for e, pair in enumerate(pair_order(n))}
+    return np.array(
+        [(1 << pos[u, v]) | (1 << pos[u, w]) | (1 << pos[v, w])
+         for u, v, w in itertools.combinations(range(n), 3)],
+        dtype=np.int64,
+    )
+
+
+def _blocks(n: int, m: int):
+    """(a, b, r0, r1) for every split a + b = m of the edges between the
+    halves, rows cut so that each block pairs at most _BLOCK masks."""
+    low, high = _half_tables(n)
+    for a in range(max(0, m - len(high) + 1), min(len(low) - 1, m) + 1):
+        rows, cols = low[a][0].size, high[m - a][0].size
+        step = max(1, _BLOCK // cols)
+        for r0 in range(0, rows, step):
+            yield a, m - a, r0, min(r0 + step, rows)
+
+
+def _scan_block(args) -> list[tuple[int, float]]:
+    """Scan the masks of one low x high block for graphs cospectral with the target.
+
+    The block pairs rows [r0, r1) of the low half-masks with `a` edges with
+    every high half-mask with `b` edges, so every mask has the target's edge
+    count.  Filters in order: degree-square sum and third moment as exact
+    integers, then a batched dense eigensolve at `tol`.  Returns (mask,
+    spectral distance) for every mask that passes all three.
+    """
+    n, a, b, r0, r1, d2_t, t3_t, tvals, tol = args
+    low, high = _half_tables(n)
+    lmask, ldeg, lsq = (x[r0:r1] for x in low[a])
+    hmask, hdeg, hsq = high[b]
+    # sum over the vertices of (dl + dh)^2, exact in float64 at these sizes
+    d2 = 2 * (ldeg.astype(np.float64) @ hdeg.T.astype(np.float64))
+    d2 += lsq[:, None]
+    d2 += hsq
+    li, hi = np.nonzero(d2 == d2_t)
+    if not li.size:
+        return []
+    masks = lmask[li] | hmask[hi]
+    deg = ldeg[li].astype(np.int64) + hdeg[hi]
+    tri = _triangle_masks(n)
+    tri6 = 6 * ((masks[:, None] & tri) == tri).sum(axis=1)
+    keep = tri6 + (deg ** 3).sum(axis=1) + 3 * d2_t == t3_t
+    masks, deg = masks[keep], deg[keep]
     if not masks.size:
         return []
-    inc = np.zeros((k, n), dtype=np.int64)
-    for e, (u, v) in enumerate(pairs):
-        inc[e, u] = inc[e, v] = 1
-    deg = bits @ inc
-    d2 = (deg * deg).sum(axis=1)
-    keep = d2 == d2_t
-    masks, bits, deg, d2 = masks[keep], bits[keep], deg[keep], d2[keep]
-    if not masks.size:
-        return []
+    pairs = pair_order(n)
     iu = np.array([u for u, _ in pairs], dtype=np.intp)
     iv = np.array([v for _, v in pairs], dtype=np.intp)
-    adj = np.zeros((masks.size, n, n), dtype=np.int64)
-    adj[:, iu, iv] = bits
-    adj[:, iv, iu] = bits
-    tri6 = np.einsum("kij,kjl,kli->k", adj, adj, adj)
-    keep = tri6 + (deg ** 3).sum(axis=1) + 3 * d2 == t3_t
-    masks, adj, deg = masks[keep], adj[keep], deg[keep]
-    if not masks.size:
-        return []
-    qm = adj.astype(np.float64)
+    bits = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(np.float64)
+    qm = np.zeros((masks.size, n, n))
+    qm[:, iu, iv] = bits
+    qm[:, iv, iu] = bits
     idx = np.arange(n)
     qm[:, idx, idx] = deg
-    dist = np.abs(np.linalg.eigvalsh(qm) - np.asarray(tvals)).max(axis=1)
+    dist = np.abs(_eigvalsh(qm) - np.asarray(tvals)).max(axis=1)
     keep = dist <= tol
     return [(int(m), float(d)) for m, d in zip(masks[keep], dist[keep])]
+
+
+@lru_cache(maxsize=None)
+def _edge_images(n: int) -> np.ndarray:
+    """(n!, k) table: row p holds, for each `pair_order` edge, the position
+    of its image under the p-th permutation of range(n)."""
+    pairs = pair_order(n)
+    pos = np.zeros((n, n), dtype=np.int64)
+    for e, (u, v) in enumerate(pairs):
+        pos[u, v] = pos[v, u] = e
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return pos[perms[:, us], perms[:, vs]].astype(np.uint8)
+
+
+def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(representative, orbit) per isomorphism class among sorted masks.
+
+    The representative is the lowest mask of its class; its orbit, the
+    masks of all n! relabellings (with repeats), is exactly the set of
+    labelled graphs isomorphic to it and is dropped from the rest.
+    """
+    img = _edge_images(n)
+    while masks.size:
+        rep = int(masks[0])
+        cols = [e for e in range(img.shape[1]) if rep >> e & 1]
+        orbit = (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
+        masks = masks[~np.isin(masks, orbit)]
+        yield rep, orbit
 
 
 def search_exhaustive(
     target, tol: float = COSPECTRAL_TOL, jobs: int = 1
 ) -> SearchReport:
-    """Sweep every labeled simple graph on n vertices for cospectral mates.
+    """Search every labeled simple graph on n vertices for cospectral mates.
 
     `target` may be a graph, a cone spec, or a spectrum; the order comes
-    from the spectrum size and is capped at 8.  Masks pass exact integer
-    moment filters and then a batched eigensolve at `tol`; hits are
-    isomorphism-class representatives of the survivors in lowest-bitmask
-    order.  Isomorphic hits report distance zero: equal graphs have equal
-    spectra, solver noise aside.
+    from the spectrum size and is capped at 8.  The first three moments fix
+    the edge count m, the degree-square sum and the third moment as exact
+    integers.  Stages:
+
+    1. scan: split the `pair_order` edge bits into two halves and pair the
+       low half-masks with a edges with the high half-masks with m - a
+       edges, so only the C(k, m) masks with m edges are visited, in blocks
+       of at most _BLOCK (`jobs` worker processes share the blocks, at
+       most one per block and per CPU);
+    2. filter each block on the degree-square sum (from the summed degree
+       rows of the halves), then on the third moment (triangles counted by
+       bit-mask);
+    3. eigensolve the survivors in one batched call and keep those within
+       `tol` of the target spectrum;
+    4. dedupe by permutation orbits: the lowest remaining survivor is the
+       next hit, and the masks of all its n! relabellings, exactly its
+       isomorphism class, leave the survivor list.
+
+    Hits are therefore class representatives in lowest-bitmask order.  A
+    hit is isomorphic to the target when the target's own mask lies in its
+    orbit; isomorphic hits report distance zero: equal graphs have equal
+    spectra, solver noise aside.  `cardinality` is the whole space,
+    2^(n choose 2).
     """
     tgraph: MultiGraph | None = None
     if isinstance(target, ConeSpec):
@@ -248,7 +349,7 @@ def search_exhaustive(
     jobs = int(jobs)
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    pairs = tuple(pair_order(n))
+    pairs = pair_order(n)
     total = 1 << len(pairs)
     moments = [tspec.power_sum(r) for r in (1, 2, 3)]
     ints = [round(v) for v in moments]
@@ -257,23 +358,27 @@ def search_exhaustive(
         return SearchReport(target, float(tol), (), True, total)
     t1, t2, t3 = ints
     tvals = tuple(float(v) for v in np.sort(tspec.values))
-    chunks = [
-        (lo, min(lo + _CHUNK, total), n, pairs, t1 // 2, t2 - t1, t3, tvals, float(tol))
-        for lo in range(0, total, _CHUNK)
+    blocks = [
+        (n, a, b, r0, r1, t2 - t1, t3, tvals, float(tol))
+        for a, b, r0, r1 in _blocks(n, t1 // 2)
     ]
-    if jobs == 1 or len(chunks) == 1:
-        survivor_lists = [_scan_chunk(c) for c in chunks]
+    # a forked pool starts all its workers at once
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
+        survivor_lists = [_scan_block(blk) for blk in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            survivor_lists = list(pool.map(_scan_chunk, chunks))
-    compare = tgraph if tgraph is not None and tgraph.is_simple() else None
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            survivor_lists = list(pool.map(_scan_block, blocks))
+    survivors = sorted(itertools.chain.from_iterable(survivor_lists))
+    distance = dict(survivors)
+    tmask = None
+    if tgraph is not None and tgraph.is_simple():
+        tmask = sum(1 << e for e, (u, v) in enumerate(pairs) if tgraph.mult[u, v])
     hits: list[SearchHit] = []
-    for mask, dist in itertools.chain.from_iterable(survivor_lists):
-        g = _mask_graph(mask, n, pairs)
-        if any(isomorphic(g, h.candidate) for h in hits):
-            continue
-        iso = compare is not None and isomorphic(g, compare)
-        hits.append(SearchHit(g, 0.0 if iso else dist, iso))
+    masks = np.array([m for m, _ in survivors], dtype=np.int64)
+    for mask, orbit in _orbit_classes(masks, n):
+        iso = tmask is not None and bool((orbit == tmask).any())
+        hits.append(SearchHit(_mask_graph(mask, n, pairs), 0.0 if iso else distance[mask], iso))
     return SearchReport(target, float(tol), tuple(hits), True, total)
 
 

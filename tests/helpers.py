@@ -5,7 +5,9 @@ The counters here are deliberately written in the dumbest possible way
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The brute-path family search realizes and brute-counts
-every candidate, the reference for the closed-form moment filter.
+every candidate, the reference for the closed-form moment filter.  The
+brute exhaustive search sweeps every labelled mask and dedupes pairwise,
+the reference for the split-half scan and the orbit dedupe.
 """
 
 from functools import lru_cache
@@ -14,18 +16,22 @@ from itertools import combinations
 import numpy as np
 
 from qcones import (
+    ConeSpec,
     ContractViolationError,
     MultiGraph,
     ParameterError,
+    QSpectrum,
     SearchHit,
     SearchReport,
     enumerate_family,
+    isomorphic,
     moments_from_counts,
     q_spectrum,
     realize,
     solve_degree_system,
     spectrum_compare,
 )
+from qcones.graph6 import pair_order
 
 OFF_DIAGONAL_FACTOR = 1e-13
 _MAX_SWEEPS = 64
@@ -235,3 +241,73 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
         h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
     ))
     return SearchReport(target, float(tol), tuple(hits), False, len(candidates))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search reference
+# ---------------------------------------------------------------------------
+
+def _sweep(n: int, pairs, m: int, d2: int, t3: int, tvals, tol: float):
+    """(mask, distance) of every labelled mask, in mask order, that passes
+    the edge count, degree-square sum, third moment and eigenvalue filters."""
+    k = len(pairs)
+    masks = np.arange(1 << k, dtype=np.uint32).astype("<u4")
+    bits = np.unpackbits(
+        masks.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
+    )[:, :k]
+    keep = bits.sum(axis=1, dtype=np.int64) == m
+    masks, bits = masks[keep], bits[keep].astype(np.int64)
+    inc = np.zeros((k, n), dtype=np.int64)
+    for e, (u, v) in enumerate(pairs):
+        inc[e, u] = inc[e, v] = 1
+    deg = bits @ inc
+    keep = (deg * deg).sum(axis=1) == d2
+    masks, bits, deg = masks[keep], bits[keep], deg[keep]
+    iu = np.array([u for u, _ in pairs], dtype=np.intp)
+    iv = np.array([v for _, v in pairs], dtype=np.intp)
+    adj = np.zeros((masks.size, n, n), dtype=np.int64)
+    adj[:, iu, iv] = bits
+    adj[:, iv, iu] = bits
+    tri6 = np.einsum("kij,kjl,kli->k", adj, adj, adj)
+    keep = tri6 + (deg ** 3).sum(axis=1) + 3 * d2 == t3
+    masks, adj, deg = masks[keep], adj[keep], deg[keep]
+    if not masks.size:
+        return []
+    qm = adj.astype(np.float64)
+    qm[:, np.arange(n), np.arange(n)] = deg
+    dist = np.abs(np.linalg.eigvalsh(qm) - np.asarray(tvals)).max(axis=1)
+    keep = dist <= tol
+    return [(int(m), float(d)) for m, d in zip(masks[keep], dist[keep])]
+
+
+def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
+    """search_exhaustive by sweeping all 2^(n choose 2) masks and deduping
+    the survivors in mask order with pairwise `isomorphic`; n <= 7 keeps
+    the sweep in memory."""
+    tgraph = realize(target) if isinstance(target, ConeSpec) else target
+    if isinstance(tgraph, MultiGraph):
+        tspec = q_spectrum(tgraph)
+    else:
+        tgraph = None
+        tspec = target if isinstance(target, QSpectrum) else QSpectrum(target)
+    n = len(tspec)
+    pairs = pair_order(n)
+    total = 1 << len(pairs)
+    moments = [tspec.power_sum(r) for r in (1, 2, 3)]
+    t1, t2, t3 = (round(v) for v in moments)
+    if any(abs(v - i) > 0.4 for v, i in zip(moments, (t1, t2, t3))) or t1 % 2:
+        return SearchReport(target, float(tol), (), True, total)
+    tvals = np.sort(tspec.values)
+    compare = tgraph if tgraph is not None and tgraph.is_simple() else None
+    hits = []
+    for mask, dist in _sweep(n, pairs, t1 // 2, t2 - t1, t3, tvals, tol):
+        arr = np.zeros((n, n), dtype=np.int64)
+        for e, (u, v) in enumerate(pairs):
+            if mask >> e & 1:
+                arr[u, v] = arr[v, u] = 1
+        g = MultiGraph(arr)
+        if any(isomorphic(g, h.candidate) for h in hits):
+            continue
+        iso = compare is not None and isomorphic(g, compare)
+        hits.append(SearchHit(g, 0.0 if iso else dist, iso))
+    return SearchReport(target, float(tol), tuple(hits), True, total)

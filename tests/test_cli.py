@@ -5,11 +5,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from qcones import (
     ConeSpec,
-    ConstructionError,
     FormatError,
     ScaleError,
     cycle_graph,
@@ -348,15 +348,60 @@ class TestMateCommand:
         assert code == 2
 
     def test_construction_error_is_an_internal_error(self, capsys, monkeypatch):
-        def broken(spec):
-            raise ConstructionError("candidate moment shift 8 should be zero")
-
-        monkeypatch.setattr("qcones.cli.even_cycle_split_candidate", broken)
+        # a T4 shift of 8 trips the construction's own residual check
+        monkeypatch.setattr("qcones.cones.delta_moments", lambda g, other: (8, 8))
         code, doc, err = run_json(capsys, "mate", "K1 v C6 + 2K2 + 1K1", "--theorem", "11")
         assert code == 6
         assert doc["status"] == "internal"
         assert doc["result"] is None
         assert doc["error"] == "candidate moment shift 8 should be zero"
+        assert "Traceback" not in err
+
+    def test_even_cycle_candidate_computes_each_piece_once(self, capsys, monkeypatch):
+        import qcones.cli
+        import qcones.cones
+
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (qcones.cli, qcones.cones):
+            counted(module, "realize")
+            counted(module, "q_spectrum")
+        counted(qcones.cones, "delta_moments")
+        code, doc, _ = run_json(capsys, "mate", "K1 v C8 + 3K2 + 2K1", "--theorem", "11")
+        assert code == 0
+        assert doc["result"]["candidate"] == "K1 v C4 + P5 + P3 + 1K2 + 2K1"
+        assert calls == {"realize": 2, "q_spectrum": 2, "delta_moments": 1}
+
+
+class TestLapackFailure:
+    """A LAPACK failure is an internal error: exit 6, a JSON document, no traceback."""
+
+    @pytest.fixture(autouse=True)
+    def broken_lapack(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", FLAGSHIP_TEXT, "--numeric"),
+        ("search", FLAGSHIP_TEXT, "--exhaustive"),
+    ])
+    def test_exits_6(self, capsys, argv):
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 6
+        assert doc["status"] == "internal"
+        assert doc["result"] is None
+        assert "LAPACK eigensolver failed" in doc["error"]
         assert "Traceback" not in err
 
 

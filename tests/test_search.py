@@ -1,6 +1,7 @@
 """Family and exhaustive mate searches, isomorphism, recognition, probes."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -30,11 +31,21 @@ from qcones import (
     star_graph,
     triangle_star_mate,
 )
-from qcones.search import _partitions
+from qcones.graph6 import decode_graph6, pair_order
+from qcones.search import _mask_graph, _orbit_classes, _partitions
 
-from helpers import random_graph
+from helpers import brute_search_exhaustive, random_graph
 
 FLAGSHIP = g_family_spec([3], 1, 1)
+# the n = 7 exhaustive benchmark panel: five cone shapes and one G(7, 1/2) draw
+EXHAUSTIVE_PANEL = (
+    ConeSpec(cycles=(3,), paths=(2, 1)),
+    ConeSpec(cycles=(4,), paths=(2,)),
+    ConeSpec(cycles=(6,)),
+    ConeSpec(paths=(2, 2, 2)),
+    ConeSpec(cycles=(3, 3)),
+    "F@Foo",
+)
 
 
 def permuted(g: MultiGraph, rng) -> MultiGraph:
@@ -45,6 +56,16 @@ def permuted(g: MultiGraph, rng) -> MultiGraph:
         for v in range(g.n):
             arr[perm[u], perm[v]] = g.mult[u, v]
     return MultiGraph(arr)
+
+
+def graph_mask(g: MultiGraph) -> int:
+    return sum(1 << e for e, (u, v) in enumerate(pair_order(g.n)) if g.mult[u, v])
+
+
+def report_key(report):
+    """Everything a SearchReport says, with hits by graph6 and exact distances."""
+    hits = [(encode_graph6(h.candidate), h.distance, h.isomorphic) for h in report.hits]
+    return hits, report.cardinality, report.exhaustive, report.tolerance
 
 
 class TestPartitions:
@@ -223,6 +244,80 @@ class TestSearchExhaustive:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ParameterError):
             search_exhaustive(complete_graph(3), jobs=0)
+
+
+class TestExhaustiveAgainstBruteSweep:
+    """The split-half scan with orbit dedupe against the full sweep with
+    pairwise isomorphism dedupe: identical reports."""
+
+    def test_every_graph_up_to_five_vertices(self):
+        nx = pytest.importorskip("networkx")
+        targets = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
+        assert len(targets) == 52
+        for g in targets:
+            a = nx.to_numpy_array(g, nodelist=range(g.number_of_nodes()), dtype=np.int64)
+            target = MultiGraph(a)
+            assert report_key(search_exhaustive(target)) == report_key(
+                brute_search_exhaustive(target)
+            ), encode_graph6(target)
+
+    @pytest.mark.parametrize("shape", EXHAUSTIVE_PANEL, ids=str)
+    def test_benchmark_panel_relabelled(self, shape):
+        rng = random.Random(repr(shape))
+        g = decode_graph6(shape) if isinstance(shape, str) else realize(shape)
+        target = permuted(g, rng)
+        report = search_exhaustive(target)
+        assert report_key(report) == report_key(brute_search_exhaustive(target))
+        assert sum(h.isomorphic for h in report.hits) == 1
+
+    def test_spectrum_only_target(self):
+        target = q_spectrum(realize(FLAGSHIP))
+        assert report_key(search_exhaustive(target)) == report_key(
+            brute_search_exhaustive(target)
+        )
+
+    def test_digon_cone(self):
+        target = realize(ConeSpec(cycles=(3, 2)))
+        report = search_exhaustive(target)
+        assert report_key(report) == report_key(brute_search_exhaustive(target))
+        assert not any(h.isomorphic for h in report.hits)
+
+    def test_two_jobs(self):
+        target = permuted(decode_graph6("F@Foo"), random.Random(5))
+        assert report_key(search_exhaustive(target, jobs=2)) == report_key(
+            brute_search_exhaustive(target)
+        )
+
+    def test_order_eight_pinned_hit(self):
+        start = time.perf_counter()
+        report = search_exhaustive(realize(ConeSpec(cycles=(4,), paths=(2, 1))))
+        # the full sweep of 2^28 masks takes about 30 s
+        assert time.perf_counter() - start < 10.0
+        assert report.cardinality == 1 << 28
+        assert [(graph_mask(h.candidate), h.distance, h.isomorphic) for h in report.hits] == [
+            (2209611, 0.0, True)
+        ]
+
+
+class TestOrbitDedupe:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_pairwise_isomorphic(self, seed):
+        rng = random.Random(seed)
+        n = 6
+        graphs = [random_graph(rng, n, 0.4) for _ in range(12)]
+        # each class shows up under several labellings
+        pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(6)}
+        masks = np.array(sorted(pool), dtype=np.int64)
+        graph = {int(m): _mask_graph(int(m), n, pair_order(n)) for m in masks}
+        reps = []
+        for mask, g in graph.items():
+            if not any(isomorphic(g, graph[r]) for r in reps):
+                reps.append(mask)
+        classes = list(_orbit_classes(masks, n))
+        assert [rep for rep, _ in classes] == reps
+        for rep, orbit in classes:
+            members = set(orbit.tolist()) & set(graph)
+            assert all(isomorphic(graph[rep], graph[m]) for m in members)
 
 
 class TestIsomorphic:
