@@ -195,13 +195,12 @@ class QuarticData:
 
 
 def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
-    """Bisect each bracket to width 1e-13, then polish once.
+    """Bisect each bracket to width 1e-13 or to adjacent floats, then polish once.
 
-    Raises if a bracket shows no sign change or a polished root fails the
-    residual bound 1e-9 * max |coefficient|.
+    Raises if a bracket shows no sign change or a polished root r fails the
+    root-error bound |p(r) / p'(r)| <= 1e-12 * max(1, |r|).
     """
     roots = []
-    bound = 1e-9 * max(abs(c) for c in data.coeffs)
     for lo, hi in data.brackets:
         flo = data(lo)
         fhi = data(hi)
@@ -210,6 +209,9 @@ def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
         neg_left = flo < 0.0
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
+            # above 512 adjacent floats lie more than 1e-13 apart
+            if mid == lo or mid == hi:
+                break
             fmid = data(mid)
             if fmid == 0.0:
                 lo = hi = mid
@@ -222,8 +224,8 @@ def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
         slope = data.derivative(root)
         if slope != 0.0:
             root -= data(root) / slope
-        if abs(data(root)) > bound:
-            raise BracketError(f"polished root {root} fails the residual bound")
+        if abs(data(root)) > 1e-12 * max(1.0, abs(root)) * abs(data.derivative(root)):
+            raise BracketError(f"polished root {root} fails the root-error bound")
         roots.append(root)
     if not all(a > b for a, b in zip(roots, roots[1:])):
         raise BracketError("brackets must isolate roots in descending order")

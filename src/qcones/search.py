@@ -2,9 +2,10 @@
 
 The family search enumerates cones over disjoint cycles, paths and at most
 one 4-vertex star that share the target's order and moment data.  The
-exhaustive search covers every labeled simple graph at desk scale, visiting
-only those with the target's edge count and keeping one per isomorphism
-class.  Probes re-check interlacing, nullity and largest-eigenvalue facts numerically.
+exhaustive search covers every simple graph on up to 8 vertices by joining
+one vertex in every way to each isomorphism class of one order less, and
+reports one graph per class.  Probes re-check interlacing, nullity and
+largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ MAX_EXHAUSTIVE_VERTICES = 8
 MAX_FAMILY_VERTICES = 64
 MAX_ISO_VERTICES = 16
 
-# masks paired per exhaustive scan block
-_BLOCK = 1 << 20
+# labelled graphs scanned per exhaustive chunk
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -177,97 +178,21 @@ def _mask_graph(mask: int, n: int, pairs) -> MultiGraph:
     return MultiGraph(arr)
 
 
-@lru_cache(maxsize=None)
-def _half_tables(n: int):
-    """Split-half tables over the `pair_order` edge bits.
-
-    The low half holds bits [0, k // 2), the high half the rest.  For each
-    half and each popcount p, the entry is (masks, degrees, degree-square
-    sums) of every sub-mask of that half with p edges, masks in ascending
-    order and shifted to their place in the full mask.
-    """
+def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks), n, n) integer Q = D + A of the masks' graphs on n vertices."""
     pairs = pair_order(n)
-    k = len(pairs)
-    halves = []
-    for lo, hi in ((0, k // 2), (k // 2, k)):
-        width = hi - lo
-        sub = np.arange(1 << width, dtype=np.int64)
-        bits = (sub[:, None] >> np.arange(width)) & 1
-        inc = np.zeros((width, n), dtype=np.int64)
-        for e, (u, v) in enumerate(pairs[lo:hi]):
-            inc[e, u] = inc[e, v] = 1
-        deg = bits @ inc
-        pop = bits.sum(axis=1)
-        sq = (deg * deg).sum(axis=1).astype(np.float64)
-        halves.append([
-            (sub[pop == p] << lo, deg[pop == p].astype(np.uint8), sq[pop == p])
-            for p in range(width + 1)
-        ])
-    return halves
-
-
-@lru_cache(maxsize=None)
-def _triangle_masks(n: int) -> np.ndarray:
-    """The three-edge mask of every vertex triple."""
-    pos = {pair: e for e, pair in enumerate(pair_order(n))}
-    return np.array(
-        [(1 << pos[u, v]) | (1 << pos[u, w]) | (1 << pos[v, w])
-         for u, v, w in itertools.combinations(range(n), 3)],
-        dtype=np.int64,
-    )
-
-
-def _blocks(n: int, m: int):
-    """(a, b, r0, r1) for every split a + b = m of the edges between the
-    halves, rows cut so that each block pairs at most _BLOCK masks."""
-    low, high = _half_tables(n)
-    for a in range(max(0, m - len(high) + 1), min(len(low) - 1, m) + 1):
-        rows, cols = low[a][0].size, high[m - a][0].size
-        step = max(1, _BLOCK // cols)
-        for r0 in range(0, rows, step):
-            yield a, m - a, r0, min(r0 + step, rows)
-
-
-def _scan_block(args) -> list[tuple[int, float]]:
-    """Scan the masks of one low x high block for graphs cospectral with the target.
-
-    The block pairs rows [r0, r1) of the low half-masks with `a` edges with
-    every high half-mask with `b` edges, so every mask has the target's edge
-    count.  Filters in order: degree-square sum and third moment as exact
-    integers, then a batched dense eigensolve at `tol`.  Returns (mask,
-    spectral distance) for every mask that passes all three.
-    """
-    n, a, b, r0, r1, d2_t, t3_t, tvals, tol = args
-    low, high = _half_tables(n)
-    lmask, ldeg, lsq = (x[r0:r1] for x in low[a])
-    hmask, hdeg, hsq = high[b]
-    # sum over the vertices of (dl + dh)^2, exact in float64 at these sizes
-    d2 = 2 * (ldeg.astype(np.float64) @ hdeg.T.astype(np.float64))
-    d2 += lsq[:, None]
-    d2 += hsq
-    li, hi = np.nonzero(d2 == d2_t)
-    if not li.size:
-        return []
-    masks = lmask[li] | hmask[hi]
-    deg = ldeg[li].astype(np.int64) + hdeg[hi]
-    tri = _triangle_masks(n)
-    tri6 = 6 * ((masks[:, None] & tri) == tri).sum(axis=1)
-    keep = tri6 + (deg ** 3).sum(axis=1) + 3 * d2_t == t3_t
-    masks, deg = masks[keep], deg[keep]
-    if not masks.size:
-        return []
-    pairs = pair_order(n)
-    iu = np.array([u for u, _ in pairs], dtype=np.intp)
-    iv = np.array([v for _, v in pairs], dtype=np.intp)
-    bits = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(np.float64)
-    qm = np.zeros((masks.size, n, n))
-    qm[:, iu, iv] = bits
-    qm[:, iv, iu] = bits
+    iu, iv = [u for u, _ in pairs], [v for _, v in pairs]
+    q = np.zeros((masks.size, n, n), dtype=np.int64)
+    q[:, iu, iv] = q[:, iv, iu] = (masks[:, None] >> np.arange(len(pairs))) & 1
     idx = np.arange(n)
-    qm[:, idx, idx] = deg
-    dist = np.abs(_eigvalsh(qm) - np.asarray(tvals)).max(axis=1)
-    keep = dist <= tol
-    return [(int(m), float(d)) for m, d in zip(masks[keep], dist[keep])]
+    q[:, idx, idx] = q.sum(axis=2)
+    return q
+
+
+def _distances(q: np.ndarray, tvals) -> np.ndarray:
+    """L-infinity distance from each spectrum of a Q stack to the ascending
+    target values, by one batched eigensolve."""
+    return np.abs(_eigvalsh(q.astype(np.float64)) - np.asarray(tvals)).max(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -284,20 +209,78 @@ def _edge_images(n: int) -> np.ndarray:
     return pos[perms[:, us], perms[:, vs]].astype(np.uint8)
 
 
-def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(representative, orbit) per isomorphism class among sorted masks.
-
-    The representative is the lowest mask of its class; its orbit, the
-    masks of all n! relabellings (with repeats), is exactly the set of
-    labelled graphs isomorphic to it and is dropped from the rest.
-    """
+def _orbit(mask: int, n: int) -> np.ndarray:
+    """The masks of all n! relabellings of one graph, with repeats."""
     img = _edge_images(n)
+    cols = [e for e in range(img.shape[1]) if mask >> e & 1]
+    return (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
+
+
+def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first member, orbit) per isomorphism class among sorted masks.
+
+    The first member is the lowest of the given masks in its class; its
+    orbit is exactly the set of labelled graphs isomorphic to it and is
+    dropped from the rest.
+    """
     while masks.size:
-        rep = int(masks[0])
-        cols = [e for e in range(img.shape[1]) if rep >> e & 1]
-        orbit = (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
+        first = int(masks[0])
+        orbit = _orbit(first, n)
         masks = masks[~np.isin(masks, orbit)]
-        yield rep, orbit
+        yield first, orbit
+
+
+def _extensions(reps: np.ndarray, n: int) -> np.ndarray:
+    """rep | (S << C(n-1, 2)) for each rep on n - 1 vertices (rows) and
+    each S < 2^(n-1) (columns): every way of joining vertex n - 1, whose
+    edges are the last n - 1 `pair_order` bits."""
+    low = (n - 1) * (n - 2) // 2
+    return reps[:, None] | (np.arange(1 << (n - 1), dtype=np.int64) << low)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> np.ndarray:
+    """Lowest mask of every isomorphism class of graphs on n vertices, ascending.
+
+    Deleting vertex n - 1 leaves a graph isomorphic to some class of order
+    n - 1, so the extensions of those classes meet every class.  Each
+    extension not yet seen adds its orbit's lowest mask and marks the
+    orbit seen in a table over all 2^(n choose 2) masks.
+    """
+    if n <= 1:
+        return np.zeros(1, dtype=np.int64)
+    seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
+    reps = []
+    for mask in _extensions(_classes(n - 1), n).ravel().tolist():
+        if not seen[mask]:
+            orbit = _orbit(mask, n)
+            seen[orbit] = True
+            reps.append(orbit.min())
+    return np.sort(np.array(reps, dtype=np.int64))
+
+
+def _scan_chunk(args) -> list[int]:
+    """Scan the extensions of class rows [r0, r1) of order n - 1 for graphs
+    cospectral with the target.
+
+    Filters in order: edge count, degree-square sum and third moment
+    tr(Q^3) as exact integers, then a batched dense eigensolve at `tol`.
+    Returns the mask of every extension that passes.
+    """
+    n, r0, r1, m, d2_t, t3_t, tvals, tol = args
+    reps = _classes(n - 1)[r0:r1]
+    rdeg = _q_stack(reps, n - 1).diagonal(axis1=1, axis2=2)
+    sbits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    spop = sbits.sum(axis=1)
+    ri, si = np.nonzero(rdeg.sum(axis=1)[:, None] // 2 + spop == m)
+    # vertex n - 1 adds one to each neighbour's degree and has degree |S|
+    d2 = ((rdeg[ri] + 2 * sbits[si]) * rdeg[ri]).sum(axis=1) + spop[si] * (spop[si] + 1)
+    masks = _extensions(reps, n)[ri, si][d2 == d2_t]
+    q = _q_stack(masks, n)
+    keep = (q @ q * q).sum(axis=(1, 2)) == t3_t
+    if not keep.any():
+        return []
+    return masks[keep][_distances(q[keep], tvals) <= tol].tolist()
 
 
 def search_exhaustive(
@@ -308,27 +291,27 @@ def search_exhaustive(
     `target` may be a graph, a cone spec, or a spectrum; the order comes
     from the spectrum size and is capped at 8.  The first three moments fix
     the edge count m, the degree-square sum and the third moment as exact
-    integers.  Stages:
+    integers (a non-finite moment raises ParameterError).  Stages:
 
-    1. scan: split the `pair_order` edge bits into two halves and pair the
-       low half-masks with a edges with the high half-masks with m - a
-       edges, so only the C(k, m) masks with m edges are visited, in blocks
-       of at most _BLOCK (`jobs` worker processes share the blocks, at
-       most one per block and per CPU);
-    2. filter each block on the degree-square sum (from the summed degree
-       rows of the halves), then on the third moment (triangles counted by
-       bit-mask);
+    1. scan: every graph is isomorphic to an extension of a class of order
+       n - 1 by vertex n - 1, so only the extensions of `_classes(n - 1)`
+       are visited, 2^(n-1) per class (9 984 labelled graphs at n = 7),
+       in chunks of class rows (`jobs` worker processes share the chunks,
+       at most one per chunk and per CPU);
+    2. filter each chunk on the edge count, then the degree-square sum
+       (from the class's degree row and the new vertex's neighbours), then
+       the third moment tr(Q^3) of the integer Q matrices;
     3. eigensolve the survivors in one batched call and keep those within
        `tol` of the target spectrum;
-    4. dedupe by permutation orbits: the lowest remaining survivor is the
-       next hit, and the masks of all its n! relabellings, exactly its
-       isomorphism class, leave the survivor list.
+    4. dedupe by permutation orbits: each class among the survivors is
+       reported once, by the lowest mask of its orbit, when that mask's
+       spectrum is within `tol` too, with its distance.
 
     Hits are therefore class representatives in lowest-bitmask order.  A
     hit is isomorphic to the target when the target's own mask lies in its
-    orbit; isomorphic hits report distance zero: equal graphs have equal
-    spectra, solver noise aside.  `cardinality` is the whole space,
-    2^(n choose 2).
+    orbit; a simple graph target is always its own hit, at distance zero:
+    equal graphs have equal spectra, solver noise aside.  `cardinality` is
+    the whole space, 2^(n choose 2).
     """
     tgraph: MultiGraph | None = None
     if isinstance(target, ConeSpec):
@@ -351,34 +334,45 @@ def search_exhaustive(
         raise ParameterError("jobs must be >= 1")
     pairs = pair_order(n)
     total = 1 << len(pairs)
-    moments = [tspec.power_sum(r) for r in (1, 2, 3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = [tspec.power_sum(r) for r in (1, 2, 3)]
+    if not np.isfinite(moments).all():
+        raise ParameterError("spectrum power sums must be finite")
     ints = [round(v) for v in moments]
     # non-integral moments cannot come from a graph; parity likewise
     if any(abs(v - i) > 0.4 for v, i in zip(moments, ints)) or ints[0] % 2:
         return SearchReport(target, float(tol), (), True, total)
     t1, t2, t3 = ints
     tvals = tuple(float(v) for v in np.sort(tspec.values))
-    blocks = [
-        (n, a, b, r0, r1, t2 - t1, t3, tvals, float(tol))
-        for a, b, r0, r1 in _blocks(n, t1 // 2)
+    rows = _classes(n - 1).size
+    step = max(1, _CHUNK >> (n - 1))
+    chunks = [
+        (n, r0, min(r0 + step, rows), t1 // 2, t2 - t1, t3, tvals, float(tol))
+        for r0 in range(0, rows, step)
     ]
     # a forked pool starts all its workers at once
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        survivor_lists = [_scan_block(blk) for blk in blocks]
+        survivor_lists = [_scan_chunk(c) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            survivor_lists = list(pool.map(_scan_block, blocks))
-    survivors = sorted(itertools.chain.from_iterable(survivor_lists))
-    distance = dict(survivors)
+            survivor_lists = list(pool.map(_scan_chunk, chunks))
+    survivors = list(itertools.chain.from_iterable(survivor_lists))
     tmask = None
     if tgraph is not None and tgraph.is_simple():
         tmask = sum(1 << e for e, (u, v) in enumerate(pairs) if tgraph.mult[u, v])
+        survivors.append(tmask)
+    orbits = sorted(
+        (int(orbit.min()), orbit)
+        for _, orbit in _orbit_classes(np.unique(np.array(survivors, dtype=np.int64)), n)
+    )
+    reps = np.array([rep for rep, _ in orbits], dtype=np.int64)
+    dists = _distances(_q_stack(reps, n), tvals) if reps.size else ()
     hits: list[SearchHit] = []
-    masks = np.array([m for m, _ in survivors], dtype=np.int64)
-    for mask, orbit in _orbit_classes(masks, n):
+    for (rep, orbit), dist in zip(orbits, dists):
         iso = tmask is not None and bool((orbit == tmask).any())
-        hits.append(SearchHit(_mask_graph(mask, n, pairs), 0.0 if iso else distance[mask], iso))
+        if iso or dist <= tol:
+            hits.append(SearchHit(_mask_graph(rep, n, pairs), 0.0 if iso else float(dist), iso))
     return SearchReport(target, float(tol), tuple(hits), True, total)
 
 

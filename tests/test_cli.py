@@ -563,3 +563,41 @@ def test_module_entry_point_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def large_cones(*orders):
+    """A G and an F cone of each order; past n = 512 adjacent floats near
+    the largest quartic root lie more than 1e-13 apart."""
+    return [
+        text
+        for n in orders
+        for text in (f"K1 v C{n - 6} + 2K2 + K1", f"K1 v K13 + C{n - 10} + 2K2 + K1")
+    ]
+
+
+def run_module(args, timeout):
+    """Run `python -m qcones.cli` under a time bound; TimeoutExpired fails the test."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcones.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    return proc, time.perf_counter() - start
+
+
+class TestLargeSpectra:
+    @pytest.mark.parametrize("text", large_cones(520, 1024, 4096))
+    def test_closed_finishes_in_two_seconds(self, text):
+        proc, elapsed = run_module(["spectrum", text, "--closed"], timeout=2.0)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert len(doc["result"]["closed"]["values"]) == doc["result"]["n"]
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("text", large_cones(520, 1024))
+    def test_both_modes_agree(self, text):
+        proc, _ = run_module(["spectrum", text], timeout=20.0)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["distance"] <= 1e-8

@@ -21,6 +21,7 @@ from qcones import (
     path_graph,
     q_matrix,
     q_spectrum,
+    quartic_coeffs,
     quartic_roots,
     quotient_matrix,
     realize,
@@ -270,3 +271,23 @@ class TestQuartic:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ParameterError):
             QuarticData(coeffs=(1.0, 2.0), brackets=((0.0, 1.0),))
+
+
+class TestQuarticAtLargeOrder:
+    """Brackets above 512, where bisection reaches adjacent floats before
+    width 1e-13, against exact roots."""
+
+    @pytest.mark.parametrize("n, q, s", [(4096, 2, 1), (4096, 40, 14), (4096, 1, 3)])
+    def test_roots_match_exact_roots(self, n, q, s):
+        sp = pytest.importorskip("sympy")
+        data = quartic_coeffs(n, q, s)
+        x = sp.Symbol("x")
+        exact = sorted(
+            (sp.N(r, 40) for r in sp.real_roots(sp.Poly([int(c) for c in data.coeffs], x))),
+            reverse=True,
+        )
+        roots = quartic_roots(data)
+        for r, e in zip(roots, exact):
+            assert abs(sp.Float(r, 40) - e) <= 1e-12 * max(1, abs(e))
+            # the bound quartic_roots enforces on its own output
+            assert abs(data(r)) <= 1e-12 * max(1.0, abs(r)) * abs(data.derivative(r))

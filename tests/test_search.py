@@ -32,7 +32,7 @@ from qcones import (
     triangle_star_mate,
 )
 from qcones.graph6 import decode_graph6, pair_order
-from qcones.search import _mask_graph, _orbit_classes, _partitions
+from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes, _partitions
 
 from helpers import brute_search_exhaustive, random_graph
 
@@ -241,14 +241,25 @@ class TestSearchExhaustive:
         with pytest.raises(ScaleError):
             search_exhaustive(MultiGraph(np.zeros((9, 9), dtype=np.int64)))
 
+    @pytest.mark.parametrize("values", [[1e200, -1e200, 2, 0], [np.inf, 1.0, 0.0]])
+    def test_non_finite_power_sums(self, values):
+        with pytest.raises(ParameterError):
+            search_exhaustive(QSpectrum(values))
+
+    def test_target_is_its_own_hit_at_zero_tolerance(self):
+        report = search_exhaustive(realize(FLAGSHIP), tol=0.0)
+        assert [(encode_graph6(h.candidate), h.distance, h.isomorphic) for h in report.hits] == [
+            ("FtnC?", 0.0, True)
+        ]
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ParameterError):
             search_exhaustive(complete_graph(3), jobs=0)
 
 
 class TestExhaustiveAgainstBruteSweep:
-    """The split-half scan with orbit dedupe against the full sweep with
-    pairwise isomorphism dedupe: identical reports."""
+    """The class-extension scan with orbit dedupe against the full sweep
+    with pairwise isomorphism dedupe: identical reports."""
 
     def test_every_graph_up_to_five_vertices(self):
         nx = pytest.importorskip("networkx")
@@ -297,6 +308,17 @@ class TestExhaustiveAgainstBruteSweep:
         assert [(graph_mask(h.candidate), h.distance, h.isomorphic) for h in report.hits] == [
             (2209611, 0.0, True)
         ]
+
+
+class TestClasses:
+    def test_counts_match_a000088(self):
+        assert [_classes(n).size for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_entry_is_its_orbit_minimum(self, n):
+        reps = _classes(n)
+        assert (np.diff(reps) > 0).all()
+        assert all(int(_orbit(rep, n).min()) == rep for rep in reps.tolist())
 
 
 class TestOrbitDedupe:
