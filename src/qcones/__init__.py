@@ -72,7 +72,6 @@ from .search import (
     SearchHit,
     SearchReport,
     enumerate_family,
-    isomorphic,
     recognize_cone,
     run_probe,
     search_exhaustive,

@@ -7,7 +7,9 @@ failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
 internally built object failed its own check, or LAPACK's eigensolver
 failed; a bug, not bad input).
 Each subparser declares its handler, its `params` echo and (spectrum and
-moments) its CSV renderer with `set_defaults`.
+moments) its CSV renderer with `set_defaults`.  `search --jobs` is still
+parsed and must be >= 1, but the exhaustive scan runs in this process and
+the value changes nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ from .eigen import (
     spectrum_compare,
     sym_eigenvalues,
 )
-from .cones import _even_cycle_split, closed_spectrum_F, closed_spectrum_G, triangle_star_mate
+from .cones import (
+    closed_spectrum_F,
+    closed_spectrum_G,
+    even_cycle_split_candidate,
+    triangle_star_mate,
+)
 from .moments import (
     moments_closed_form,
     moments_from_counts,
@@ -231,7 +238,7 @@ def cmd_mate(args) -> tuple[dict, int]:
             }
         )
         return result, 0
-    candidate, ds4, dt4 = _even_cycle_split(spec)
+    candidate, ds4, dt4 = even_cycle_split_candidate(spec)
     candidate_spec = q_spectrum(realize(candidate))
     distance = spectrum_compare(target_spec, candidate_spec)
     result.update(
@@ -266,7 +273,7 @@ def cmd_search(args) -> tuple[dict, int]:
             for h in report.hits
         ]
     else:
-        report = search_exhaustive(_graph(graph, spec), tol=args.tol, jobs=args.jobs)
+        report = search_exhaustive(_graph(graph, spec), tol=args.tol)
         hits = [
             {
                 "graph6": encode_graph6(h.candidate),
@@ -399,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("input", help="cone spec text or graph6 string")
     _mode_flags(se, True, family="structured family scan", exhaustive="all simple graphs, n <= 8")
     se.add_argument("--tol", type=float, default=COSPECTRAL_TOL)
-    se.add_argument("--jobs", type=int, default=1, help="worker processes (exhaustive)")
+    se.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility (>= 1); has no effect")
 
     pr = sub.add_parser("probe", help="structural fact checks")
     pr.set_defaults(handler=cmd_probe, echo=(("lemma", "lemma"),))

@@ -19,8 +19,6 @@ from .eigen import (
     QuarticData,
     q_matrix,
     quartic_roots,
-    q_spectrum,
-    spectrum_compare,
 )
 from .errors import (
     ConstructionError,
@@ -295,8 +293,13 @@ def triangle_star_mate(spec: ConeSpec) -> ConeSpec:
     return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=1)
 
 
-def _even_cycle_split(spec: ConeSpec) -> tuple[ConeSpec, int, int]:
-    """The even-cycle split candidate with its (S4, T4) moment shifts."""
+def even_cycle_split_candidate(spec: ConeSpec) -> tuple[ConeSpec, int, int]:
+    """Candidate mate for a single even cycle: C4 plus two path blocks paid
+    for by two K2s, with its (S4, T4) moment shifts.  Shares order, size,
+    degree sequence, triangle count and the first four spectral moments
+    (a nonzero T4 shift raises ConstructionError); cospectrality is NOT
+    asserted, callers measure the spectral distance themselves.
+    """
     if not spec.is_g_family():
         raise InapplicableError("candidate construction starts from a cycles+K2+K1 cone")
     if spec.t != 1:
@@ -314,16 +317,3 @@ def _even_cycle_split(spec: ConeSpec) -> tuple[ConeSpec, int, int]:
     if dt4 != 0:
         raise ConstructionError(f"candidate moment shift {dt4} should be zero")
     return candidate, ds4, dt4
-
-
-def even_cycle_split_candidate(spec: ConeSpec) -> tuple[ConeSpec, float]:
-    """Candidate mate for a single even cycle: C4 plus two path blocks paid
-    for by two K2s.  Shares order, size, degree sequence, triangle count and
-    the first four spectral moments; cospectrality is NOT asserted, the
-    measured spectral distance is returned alongside.
-    """
-    candidate, _, _ = _even_cycle_split(spec)
-    dist = spectrum_compare(
-        q_spectrum(realize(spec)), q_spectrum(realize(candidate))
-    )
-    return candidate, dist

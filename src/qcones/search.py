@@ -11,15 +11,13 @@ largest-eigenvalue facts numerically.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ParameterError, ScaleError, UnsupportedGraphError
+from .errors import ParameterError, ScaleError
 from .graphs import ConeSpec, MultiGraph, components_and_bipartiteness, realize
 from .graph6 import pair_order
 from .eigen import QSpectrum, _eigvalsh, q_spectrum, spectrum_compare
@@ -29,14 +27,12 @@ COSPECTRAL_TOL = 1e-8
 PROBE_TOL = 1e-8
 # strict inequalities pass only with this much clearance
 STRICT_MARGIN = 1e-9
+# probe 2.2 eigensolves once per edge; edges * n^3 of 1e10 is a few seconds
+EDGE_PROBE_BUDGET = 1e10
 
 MAX_EXHAUSTIVE_VERTICES = 8
 # the candidate count grows like the partitions of the base order
 MAX_FAMILY_VERTICES = 64
-MAX_ISO_VERTICES = 16
-
-# labelled graphs scanned per exhaustive chunk
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -189,10 +185,10 @@ def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def _distances(q: np.ndarray, tvals) -> np.ndarray:
+def _distances(q: np.ndarray, tvals: np.ndarray) -> np.ndarray:
     """L-infinity distance from each spectrum of a Q stack to the ascending
     target values, by one batched eigensolve."""
-    return np.abs(_eigvalsh(q.astype(np.float64)) - np.asarray(tvals)).max(axis=1)
+    return np.abs(_eigvalsh(q.astype(np.float64)) - tvals).max(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -259,16 +255,15 @@ def _classes(n: int) -> np.ndarray:
     return np.sort(np.array(reps, dtype=np.int64))
 
 
-def _scan_chunk(args) -> list[int]:
-    """Scan the extensions of class rows [r0, r1) of order n - 1 for graphs
+def _scan(n: int, m: int, d2_t: int, t3_t: int, tvals: np.ndarray, tol: float) -> list[int]:
+    """Scan the extensions of every class of order n - 1 for graphs
     cospectral with the target.
 
     Filters in order: edge count, degree-square sum and third moment
     tr(Q^3) as exact integers, then a batched dense eigensolve at `tol`.
     Returns the mask of every extension that passes.
     """
-    n, r0, r1, m, d2_t, t3_t, tvals, tol = args
-    reps = _classes(n - 1)[r0:r1]
+    reps = _classes(n - 1)
     rdeg = _q_stack(reps, n - 1).diagonal(axis1=1, axis2=2)
     sbits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     spop = sbits.sum(axis=1)
@@ -283,9 +278,7 @@ def _scan_chunk(args) -> list[int]:
     return masks[keep][_distances(q[keep], tvals) <= tol].tolist()
 
 
-def search_exhaustive(
-    target, tol: float = COSPECTRAL_TOL, jobs: int = 1
-) -> SearchReport:
+def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Search every labeled simple graph on n vertices for cospectral mates.
 
     `target` may be a graph, a cone spec, or a spectrum; the order comes
@@ -295,10 +288,9 @@ def search_exhaustive(
 
     1. scan: every graph is isomorphic to an extension of a class of order
        n - 1 by vertex n - 1, so only the extensions of `_classes(n - 1)`
-       are visited, 2^(n-1) per class (9 984 labelled graphs at n = 7),
-       in chunks of class rows (`jobs` worker processes share the chunks,
-       at most one per chunk and per CPU);
-    2. filter each chunk on the edge count, then the degree-square sum
+       are visited, 2^(n-1) per class (9 984 labelled graphs at n = 7,
+       133 632 at n = 8), all in one pass in this process;
+    2. filter them on the edge count, then the degree-square sum
        (from the class's degree row and the new vertex's neighbours), then
        the third moment tr(Q^3) of the integer Q matrices;
     3. eigensolve the survivors in one batched call and keep those within
@@ -329,9 +321,6 @@ def search_exhaustive(
         raise ScaleError(
             f"exhaustive search supports n <= {MAX_EXHAUSTIVE_VERTICES}, got n={n}"
         )
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ParameterError("jobs must be >= 1")
     pairs = pair_order(n)
     total = 1 << len(pairs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,21 +332,8 @@ def search_exhaustive(
     if any(abs(v - i) > 0.4 for v, i in zip(moments, ints)) or ints[0] % 2:
         return SearchReport(target, float(tol), (), True, total)
     t1, t2, t3 = ints
-    tvals = tuple(float(v) for v in np.sort(tspec.values))
-    rows = _classes(n - 1).size
-    step = max(1, _CHUNK >> (n - 1))
-    chunks = [
-        (n, r0, min(r0 + step, rows), t1 // 2, t2 - t1, t3, tvals, float(tol))
-        for r0 in range(0, rows, step)
-    ]
-    # a forked pool starts all its workers at once
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
-        survivor_lists = [_scan_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            survivor_lists = list(pool.map(_scan_chunk, chunks))
-    survivors = list(itertools.chain.from_iterable(survivor_lists))
+    tvals = np.sort(tspec.values)
+    survivors = _scan(n, t1 // 2, t2 - t1, t3, tvals, tol)
     tmask = None
     if tgraph is not None and tgraph.is_simple():
         tmask = sum(1 << e for e, (u, v) in enumerate(pairs) if tgraph.mult[u, v])
@@ -374,77 +350,6 @@ def search_exhaustive(
         if iso or dist <= tol:
             hits.append(SearchHit(_mask_graph(rep, n, pairs), 0.0 if iso else float(dist), iso))
     return SearchReport(target, float(tol), tuple(hits), True, total)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-# ---------------------------------------------------------------------------
-
-def _refine(ag: np.ndarray, ah: np.ndarray):
-    """Joint color refinement; None when the color histograms diverge."""
-    n = ag.shape[0]
-    cg = [int(x) for x in ag.sum(axis=1)]
-    ch = [int(x) for x in ah.sum(axis=1)]
-    while True:
-        if sorted(cg) != sorted(ch):
-            return None
-        palette: dict = {}
-
-        def recolor(a, colors):
-            fresh = []
-            for v in range(n):
-                nbr = tuple(sorted(colors[u] for u in range(n) if a[v, u]))
-                fresh.append(palette.setdefault((colors[v], nbr), len(palette)))
-            return fresh
-
-        ng, nh = recolor(ag, cg), recolor(ah, ch)
-        if len(set(ng)) == len(set(cg)):
-            return ng, nh
-        cg, ch = ng, nh
-
-
-def isomorphic(g: MultiGraph, h: MultiGraph) -> bool:
-    """Exact isomorphism for simple graphs of order <= 16.
-
-    Color refinement narrows the candidate images, then backtracking
-    completes the decision.  Symmetric and invariant under relabeling.
-    """
-    if not (g.is_simple() and h.is_simple()):
-        raise UnsupportedGraphError("isomorphism testing covers simple graphs only")
-    if g.n > MAX_ISO_VERTICES or h.n > MAX_ISO_VERTICES:
-        raise ScaleError(f"isomorphism testing caps at {MAX_ISO_VERTICES} vertices")
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    ag, ah = g.mult, h.mult
-    refined = _refine(ag, ah)
-    if refined is None:
-        return False
-    cg, ch = refined
-    n = g.n
-    order = sorted(range(n), key=lambda v: (cg.count(cg[v]), cg[v], v))
-    buckets: dict[int, list[int]] = {}
-    for w in range(n):
-        buckets.setdefault(ch[w], []).append(w)
-    image = [-1] * n
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in buckets.get(cg[v], ()):
-            if used[w]:
-                continue
-            if all(ag[v, u] == ah[w, image[u]] for u in order[:i]):
-                image[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return place(0)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +453,16 @@ class ProbeResult:
 
 
 def _probe_edge_deletion(g: MultiGraph) -> ProbeResult:
-    vals = q_spectrum(g).values
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.mult[u, v]
-    ]
+    us, vs = np.nonzero(np.triu(g.mult, 1))
+    edges = list(zip(us.tolist(), vs.tolist()))
     if not edges:
         return ProbeResult("2.2", "skipped", None, "no edges to delete")
+    if len(edges) * g.n ** 3 > EDGE_PROBE_BUDGET:
+        raise ScaleError(
+            f"edge-deletion probe needs {len(edges)} eigensolves at n={g.n}; "
+            f"edges * n^3 must stay <= {EDGE_PROBE_BUDGET:g}"
+        )
+    vals = q_spectrum(g).values
     for u, v in edges:
         sub = q_spectrum(g.without_edge(u, v)).values
         bad = np.nonzero(vals < sub - PROBE_TOL)[0]
@@ -689,12 +595,22 @@ def _probe_path_vs_cycle(g: MultiGraph) -> ProbeResult:
             )
             rhs = float(q_spectrum(realize(alt)).values[0])
             checked += 1
-            if chi1 >= rhs - STRICT_MARGIN:
+            if chi1 > rhs + STRICT_MARGIN:
                 return ProbeResult(
                     "5.1",
                     "fail",
                     {"path": l, "cycle": cyc, "tail": tail, "lhs": chi1, "rhs": rhs},
                     "largest eigenvalue not strictly below the cycle rewiring",
+                )
+            if chi1 >= rhs - STRICT_MARGIN:
+                # a gap this small cannot be told from zero in float64 (on
+                # K1 v Pl + K2 + K1 it sinks under resolution from l = 14)
+                return ProbeResult(
+                    "5.1",
+                    "skipped",
+                    None,
+                    f"rewiring P{l} into C{cyc} + P{tail} is unresolved: its gap "
+                    f"{rhs - chi1:.3g} lies within +-{STRICT_MARGIN:g}",
                 )
     return ProbeResult(
         "5.1",
@@ -722,7 +638,9 @@ def run_probe(g: MultiGraph, probe_id: str) -> ProbeResult:
     interlacing, "2.4" zero-eigenvalue multiplicity against bipartite
     components, "2.10" largest-eigenvalue degree bound, "5.1" strict
     path-versus-cycle comparisons.  Graphs outside a probe's hypotheses
-    report "skipped", never "fail".
+    report "skipped", never "fail"; so does a 5.1 rewiring whose gap lies
+    within STRICT_MARGIN.  "2.2" raises ScaleError when edges * n^3 exceeds
+    EDGE_PROBE_BUDGET (one eigensolve per edge).
     """
     runner = _PROBES.get(str(probe_id))
     if runner is None:

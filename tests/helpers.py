@@ -6,8 +6,9 @@ cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The brute-path family search realizes and brute-counts
 every candidate, the reference for the closed-form moment filter.  The
-brute exhaustive search sweeps every labelled mask and dedupes pairwise,
-the reference for the split-half scan and the orbit dedupe.
+brute exhaustive search sweeps every labelled mask and dedupes pairwise
+with the backtracking `isomorphic`, the reference for the class-extension
+scan and the orbit dedupe.
 """
 
 from functools import lru_cache
@@ -21,10 +22,11 @@ from qcones import (
     MultiGraph,
     ParameterError,
     QSpectrum,
+    ScaleError,
     SearchHit,
     SearchReport,
+    UnsupportedGraphError,
     enumerate_family,
-    isomorphic,
     moments_from_counts,
     q_spectrum,
     realize,
@@ -35,6 +37,7 @@ from qcones.graph6 import pair_order
 
 OFF_DIAGONAL_FACTOR = 1e-13
 _MAX_SWEEPS = 64
+MAX_ISO_VERTICES = 16
 
 
 def random_graph(rng, n: int, p: float) -> MultiGraph:
@@ -241,6 +244,77 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
         h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
     ))
     return SearchReport(target, float(tol), tuple(hits), False, len(candidates))
+
+
+# ---------------------------------------------------------------------------
+# isomorphism oracle
+# ---------------------------------------------------------------------------
+
+def _refine(ag: np.ndarray, ah: np.ndarray):
+    """Joint color refinement; None when the color histograms diverge."""
+    n = ag.shape[0]
+    cg = [int(x) for x in ag.sum(axis=1)]
+    ch = [int(x) for x in ah.sum(axis=1)]
+    while True:
+        if sorted(cg) != sorted(ch):
+            return None
+        palette: dict = {}
+
+        def recolor(a, colors):
+            fresh = []
+            for v in range(n):
+                nbr = tuple(sorted(colors[u] for u in range(n) if a[v, u]))
+                fresh.append(palette.setdefault((colors[v], nbr), len(palette)))
+            return fresh
+
+        ng, nh = recolor(ag, cg), recolor(ah, ch)
+        if len(set(ng)) == len(set(cg)):
+            return ng, nh
+        cg, ch = ng, nh
+
+
+def isomorphic(g: MultiGraph, h: MultiGraph) -> bool:
+    """Exact isomorphism for simple graphs of order <= 16.
+
+    Color refinement narrows the candidate images, then backtracking
+    completes the decision.  Symmetric and invariant under relabeling.
+    """
+    if not (g.is_simple() and h.is_simple()):
+        raise UnsupportedGraphError("isomorphism testing covers simple graphs only")
+    if g.n > MAX_ISO_VERTICES or h.n > MAX_ISO_VERTICES:
+        raise ScaleError(f"isomorphism testing caps at {MAX_ISO_VERTICES} vertices")
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    ag, ah = g.mult, h.mult
+    refined = _refine(ag, ah)
+    if refined is None:
+        return False
+    cg, ch = refined
+    n = g.n
+    order = sorted(range(n), key=lambda v: (cg.count(cg[v]), cg[v], v))
+    buckets: dict[int, list[int]] = {}
+    for w in range(n):
+        buckets.setdefault(ch[w], []).append(w)
+    image = [-1] * n
+    used = [False] * n
+
+    def place(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in buckets.get(cg[v], ()):
+            if used[w]:
+                continue
+            if all(ag[v, u] == ah[w, image[u]] for u in order[:i]):
+                image[v] = w
+                used[w] = True
+                if place(i + 1):
+                    return True
+                used[w] = False
+                image[v] = -1
+        return False
+
+    return place(0)
 
 
 # ---------------------------------------------------------------------------

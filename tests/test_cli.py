@@ -372,9 +372,10 @@ class TestMateCommand:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        # cones builds the candidate without eigensolving, so it binds no q_spectrum
         for module in (qcones.cli, qcones.cones):
             counted(module, "realize")
-            counted(module, "q_spectrum")
+        counted(qcones.cli, "q_spectrum")
         counted(qcones.cones, "delta_moments")
         code, doc, _ = run_json(capsys, "mate", "K1 v C8 + 3K2 + 2K1", "--theorem", "11")
         assert code == 0
@@ -436,6 +437,20 @@ class TestSearchCommand:
         )
         assert serial == parallel
 
+    def test_jobs_below_one_rejected(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "search", FLAGSHIP_TEXT, "--exhaustive", "--jobs", "0"
+        )
+        assert code == 2
+        assert doc == {
+            "command": "search",
+            "input": FLAGSHIP_TEXT,
+            "params": {"mode": "exhaustive", "tol": 1e-08},
+            "result": None,
+            "status": "error",
+            "error": "--jobs must be >= 1",
+        }
+
     def test_scale_cap(self, capsys):
         code, doc, _ = run_json(
             capsys, "search", "K1 v C6 + 2K2 + 1K1", "--exhaustive"
@@ -480,6 +495,20 @@ class TestProbeCommand:
         code, doc, _ = run_json(capsys, "probe", FLAGSHIP_TEXT, "--lemma", "5.1")
         assert code == 0
         assert doc["result"]["status"] == "skipped"
+
+    def test_path_versus_cycle_gap_below_margin_is_skipped(self, capsys):
+        # the P11 -> C3 + P8 rewiring beats the path by about 1.2e-10
+        code, doc, _ = run_json(capsys, "probe", "K1 v P11 + K2 + K1", "--lemma", "5.1")
+        assert code == 0
+        assert doc["result"]["status"] == "skipped"
+        assert doc["result"]["witness"] is None
+
+    def test_edge_deletion_over_budget(self, capsys):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "probe", "K1 v C400 + K2 + K1", "--lemma", "2.2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert doc["status"] == "scale"
 
     def test_path_versus_cycle_at_n47(self, capsys):
         text = "K1 v K13 + C6 + C6 + C4 + C4 + P6 + 4K2 + 8K1"

@@ -313,13 +313,14 @@ class TestTriangleStarMate:
 class TestEvenCycleSplit:
     def test_c6_candidate(self):
         spec = g_family_spec([6], 2, 1)
-        candidate, dist = even_cycle_split_candidate(spec)
+        candidate, _, _ = even_cycle_split_candidate(spec)
         assert candidate == ConeSpec(cycles=(4,), paths=(3, 3, 1))
+        dist = spectrum_compare(q_spectrum(realize(spec)), q_spectrum(realize(candidate)))
         assert math.isfinite(dist) and dist >= 0.0
 
     def test_candidate_preserves_counts(self):
         spec = g_family_spec([8], 3, 2)
-        candidate, _ = even_cycle_split_candidate(spec)
+        candidate, _, _ = even_cycle_split_candidate(spec)
         ga, gb = realize(spec), realize(candidate)
         assert ga.n == gb.n
         assert ga.num_edges == gb.num_edges

@@ -18,7 +18,6 @@ from qcones import (
     digon,
     disjoint_union,
     g_family_spec,
-    isomorphic,
     path_graph,
     realize,
     star_graph,
@@ -26,6 +25,7 @@ from qcones import (
 )
 
 from helpers import (
+    isomorphic,
     naive_c3,
     naive_c4,
     naive_f_bar,

@@ -20,7 +20,6 @@ from qcones import (
     encode_graph6,
     enumerate_family,
     g_family_spec,
-    isomorphic,
     path_graph,
     q_spectrum,
     realize,
@@ -34,7 +33,7 @@ from qcones import (
 from qcones.graph6 import decode_graph6, pair_order
 from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes, _partitions
 
-from helpers import brute_search_exhaustive, random_graph
+from helpers import brute_search_exhaustive, isomorphic, random_graph
 
 FLAGSHIP = g_family_spec([3], 1, 1)
 # the n = 7 exhaustive benchmark panel: five cone shapes and one G(7, 1/2) draw
@@ -219,15 +218,6 @@ class TestSearchExhaustive:
         assert all(not h.isomorphic for h in report.hits)
         assert all(h.distance <= 1e-8 for h in report.hits)
 
-    def test_jobs_do_not_change_results(self):
-        serial = search_exhaustive(realize(FLAGSHIP), jobs=1)
-        parallel = search_exhaustive(realize(FLAGSHIP), jobs=2)
-        key = lambda r: [
-            (encode_graph6(h.candidate), round(h.distance, 12), h.isomorphic)
-            for h in r.hits
-        ]
-        assert key(serial) == key(parallel)
-
     def test_non_graphical_spectrum(self):
         report = search_exhaustive(QSpectrum([0.5, 0.5]))
         assert report.hits == ()
@@ -251,10 +241,6 @@ class TestSearchExhaustive:
         assert [(encode_graph6(h.candidate), h.distance, h.isomorphic) for h in report.hits] == [
             ("FtnC?", 0.0, True)
         ]
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ParameterError):
-            search_exhaustive(complete_graph(3), jobs=0)
 
 
 class TestExhaustiveAgainstBruteSweep:
@@ -292,12 +278,6 @@ class TestExhaustiveAgainstBruteSweep:
         report = search_exhaustive(target)
         assert report_key(report) == report_key(brute_search_exhaustive(target))
         assert not any(h.isomorphic for h in report.hits)
-
-    def test_two_jobs(self):
-        target = permuted(decode_graph6("F@Foo"), random.Random(5))
-        assert report_key(search_exhaustive(target, jobs=2)) == report_key(
-            brute_search_exhaustive(target)
-        )
 
     def test_order_eight_pinned_hit(self):
         start = time.perf_counter()
