@@ -49,7 +49,8 @@ def _degree_sums(g: MultiGraph) -> tuple[int, int, int]:
 
 
 def brute_counts(g: MultiGraph) -> CountVector:
-    """All count ingredients by direct enumeration (simple graphs, n <= 64)."""
+    """All count ingredients from degrees and common-neighbour counts
+    (simple graphs, n <= 64)."""
     d2, d3, d4 = _degree_sums(g)
     t_term, f_term = t_bar_f_bar(g)
     return CountVector(
@@ -141,7 +142,7 @@ def counts_closed_form(spec: ConeSpec) -> CountVector:
 
     Every block adds fixed terms from its base degrees, its base edges'
     endpoint degrees and whether it is a C3 or C4 block; the apex adds the
-    rest.  Cross-checked against brute force in the test suite.  Digon
+    rest.  Cross-checked against `brute_counts` in the test suite.  Digon
     specs raise FamilyError.
     """
     return _cone_counts(spec)[1]

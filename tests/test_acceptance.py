@@ -8,8 +8,6 @@ import random
 import time
 import warnings
 
-import numpy as np
-
 from qcones import (
     ConeSpec,
     adjacency_matrix,

@@ -324,6 +324,30 @@ class TestMateCommand:
         }
         assert len(result["spectra"]["mate"]["values"]) == 7
 
+    def test_triangle_swap_at_the_count_cap(self, capsys):
+        # n = 64: both realized graphs are still counted for the moment shift
+        code, doc, _ = run_json(
+            capsys, "mate", "K1 v C55 + C3 + 2K2 + K1", "--theorem", "13"
+        )
+        assert code == 0
+        delta = doc["result"]["moment_delta"]
+        assert [delta[k] for k in ("t1", "t2", "t3", "t4")] == [0, 0, 0, 0]
+        assert doc["result"]["cospectral_within_tolerance"] is True
+
+    def test_triangle_swap_above_the_count_cap(self, capsys):
+        text = "K1 v C56 + C3 + 2K2 + K1"
+        code, doc, err = run_json(capsys, "mate", text, "--theorem", "13")
+        assert code == 5
+        assert doc == {
+            "command": "mate",
+            "input": text,
+            "params": {"theorem": "13", "tol": 1e-08},
+            "result": None,
+            "status": "scale",
+            "error": "brute-force counting capped at n <= 64",
+        }
+        assert err == "qcones: brute-force counting capped at n <= 64\n"
+
     def test_even_cycle_candidate(self, capsys):
         code, doc, _ = run_json(
             capsys, "mate", "K1 v C6 + 2K2 + 1K1", "--theorem", "11"

@@ -17,7 +17,6 @@ from qcones import (
     even_cycle_split_candidate,
     g_family_spec,
     largest_q_eigenvalue,
-    q_matrix,
     q_spectrum,
     quartic_coeffs,
     quartic_roots,

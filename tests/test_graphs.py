@@ -2,13 +2,13 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from qcones import (
     ConeSpec,
     MultiGraph,
     ParameterError,
+    ScaleError,
     UnsupportedGraphError,
     complete_graph,
     components_and_bipartiteness,
@@ -237,6 +237,21 @@ class TestCounts:
             assert count_subgraphs(g, "P3") == naive_p3(g)
             assert count_subgraphs(g, "C3") == naive_c3(g)
             assert count_subgraphs(g, "C4") == naive_c4(g)
+
+    def test_at_the_order_cap(self):
+        k64 = complete_graph(64)
+        assert count_subgraphs(k64, "C3") == 41_664
+        assert count_subgraphs(k64, "C4") == 1_906_128
+        k32_32 = MultiGraph.from_edges(
+            64, [(u, v) for u in range(32) for v in range(32, 64)]
+        )
+        assert count_subgraphs(k32_32, "C3") == 0
+        assert count_subgraphs(k32_32, "C4") == 246_016
+
+    def test_above_the_order_cap(self):
+        for pattern in ("P3", "C3", "C4"):
+            with pytest.raises(ScaleError, match="capped at n <= 64"):
+                count_subgraphs(complete_graph(65), pattern)
 
     def test_unknown_pattern(self):
         with pytest.raises(ParameterError):

@@ -14,7 +14,6 @@ from qcones import (
     adjacency_matrix,
     brute_counts,
     counts_closed_form,
-    cycle_graph,
     delta_moments,
     digon,
     g_family_spec,

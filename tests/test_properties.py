@@ -1,6 +1,8 @@
-"""Property tests: round-trips of spec text and graph6, and independence
-from the vertex labelling (exhaustive-search hits, cone recognition)."""
+"""Property tests: round-trips of spec text and graph6, moments against exact
+traces, and independence from the vertex labelling (exhaustive-search hits,
+counted moments, cone recognition)."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,6 +14,7 @@ from qcones import (  # noqa: E402
     decode_graph6,
     encode_graph6,
     format_spec_text,
+    moments_from_counts,
     parse_spec_text,
     realize,
     recognize_cone,
@@ -67,8 +70,8 @@ def test_spec_text_round_trip(spec):
 
 
 @st.composite
-def simple_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=62))
+def simple_graphs(draw, max_n=62):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     k = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
     return _mask_graph(mask, n, pair_order(n))
@@ -78,6 +81,20 @@ def simple_graphs(draw):
 @given(simple_graphs())
 def test_graph6_round_trip(g):
     assert decode_graph6(encode_graph6(g)) == g
+
+
+@settings(max_examples=100, deadline=2000)
+@given(simple_graphs(max_n=20), st.randoms(use_true_random=False))
+def test_counted_moments_are_exact_traces_in_any_labelling(g, rnd):
+    adj = g.mult.astype(np.int64)
+    q = np.diag(adj.sum(axis=1)) + adj
+    traces = [int(np.trace(np.linalg.matrix_power(q, r))) for r in (1, 2, 3, 4)]
+    traces.append(int(np.trace(np.linalg.matrix_power(adj, 4))))
+    moments = moments_from_counts(g)
+    assert list(moments) == traces
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert moments_from_counts(relabel(g, perm)) == moments
 
 
 @settings(max_examples=100, deadline=2000)
