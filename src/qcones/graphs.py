@@ -19,7 +19,8 @@ from .errors import FormatError, ParameterError, ScaleError, UnsupportedGraphErr
 
 MAX_VERTICES = 4096
 
-# Cap for the dense integer counters (exact int64 matmuls up to this order).
+# Order cap of the common-neighbour counts (ScaleError, exit 5, above it).
+# Not an overflow bound: every count stays exact in int64 up to MAX_VERTICES.
 MAX_COUNT_VERTICES = 64
 
 
@@ -173,34 +174,42 @@ def cone(base: MultiGraph) -> MultiGraph:
     return MultiGraph(arr)
 
 
-def components_and_bipartiteness(g: MultiGraph) -> tuple[int, int]:
-    """(number of components, number of bipartite components).
+def _components(g: MultiGraph) -> list[tuple[list[int], bool]]:
+    """Each component's vertices (in breadth-first order) and whether it is
+    bipartite, from one 2-coloring walk.
 
     Parallel edges do not affect 2-colorability: a digon joins the two color
     classes like a single edge, so a bare digon component is bipartite.
     """
-    adj = g.mult > 0
-    color = np.full(g.n, -1, dtype=np.int8)
-    comps = 0
-    bipartite = 0
+    nbrs = [np.flatnonzero(row).tolist() for row in g.mult]
+    color = [-1] * g.n
+    comps = []
     for start in range(g.n):
         if color[start] >= 0:
             continue
-        comps += 1
-        good = True
         color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in np.nonzero(adj[u])[0]:
+        comp = [start]
+        bipartite = True
+        for u in comp:  # comp grows while it is walked: a queue
+            for v in nbrs[u]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]
-                    queue.append(int(v))
+                    comp.append(v)
                 elif color[v] == color[u]:
-                    good = False
-        if good:
-            bipartite += 1
-    return comps, bipartite
+                    bipartite = False
+        comps.append((comp, bipartite))
+    return comps
+
+
+def components_and_bipartiteness(g: MultiGraph) -> tuple[int, int]:
+    """(number of components, number of bipartite components)."""
+    comps = _components(g)
+    return len(comps), sum(bipartite for _, bipartite in comps)
+
+
+def _dominating_vertices(g: MultiGraph) -> np.ndarray:
+    """Vertices joined by a simple edge to every other vertex, ascending."""
+    return np.flatnonzero((g.mult == 1).sum(axis=1) == g.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +220,7 @@ def _require_countable(g: MultiGraph) -> None:
     if not g.is_simple():
         raise UnsupportedGraphError("subgraph counting is defined for simple graphs")
     if g.n > MAX_COUNT_VERTICES:
-        raise ScaleError(f"brute-force counting capped at n <= {MAX_COUNT_VERTICES}")
+        raise ScaleError(f"common-neighbour counting capped at n <= {MAX_COUNT_VERTICES}")
 
 
 def count_subgraphs(g: MultiGraph, pattern: str) -> int:

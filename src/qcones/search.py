@@ -4,8 +4,10 @@ The family search enumerates cones over disjoint cycles, paths and at most
 one 4-vertex star that share the target's order and moment data.  The
 exhaustive search covers every simple graph on up to 8 vertices by joining
 one vertex in every way to each isomorphism class of one order less, and
-reports one graph per class.  Probes re-check interlacing, nullity and
-largest-eigenvalue facts numerically.
+reports one graph per class.  Cone recognition takes each vertex joined
+simply to all others as the apex and reads the blocks of the rest off each
+component's sorted degrees, which fix a path, cycle, digon or claw.  Probes
+re-check interlacing, nullity and largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import ParameterError, ScaleError
-from .graphs import ConeSpec, MultiGraph, components_and_bipartiteness, realize
+from .graphs import (
+    ConeSpec,
+    MultiGraph,
+    _components,
+    _dominating_vertices,
+    components_and_bipartiteness,
+    realize,
+)
 from .graph6 import pair_order
 from .eigen import QSpectrum, _eigvalsh, q_spectrum, spectrum_compare
 from .moments import moments_closed_form, solve_degree_system
@@ -356,86 +365,51 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
 # cone recognition
 # ---------------------------------------------------------------------------
 
-def _classify_component(base: MultiGraph, comp: list[int]):
-    sub = base.subgraph(comp).mult
-    k = len(comp)
-    if k == 1:
-        return "path", 1
-    if k == 2:
-        m = int(sub[0, 1])
-        if m == 1:
-            return "path", 2
-        if m == 2:
-            return "cycle", 2
-        return None
-    if (sub > 1).any():
-        return None
-    deg = sub.sum(axis=1)
-    edges = int(sub.sum()) // 2
-    if edges == k and (deg == 2).all():
-        return "cycle", k
-    ordered = np.sort(deg)
-    if edges == k - 1 and ordered[0] == 1 and ordered[1] == 1 and (ordered[2:] == 2).all():
-        return "path", k
-    if k == 4 and edges == 3 and list(ordered) == [1, 1, 1, 3]:
-        return "star", 4
-    return None
-
-
-def _classify_base(base: MultiGraph) -> ConeSpec | None:
-    mult = base.mult
-    seen = [False] * base.n
+def _base_spec(base: MultiGraph) -> ConeSpec | None:
+    """The blocks of a cone base, read off each component's sorted degrees
+    (multiplicities counted); None if some component is no block."""
+    deg = base.degrees()
     cycles: list[int] = []
     paths: list[int] = []
     stars = 0
-    for start in range(base.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        head = 0
-        while head < len(comp):
-            v = comp[head]
-            head += 1
-            for u in np.nonzero(mult[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(int(u))
-        block = _classify_component(base, comp)
-        if block is None:
-            return None
-        kind, size = block
-        if kind == "cycle":
-            cycles.append(size)
-        elif kind == "path":
-            paths.append(size)
-        else:
+    for comp, _ in _components(base):
+        d = sorted(deg[comp].tolist())
+        k = len(d)
+        if d == [2] * k:
+            cycles.append(k)
+        elif d == [0] or d == [1, 1] + [2] * (k - 2):
+            paths.append(k)
+        elif d == [1, 1, 1, 3]:
             stars += 1
+        else:
+            return None
     return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
 
 
 def recognize_cone(g: MultiGraph) -> ConeSpec | None:
     """Recover the block structure of a cone over cycles, paths and stars.
 
-    Looks for an apex joined simply to every other vertex whose removal
-    leaves only cycles (digons included), paths, isolated vertices and
-    4-vertex stars.  Returns None when no apex choice works.
+    Tries each apex joined simply to every other vertex, lowest first, and
+    classifies the components of the rest by their sorted degrees: [0] is
+    P1, [1, 1, 2, ..., 2] is P_k, [2, ..., 2] is C_k ([2, 2] the digon) and
+    [1, 1, 1, 3] is K13; anything else is no cone base.  The degrees are
+    enough: a connected simple graph with these degrees is a path, a cycle
+    or a claw; a multiple edge inside a component of three or more vertices
+    gives one of its ends degree >= 3, and [1, 1, 1, 3] has no second vertex
+    of degree >= 2 for its other end; on two vertices the degree is the
+    multiplicity.  Returns None when no apex choice works.
     """
     if g.n < 2:
         return None
-    mult = g.mult
-    for apex in range(g.n):
-        row = np.delete(mult[apex], apex)
-        if not (row == 1).all():
-            continue
-        spec = _classify_base(g.without_vertex(apex))
+    for apex in _dominating_vertices(g).tolist():
+        spec = _base_spec(g.without_vertex(apex))
         if spec is not None:
             return spec
     return None
 
 
 # ---------------------------------------------------------------------------
-# probes
+# probes: each runner returns (status, witness, message)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -452,11 +426,11 @@ class ProbeResult:
         return self.status == "pass"
 
 
-def _probe_edge_deletion(g: MultiGraph) -> ProbeResult:
+def _probe_edge_deletion(g: MultiGraph):
     us, vs = np.nonzero(np.triu(g.mult, 1))
     edges = list(zip(us.tolist(), vs.tolist()))
     if not edges:
-        return ProbeResult("2.2", "skipped", None, "no edges to delete")
+        return "skipped", None, "no edges to delete"
     if len(edges) * g.n ** 3 > EDGE_PROBE_BUDGET:
         raise ScaleError(
             f"edge-deletion probe needs {len(edges)} eigensolves at n={g.n}; "
@@ -468,8 +442,7 @@ def _probe_edge_deletion(g: MultiGraph) -> ProbeResult:
         bad = np.nonzero(vals < sub - PROBE_TOL)[0]
         if bad.size:
             i = int(bad[0])
-            return ProbeResult(
-                "2.2",
+            return (
                 "fail",
                 {
                     "edge": [u, v],
@@ -479,105 +452,75 @@ def _probe_edge_deletion(g: MultiGraph) -> ProbeResult:
                 },
                 f"eigenvalue {i + 1} rose after deleting edge ({u}, {v})",
             )
-    return ProbeResult(
-        "2.2", "pass", None, f"all {len(edges)} single-edge deletions interlace"
-    )
+    return "pass", None, f"all {len(edges)} single-edge deletions interlace"
 
 
-def _probe_dominating_vertex(g: MultiGraph) -> ProbeResult:
-    n = g.n
-    doms = [
-        v
-        for v in range(n)
-        if n >= 2 and all(g.mult[v, u] == 1 for u in range(n) if u != v)
-    ]
+def _probe_dominating_vertex(g: MultiGraph):
+    doms = _dominating_vertices(g).tolist() if g.n >= 2 else []
     if not doms:
-        return ProbeResult(
-            "2.3", "skipped", None, "no vertex joined simply to all others"
-        )
+        return "skipped", None, "no vertex joined simply to all others"
     vals = q_spectrum(g).values
+    hi, lo = vals[:-1] - 1, vals[1:] - 1
     for v in doms:
         sub = q_spectrum(g.without_vertex(v)).values
-        for i in range(n - 1):
-            hi, lo = vals[i] - 1, vals[i + 1] - 1
-            if sub[i] > hi + PROBE_TOL or sub[i] < lo - PROBE_TOL:
-                return ProbeResult(
-                    "2.3",
-                    "fail",
-                    {
-                        "vertex": v,
-                        "index": i + 1,
-                        "value": float(sub[i]),
-                        "upper": float(hi),
-                        "lower": float(lo),
-                    },
-                    f"shifted interlacing fails at position {i + 1} "
-                    f"after removing vertex {v}",
-                )
-    return ProbeResult(
-        "2.3",
-        "pass",
-        None,
-        f"shifted interlacing holds for {len(doms)} dominating vertex choices",
-    )
+        bad = np.nonzero((sub > hi + PROBE_TOL) | (sub < lo - PROBE_TOL))[0]
+        if bad.size:
+            i = int(bad[0])
+            return (
+                "fail",
+                {
+                    "vertex": v,
+                    "index": i + 1,
+                    "value": float(sub[i]),
+                    "upper": float(hi[i]),
+                    "lower": float(lo[i]),
+                },
+                f"shifted interlacing fails at position {i + 1} "
+                f"after removing vertex {v}",
+            )
+    return "pass", None, f"shifted interlacing holds for {len(doms)} dominating vertex choices"
 
 
-def _probe_zero_multiplicity(g: MultiGraph) -> ProbeResult:
+def _probe_zero_multiplicity(g: MultiGraph):
     mz = q_spectrum(g).multiplicity_at(0.0)
     _, bip = components_and_bipartiteness(g)
     if mz == bip:
-        return ProbeResult(
-            "2.4",
-            "pass",
-            None,
-            f"zero multiplicity {mz} matches the bipartite component count",
-        )
-    return ProbeResult(
-        "2.4",
+        return "pass", None, f"zero multiplicity {mz} matches the bipartite component count"
+    return (
         "fail",
         {"zero_multiplicity": mz, "bipartite_components": bip},
         "zero multiplicity disagrees with the bipartite component count",
     )
 
 
-def _probe_degree_bound(g: MultiGraph) -> ProbeResult:
+def _probe_degree_bound(g: MultiGraph):
     comps, _ = components_and_bipartiteness(g)
     if g.n < 2 or comps != 1:
-        return ProbeResult(
-            "2.10", "skipped", None, "needs a connected graph on >= 2 vertices"
-        )
+        return "skipped", None, "needs a connected graph on >= 2 vertices"
     deg = np.sort(g.degrees())[::-1]
     d1, d2, dn = int(deg[0]), int(deg[1]), int(deg[-1])
     if d2 > 4 or not ((d1 >= 11 and dn == 1) or (d1 >= 8 and dn >= 2)):
-        return ProbeResult(
-            "2.10",
-            "skipped",
-            None,
+        return "skipped", None, (
             "degree hypotheses not met (needs second degree <= 4 and a "
-            "large enough top degree)",
+            "large enough top degree)"
         )
     chi1 = float(q_spectrum(g).values[0])
     if chi1 <= d1 + 3 + PROBE_TOL:
-        return ProbeResult(
-            "2.10", "pass", None, f"largest eigenvalue {chi1:.6f} within {d1} + 3"
-        )
-    return ProbeResult(
-        "2.10",
+        return "pass", None, f"largest eigenvalue {chi1:.6f} within {d1} + 3"
+    return (
         "fail",
         {"chi1": chi1, "d1": d1},
         "largest eigenvalue exceeds the top degree by more than 3",
     )
 
 
-def _probe_path_vs_cycle(g: MultiGraph) -> ProbeResult:
+def _probe_path_vs_cycle(g: MultiGraph):
     spec = recognize_cone(g)
     if spec is None:
-        return ProbeResult(
-            "5.1", "skipped", None, "not a cone over recognizable blocks"
-        )
+        return "skipped", None, "not a cone over recognizable blocks"
     lengths = sorted({l for l in spec.paths if l >= 4})
     if not lengths:
-        return ProbeResult("5.1", "skipped", None, "no path block of order >= 4")
+        return "skipped", None, "no path block of order >= 4"
     chi1 = float(q_spectrum(g).values[0])
     checked = 0
     for l in lengths:
@@ -596,8 +539,7 @@ def _probe_path_vs_cycle(g: MultiGraph) -> ProbeResult:
             rhs = float(q_spectrum(realize(alt)).values[0])
             checked += 1
             if chi1 > rhs + STRICT_MARGIN:
-                return ProbeResult(
-                    "5.1",
+                return (
                     "fail",
                     {"path": l, "cycle": cyc, "tail": tail, "lhs": chi1, "rhs": rhs},
                     "largest eigenvalue not strictly below the cycle rewiring",
@@ -605,19 +547,11 @@ def _probe_path_vs_cycle(g: MultiGraph) -> ProbeResult:
             if chi1 >= rhs - STRICT_MARGIN:
                 # a gap this small cannot be told from zero in float64 (on
                 # K1 v Pl + K2 + K1 it sinks under resolution from l = 14)
-                return ProbeResult(
-                    "5.1",
-                    "skipped",
-                    None,
+                return "skipped", None, (
                     f"rewiring P{l} into C{cyc} + P{tail} is unresolved: its gap "
-                    f"{rhs - chi1:.3g} lies within +-{STRICT_MARGIN:g}",
+                    f"{rhs - chi1:.3g} lies within +-{STRICT_MARGIN:g}"
                 )
-    return ProbeResult(
-        "5.1",
-        "pass",
-        None,
-        f"largest eigenvalue strictly below all {checked} cycle rewirings",
-    )
+    return "pass", None, f"largest eigenvalue strictly below all {checked} cycle rewirings"
 
 
 _PROBES = {
@@ -647,4 +581,4 @@ def run_probe(g: MultiGraph, probe_id: str) -> ProbeResult:
         raise ParameterError(
             f"unknown probe id {probe_id!r}; expected one of {', '.join(PROBE_IDS)}"
         )
-    return runner(g)
+    return ProbeResult(str(probe_id), *runner(g))

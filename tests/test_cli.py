@@ -344,9 +344,9 @@ class TestMateCommand:
             "params": {"theorem": "13", "tol": 1e-08},
             "result": None,
             "status": "scale",
-            "error": "brute-force counting capped at n <= 64",
+            "error": "common-neighbour counting capped at n <= 64",
         }
-        assert err == "qcones: brute-force counting capped at n <= 64\n"
+        assert err == "qcones: common-neighbour counting capped at n <= 64\n"
 
     def test_even_cycle_candidate(self, capsys):
         code, doc, _ = run_json(

@@ -1,6 +1,12 @@
 """Property tests: round-trips of spec text and graph6, moments against exact
-traces, and independence from the vertex labelling (exhaustive-search hits,
-counted moments, cone recognition)."""
+traces, independence from the vertex labelling (exhaustive-search hits,
+counted moments, cone recognition, spectra and components), and the CLI's
+output contract on fuzzed input."""
+
+import contextlib
+import io
+import json
+import string
 
 import numpy as np
 import pytest
@@ -11,15 +17,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qcones import (  # noqa: E402
     ConeSpec,
     MultiGraph,
+    components_and_bipartiteness,
     decode_graph6,
     encode_graph6,
     format_spec_text,
     moments_from_counts,
     parse_spec_text,
+    q_spectrum,
     realize,
     recognize_cone,
     search_exhaustive,
 )
+from qcones.cli import main  # noqa: E402
 from qcones.graph6 import pair_order  # noqa: E402
 from qcones.search import _mask_graph  # noqa: E402
 
@@ -104,3 +113,76 @@ def test_recognition_ignores_the_labelling(spec, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert recognize_cone(relabel(g, perm)) == spec
+
+
+@settings(max_examples=100, deadline=2000)
+@given(simple_graphs(max_n=12), st.randoms(use_true_random=False))
+def test_spectra_and_components_ignore_the_labelling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = relabel(g, perm)
+    assert np.abs(q_spectrum(g).values - q_spectrum(h).values).max() <= 1e-12
+    assert components_and_bipartiteness(h) == components_and_bipartiteness(g)
+
+
+@st.composite
+def spec_texts(draw):
+    """Spec text from the grammar's terms with base order <= 39; cycle and
+    path sizes start at 0, so some terms are out of range."""
+    terms = []
+    room = 39
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(("C", "P", "K2", "K1", "K13")))
+        size = draw(st.integers(min_value=0, max_value=max(room // 2, 1)))
+        count = max(size, 1)
+        cost = {"C": size, "P": size, "K2": 2 * count, "K1": count, "K13": 4}[kind]
+        if cost > room:
+            break
+        room -= cost
+        if kind in ("C", "P"):
+            terms.append(f"{kind}{size}")
+        else:
+            terms.append(kind if kind == "K13" or size < 2 else f"{size}{kind}")
+    prefix = draw(st.sampled_from(("K1 v ", "K1 V ", "")))
+    return prefix + " + ".join(terms)
+
+
+cli_inputs = st.one_of(
+    spec_texts(),
+    st.text(string.printable, max_size=24),
+    st.text(st.characters(min_codepoint=63, max_codepoint=126), min_size=1, max_size=8),
+)
+CLI_CALLS = (
+    ["spectrum", "--numeric"],
+    ["spectrum", "--closed"],
+    ["spectrum", "--both"],
+    ["moments", "--from", "counts"],
+    ["moments", "--from", "spectrum"],
+    ["moments", "--from", "both"],
+    ["mate", "--theorem", "11"],
+    ["mate", "--theorem", "13"],
+    ["search", "--family"],
+    ["search", "--exhaustive"],
+    ["probe", "--lemma", "2.2"],
+    ["probe", "--lemma", "2.3"],
+    ["probe", "--lemma", "2.4"],
+    ["probe", "--lemma", "2.10"],
+    ["probe", "--lemma", "5.1"],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_inputs, st.sampled_from(CLI_CALLS))
+def test_cli_answers_every_input_with_one_json_document(text, call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([call[0], text, *call[1:]])
+        except SystemExit as exc:
+            # argparse reads an input that begins with "-" as an option
+            assert exc.code == 2 and text.startswith("-"), err.getvalue()
+            return
+    assert code in (0, 2, 3, 4, 5), out.getvalue()
+    doc = json.loads(out.getvalue())
+    assert doc["command"] == call[0] and doc["input"] == text
+    assert (doc["result"] is None) == (code not in (0, 3))

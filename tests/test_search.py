@@ -14,12 +14,14 @@ from qcones import (
     ScaleError,
     UnsupportedGraphError,
     complete_graph,
+    components_and_bipartiteness,
     cycle_graph,
     degree_profile,
     disjoint_union,
     encode_graph6,
     enumerate_family,
     g_family_spec,
+    parse_spec_text,
     path_graph,
     q_spectrum,
     realize,
@@ -31,6 +33,7 @@ from qcones import (
     triangle_star_mate,
 )
 from qcones.graph6 import decode_graph6, pair_order
+from qcones.graphs import _dominating_vertices
 from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes, _partitions
 
 from helpers import brute_search_exhaustive, isomorphic, random_graph
@@ -347,6 +350,26 @@ class TestIsomorphic:
             isomorphic(big, big)
 
 
+def _parts(total: int, least: int):
+    """Partitions of `total` into parts >= `least`, parts non-decreasing."""
+    if total == 0:
+        yield ()
+    for first in range(least, total + 1):
+        for rest in _parts(total - first, first):
+            yield (first,) + rest
+
+
+def simple_cone_specs(n: int):
+    """Every cone spec of order n with cycles >= 3, paths >= 1, at most one K13."""
+    for stars in (0, 1):
+        rest = n - 1 - 4 * stars
+        for csum in range(rest + 1):
+            for cycles in _parts(csum, 3):
+                for paths in _parts(rest - csum, 1):
+                    if cycles or paths or stars:
+                        yield ConeSpec(cycles=cycles, paths=paths, stars13=stars)
+
+
 class TestRecognizeCone:
     @pytest.mark.parametrize(
         "spec",
@@ -378,6 +401,49 @@ class TestRecognizeCone:
 
     def test_single_vertex(self):
         assert recognize_cone(path_graph(1)) is None
+
+    def test_every_graph_up_to_seven_vertices(self):
+        """Recognition, components and dominating vertices against networkx
+        on all 1 252 atlas graphs with 1 <= n <= 7."""
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 7]
+        assert len(atlas) == 1252
+        cones = {
+            n: [nx.from_numpy_array(realize(spec).mult) for spec in simple_cone_specs(n)]
+            for n in range(1, 8)
+        }
+        degrees = lambda h: sorted(d for _, d in h.degree())
+        for h in atlas:
+            n = h.number_of_nodes()
+            g = MultiGraph(nx.to_numpy_array(h, nodelist=range(n), dtype=np.int64))
+            label = encode_graph6(g)
+            spec = recognize_cone(g)
+            is_cone = any(
+                degrees(c) == degrees(h) and nx.is_isomorphic(c, h) for c in cones[n]
+            )
+            assert (spec is not None) == is_cone, label
+            if spec is not None:
+                assert nx.is_isomorphic(nx.from_numpy_array(realize(spec).mult), h), label
+            comps = [h.subgraph(c) for c in nx.connected_components(h)]
+            assert components_and_bipartiteness(g) == (
+                len(comps), sum(nx.is_bipartite(c) for c in comps)
+            ), label
+            assert _dominating_vertices(g).tolist() == [
+                v for v in range(n) if h.degree(v) == n - 1
+            ], label
+
+    def test_digon_cone_round_trip(self):
+        spec = parse_spec_text("K1 v C2 + C3 + K1")
+        assert recognize_cone(realize(spec)) == spec
+
+    def test_triple_edge_is_no_block(self):
+        # apex 2 over a pair joined by three parallel edges
+        assert recognize_cone(MultiGraph([[0, 3, 1], [3, 0, 1], [1, 1, 0]])) is None
+
+    def test_digon_with_a_pendant_is_no_block(self):
+        # apex 3 over the digon 0=1 with vertex 2 hanging from vertex 1
+        g = MultiGraph([[0, 2, 0, 1], [2, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+        assert recognize_cone(g) is None
 
 
 class TestProbes:
