@@ -56,6 +56,7 @@ from .cones import (
     quotient_matrix,
     triangle_star_mate,
 )
+from .family import enumerate_family
 from .moments import (
     CountVector,
     MomentVector,
@@ -65,13 +66,14 @@ from .moments import (
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
+    signature_moments,
+    signatures_with_moments,
     solve_degree_system,
 )
 from .search import (
     ProbeResult,
     SearchHit,
     SearchReport,
-    enumerate_family,
     recognize_cone,
     run_probe,
     search_exhaustive,

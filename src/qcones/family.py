@@ -1,0 +1,133 @@
+"""The cone family of a degree profile: enumeration, counting, and the
+members with a given moment signature.
+
+A family member is a cone over disjoint cycles (length >= 3), paths and at
+most one claw whose base has the degree profile (n1, n2, n3, n4) of
+`degree_profile`.  `enumerate_family` builds every member; `_family_size`
+counts them from partition counts; `_family_with_signature` builds only the
+members with given numbers of C3, C4 and K2 blocks, which together with the
+profile fix their moments T1..T4 (see `moments.signature_moments`).
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Iterator
+
+from .graphs import ConeSpec
+
+
+def _partitions(
+    total: int,
+    min_part: int = 1,
+    max_part: int | None = None,
+    max_parts: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of `total` as non-increasing tuples of parts >= min_part."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts is not None and max_parts <= 0:
+        return
+    hi = total if max_part is None else min(max_part, total)
+    sub_parts = None if max_parts is None else max_parts - 1
+    for first in range(hi, min_part - 1, -1):
+        for rest in _partitions(total - first, min_part, first, sub_parts):
+            yield (first,) + rest
+
+
+def _path_blocks(n: int, profile: tuple[int, int, int, int]) -> int | None:
+    """Number of paths of order >= 2 in every family spec of order n with
+    this base degree profile; None when the profile has no such spec (it is
+    negative, has the wrong total or more than one claw, or leaves an odd
+    number of path endpoints)."""
+    n1, n2, n3, n4 = profile
+    if min(profile) < 0 or n1 + n2 + n3 + n4 != n - 1 or n4 > 1:
+        return None
+    endpoints = n2 - 3 * n4
+    if endpoints < 0 or endpoints % 2:
+        return None
+    return endpoints // 2
+
+
+def enumerate_family(n: int, profile: tuple[int, int, int, int]) -> list[ConeSpec]:
+    """All cone specs of order n whose base realizes the degree profile.
+
+    An inconsistent or infeasible profile yields an empty list rather than
+    an error; infeasibility is a meaningful outcome for the callers.  Cycle
+    lengths start at 3 (the candidate sets are simple), path orders at 1,
+    and at most one star block is allowed.  The result is duplicate-free
+    and sorted.
+    """
+    profile = tuple(int(x) for x in profile)
+    p = _path_blocks(n, profile)
+    if p is None:
+        return []
+    n1, _, n3, n4 = profile
+    found: set[ConeSpec] = set()
+    for csum in range(n3 + 1):
+        interior = n3 - csum
+        if p == 0 and interior:
+            continue
+        for cycles in _partitions(csum, min_part=3):
+            for interiors in _partitions(interior, min_part=1, max_parts=p):
+                pad = p - len(interiors)
+                paths = tuple(i + 2 for i in interiors) + (2,) * pad + (1,) * n1
+                if not cycles and not paths and not n4:
+                    continue
+                found.add(ConeSpec(cycles=cycles, paths=paths, stars13=n4))
+    return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
+
+
+@lru_cache(maxsize=None)
+def _partition_count(total: int, min_part: int, max_part: int) -> int:
+    """Number of partitions of `total` into parts in [min_part, max_part]."""
+    if total == 0:
+        return 1
+    max_part = min(max_part, total)
+    if max_part < min_part:
+        return 0
+    return (
+        _partition_count(total, min_part, max_part - 1)
+        + _partition_count(total - max_part, min_part, max_part)
+    )
+
+
+def _family_size(n: int, profile: tuple[int, int, int, int]) -> int:
+    """len(enumerate_family(n, profile)), counted without building a spec.
+
+    A spec is a partition of its n3 cycle vertices into parts >= 3 and one
+    of the remaining path-interior vertices into at most p parts (one per
+    path of order >= 3); by conjugation those are as many as the partitions
+    into parts <= p.
+    """
+    p = _path_blocks(n, profile)
+    if p is None or n == 1:
+        return 0
+    n3 = profile[2]
+    return sum(
+        _partition_count(csum, 3, csum) * _partition_count(n3 - csum, 1, p)
+        for csum in range(n3 + 1)
+    )
+
+
+def _family_with_signature(
+    n: int, profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
+) -> Iterator[ConeSpec]:
+    """The specs of enumerate_family(n, profile) with exactly k3 C3, k4 C4
+    and nk2 K2 blocks: their other cycles have length >= 5, and p - nk2 of
+    their p paths of order >= 2 have order >= 3."""
+    p = _path_blocks(n, profile)
+    if p is None or n == 1 or not 0 <= nk2 <= p:
+        return
+    n1, _, n3, n4 = profile
+    longer = p - nk2
+    fixed = (4,) * k4 + (3,) * k3
+    tail = (2,) * nk2 + (1,) * n1
+    for csum in range(3 * k3 + 4 * k4, n3 - longer + 1):
+        # each longer path takes one interior vertex, then the rest as extras
+        extras = list(_partitions(n3 - csum - longer, min_part=1, max_parts=longer))
+        for big in _partitions(csum - 3 * k3 - 4 * k4, min_part=5):
+            for extra in extras:
+                paths = tuple(e + 3 for e in extra) + (3,) * (longer - len(extra)) + tail
+                yield ConeSpec(cycles=big + fixed, paths=paths, stars13=n4)

@@ -97,26 +97,28 @@ def moments_from_spectrum(q_spec, adjacency_spec=None) -> MomentVector:
     return MomentVector(*sums, s4)
 
 
-def _cone_counts(spec: ConeSpec) -> tuple[int, CountVector]:
-    """(edge count, counts) of a simple cone, summed block by block.
+def _cone_counts(
+    profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
+) -> tuple[int, CountVector]:
+    """(edge count, counts) of a simple cone from its signature: the base
+    degree profile (n1, n2, n3, n4) and the numbers of C3, C4 and K2 blocks.
 
     A base vertex of base degree h has cone degree h + 1; the apex has
     degree N = n - 1 and is joined to every base vertex.
     """
-    if spec.has_digon():
-        raise FamilyError("closed-form counts need a simple cone (no C2 block)")
-    by_h = degree_profile(spec)
-    big_n = spec.n - 1
-    m_h = sum(spec.cycles) + sum(l - 1 for l in spec.paths) + 3 * spec.stars13
-    # sum over base edges of d(u) d(v): cycle edges 3*3, a K2 2*2, a longer
-    # path two end edges 2*3 and l - 3 inner 3*3, claw edges 2*4
-    edge_dd = 9 * sum(spec.cycles) + 24 * spec.stars13 + sum(
-        4 if l == 2 else 9 * l - 15 for l in spec.paths if l >= 2
-    )
-    k3 = spec.cycles.count(3)
+    n1, n2, n3, n4 = profile
+    big_n = n1 + n2 + n3 + n4
+    # paths of order >= 2: two base-degree-1 endpoints each, besides claw leaves
+    q = (n2 - 3 * n4) // 2
+    # a cycle has as many edges as vertices, a path of order >= 2 one more
+    # than its interior vertices, a claw three
+    m_h = n3 + q + 3 * n4
+    # sum over base edges of d(u) d(v): a cycle of length k gives 3*3 k; a
+    # path of order l >= 3 two end edges 2*3 and l - 3 inner 3*3, which is
+    # 9 (l - 2) + 3; a K2 2*2 = 3 + 1; a claw 3 * 2*4
+    edge_dd = 9 * n3 + 3 * q + nk2 + 24 * n4
     d1, d2, d3, d4 = (
-        big_n ** r + sum(c * (h + 1) ** r for h, c in enumerate(by_h))
-        for r in (1, 2, 3, 4)
+        big_n ** r + n1 + n2 * 2 ** r + n3 * 3 ** r + n4 * 4 ** r for r in (1, 2, 3, 4)
     )
     m = m_h + big_n
     counts = CountVector(
@@ -124,10 +126,10 @@ def _cone_counts(spec: ConeSpec) -> tuple[int, CountVector]:
         # a triangle is a base edge plus the apex, or a C3 block
         c3=m_h + k3,
         # a 4-cycle is a base 2-path closed through the apex, or a C4 block
-        c4=spec.cycles.count(4) + by_h[2] + 3 * by_h[3],
+        c4=k4 + n3 + 3 * n4,
         # triangles at the apex: m_H; at a base vertex: its base degree, plus
         # one on a C3 block (whose three vertices have cone degree 3)
-        t_term=8 * (m_h * big_n + sum(c * h * (h + 1) for h, c in enumerate(by_h)) + 9 * k3),
+        t_term=8 * (m_h * big_n + 2 * n2 + 6 * n3 + 12 * n4 + 9 * k3),
         # edges at the apex, then base edges
         f_term=4 * (big_n * (d1 - big_n) + edge_dd),
         d2=d2,
@@ -137,21 +139,68 @@ def _cone_counts(spec: ConeSpec) -> tuple[int, CountVector]:
     return m, counts
 
 
+def _signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:
+    if spec.has_digon():
+        raise FamilyError("closed-form counts need a simple cone (no C2 block)")
+    return (
+        degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2),
+    )
+
+
 def counts_closed_form(spec: ConeSpec) -> CountVector:
     """Closed-form counts for any simple cone spec, no graph realization.
 
     Every block adds fixed terms from its base degrees, its base edges'
-    endpoint degrees and whether it is a C3 or C4 block; the apex adds the
-    rest.  Cross-checked against `brute_counts` in the test suite.  Digon
-    specs raise FamilyError.
+    endpoint degrees and whether it is a C3, C4 or K2 block; the apex adds
+    the rest.  Cross-checked against `brute_counts` in the test suite.
+    Digon specs raise FamilyError.
     """
-    return _cone_counts(spec)[1]
+    return _cone_counts(*_signature(spec))[1]
+
+
+def signature_moments(
+    profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
+) -> MomentVector:
+    """Exact integer moment vector (T1..T4, S4) of every simple cone whose
+    base has degree profile `profile` (see degree_profile) and k3 C3, k4 C4
+    and nk2 K2 blocks: the moments see a spec only through this signature."""
+    return _moments(*_cone_counts(profile, k3, k4, nk2))
 
 
 def moments_closed_form(spec: ConeSpec) -> MomentVector:
     """Exact integer moment vector (T1..T4, S4) of a simple cone spec,
     equal to moments_from_counts(realize(spec)) with no graph built."""
-    return _moments(*_cone_counts(spec))
+    return signature_moments(*_signature(spec))
+
+
+def signatures_with_moments(
+    profile: tuple[int, int, int, int], moments
+) -> list[tuple[int, int, int]]:
+    """Every (k3, k4, nk2) whose signature moments with this profile have
+    T1..T4 equal to moments[:4].
+
+    T3 grows by 6 per C3 block and fixes k3; T4 grows by 72 per C3, 8 per
+    C4 and 4 per K2 block, so each k4 fixes nk2, which must lie within the
+    profile's (n2 - 3 n4) / 2 paths of order >= 2.  Each solution is checked
+    against signature_moments.
+    """
+    _, n2, n3, n4 = profile
+    q = (n2 - 3 * n4) // 2
+    t = tuple(moments[:4])
+    base = signature_moments(profile, 0, 0, 0)
+    k3, rem = divmod(t[2] - base.t3, 6)
+    if rem or k3 < 0:
+        return []
+    found = []
+    for k4 in range((n3 - 3 * k3) // 4 + 1):
+        nk2, rem = divmod(t[3] - base.t4 - 72 * k3 - 8 * k4, 4)
+        if (
+            not rem
+            and 0 <= nk2 <= q
+            and signature_moments(profile, k3, k4, nk2)[:4] == t
+        ):
+            found.append((k3, k4, nk2))
+    return found
 
 
 def delta_moments(spec_g: ConeSpec, spec_other: ConeSpec) -> tuple[int, int]:

@@ -1,13 +1,17 @@
 """Cospectral-mate search, exhaustive small-order scans, and structural probes.
 
-The family search enumerates cones over disjoint cycles, paths and at most
-one 4-vertex star that share the target's order and moment data.  The
-exhaustive search covers every simple graph on up to 8 vertices by joining
-one vertex in every way to each isomorphism class of one order less, and
-reports one graph per class.  Cone recognition takes each vertex joined
-simply to all others as the apex and reads the blocks of the rest off each
-component's sorted degrees, which fix a path, cycle, digon or claw.  Probes
-re-check interlacing, nullity and largest-eigenvalue facts numerically.
+The family search covers the cones over disjoint cycles, paths and at most
+one 4-vertex star that share the target's order and degree profile.  Their
+moments T1..T4 depend only on a signature (the profile and the numbers of
+C3, C4 and K2 blocks), so it builds only the candidates whose signature
+gives the target's moments and eigensolves those; the others are counted
+by partition counts, never built.  The exhaustive search covers every
+simple graph on up to 8 vertices by joining one vertex in every way to each
+isomorphism class of one order less, and reports one graph per class.
+Cone recognition takes each vertex joined simply to all others as the apex
+and reads the blocks of the rest off each component's sorted degrees, which
+fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
+largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .graphs import (
 )
 from .graph6 import pair_order
 from .eigen import QSpectrum, _eigvalsh, q_spectrum, spectrum_compare
-from .moments import moments_closed_form, solve_degree_system
+from .family import _family_size, _family_with_signature
+from .moments import signatures_with_moments, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
 PROBE_TOL = 1e-8
@@ -65,73 +70,22 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# family enumeration
-# ---------------------------------------------------------------------------
-
-def _partitions(
-    total: int,
-    min_part: int = 1,
-    max_part: int | None = None,
-    max_parts: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` as non-increasing tuples of parts >= min_part."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts is not None and max_parts <= 0:
-        return
-    hi = total if max_part is None else min(max_part, total)
-    sub_parts = None if max_parts is None else max_parts - 1
-    for first in range(hi, min_part - 1, -1):
-        for rest in _partitions(total - first, min_part, first, sub_parts):
-            yield (first,) + rest
-
-
-def enumerate_family(n: int, profile: tuple[int, int, int, int]) -> list[ConeSpec]:
-    """All cone specs of order n whose base realizes the degree profile.
-
-    An inconsistent or infeasible profile yields an empty list rather than
-    an error; infeasibility is a meaningful outcome for the callers.  Cycle
-    lengths start at 3 (the candidate sets are simple), path orders at 1,
-    and at most one star block is allowed.  The result is duplicate-free
-    and sorted.
-    """
-    n1, n2, n3, n4 = (int(x) for x in profile)
-    if min(n1, n2, n3, n4) < 0 or n1 + n2 + n3 + n4 != n - 1:
-        return []
-    if n4 > 1:
-        return []
-    endpoints = n2 - 3 * n4
-    if endpoints < 0 or endpoints % 2:
-        return []
-    p = endpoints // 2
-    found: set[ConeSpec] = set()
-    for csum in range(n3 + 1):
-        interior = n3 - csum
-        if p == 0 and interior:
-            continue
-        for cycles in _partitions(csum, min_part=3):
-            for interiors in _partitions(interior, min_part=1, max_parts=p):
-                pad = p - len(interiors)
-                paths = tuple(i + 2 for i in interiors) + (2,) * pad + (1,) * n1
-                if not cycles and not paths and not n4:
-                    continue
-                found.add(ConeSpec(cycles=cycles, paths=paths, stars13=n4))
-    return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
-
-
-# ---------------------------------------------------------------------------
 # family search
 # ---------------------------------------------------------------------------
 
 def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Scan all family candidates sharing the target's order and moments.
 
-    Candidate degree profiles are recovered from the first three spectral
-    moments (with and without a star block), enumerated, filtered on their
-    closed-form integer moments, and only the survivors are realized and
-    compared spectrally.  The target is always its own hit at distance zero.
-    Targets above MAX_FAMILY_VERTICES raise ScaleError before enumeration.
+    The first three spectral moments give each candidate degree profile
+    (with and without a star block).  T1..T4 see a candidate only through
+    its signature: the profile and its numbers of C3, C4 and K2 blocks.  So
+    the search solves for the signatures whose closed-form moments equal the
+    target's, builds only the specs with those signatures, and realizes and
+    eigensolves them.  `cardinality` still counts every candidate of the
+    profiles, plus the target when it is not one of them (a digon or two
+    claws), from partition counts, with none of the others built.  The
+    target is always its own hit at distance zero.  Targets above
+    MAX_FAMILY_VERTICES raise ScaleError before enumeration.
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
@@ -141,21 +95,20 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         )
     tspec = q_spectrum(realize(target))
     n = target.n
-    t1, t2, t3, t4 = (round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
-    candidates: set[ConeSpec] = {target}
+    moments = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+    cardinality = 0
+    matched: set[ConeSpec] = set()
     for n4 in (0, 1):
-        counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
+        counts = solve_degree_system(*moments[:3], n, n - 1, n4)
         if counts is None:
             continue
-        n1c, n2c, n3c = counts
-        candidates.update(enumerate_family(n, (n1c, n2c, n3c, n4)))
-    hits = []
-    for cand in candidates:
-        if cand == target:
-            hits.append(SearchHit(cand, 0.0, True))
-            continue
-        if moments_closed_form(cand)[:4] != (t1, t2, t3, t4):
-            continue
+        profile = (*counts, n4)
+        cardinality += _family_size(n, profile)
+        for sig in signatures_with_moments(profile, moments):
+            matched.update(_family_with_signature(n, profile, *sig))
+    cardinality += target not in matched
+    hits = [SearchHit(target, 0.0, True)]
+    for cand in matched - {target}:
         dist = spectrum_compare(tspec, q_spectrum(realize(cand)))
         if dist <= tol:
             hits.append(SearchHit(cand, dist, False))
@@ -167,7 +120,7 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         tolerance=float(tol),
         hits=tuple(hits),
         exhaustive=False,
-        cardinality=len(candidates),
+        cardinality=cardinality,
     )
 
 

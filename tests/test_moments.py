@@ -14,8 +14,10 @@ from qcones import (
     adjacency_matrix,
     brute_counts,
     counts_closed_form,
+    degree_profile,
     delta_moments,
     digon,
+    enumerate_family,
     g_family_spec,
     moments_closed_form,
     moments_from_counts,
@@ -23,6 +25,8 @@ from qcones import (
     path_graph,
     q_spectrum,
     realize,
+    signature_moments,
+    signatures_with_moments,
     solve_degree_system,
     sym_eigenvalues,
 )
@@ -157,6 +161,80 @@ class TestCountsClosedForm:
             assert counts_closed_form(spec) == brute_counts(g), spec
             assert moments_closed_form(spec) == moments_from_counts(g), spec
             checked += 1
+
+
+def _signature_profiles():
+    """(n, profile) of a seeded G grid with n <= 24, and of cones with one
+    claw and long paths."""
+    rng = random.Random(20261018)
+    profiles = set()
+    while len(profiles) < 25:
+        cycles = [rng.randint(3, 12) for _ in range(rng.randint(1, 3))]
+        spec = g_family_spec(cycles, rng.randint(1, 4), rng.randint(1, 4))
+        if spec.n <= 24:
+            profiles.add((spec.n, degree_profile(spec)))
+    for spec in (
+        ConeSpec(cycles=(3,), paths=(7, 2, 1), stars13=1),
+        ConeSpec(paths=(9, 5), stars13=1),
+        ConeSpec(cycles=(4,), paths=(6, 3, 1), stars13=1),
+    ):
+        profiles.add((spec.n, degree_profile(spec)))
+    return sorted(profiles)
+
+
+SIGNATURE_PROFILES = _signature_profiles()
+
+
+def _signature_of(spec):
+    return degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2)
+
+
+class TestSignatureMoments:
+    def test_every_candidate_has_the_moments_of_its_signature(self):
+        checked = 0
+        for n, profile in SIGNATURE_PROFILES:
+            for spec in enumerate_family(n, profile):
+                sig = signature_moments(*_signature_of(spec))
+                assert moments_closed_form(spec) == sig, spec
+                assert moments_from_counts(realize(spec)) == sig, spec
+                checked += 1
+        assert checked >= 1000
+
+    def test_per_block_shifts(self):
+        # T4: +8 per C4, +72 per C3, +4 per K2 (so -4 per path of order >= 3);
+        # T3: +6 per C3; S4: +8 per C4; T1 and T2 fixed by the profile
+        for _, profile in SIGNATURE_PROFILES:
+            for k3, k4, nk2 in ((0, 0, 0), (1, 2, 1), (2, 0, 3)):
+                base = signature_moments(profile, k3, k4, nk2)
+                for step, shift in (
+                    ((1, 0, 0), (0, 0, 6, 72, 0)),
+                    ((0, 1, 0), (0, 0, 0, 8, 8)),
+                    ((0, 0, 1), (0, 0, 0, 4, 0)),
+                ):
+                    moved = signature_moments(
+                        profile, k3 + step[0], k4 + step[1], nk2 + step[2]
+                    )
+                    assert tuple(b - a for a, b in zip(base, moved)) == shift
+
+    def test_signatures_with_moments_inverts_the_signature(self):
+        for n, profile in SIGNATURE_PROFILES:
+            by_moments: dict = {}
+            for spec in enumerate_family(n, profile):
+                sig = _signature_of(spec)
+                by_moments.setdefault(signature_moments(*sig)[:4], set()).add(sig[1:])
+            for moments, sigs in by_moments.items():
+                found = signatures_with_moments(profile, moments)
+                assert sigs <= set(found)
+                for sig in found:
+                    assert signature_moments(profile, *sig)[:4] == moments
+
+    def test_no_signature_for_foreign_moments(self):
+        profile = degree_profile(FLAGSHIP)
+        t1, t2, t3, t4, _ = signature_moments(profile, 1, 0, 1)
+        assert signatures_with_moments(profile, (t1, t2, t3, t4)) == [(1, 0, 1)]
+        assert signatures_with_moments(profile, (t1, t2, t3 + 3, t4)) == []
+        assert signatures_with_moments(profile, (t1, t2, t3, t4 + 2)) == []
+        assert signatures_with_moments(profile, (t1, t2, t3 - 6, t4)) == []
 
 
 class TestDeltaMoments:

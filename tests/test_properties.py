@@ -171,7 +171,7 @@ CLI_CALLS = (
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=5000)
 @given(cli_inputs, st.sampled_from(CLI_CALLS))
 def test_cli_answers_every_input_with_one_json_document(text, call):
     out, err = io.StringIO(), io.StringIO()

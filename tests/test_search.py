@@ -12,6 +12,8 @@ from qcones import (
     ParameterError,
     QSpectrum,
     ScaleError,
+    SearchHit,
+    SearchReport,
     UnsupportedGraphError,
     complete_graph,
     components_and_bipartiteness,
@@ -29,14 +31,16 @@ from qcones import (
     run_probe,
     search_exhaustive,
     search_family,
+    solve_degree_system,
     star_graph,
     triangle_star_mate,
 )
 from qcones.graph6 import decode_graph6, pair_order
 from qcones.graphs import _dominating_vertices
-from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes, _partitions
+from qcones.family import _family_size, _family_with_signature, _partitions
+from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes
 
-from helpers import brute_search_exhaustive, isomorphic, random_graph
+from helpers import brute_search_exhaustive, brute_search_family, isomorphic, random_graph
 
 FLAGSHIP = g_family_spec([3], 1, 1)
 # the n = 7 exhaustive benchmark panel: five cone shapes and one G(7, 1/2) draw
@@ -174,6 +178,89 @@ class TestSearchFamily:
     def test_rejects_raw_graphs(self):
         with pytest.raises(ParameterError):
             search_family(realize(FLAGSHIP))
+
+
+def _profiles(n: int):
+    """Every profile with entries >= 0, n4 <= 2 and total n - 1, plus three
+    that enumerate nothing (negative, wrong total, odd endpoints)."""
+    base = n - 1
+    for n4 in range(3):
+        for n3 in range(base - n4 + 1):
+            for n2 in range(base - n4 - n3 + 1):
+                yield (base - n4 - n3 - n2, n2, n3, n4)
+    yield from ((-1, n, 0, 0), (n, 0, 0, 0), (n - 2, 1, 0, 0))
+
+
+def _solved_profiles(target):
+    """solve_degree_system on the target's moments, for n4 = 0 and 1."""
+    tspec = q_spectrum(realize(target))
+    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
+    return [solve_degree_system(t1, t2, t3, target.n, target.n - 1, n4) for n4 in (0, 1)]
+
+
+class TestFamilyBySignature:
+    def test_family_size_counts_the_enumeration(self):
+        for n in range(1, 15):
+            for profile in _profiles(n):
+                assert _family_size(n, profile) == len(enumerate_family(n, profile)), (n, profile)
+
+    def test_signatures_split_the_enumeration(self):
+        for n in range(1, 13):
+            for profile in _profiles(n):
+                n3, q = profile[2], max(profile[1] - 3 * profile[3], 0) // 2
+                built = []
+                for k3 in range(n3 // 3 + 1):
+                    for k4 in range(n3 // 4 + 1):
+                        for nk2 in range(q + 1):
+                            specs = list(_family_with_signature(n, profile, k3, k4, nk2))
+                            for spec in specs:
+                                assert spec.cycles.count(3) == k3
+                                assert spec.cycles.count(4) == k4
+                                assert spec.paths.count(2) == nk2
+                            built += specs
+                assert len(built) == len(set(built))
+                assert set(built) == set(enumerate_family(n, profile)), (n, profile)
+
+    @pytest.mark.parametrize("target, rejected", [
+        (g_family_spec([5, 3], 2, 1), []),
+        (g_family_spec([7, 5], 1, 1), []),
+        (g_family_spec([4, 4, 3], 1, 2), []),
+        (ConeSpec(cycles=(4,), paths=(2, 1), stars13=1), []),
+        (ConeSpec(cycles=(3,), paths=(5, 2, 1)), []),
+        (ConeSpec(cycles=(3,), paths=(7, 4), stars13=1), []),
+        (ConeSpec(paths=(4,)), [1]),
+        (ConeSpec(cycles=(5,)), [1]),
+        # outside the enumeration: two claws, then digons
+        (ConeSpec(paths=(2, 1), stars13=2), []),
+        (ConeSpec(cycles=(3,), paths=(4,), stars13=2), []),
+        (ConeSpec(cycles=(2,), paths=(3, 1)), [0]),
+        (ConeSpec(cycles=(2, 2), paths=(1,)), [0, 1]),
+        (ConeSpec(cycles=(6, 2), paths=(1,)), [0, 1]),
+    ], ids=str)
+    def test_cardinality_is_the_enumerated_union(self, target, rejected):
+        solved = _solved_profiles(target)
+        assert rejected == [n4 for n4, counts in enumerate(solved) if counts is None]
+        union = {target}
+        for n4, counts in enumerate(solved):
+            if counts is not None:
+                union.update(enumerate_family(target.n, (*counts, n4)))
+        report = search_family(target)
+        assert report.cardinality == len(union)
+        assert report == brute_search_family(target)
+
+    @pytest.mark.parametrize("text, cardinality", [
+        ("K1 v C20 + C8 + C6 + 3K2 + 2K1", 41_120),
+        ("K1 v C20 + C6 + C8 + 10K2 + 4K1", 223_932),
+    ])
+    def test_large_targets_pinned(self, text, cardinality):
+        target = parse_spec_text(text)
+        assert search_family(target) == SearchReport(
+            target=target,
+            tolerance=1e-8,
+            hits=(SearchHit(target, 0.0, True),),
+            exhaustive=False,
+            cardinality=cardinality,
+        )
 
 
 class TestSearchExhaustive:
