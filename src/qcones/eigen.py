@@ -1,16 +1,20 @@
 """Dense symmetric eigenvalues, grouped spectra, and quartic root isolation.
 
 Every numeric spectrum in the package comes from LAPACK's symmetric
-eigensolver (`np.linalg.eigvalsh`) behind `sym_eigenvalues`; the inputs are
-small integer positive-semidefinite matrices, where it agrees with an
-independent plane-rotation solver to within 1e-13.  A LAPACK failure raises
-`EigensolverError`.
+eigensolver (`np.linalg.eigvalsh`): one matrix at a time behind
+`sym_eigenvalues`, or many same-order Q matrices at once behind `_q_rows`,
+which stacks them in chunks of at most CHUNK_ENTRIES entries.  A stacked
+call runs the same LAPACK routine on each matrix, so both give bitwise the
+same values.  The inputs are small integer positive-semidefinite matrices,
+where the solver agrees with an independent plane-rotation solver to within
+1e-13.  A LAPACK failure raises `EigensolverError`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +28,8 @@ from .errors import (
 from .graphs import MultiGraph
 
 GROUP_TOL = 1e-9
+# a batched eigensolve stacks at most this many float64 entries (1 MiB)
+CHUNK_ENTRIES = 1 << 17
 
 
 def q_matrix(g: MultiGraph) -> np.ndarray:
@@ -49,9 +55,10 @@ class QSpectrum:
     Values are kept sorted non-increasing; groups split where consecutive
     values gap by more than the grouping tolerance.  Closed-form builders
     attach a symbolic source tag per value, which the groups aggregate.
+    Groups are formed on first use of `groups` and kept.
     """
 
-    __slots__ = ("values", "group_tol", "sources", "groups")
+    __slots__ = ("values", "group_tol", "sources", "_groups")
 
     def __init__(self, values, group_tol: float = GROUP_TOL, sources=None) -> None:
         arr = np.asarray(values, dtype=np.float64)
@@ -68,7 +75,13 @@ class QSpectrum:
             self.sources = tuple(sources[i] for i in order)
         else:
             self.sources = None
-        self.groups = self._group()
+        self._groups = None
+
+    @property
+    def groups(self) -> tuple[Group, ...]:
+        if self._groups is None:
+            self._groups = self._group()
+        return self._groups
 
     def _group(self) -> tuple[Group, ...]:
         vals = self.values
@@ -135,25 +148,56 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise EigensolverError(f"LAPACK eigensolver failed: {exc}") from None
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """The matrix (or stack) itself when exactly symmetric; otherwise its
+    symmetric part, when each matrix is symmetric within 1e-12 (relative)."""
+    at = np.swapaxes(a, -1, -2)
+    if np.array_equal(a, at):
+        return a
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(a - at).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale).any():
+        raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
+    return 0.5 * (a + at)
+
+
+def _require_psd(lowest, group_tol: float) -> None:
+    if lowest < -group_tol:
+        raise ContractViolationError(
+            f"negative value {lowest!r} in a degree-plus-adjacency spectrum"
+        )
+
+
 def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError("matrix must be square")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
-    return QSpectrum(_eigvalsh(0.5 * (a + a.T)), group_tol=group_tol)
+    return QSpectrum(_eigvalsh(_symmetric(a)), group_tol=group_tol)
 
 
 def q_spectrum(g: MultiGraph, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Numeric signless-Laplacian spectrum; validates positive semidefiniteness."""
     spec = sym_eigenvalues(q_matrix(g), group_tol=group_tol)
-    if spec.values[-1] < -group_tol:
-        raise ContractViolationError(
-            f"negative value {spec.values[-1]!r} in a degree-plus-adjacency spectrum"
-        )
+    _require_psd(spec.values[-1], group_tol)
     return spec
+
+
+def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Ascending eigenvalues of same-order Q matrices, one (k, n) array per
+    chunk of at most CHUNK_ENTRIES stacked entries (one matrix at least).
+
+    Each matrix passes the checks of `q_spectrum`, and each row is bitwise
+    `q_spectrum`'s values reversed.  Matrices are read only as chunks need
+    them, so a caller that stops early solves no further chunk.
+    """
+    it = iter(matrices)
+    for first in it:
+        stack = np.empty((max(1, CHUNK_ENTRIES // first.size), *first.shape))
+        for k, m in enumerate(itertools.islice(itertools.chain((first,), it), len(stack))):
+            stack[k] = m
+        rows = _eigvalsh(_symmetric(stack[:k + 1]))
+        _require_psd(rows[:, 0].min(), GROUP_TOL)
+        yield rows
 
 
 def spectrum_compare(a, b) -> float:

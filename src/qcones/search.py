@@ -3,15 +3,18 @@
 The family search covers the cones over disjoint cycles, paths and at most
 one 4-vertex star that share the target's order and degree profile.  Their
 moments T1..T4 depend only on a signature (the profile and the numbers of
-C3, C4 and K2 blocks), so it builds only the candidates whose signature
-gives the target's moments and eigensolves those; the others are counted
-by partition counts, never built.  The exhaustive search covers every
-simple graph on up to 8 vertices by joining one vertex in every way to each
-isomorphism class of one order less, and reports one graph per class.
+C3, C4 and K2 blocks), so it streams only the candidates whose signature
+gives the target's moments through a chunked, batched eigensolve; the
+others are counted by partition counts, never built.  The exhaustive search
+covers every simple graph on up to 8 vertices by joining one vertex in every
+way to each isomorphism class of one order less, and reports one graph per
+class.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
-largest-eigenvalue facts numerically.
+largest-eigenvalue facts numerically; each probe that needs many spectra of
+one order (edge and vertex deletions, path rewirings) solves them in
+chunked batches and scans them in order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .graphs import (
     realize,
 )
 from .graph6 import pair_order
-from .eigen import QSpectrum, _eigvalsh, q_spectrum, spectrum_compare
+from .eigen import QSpectrum, _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
 from .moments import signatures_with_moments, solve_degree_system
 
@@ -80,12 +83,14 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     (with and without a star block).  T1..T4 see a candidate only through
     its signature: the profile and its numbers of C3, C4 and K2 blocks.  So
     the search solves for the signatures whose closed-form moments equal the
-    target's, builds only the specs with those signatures, and realizes and
-    eigensolves them.  `cardinality` still counts every candidate of the
-    profiles, plus the target when it is not one of them (a digon or two
-    claws), from partition counts, with none of the others built.  The
-    target is always its own hit at distance zero.  Targets above
-    MAX_FAMILY_VERTICES raise ScaleError before enumeration.
+    target's and builds only the specs with those signatures, one at a time:
+    their Q matrices go through a chunked, batched eigensolve, and only the
+    hits are kept, so memory does not grow with the number of matches.
+    `cardinality` still counts every candidate of the profiles, plus the
+    target when it is not one of them (a digon or two claws), from
+    partition counts, with none of the others built.  The target is always
+    its own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
+    ScaleError before enumeration.
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
@@ -97,21 +102,33 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     n = target.n
     moments = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
     cardinality = 0
-    matched: set[ConeSpec] = set()
+    sigs = []
     for n4 in (0, 1):
         counts = solve_degree_system(*moments[:3], n, n - 1, n4)
         if counts is None:
             continue
         profile = (*counts, n4)
         cardinality += _family_size(n, profile)
-        for sig in signatures_with_moments(profile, moments):
-            matched.update(_family_with_signature(n, profile, *sig))
-    cardinality += target not in matched
+        sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
+    generated = False
+
+    def others() -> Iterator[ConeSpec]:
+        # profiles and signatures split the family: no candidate comes twice
+        nonlocal generated
+        for profile, sig in sigs:
+            for cand in _family_with_signature(n, profile, *sig):
+                if cand == target:
+                    generated = True
+                else:
+                    yield cand
+
+    cands, feed = itertools.tee(others())
+    dists = _distance_chunks((q_matrix(realize(c)) for c in feed), tspec.values[::-1])
     hits = [SearchHit(target, 0.0, True)]
-    for cand in matched - {target}:
-        dist = spectrum_compare(tspec, q_spectrum(realize(cand)))
+    for cand, dist in zip(cands, itertools.chain.from_iterable(dists)):
         if dist <= tol:
-            hits.append(SearchHit(cand, dist, False))
+            hits.append(SearchHit(cand, float(dist), False))
+    cardinality += not generated
     hits.sort(key=lambda h: (
         h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
     ))
@@ -147,10 +164,16 @@ def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
+def _distance_chunks(matrices, tvals: np.ndarray) -> Iterator[np.ndarray]:
+    """L-infinity distance from the spectrum of each Q matrix to the
+    ascending target values, one chunk of the batched eigensolve at a time."""
+    for rows in _q_rows(matrices):
+        yield np.abs(rows - tvals).max(axis=1)
+
+
 def _distances(q: np.ndarray, tvals: np.ndarray) -> np.ndarray:
-    """L-infinity distance from each spectrum of a Q stack to the ascending
-    target values, by one batched eigensolve."""
-    return np.abs(_eigvalsh(q.astype(np.float64)) - tvals).max(axis=1)
+    """`_distance_chunks` of a non-empty Q stack, as one array."""
+    return np.concatenate(list(_distance_chunks(q, tvals)))
 
 
 @lru_cache(maxsize=None)
@@ -390,8 +413,9 @@ def _probe_edge_deletion(g: MultiGraph):
             f"edges * n^3 must stay <= {EDGE_PROBE_BUDGET:g}"
         )
     vals = q_spectrum(g).values
-    for u, v in edges:
-        sub = q_spectrum(g.without_edge(u, v)).values
+    subs = _q_rows(q_matrix(g.without_edge(u, v)) for u, v in edges)
+    for (u, v), row in zip(edges, itertools.chain.from_iterable(subs)):
+        sub = row[::-1]
         bad = np.nonzero(vals < sub - PROBE_TOL)[0]
         if bad.size:
             i = int(bad[0])
@@ -414,8 +438,9 @@ def _probe_dominating_vertex(g: MultiGraph):
         return "skipped", None, "no vertex joined simply to all others"
     vals = q_spectrum(g).values
     hi, lo = vals[:-1] - 1, vals[1:] - 1
-    for v in doms:
-        sub = q_spectrum(g.without_vertex(v)).values
+    subs = _q_rows(q_matrix(g.without_vertex(v)) for v in doms)
+    for v, row in zip(doms, itertools.chain.from_iterable(subs)):
+        sub = row[::-1]
         bad = np.nonzero((sub > hi + PROBE_TOL) | (sub < lo - PROBE_TOL))[0]
         if bad.size:
             i = int(bad[0])
@@ -475,7 +500,7 @@ def _probe_path_vs_cycle(g: MultiGraph):
     if not lengths:
         return "skipped", None, "no path block of order >= 4"
     chi1 = float(q_spectrum(g).values[0])
-    checked = 0
+    rewirings = []
     for l in lengths:
         rest = list(spec.paths)
         rest.remove(l)
@@ -489,22 +514,24 @@ def _probe_path_vs_cycle(g: MultiGraph):
                 paths=tuple(rest) + (tail,),
                 stars13=spec.stars13,
             )
-            rhs = float(q_spectrum(realize(alt)).values[0])
-            checked += 1
-            if chi1 > rhs + STRICT_MARGIN:
-                return (
-                    "fail",
-                    {"path": l, "cycle": cyc, "tail": tail, "lhs": chi1, "rhs": rhs},
-                    "largest eigenvalue not strictly below the cycle rewiring",
-                )
-            if chi1 >= rhs - STRICT_MARGIN:
-                # a gap this small cannot be told from zero in float64 (on
-                # K1 v Pl + K2 + K1 it sinks under resolution from l = 14)
-                return "skipped", None, (
-                    f"rewiring P{l} into C{cyc} + P{tail} is unresolved: its gap "
-                    f"{rhs - chi1:.3g} lies within +-{STRICT_MARGIN:g}"
-                )
-    return "pass", None, f"largest eigenvalue strictly below all {checked} cycle rewirings"
+            rewirings.append((l, cyc, tail, alt))
+    rows = _q_rows(q_matrix(realize(alt)) for *_, alt in rewirings)
+    for (l, cyc, tail, _), row in zip(rewirings, itertools.chain.from_iterable(rows)):
+        rhs = float(row[-1])
+        if chi1 > rhs + STRICT_MARGIN:
+            return (
+                "fail",
+                {"path": l, "cycle": cyc, "tail": tail, "lhs": chi1, "rhs": rhs},
+                "largest eigenvalue not strictly below the cycle rewiring",
+            )
+        if chi1 >= rhs - STRICT_MARGIN:
+            # a gap this small cannot be told from zero in float64 (on
+            # K1 v Pl + K2 + K1 it sinks under resolution from l = 14)
+            return "skipped", None, (
+                f"rewiring P{l} into C{cyc} + P{tail} is unresolved: its gap "
+                f"{rhs - chi1:.3g} lies within +-{STRICT_MARGIN:g}"
+            )
+    return "pass", None, f"largest eigenvalue strictly below all {len(rewirings)} cycle rewirings"
 
 
 _PROBES = {

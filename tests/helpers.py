@@ -33,7 +33,19 @@ from qcones import (
     solve_degree_system,
     spectrum_compare,
 )
+from qcones import eigen
 from qcones.graph6 import pair_order
+
+# matrices per chunk of the batched eigensolve in the chunk-invariance
+# tests; None keeps the default CHUNK_ENTRIES
+CHUNK_SIZES = (1, 3, None)
+
+
+def set_chunk(monkeypatch, matrices, order: int) -> None:
+    """Make each chunk of order-`order` Q matrices hold `matrices` of them."""
+    if matrices is not None:
+        monkeypatch.setattr(eigen, "CHUNK_ENTRIES", matrices * order * order)
+
 
 OFF_DIAGONAL_FACTOR = 1e-13
 _MAX_SWEEPS = 64

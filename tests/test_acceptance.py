@@ -33,7 +33,7 @@ from qcones import (
     triangle_star_mate,
 )
 
-from helpers import brute_search_family, isomorphic, random_graph
+from helpers import CHUNK_SIZES, brute_search_family, isomorphic, random_graph, set_chunk
 
 SEED = 20260819
 COSPECTRAL_TOL = 1e-8
@@ -137,6 +137,19 @@ def test_family_search_matches_brute_path_on_grid():
         assert search_family(spec) == brute_search_family(spec), spec
         checked += 1
     assert checked >= 100
+
+
+def test_family_search_does_not_depend_on_chunk_size(monkeypatch):
+    # one matrix, three matrices, then the default per batched eigensolve
+    targets = [spec for spec in G_GRID if spec.n <= 24]
+    reports = []
+    for matrices in CHUNK_SIZES:
+        reports.append([])
+        for spec in targets:
+            set_chunk(monkeypatch, matrices, spec.n)
+            reports[-1].append(search_family(spec))
+    assert reports[0] == reports[1] == reports[2]
+    assert sum(len(r.hits) > 1 for r in reports[0]) > 0
 
 
 def test_criterion_06_moment_shift_formulas_match_direct_differences():

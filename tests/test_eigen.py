@@ -11,6 +11,8 @@ from qcones import (
     ComparisonError,
     ConeSpec,
     ContractViolationError,
+    EigensolverError,
+    MultiGraph,
     ParameterError,
     QSpectrum,
     QuarticData,
@@ -26,9 +28,12 @@ from qcones import (
     quotient_matrix,
     realize,
     spectrum_compare,
+    sym_eigenvalues,
 )
+from qcones import eigen
+from qcones.eigen import Group, _q_rows
 
-from helpers import char_poly_4x4, jacobi_eigenvalues
+from helpers import CHUNK_SIZES, char_poly_4x4, jacobi_eigenvalues, random_graph, set_chunk
 
 # Signless Laplacian spectrum of the 7-vertex triangle cone, frozen from the
 # package's own 12-significant-digit output after cross-checks against both
@@ -174,6 +179,169 @@ class TestQSpectrum:
     def test_flagship_values_frozen(self):
         s = q_spectrum(realize(g_family_spec([3], 1, 1)))
         assert np.abs(np.array(s.values) - np.array(FLAGSHIP_VALUES)).max() < 1e-8
+
+
+def _eager_groups(values, tol, sources=None):
+    """Consecutive descending values split where they gap by more than tol."""
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    vals = [values[i] for i in order]
+    tags = [sources[i] for i in order] if sources is not None else None
+    groups, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i - 1] - vals[i] > tol:
+            members = tuple(sorted(set(tags[start:i]))) if tags is not None else ()
+            groups.append(Group(float(np.mean(vals[start:i])), i - start, members))
+            start = i
+    return tuple(groups)
+
+
+class TestLazyGroups:
+    TOL = 2.0 ** -30
+
+    def _spectra(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            size = rng.randrange(1, 12)
+            # draws on a grid of step TOL / 2: many gaps land exactly on TOL
+            values = [rng.randrange(0, 10) * self.TOL / 2 + rng.choice((0.0, 1.0, 3.5))
+                      for _ in range(size)]
+            sources = None
+            if rng.random() < 0.5:
+                sources = tuple(rng.choice("abc") for _ in range(size))
+            yield values, sources
+
+    def test_groups_match_eager_grouping(self):
+        for values, sources in self._spectra():
+            spec = QSpectrum(values, group_tol=self.TOL, sources=sources)
+            eager = _eager_groups(values, self.TOL, sources)
+            assert spec.groups == eager
+            parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in eager)
+            assert repr(spec) == f"QSpectrum({parts})"
+            for x in (0.0, 1.0, 3.5, values[0]):
+                assert spec.multiplicity_at(x, tol=self.TOL) == sum(
+                    g.multiplicity for g in eager if abs(g.value - x) <= self.TOL
+                )
+            assert spec.count_in_interval(0.5, 3.5, closed_hi=True) == sum(
+                0.5 < v <= 3.5 + 1e-7 for v in values
+            )
+
+    def test_tie_at_the_tolerance_joins_the_group(self):
+        spec = QSpectrum([1.0, 1.0 - self.TOL, 1.0 - 3 * self.TOL], group_tol=self.TOL)
+        assert [g.multiplicity for g in spec.groups] == [2, 1]
+
+    def test_groups_are_formed_once_and_only_on_use(self, monkeypatch):
+        calls = []
+        original = QSpectrum._group
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(QSpectrum, "_group", counted)
+        spec = q_spectrum(realize(g_family_spec([3], 1, 1)))
+        spec.power_sum(2)
+        spectrum_compare(spec, spec)
+        assert calls == []
+        spec.groups
+        repr(spec)
+        spec.multiplicity_at(2.0)
+        assert spec.groups is spec.groups
+        assert calls == [1]
+
+
+class TestQRows:
+    def _graphs(self, n, count=7):
+        """Simple graphs, then multigraphs with multiplicities up to 2."""
+        rng = random.Random(n)
+        graphs = [random_graph(rng, n, 0.5) for _ in range(count)]
+        for _ in range(count):
+            upper = np.triu([[rng.randrange(3) for _ in range(n)] for _ in range(n)], 1)
+            graphs.append(MultiGraph(upper + upper.T))
+        return graphs
+
+    @pytest.mark.parametrize("matrices", CHUNK_SIZES)
+    @pytest.mark.parametrize("n", [1, 5, 14, 24])
+    def test_rows_are_the_reversed_q_spectrum_bitwise(self, monkeypatch, matrices, n):
+        set_chunk(monkeypatch, matrices, n)
+        graphs = self._graphs(n)
+        chunks = list(_q_rows(q_matrix(g) for g in graphs))
+        per = max(1, eigen.CHUNK_ENTRIES // (n * n))
+        assert [len(c) for c in chunks[:-1]] == [per] * (len(chunks) - 1)
+        rows = np.concatenate(chunks)
+        expected = np.array([q_spectrum(g).values[::-1] for g in graphs])
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_multigraph_rows(self):
+        g = realize(ConeSpec(cycles=(2, 3), paths=(4, 1), stars13=1))
+        (rows,) = _q_rows([q_matrix(g), q_matrix(g)])
+        assert rows.tobytes() == np.array([q_spectrum(g).values[::-1]] * 2).tobytes()
+
+    def test_empty_input_yields_nothing(self):
+        assert list(_q_rows([])) == []
+
+    def test_reads_matrices_only_as_chunks_need_them(self, monkeypatch):
+        set_chunk(monkeypatch, 2, 3)
+        fed = []
+
+        def feed():
+            for _ in range(5):
+                fed.append(1)
+                yield q_matrix(cycle_graph(3))
+
+        next(_q_rows(feed()))
+        assert len(fed) == 2
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ContractViolationError):
+            list(_q_rows([np.eye(3), np.array([[1.0, 1.0, 0], [0, 1.0, 0], [0, 0, 1.0]])]))
+
+    def test_symmetrizes_within_tolerance(self):
+        a = q_matrix(cycle_graph(5))
+        b = a.copy()
+        b[0, 1] += 1e-13
+        (rows,) = _q_rows([b])
+        assert rows[0].tobytes() == sym_eigenvalues(b).values[::-1].tobytes()
+
+    def test_rejects_negative_values(self):
+        with pytest.raises(ContractViolationError, match="negative value"):
+            list(_q_rows([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]))
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigensolverError):
+            list(_q_rows([np.eye(2)]))
+        with pytest.raises(EigensolverError):
+            sym_eigenvalues(np.eye(2))
+
+
+class TestSymEigenvalues:
+    def test_exactly_symmetric_input_goes_to_lapack_uncopied(self, monkeypatch):
+        seen = []
+        original = eigen._eigvalsh
+
+        def spy(a):
+            seen.append(a)
+            return original(a)
+
+        monkeypatch.setattr(eigen, "_eigvalsh", spy)
+        a = q_matrix(cycle_graph(6))
+        sym_eigenvalues(a)
+        assert seen[0] is a
+
+    def test_nearly_symmetric_input_is_symmetrized(self):
+        a = random_symmetric(random.Random(4), 6)
+        b = a.copy()
+        b[1, 2] += 1e-13
+        assert sym_eigenvalues(b).values.tobytes() == sym_eigenvalues(
+            0.5 * (b + b.T)
+        ).values.tobytes()
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ContractViolationError):
+            sym_eigenvalues([[1.0, 2.0], [0.0, 1.0]])
 
 
 class TestSpectrumCompare:

@@ -38,9 +38,17 @@ from qcones import (
 from qcones.graph6 import decode_graph6, pair_order
 from qcones.graphs import _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
+from qcones import search
 from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes
 
-from helpers import brute_search_exhaustive, brute_search_family, isomorphic, random_graph
+from helpers import (
+    CHUNK_SIZES,
+    brute_search_exhaustive,
+    brute_search_family,
+    isomorphic,
+    random_graph,
+    set_chunk,
+)
 
 FLAGSHIP = g_family_spec([3], 1, 1)
 # the n = 7 exhaustive benchmark panel: five cone shapes and one G(7, 1/2) draw
@@ -179,6 +187,14 @@ class TestSearchFamily:
         with pytest.raises(ParameterError):
             search_family(realize(FLAGSHIP))
 
+    def test_never_groups_a_spectrum(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("search_family grouped a spectrum")
+
+        monkeypatch.setattr(QSpectrum, "_group", refuse)
+        for target in (FLAGSHIP, g_family_spec([3, 4], 2, 1), ConeSpec(cycles=(2,), paths=(3, 1))):
+            assert search_family(target).hits[0].candidate == target
+
 
 def _profiles(n: int):
     """Every profile with entries >= 0, n4 <= 2 and total n - 1, plus three
@@ -248,12 +264,14 @@ class TestFamilyBySignature:
         assert report.cardinality == len(union)
         assert report == brute_search_family(target)
 
+    @pytest.mark.parametrize("matrices", CHUNK_SIZES)
     @pytest.mark.parametrize("text, cardinality", [
         ("K1 v C20 + C8 + C6 + 3K2 + 2K1", 41_120),
         ("K1 v C20 + C6 + C8 + 10K2 + 4K1", 223_932),
     ])
-    def test_large_targets_pinned(self, text, cardinality):
+    def test_large_targets_pinned(self, monkeypatch, text, cardinality, matrices):
         target = parse_spec_text(text)
+        set_chunk(monkeypatch, matrices, target.n)
         assert search_family(target) == SearchReport(
             target=target,
             tolerance=1e-8,
@@ -590,6 +608,55 @@ class TestProbes:
 
     def test_path_swap_skip_off_family(self):
         assert run_probe(cycle_graph(6), "5.1").status == "skipped"
+
+
+class TestChunkInvariance:
+    """Probes read the batched eigensolve in order, whatever its chunk size."""
+
+    GRAPHS = (
+        realize(FLAGSHIP),
+        realize(ConeSpec(cycles=(2, 4), paths=(6, 5, 1), stars13=1)),
+        realize(ConeSpec(cycles=(3,), paths=(9, 4, 2, 1))),
+        complete_graph(9),
+        cycle_graph(7),
+    )
+
+    def _results(self, monkeypatch, matrices):
+        out = []
+        for g in self.GRAPHS:
+            for probe, order in (("2.2", g.n), ("2.3", g.n - 1), ("5.1", g.n)):
+                set_chunk(monkeypatch, matrices, order)
+                out.append(run_probe(g, probe))
+        return out
+
+    @pytest.mark.parametrize("probe_tol, margin, statuses, unresolved", [
+        (search.PROBE_TOL, search.STRICT_MARGIN, {"pass", "skipped"}, False),
+        # every comparison fails: the witness is the first in scan order
+        (-100.0, -100.0, {"fail", "skipped"}, False),
+        # every rewiring gap is unresolved: the first one is reported
+        (search.PROBE_TOL, 100.0, {"pass", "skipped"}, True),
+    ], ids=["as-shipped", "all-fail", "all-unresolved"])
+    def test_probe_results_do_not_depend_on_chunk_size(
+        self, monkeypatch, probe_tol, margin, statuses, unresolved
+    ):
+        monkeypatch.setattr(search, "PROBE_TOL", probe_tol)
+        monkeypatch.setattr(search, "STRICT_MARGIN", margin)
+        results = [self._results(monkeypatch, m) for m in CHUNK_SIZES]
+        assert results[0] == results[1] == results[2]
+        assert {r.status for r in results[0]} == statuses
+        assert any("unresolved" in r.message for r in results[0]) == unresolved
+
+    def test_first_failures_in_scan_order(self, monkeypatch):
+        monkeypatch.setattr(search, "PROBE_TOL", -100.0)
+        monkeypatch.setattr(search, "STRICT_MARGIN", -100.0)
+        g = realize(ConeSpec(cycles=(3,), paths=(9, 4, 2, 1)))
+        set_chunk(monkeypatch, 3, g.n)
+        # vertex 0 is the isolated base vertex, joined only to the apex
+        assert run_probe(g, "2.2").witness["edge"] == [0, g.n - 1]
+        w = run_probe(g, "5.1").witness
+        assert (w["path"], w["cycle"], w["tail"]) == (4, 2, 2)
+        set_chunk(monkeypatch, 3, 8)
+        assert run_probe(complete_graph(9), "2.3").witness["vertex"] == 0
 
 
 def test_recognition_agrees_with_enumeration_at_order_five():
