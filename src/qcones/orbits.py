@@ -1,0 +1,144 @@
+"""Small labelled graphs as edge bitmasks: relabelling orbits, isomorphism
+classes, and the moments of one-vertex extensions.
+
+Bit e of a mask is the e-th `pair_order` pair of the graph's vertices.
+`_classes(n)` holds the lowest mask of every isomorphism class on n <= 8
+vertices, built from the one-vertex extensions of the classes of one order
+less; `_extension_moments(n)` packs the edge count, degree-square sum and
+tr(Q^3) of each of those extensions in one integer, so the exhaustive
+search matches a target's moments by one comparison.  The tables are built
+on first use and kept.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from typing import Iterator
+
+import numpy as np
+
+from .graph6 import pair_order
+
+
+def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks), n, n) integer Q = D + A of the masks' graphs on n vertices."""
+    pairs = pair_order(n)
+    iu, iv = [u for u, _ in pairs], [v for _, v in pairs]
+    q = np.zeros((masks.size, n, n), dtype=np.int64)
+    q[:, iu, iv] = q[:, iv, iu] = (masks[:, None] >> np.arange(len(pairs))) & 1
+    idx = np.arange(n)
+    q[:, idx, idx] = q.sum(axis=2)
+    return q
+
+
+@lru_cache(maxsize=None)
+def _edge_images(n: int) -> np.ndarray:
+    """(n!, k) table: row p holds, for each `pair_order` edge, the position
+    of its image under the p-th permutation of range(n)."""
+    pairs = pair_order(n)
+    pos = np.zeros((n, n), dtype=np.uint8)
+    for e, (u, v) in enumerate(pairs):
+        pos[u, v] = pos[v, u] = e
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return pos[perms[:, us], perms[:, vs]]
+
+
+def _orbit(mask: int, n: int) -> np.ndarray:
+    """The masks of all n! relabellings of one graph, with repeats."""
+    img = _edge_images(n)
+    cols = [e for e in range(img.shape[1]) if mask >> e & 1]
+    return (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
+
+
+def _in_sorted(values, ascending: np.ndarray):
+    """Whether each of `values` occurs in the non-empty ascending array."""
+    idx = np.minimum(np.searchsorted(ascending, values), ascending.size - 1)
+    return ascending[idx] == values
+
+
+def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first member, ascending orbit) per isomorphism class among sorted masks.
+
+    The first member is the lowest of the given masks in its class; its
+    orbit is exactly the set of labelled graphs isomorphic to it and is
+    dropped from the rest.
+    """
+    while masks.size:
+        first = int(masks[0])
+        orbit = np.sort(_orbit(first, n))
+        masks = masks[~_in_sorted(masks, orbit)]
+        yield first, orbit
+
+
+def _extensions(n: int, idx: np.ndarray) -> np.ndarray:
+    """Masks of the extensions with row-major indices `idx`: class
+    idx >> (n - 1) of `_classes(n - 1)` with vertex n - 1, whose edges are
+    the last n - 1 `pair_order` bits, joined to the set idx & (2^(n-1) - 1)."""
+    low = (n - 1) * (n - 2) // 2
+    return _classes(n - 1)[idx >> (n - 1)] | (idx & (1 << (n - 1)) - 1) << low
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> np.ndarray:
+    """Lowest mask of every isomorphism class of graphs on n vertices, ascending.
+
+    Deleting vertex n - 1 leaves a graph isomorphic to some class of order
+    n - 1, so the extensions of those classes meet every class.  Each
+    extension not yet seen adds its orbit's lowest mask and marks the
+    orbit seen in a table over all 2^(n choose 2) masks.
+    """
+    if n <= 1:
+        return np.zeros(1, dtype=np.int64)
+    seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
+    reps = []
+    for mask in _extensions(n, np.arange(_classes(n - 1).size << (n - 1))).tolist():
+        if not seen[mask]:
+            orbit = _orbit(mask, n)
+            seen[orbit] = True
+            reps.append(orbit.min())
+    return np.sort(np.array(reps, dtype=np.int64))
+
+
+# widths of the packed key's fields m, sum d^2 and tr(Q^3); at n = 8 they
+# reach 28, 392 and 4 256 (K8)
+_KEY_BITS = (5, 9, 13)
+
+
+def _pack(m, d2, t3):
+    low, mid, _ = _KEY_BITS
+    return m + (d2 << low) + (t3 << low + mid)
+
+
+@lru_cache(maxsize=None)
+def _extension_moments(n: int) -> np.ndarray:
+    """`_pack(m, sum d^2, tr(Q^3))` of every extension of `_classes(n - 1)`,
+    in row-major (class, S) order.
+
+    Joining vertex n - 1 to the set S, with 0/1 vector s and c = |S|, turns
+    a class's Q = D + A with degrees d into Q' = [[Q + diag(s), s], [s^T, c]].
+    So m' = m + c, sum d'^2 = sum d^2 + 2 d.s + c + c^2, and
+    tr(Q'^3) = tr(Q^3) + 3 (diag(Q^2).s + d.s + s^T Q s) + c^3 + 3 c^2 + 4 c.
+    """
+    q = _q_stack(_classes(n - 1), n - 1)
+    q2 = q @ q
+    d = q.diagonal(axis1=1, axis2=2)
+    s = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    c = s.sum(axis=1)
+    ds = d @ s.T
+    m = d.sum(axis=1)[:, None] // 2 + c
+    d2 = (d * d).sum(axis=1)[:, None] + 2 * ds + c + c * c
+    t3 = np.einsum("raa,sa->rs", q2, s) + ds + np.einsum("sa,rab,sb->rs", s, q, s)
+    t3 = (q2 * q).sum(axis=(1, 2))[:, None] + 3 * t3 + c ** 3 + 3 * c * c + 4 * c
+    return _pack(m, d2, t3).astype(np.int32).ravel()
+
+
+def _moment_matches(n: int, m: int, d2: int, t3: int) -> np.ndarray:
+    """Masks of the extensions of `_classes(n - 1)` with edge count m,
+    degree-square sum d2 and tr(Q^3) t3, in row-major (class, S) order.
+    Values outside their key fields match nothing and build no table."""
+    if not all(0 <= v < 1 << bits for v, bits in zip((m, d2, t3), _KEY_BITS)):
+        return np.zeros(0, dtype=np.int64)
+    return _extensions(n, np.flatnonzero(_extension_moments(n) == _pack(m, d2, t3)))

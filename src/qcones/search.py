@@ -7,8 +7,11 @@ C3, C4 and K2 blocks), so it streams only the candidates whose signature
 gives the target's moments through a chunked, batched eigensolve; the
 others are counted by partition counts, never built.  The exhaustive search
 covers every simple graph on up to 8 vertices by joining one vertex in every
-way to each isomorphism class of one order less, and reports one graph per
-class.
+way to each isomorphism class of one order less (`qcones.orbits`).  A table
+per order, built on first use, packs each such extension's edge count,
+degree-square sum and tr(Q^3) in one integer, so a target costs one key
+lookup before the batched eigensolve of the matches; one graph per class is
+reported.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Union
 
 import numpy as np
@@ -38,6 +40,7 @@ from .graphs import (
 from .graph6 import pair_order
 from .eigen import QSpectrum, _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
+from .orbits import _in_sorted, _moment_matches, _orbit_classes, _q_stack
 from .moments import signatures_with_moments, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
@@ -153,17 +156,6 @@ def _mask_graph(mask: int, n: int, pairs) -> MultiGraph:
     return MultiGraph(arr)
 
 
-def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
-    """(len(masks), n, n) integer Q = D + A of the masks' graphs on n vertices."""
-    pairs = pair_order(n)
-    iu, iv = [u for u, _ in pairs], [v for _, v in pairs]
-    q = np.zeros((masks.size, n, n), dtype=np.int64)
-    q[:, iu, iv] = q[:, iv, iu] = (masks[:, None] >> np.arange(len(pairs))) & 1
-    idx = np.arange(n)
-    q[:, idx, idx] = q.sum(axis=2)
-    return q
-
-
 def _distance_chunks(matrices, tvals: np.ndarray) -> Iterator[np.ndarray]:
     """L-infinity distance from the spectrum of each Q matrix to the
     ascending target values, one chunk of the batched eigensolve at a time."""
@@ -172,95 +164,16 @@ def _distance_chunks(matrices, tvals: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _distances(q: np.ndarray, tvals: np.ndarray) -> np.ndarray:
-    """`_distance_chunks` of a non-empty Q stack, as one array."""
-    return np.concatenate(list(_distance_chunks(q, tvals)))
-
-
-@lru_cache(maxsize=None)
-def _edge_images(n: int) -> np.ndarray:
-    """(n!, k) table: row p holds, for each `pair_order` edge, the position
-    of its image under the p-th permutation of range(n)."""
-    pairs = pair_order(n)
-    pos = np.zeros((n, n), dtype=np.int64)
-    for e, (u, v) in enumerate(pairs):
-        pos[u, v] = pos[v, u] = e
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    us = [u for u, _ in pairs]
-    vs = [v for _, v in pairs]
-    return pos[perms[:, us], perms[:, vs]].astype(np.uint8)
-
-
-def _orbit(mask: int, n: int) -> np.ndarray:
-    """The masks of all n! relabellings of one graph, with repeats."""
-    img = _edge_images(n)
-    cols = [e for e in range(img.shape[1]) if mask >> e & 1]
-    return (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
-
-
-def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first member, orbit) per isomorphism class among sorted masks.
-
-    The first member is the lowest of the given masks in its class; its
-    orbit is exactly the set of labelled graphs isomorphic to it and is
-    dropped from the rest.
-    """
-    while masks.size:
-        first = int(masks[0])
-        orbit = _orbit(first, n)
-        masks = masks[~np.isin(masks, orbit)]
-        yield first, orbit
-
-
-def _extensions(reps: np.ndarray, n: int) -> np.ndarray:
-    """rep | (S << C(n-1, 2)) for each rep on n - 1 vertices (rows) and
-    each S < 2^(n-1) (columns): every way of joining vertex n - 1, whose
-    edges are the last n - 1 `pair_order` bits."""
-    low = (n - 1) * (n - 2) // 2
-    return reps[:, None] | (np.arange(1 << (n - 1), dtype=np.int64) << low)
-
-
-@lru_cache(maxsize=None)
-def _classes(n: int) -> np.ndarray:
-    """Lowest mask of every isomorphism class of graphs on n vertices, ascending.
-
-    Deleting vertex n - 1 leaves a graph isomorphic to some class of order
-    n - 1, so the extensions of those classes meet every class.  Each
-    extension not yet seen adds its orbit's lowest mask and marks the
-    orbit seen in a table over all 2^(n choose 2) masks.
-    """
-    if n <= 1:
-        return np.zeros(1, dtype=np.int64)
-    seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
-    reps = []
-    for mask in _extensions(_classes(n - 1), n).ravel().tolist():
-        if not seen[mask]:
-            orbit = _orbit(mask, n)
-            seen[orbit] = True
-            reps.append(orbit.min())
-    return np.sort(np.array(reps, dtype=np.int64))
+    """`_distance_chunks` of a Q stack, as one array."""
+    return np.concatenate([np.empty(0), *_distance_chunks(q, tvals)])
 
 
 def _scan(n: int, m: int, d2_t: int, t3_t: int, tvals: np.ndarray, tol: float) -> list[int]:
-    """Scan the extensions of every class of order n - 1 for graphs
-    cospectral with the target.
-
-    Filters in order: edge count, degree-square sum and third moment
-    tr(Q^3) as exact integers, then a batched dense eigensolve at `tol`.
-    Returns the mask of every extension that passes.
-    """
-    reps = _classes(n - 1)
-    rdeg = _q_stack(reps, n - 1).diagonal(axis1=1, axis2=2)
-    sbits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    spop = sbits.sum(axis=1)
-    ri, si = np.nonzero(rdeg.sum(axis=1)[:, None] // 2 + spop == m)
-    # vertex n - 1 adds one to each neighbour's degree and has degree |S|
-    d2 = ((rdeg[ri] + 2 * sbits[si]) * rdeg[ri]).sum(axis=1) + spop[si] * (spop[si] + 1)
-    masks = _extensions(reps, n)[ri, si][d2 == d2_t]
-    q = _q_stack(masks, n)
-    keep = (q @ q * q).sum(axis=(1, 2)) == t3_t
-    if not keep.any():
-        return []
-    return masks[keep][_distances(q[keep], tvals) <= tol].tolist()
+    """Masks of the extensions of every class of order n - 1 whose edge
+    count, degree-square sum and tr(Q^3) equal the target's and whose
+    spectrum, from one batched dense eigensolve, lies within `tol` of it."""
+    masks = _moment_matches(n, m, d2_t, t3_t)
+    return masks[_distances(_q_stack(masks, n), tvals) <= tol].tolist()
 
 
 def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
@@ -271,18 +184,18 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     the edge count m, the degree-square sum and the third moment as exact
     integers (a non-finite moment raises ParameterError).  Stages:
 
-    1. scan: every graph is isomorphic to an extension of a class of order
-       n - 1 by vertex n - 1, so only the extensions of `_classes(n - 1)`
-       are visited, 2^(n-1) per class (9 984 labelled graphs at n = 7,
-       133 632 at n = 8), all in one pass in this process;
-    2. filter them on the edge count, then the degree-square sum
-       (from the class's degree row and the new vertex's neighbours), then
-       the third moment tr(Q^3) of the integer Q matrices;
-    3. eigensolve the survivors in one batched call and keep those within
-       `tol` of the target spectrum;
-    4. dedupe by permutation orbits: each class among the survivors is
+    1. lookup: every graph is isomorphic to an extension of a class of
+       order n - 1 by vertex n - 1.  `_extension_moments(n)`, built on the
+       first search of order n, packs the three moments of each extension
+       of `_classes(n - 1)` (9 984 at n = 7, 133 632 at n = 8) in one
+       integer, and one comparison with the target's key picks the
+       extensions that match all three;
+    2. eigensolve those in one batched call and keep the ones within `tol`
+       of the target spectrum;
+    3. dedupe by permutation orbits: each class among the survivors is
        reported once, by the lowest mask of its orbit, when that mask's
-       spectrum is within `tol` too, with its distance.
+       spectrum is within `tol` too, with its distance.  Each orbit is
+       sorted once and answers membership by binary search.
 
     Hits are therefore class representatives in lowest-bitmask order.  A
     hit is isomorphic to the target when the target's own mask lies in its
@@ -324,14 +237,14 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         tmask = sum(1 << e for e, (u, v) in enumerate(pairs) if tgraph.mult[u, v])
         survivors.append(tmask)
     orbits = sorted(
-        (int(orbit.min()), orbit)
+        (int(orbit[0]), orbit)
         for _, orbit in _orbit_classes(np.unique(np.array(survivors, dtype=np.int64)), n)
     )
     reps = np.array([rep for rep, _ in orbits], dtype=np.int64)
-    dists = _distances(_q_stack(reps, n), tvals) if reps.size else ()
+    dists = _distances(_q_stack(reps, n), tvals)
     hits: list[SearchHit] = []
     for (rep, orbit), dist in zip(orbits, dists):
-        iso = tmask is not None and bool((orbit == tmask).any())
+        iso = tmask is not None and bool(_in_sorted(tmask, orbit))
         if iso or dist <= tol:
             hits.append(SearchHit(_mask_graph(rep, n, pairs), 0.0 if iso else float(dist), iso))
     return SearchReport(target, float(tol), tuple(hits), True, total)

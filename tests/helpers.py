@@ -8,7 +8,9 @@ quotient quartic.  The brute-path family search realizes and brute-counts
 every candidate, the reference for the closed-form moment filter.  The
 brute exhaustive search sweeps every labelled mask and dedupes pairwise
 with the backtracking `isomorphic`, the reference for the class-extension
-scan and the orbit dedupe.
+scan and the orbit dedupe.  The filter-by-filter scan over int64 Q stacks
+is the reference for the packed moment-key lookup, and the `np.isin` orbit
+dedupe for the sorted-orbit one.
 """
 
 from functools import lru_cache
@@ -35,6 +37,8 @@ from qcones import (
 )
 from qcones import eigen
 from qcones.graph6 import pair_order
+from qcones.orbits import _classes, _orbit, _q_stack
+from qcones.search import _distances
 
 # matrices per chunk of the batched eigensolve in the chunk-invariance
 # tests; None keeps the default CHUNK_ENTRIES
@@ -397,3 +401,40 @@ def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
         iso = compare is not None and isomorphic(g, compare)
         hits.append(SearchHit(g, 0.0 if iso else dist, iso))
     return SearchReport(target, float(tol), tuple(hits), True, total)
+
+
+def extension_masks(n: int) -> np.ndarray:
+    """rep | (S << C(n-1, 2)) for every class rep of order n - 1 and every
+    S < 2^(n-1), row-major in (rep, S): the exhaustive scan's candidates."""
+    low = (n - 1) * (n - 2) // 2
+    reps = _classes(n - 1)
+    return (reps[:, None] | (np.arange(1 << (n - 1), dtype=np.int64) << low)).ravel()
+
+
+def qstack_scan(n: int, m: int, d2_t: int, t3_t: int, tvals, tol: float) -> list[int]:
+    """The exhaustive scan filter by filter: edge count, then degree-square
+    sum from the class degree rows, then tr(Q^3) of the int64 Q stack, then
+    the batched eigensolve at `tol`; survivors in (rep, S) order."""
+    reps = _classes(n - 1)
+    rdeg = _q_stack(reps, n - 1).diagonal(axis1=1, axis2=2)
+    sbits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    spop = sbits.sum(axis=1)
+    ri, si = np.nonzero(rdeg.sum(axis=1)[:, None] // 2 + spop == m)
+    # vertex n - 1 adds one to each neighbour's degree and has degree |S|
+    d2 = ((rdeg[ri] + 2 * sbits[si]) * rdeg[ri]).sum(axis=1) + spop[si] * (spop[si] + 1)
+    masks = extension_masks(n).reshape(reps.size, -1)[ri, si][d2 == d2_t]
+    q = _q_stack(masks, n)
+    keep = (q @ q * q).sum(axis=(1, 2)) == t3_t
+    if not keep.any():
+        return []
+    return masks[keep][_distances(q[keep], tvals) <= tol].tolist()
+
+
+def isin_orbit_classes(masks: np.ndarray, n: int):
+    """(first member, orbit) per isomorphism class among sorted masks, each
+    orbit dropped from the rest by `np.isin`."""
+    while masks.size:
+        first = int(masks[0])
+        orbit = _orbit(first, n)
+        masks = masks[~np.isin(masks, orbit)]
+        yield first, orbit

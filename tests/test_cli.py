@@ -618,6 +618,21 @@ def test_module_entry_point_without_warnings():
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
+def test_import_builds_no_exhaustive_table():
+    # the class and moment tables cost about 0.15 s at n = 8; only an
+    # exhaustive search of that order may pay for them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qcones, qcones.cli\n"
+         "from qcones.orbits import _classes, _extension_moments\n"
+         "assert _classes.cache_info().currsize == 0\n"
+         "assert _extension_moments.cache_info().currsize == 0\n"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def large_cones(*orders):
     """A G and an F cone of each order; past n = 512 adjacent floats near
     the largest quartic root lie more than 1e-13 apart."""

@@ -38,14 +38,26 @@ from qcones import (
 from qcones.graph6 import decode_graph6, pair_order
 from qcones.graphs import _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
-from qcones import search
-from qcones.search import _classes, _mask_graph, _orbit, _orbit_classes
+from qcones import orbits, search
+from qcones.orbits import (
+    _KEY_BITS,
+    _classes,
+    _extension_moments,
+    _in_sorted,
+    _orbit,
+    _orbit_classes,
+    _q_stack,
+)
+from qcones.search import _mask_graph, _scan
 
 from helpers import (
     CHUNK_SIZES,
     brute_search_exhaustive,
     brute_search_family,
+    extension_masks,
+    isin_orbit_classes,
     isomorphic,
+    qstack_scan,
     random_graph,
     set_chunk,
 )
@@ -409,6 +421,95 @@ class TestClasses:
         assert all(int(_orbit(rep, n).min()) == rep for rep in reps.tolist())
 
 
+def scan_args(g: MultiGraph):
+    """(n, m, degree-square sum, tr(Q^3), ascending spectrum) of a graph,
+    as `search_exhaustive` takes them from its spectrum."""
+    tspec = q_spectrum(g)
+    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
+    return g.n, t1 // 2, t2 - t1, t3, np.sort(tspec.values)
+
+
+class TestScanAgainstQStackOracle:
+    """The packed moment-key lookup against the filter-by-filter scan over
+    int64 Q stacks: the same masks in the same order."""
+
+    @staticmethod
+    def assert_same(n, m, d2, t3, tvals):
+        for tol in (1e-8, np.inf):
+            assert _scan(n, m, d2, t3, tvals, tol) == qstack_scan(n, m, d2, t3, tvals, tol)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_moment_triple_up_to_six_vertices(self, n):
+        masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+        q = _q_stack(masks, n)
+        deg = q.diagonal(axis1=1, axis2=2)
+        triples = np.stack(
+            [deg.sum(axis=1) // 2, (deg * deg).sum(axis=1), (q @ q * q).sum(axis=(1, 2))], axis=1
+        )
+        _, first = np.unique(triples, axis=0, return_index=True)
+        for i in first.tolist():
+            self.assert_same(n, *triples[i].tolist(), np.linalg.eigvalsh(q[i].astype(float)))
+
+    @pytest.mark.parametrize("shape", EXHAUSTIVE_PANEL, ids=str)
+    def test_benchmark_panel_relabelled(self, shape):
+        rng = random.Random(repr(shape))
+        g = decode_graph6(shape) if isinstance(shape, str) else realize(shape)
+        self.assert_same(*scan_args(permuted(g, rng)))
+
+    def test_seeded_random_order_seven(self):
+        rng = random.Random(77)
+        for _ in range(50):
+            self.assert_same(*scan_args(random_graph(rng, 7, rng.choice([0.2, 0.4, 0.5, 0.6, 0.8]))))
+
+    def test_order_eight_pinned_target(self):
+        args = scan_args(realize(ConeSpec(cycles=(4,), paths=(2, 1))))
+        self.assert_same(*args)
+        # the one hit class of `search_exhaustive`, among the survivors
+        assert 2209611 in _scan(*args, 1e-8)
+
+    @pytest.mark.parametrize("m, d2, t3", [
+        (32, 0, 0), (0, 512, 0), (0, 0, 8192), (-1, 2, 8), (1, -2, 8), (-2, 14, -34),
+    ])
+    def test_out_of_range_keys_skip_the_table(self, monkeypatch, m, d2, t3):
+        tvals = np.zeros(8)
+        assert qstack_scan(8, m, d2, t3, tvals, np.inf) == []
+        monkeypatch.setattr(orbits, "_extension_moments", None)
+        monkeypatch.setattr(orbits, "_classes", None)
+        assert _scan(8, m, d2, t3, tvals, np.inf) == []
+
+    def test_negative_spectrum_target_skips_the_table(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_extension_moments", None)
+        monkeypatch.setattr(orbits, "_classes", None)
+        # power sums -4, 14 and -34: m = -2, degree-square sum 18
+        assert search_exhaustive(QSpectrum([-3.0, -2.0, 1.0])).hits == ()
+
+
+class TestExtensionMoments:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_keys_decode_to_q_stack_moments(self, n):
+        key = _extension_moments(n)
+        masks = extension_masks(n)
+        assert key.dtype == np.int32 and key.shape == masks.shape
+        fields = np.stack([key & 31, key >> 5 & 511, key >> 14], axis=1)
+        step = 1 << 14
+        for lo in range(0, masks.size, step):
+            q = _q_stack(masks[lo:lo + step], n)
+            deg = q.diagonal(axis1=1, axis2=2)
+            want = np.stack(
+                [deg.sum(axis=1) // 2, (deg * deg).sum(axis=1), (q @ q * q).sum(axis=(1, 2))],
+                axis=1,
+            )
+            assert (fields[lo:lo + step] == want).all()
+
+    def test_bit_fields_hold_order_eight(self):
+        key = _extension_moments(8)
+        assert _KEY_BITS == (5, 9, 13) and sum(_KEY_BITS) < 32
+        # K8 tops every field: 28 edges, 8 * 7^2 and 8 * 7^3 + 3 * 392 + 6 * 56
+        fields = [key & 31, key >> 5 & 511, key >> 14]
+        assert [int(f.max()) for f in fields] == [28, 392, 4256]
+        assert key.min() >= 0
+
+
 class TestOrbitDedupe:
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_pairwise_isomorphic(self, seed):
@@ -428,6 +529,33 @@ class TestOrbitDedupe:
         for rep, orbit in classes:
             members = set(orbit.tolist()) & set(graph)
             assert all(isomorphic(graph[rep], graph[m]) for m in members)
+
+    @pytest.mark.parametrize("n, seed", [(6, 0), (7, 0), (7, 1), (8, 0), (8, 1)])
+    def test_sorted_lookup_agrees_with_isin(self, n, seed):
+        rng = random.Random(100 * n + seed)
+        full = (1 << n * (n - 1) // 2) - 1
+        target = random_graph(rng, n, 0.5)
+        graphs = [target] + [random_graph(rng, n, p) for p in (0.2, 0.4, 0.6, 0.8)]
+        pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(8)}
+        # 0 lies below every other orbit's minimum and Kn above every maximum
+        tmask = graph_mask(target)
+        pool |= {tmask, 0, 1, full, full - 1}
+        masks = np.array(sorted(pool), dtype=np.int64)
+        got = list(_orbit_classes(masks, n))
+        want = list(isin_orbit_classes(masks, n))
+        assert [first for first, _ in got] == [first for first, _ in want]
+        assert sum(bool(_in_sorted(tmask, orbit)) for _, orbit in got) == 1
+        for (_, orbit), (_, ref) in zip(got, want):
+            assert (orbit == np.sort(ref)).all()
+            assert bool(_in_sorted(tmask, orbit)) == (tmask in set(ref.tolist()))
+
+    def test_in_sorted_edges(self):
+        ascending = np.array([3, 3, 5, 9, 9], dtype=np.int64)
+        values = np.array([0, 3, 4, 5, 8, 9, 10, 1 << 40], dtype=np.int64)
+        assert _in_sorted(values, ascending).tolist() == [
+            False, True, False, True, False, True, False, False,
+        ]
+        assert _in_sorted(9, ascending) and not _in_sorted(12, ascending)
 
 
 class TestIsomorphic:
