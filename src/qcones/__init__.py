@@ -2,7 +2,6 @@
 cospectral mates and searches."""
 
 from .errors import (
-    BracketError,
     ComparisonError,
     ConstructionError,
     ContractViolationError,
@@ -37,23 +36,20 @@ from .graphs import (
 )
 from .eigen import (
     QSpectrum,
-    QuarticData,
     adjacency_matrix,
     q_matrix,
     q_spectrum,
-    quartic_roots,
     spectrum_compare,
     sym_eigenvalues,
 )
 from .cones import (
     EigenFamily,
+    closed_spectrum,
     closed_spectrum_F,
     closed_spectrum_G,
     eigenvector_families,
     even_cycle_split_candidate,
     largest_q_eigenvalue,
-    quartic_coeffs,
-    quotient_matrix,
     triangle_star_mate,
 )
 from .family import enumerate_family

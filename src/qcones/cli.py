@@ -39,8 +39,7 @@ from .eigen import (
     sym_eigenvalues,
 )
 from .cones import (
-    closed_spectrum_F,
-    closed_spectrum_G,
+    closed_spectrum,
     even_cycle_split_candidate,
     triangle_star_mate,
 )
@@ -147,25 +146,15 @@ def _emit(doc: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _closed_spectrum(spec: ConeSpec, group_tol: float) -> QSpectrum:
-    if spec.is_g_family():
-        return closed_spectrum_G(spec, group_tol=group_tol)
-    if spec.is_f_family():
-        return closed_spectrum_F(spec, group_tol=group_tol)
-    raise FormatError(
-        "closed form covers cones over cycles+K2+K1 with or without one star"
-    )
-
-
 def cmd_spectrum(args) -> tuple[dict, int]:
     graph, spec = _read_input(args.input)
     result = _describe(graph, spec)
     code = 0
     if args.mode in ("closed", "both"):
-        # a spec-less or out-of-family input cannot take the closed route
+        # a graph6 input that is no cone has no closed route
         if spec is None:
             raise FormatError("closed form needs a cone spec input")
-        closed = _closed_spectrum(spec, args.group_tol)
+        closed = closed_spectrum(spec, args.group_tol)
         result["closed"] = _spectrum_payload(closed)
     if args.mode in ("numeric", "both"):
         numeric = q_spectrum(_graph(graph, spec), group_tol=args.group_tol)

@@ -1,9 +1,31 @@
-"""Closed-form spectra of cone families, their explicit eigenvectors, and
-the cospectral-mate constructions.
+"""Closed-form spectra of cones, the explicit eigenvectors of the two
+families, and the cospectral-mate constructions.
 
-The recurring quartic factor depends only on (n, q, s): order, number of K2
-blocks, number of isolated base vertices.  Its four roots are bracketed by
-(n, n+2), (4, 5), (2, 3) and (0, 1).
+With the apex last, a cone over the blocks B has Q = [[Q_H + I, 1],
+[1^T, n - 1]], where Q_H + I is block diagonal.  An eigenvalue of a
+block's Q_B + I whose eigenvector is orthogonal to the all-ones vector
+(non-main) is an eigenvalue of the cone as it is.  A main value p shared
+by c blocks leaves c - 1 copies of p.  The remaining values are those of
+the main-part quotient [[n - 1, sqrt(w)^T], [sqrt(w), diag(p)]], one row
+per distinct main value p, where w_p sums (1^T v)^2 over its unit
+eigenvectors: the bordered (arrowhead) eigenproblem of Golub, SIAM Rev.
+1973.  Block data, as values of Q_B + I:
+
+- C_k (k >= 2, 2 a digon): 3 + 2cos(2jπ/k) for j = 1..k-1; main 5, weight k.
+- P_l: 3 - 2cos(jπ/l) for j = 0..l-1, main exactly when j + l is odd, with
+  weight 1/l at j = 0 and 2 / (l cos^2(jπ/2l)) otherwise.
+- K13: 2, 2; main 5 (weight 3) and 1 (weight 1).
+
+On the G and F families the quotient is 4 x 4 and diagonally similar to
+the paper's equitable quotient over (apex, cycle or claw, K2, isolated
+vertices), whose characteristic polynomial is the paper's quartic.
+
+Source tags: `3+2cos(2jπ/k)` for cycle values and `3-2cos(jπ/l)` for path
+values, fractions in lowest terms, except that path values with cosine 1 or
+0 are the constants "1" and "3"; "2" for the claw pair; the spare copies of
+a shared main value carry its tag ("5" for cycles and claws); the quotient's
+values, largest first, are `quartic-i` when it is 4 x 4 and `quotient-i`
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,126 +35,111 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (
-    GROUP_TOL,
-    QSpectrum,
-    QuarticData,
-    q_matrix,
-    quartic_roots,
-)
+from .eigen import GROUP_TOL, QSpectrum, _eigvalsh, q_matrix
 from .errors import (
     ConstructionError,
     FamilyError,
     InapplicableError,
-    ParameterError,
+    ScaleError,
 )
-from .graphs import ConeSpec, realize
+from .graphs import MAX_VERTICES, ConeSpec, realize
 from .moments import delta_moments
 
 RESIDUAL_TOL = 1e-8
 
 
-def _check_nqs(n: int, q: int, s: int) -> None:
-    if q < 1 or s < 1:
-        raise ParameterError("need q >= 1 and s >= 1")
-    if n - 1 - 2 * q - s < 2:
-        raise ParameterError(
-            "order leaves no room for a cycle or digon block (need n-1-2q-s >= 2)"
-        )
-
-
-def quartic_coeffs(n: int, q: int, s: int) -> QuarticData:
-    """The shared degree-4 factor of the cone families at parameters (n, q, s).
-
-    Validates the four root brackets by sign change; failure means the
-    parameter combination is invalid.
-    """
-    _check_nqs(n, q, s)
-    coeffs = (
-        1.0,
-        -float(n + 8),
-        float(8 * n + 15),
-        float(4 * q + 4 * s - 19 * n + 4),
-        float(12 * n - 4 * q - 12 * s - 12),
-    )
-    data = QuarticData(
-        coeffs=coeffs,
-        brackets=((float(n), float(n + 2)), (4.0, 5.0), (2.0, 3.0), (0.0, 1.0)),
-    )
-    for lo, hi in data.brackets:
-        if not data(lo) * data(hi) < 0.0:
-            raise ParameterError(
-                f"invalid parameters (n={n}, q={q}, s={s}): no sign change on ({lo}, {hi})"
-            )
-    return data
-
-
-def quotient_matrix(n: int, q: int, s: int) -> np.ndarray:
-    """Equitable quotient over the parts (apex, cycle/digon vertices, K2
-    vertices, isolated vertices); its characteristic polynomial is the
-    shared quartic and its largest eigenvalue matches the cone's."""
-    _check_nqs(n, q, s)
-    return np.array(
-        [
-            [n - 1, n - 1 - 2 * q - s, 2 * q, s],
-            [1, 5, 0, 0],
-            [1, 0, 3, 0],
-            [1, 0, 0, 1],
-        ],
-        dtype=np.float64,
-    )
-
-
-def _cycle_tag(j: int, k: int) -> str:
-    num = 2 * j
-    den = k
+def _cos_tag(prefix: str, num: int, den: int) -> str:
     g = math.gcd(num, den)
     num //= g
     den //= g
     pi = "π" if num == 1 else f"{num}π"
-    frac = pi if den == 1 else f"{pi}/{den}"
-    return f"3+2cos({frac})"
+    return f"{prefix}cos({pi if den == 1 else f'{pi}/{den}'})"
 
 
 def _cycle_values(k: int) -> list[tuple[float, str]]:
     return [
-        (3.0 + 2.0 * math.cos(2.0 * math.pi * j / k), _cycle_tag(j, k))
+        (3.0 + 2.0 * math.cos(2.0 * math.pi * j / k), _cos_tag("3+2", 2 * j, k))
         for j in range(1, k)
     ]
 
 
-_QUARTIC_TAGS = ("quartic-1", "quartic-2", "quartic-3", "quartic-4")
+def _path_value(j: int, l: int) -> tuple[float, str]:
+    """3 - 2cos(jπ/l), computed from j/l in lowest terms so that equal
+    values of different paths are bitwise equal."""
+    g = math.gcd(j, l)
+    j //= g
+    l //= g
+    tag = "1" if j == 0 else "3" if 2 * j == l else _cos_tag("3-2", j, l)
+    return 3.0 - 2.0 * math.cos(math.pi * j / l), tag
 
 
-def _closed_spectrum(
-    spec: ConeSpec, s: int, t: int, extra: list[tuple[float, str]], group_tol: float
-) -> QSpectrum:
-    """Quartic roots at (n, q, s), the constants 1^(s+q-1), 3^(q-1), 5^(t-1)
-    and `extra`, then k-1 lift values per cycle.  Constants come before
-    lifts, so where a lift equals a constant exactly the constant's tag is
-    listed first."""
-    q = spec.q
-    roots = quartic_roots(quartic_coeffs(spec.n, q, s))
-    tagged: list[tuple[float, str]] = list(zip(roots, _QUARTIC_TAGS))
-    tagged += [(1.0, "1")] * (s + q - 1) + extra
-    tagged += [(3.0, "3")] * (q - 1) + [(5.0, "5")] * (t - 1)
+def _block_values(spec: ConeSpec) -> tuple[list[tuple[float, str]], dict]:
+    """The blocks' non-main values with their tags, and their main values as
+    {value: [total weight, number of blocks, tag]}."""
+    plain: list[tuple[float, str]] = []
+    main: dict = {}
+
+    def add_main(value: float, tag: str, weight: float) -> None:
+        entry = main.setdefault(value, [0.0, 0, tag])
+        entry[0] += weight
+        entry[1] += 1
+
+    for l in spec.paths:
+        for j in range(l):
+            value, tag = _path_value(j, l)
+            if (j + l) % 2 == 0:
+                plain.append((value, tag))
+            elif j == 0:
+                add_main(value, tag, 1.0 / l)
+            else:
+                # cos(jπ/2l) as the sine of its complement, which keeps its
+                # relative accuracy as j nears l
+                add_main(value, tag, 2.0 / (l * math.sin(math.pi * (l - j) / (2 * l)) ** 2))
+    for _ in range(spec.stars13):
+        plain += [(2.0, "2")] * 2
+        add_main(5.0, "5", 3.0)
+        add_main(1.0, "1", 1.0)
     for k in spec.cycles:
-        tagged += _cycle_values(k)
-    assert len(tagged) == spec.n
-    values, sources = zip(*tagged)
+        plain += _cycle_values(k)
+        add_main(5.0, "5", float(k))
+    return plain, main
+
+
+def _quotient_values(n: int, main: dict) -> list[float]:
+    """Eigenvalues of the main-part quotient, largest first.  The quotient
+    takes the order cap of every matrix the package builds."""
+    if len(main) >= MAX_VERTICES:
+        raise ScaleError(f"main-part quotient of order {len(main) + 1} exceeds {MAX_VERTICES}")
+    m = np.diag([n - 1.0, *main])
+    m[0, 1:] = m[1:, 0] = np.sqrt([w for w, _, _ in main.values()])
+    return _eigvalsh(m)[::-1].tolist()
+
+
+def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
+    """Spectrum of any cone spec from its blocks' explicit values and one
+    eigensolve of the main-part quotient, with a source tag per value."""
+    plain, main = _block_values(spec)
+    roots = _quotient_values(spec.n, main)
+    kind = "quartic" if len(roots) == 4 else "quotient"
+    tagged = [(r, f"{kind}-{i}") for i, r in enumerate(roots, start=1)]
+    for value, (_, copies, tag) in main.items():
+        tagged += [(value, tag)] * (copies - 1)
+    # spare copies, path and claw values come before cycle values, so where
+    # a constant equals a cycle value the constant's tag is listed first
+    values, sources = zip(*tagged, *plain)
     return QSpectrum(values, group_tol=group_tol, sources=sources)
 
 
 def closed_spectrum_G(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
-    """Exact spectrum of a cycles+K2+K1 cone: four quartic roots, the
+    """`closed_spectrum` of a cycles+K2+K1 cone: four quartic roots, the
     constants 5^(t-1), 3^(q-1), 1^(s+q-1), and k-1 lift values per cycle."""
     if not spec.is_g_family():
         raise FamilyError("closed form needs cycles (>= 3) plus K2 and K1 blocks")
-    return _closed_spectrum(spec, spec.s, spec.t, [], group_tol)
+    return closed_spectrum(spec, group_tol)
 
 
 def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
-    """Exact spectrum of the one-star mate family.
+    """`closed_spectrum` of the one-star mate family.
 
     With derived parameters s = (#isolated)+1 and t = (#cycles)+1 it shares
     the quartic of the source family and swaps one cycle's lift values for
@@ -140,7 +147,7 @@ def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum
     """
     if not spec.is_f_family():
         raise FamilyError("closed form needs exactly one star block, K2s, cycles >= 3")
-    return _closed_spectrum(spec, spec.s + 1, spec.t + 1, [(2.0, "2")] * 2, group_tol)
+    return closed_spectrum(spec, group_tol)
 
 
 def largest_q_eigenvalue(spec: ConeSpec) -> float:
@@ -154,7 +161,7 @@ def largest_q_eigenvalue(spec: ConeSpec) -> float:
         raise FamilyError("closed form needs cycle/digon blocks plus K2 and K1 only")
     if spec.t < 1 or spec.q < 1 or spec.s < 1:
         raise FamilyError("need at least one cycle or digon, one K2 and one K1")
-    return quartic_roots(quartic_coeffs(spec.n, spec.q, spec.s))[0]
+    return _quotient_values(spec.n, _block_values(spec)[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +260,7 @@ def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
             vec[list(leaves)] = 1.0
             vec[center] = 3.0
             add("eig-5", 5.0, vec)
-    # the star family shares the quartic of its source, whose s is one larger
-    roots = quartic_roots(quartic_coeffs(n, spec.q, spec.s + spec.stars13))
-    for rho in roots:
+    for rho in _quotient_values(n, _block_values(spec)[1]):
         vec = np.empty(n)
         vec[list(iso)] = 1.0 / (rho - 1.0)
         for u, w in lay.k2_pairs:

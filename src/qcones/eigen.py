@@ -1,25 +1,25 @@
-"""Dense symmetric eigenvalues, grouped spectra, and quartic root isolation.
+"""Dense symmetric eigenvalues and grouped spectra.
 
-Every numeric spectrum in the package comes from LAPACK's symmetric
-eigensolver (`np.linalg.eigvalsh`): one matrix at a time behind
-`sym_eigenvalues`, or many same-order Q matrices at once behind `_q_rows`,
-which stacks them in chunks of at most CHUNK_ENTRIES entries.  A stacked
-call runs the same LAPACK routine on each matrix, so both give bitwise the
-same values.  The inputs are small integer positive-semidefinite matrices,
-where the solver agrees with an independent plane-rotation solver to within
-1e-13.  A LAPACK failure raises `EigensolverError`.
+Every spectrum in the package comes from LAPACK's symmetric eigensolver
+(`np.linalg.eigvalsh`, behind `_eigvalsh`): one matrix at a time behind
+`sym_eigenvalues`, many same-order Q matrices at once behind `_q_rows`,
+which stacks them in chunks of at most CHUNK_ENTRIES entries, and the
+small main-part quotient behind each closed-form cone spectrum
+(`cones.closed_spectrum`).  A stacked call runs the same LAPACK routine on
+each matrix, so the first two give bitwise the same values.  The inputs are
+small integer positive-semidefinite matrices, where the solver agrees with
+an independent plane-rotation solver to within 1e-13.  There is no root
+finder.  A LAPACK failure raises `EigensolverError`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (
-    BracketError,
     ComparisonError,
     ContractViolationError,
     EigensolverError,
@@ -207,70 +207,3 @@ def spectrum_compare(a, b) -> float:
     if va.size != vb.size:
         raise ComparisonError(f"spectra sizes differ: {va.size} vs {vb.size}")
     return float(np.abs(va - vb).max())
-
-
-# ---------------------------------------------------------------------------
-# quartic machinery
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuarticData:
-    """Monic quartic coefficients plus one isolating bracket per root,
-    stored with brackets in descending root order."""
-
-    coeffs: tuple[float, float, float, float, float]
-    brackets: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 5 or self.coeffs[0] != 1.0:
-            raise ParameterError("need five coefficients with leading 1")
-        if len(self.brackets) != 4:
-            raise ParameterError("need four root brackets")
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
-    def derivative(self, x: float) -> float:
-        c4, c3, c2, c1, _ = self.coeffs
-        return ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
-
-
-def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
-    """Bisect each bracket to width 1e-13 or to adjacent floats, then polish once.
-
-    Raises if a bracket shows no sign change or a polished root r fails the
-    root-error bound |p(r) / p'(r)| <= 1e-12 * max(1, |r|).
-    """
-    roots = []
-    for lo, hi in data.brackets:
-        flo = data(lo)
-        fhi = data(hi)
-        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-            raise BracketError(f"no sign change on bracket ({lo}, {hi})")
-        neg_left = flo < 0.0
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            # above 512 adjacent floats lie more than 1e-13 apart
-            if mid == lo or mid == hi:
-                break
-            fmid = data(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (fmid < 0.0) == neg_left:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        slope = data.derivative(root)
-        if slope != 0.0:
-            root -= data(root) / slope
-        if abs(data(root)) > 1e-12 * max(1.0, abs(root)) * abs(data.derivative(root)):
-            raise BracketError(f"polished root {root} fails the root-error bound")
-        roots.append(root)
-    if not all(a > b for a, b in zip(roots, roots[1:])):
-        raise BracketError("brackets must isolate roots in descending order")
-    return tuple(roots)

@@ -29,10 +29,6 @@ class FamilyError(QConesError, ValueError):
     """Spec lies outside the structured family an operation requires."""
 
 
-class BracketError(QConesError, ArithmeticError):
-    """A root bracket shows no sign change; the parameters are invalid."""
-
-
 class InapplicableError(QConesError, ValueError):
     """A mate construction's structural preconditions are not met."""
 

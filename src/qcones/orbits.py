@@ -13,6 +13,7 @@ on first use and kept.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -40,17 +41,22 @@ def _edge_images(n: int) -> np.ndarray:
     pos = np.zeros((n, n), dtype=np.uint8)
     for e, (u, v) in enumerate(pairs):
         pos[u, v] = pos[v, u] = e
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    us = [u for u, _ in pairs]
-    vs = [v for _, v in pairs]
-    return pos[perms[:, us], perms[:, vs]]
+    # uint8 permutations and one edge column gathered at a time keep the
+    # temporaries small beside the n! x k table; column-major, because
+    # `_orbit` reads whole columns
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
+    img = np.empty((perms.shape[0], len(pairs)), dtype=np.uint8, order="F")
+    for e, (u, v) in enumerate(pairs):
+        img[:, e] = pos[perms[:, u], perms[:, v]]
+    return img
 
 
 def _orbit(mask: int, n: int) -> np.ndarray:
     """The masks of all n! relabellings of one graph, with repeats."""
     img = _edge_images(n)
     cols = [e for e in range(img.shape[1]) if mask >> e & 1]
-    return (np.int64(1) << img[:, cols].astype(np.int64)).sum(axis=1)
+    return np.left_shift(1, img[:, cols], dtype=np.int64).sum(axis=1)
 
 
 def _in_sorted(values, ascending: np.ndarray):

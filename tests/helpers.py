@@ -4,7 +4,9 @@ The counters here are deliberately written in the dumbest possible way
 (subset enumeration) so they share no code path with the package.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
-quotient quartic.  The brute-path family search realizes and brute-counts
+quotient quartic.  The paper's quartic, with its coefficients, root
+brackets and bisection, is the oracle for the four quotient values of the
+closed G and F spectra.  The brute-path family search realizes and brute-counts
 every candidate, the reference for the closed-form moment filter.  The
 brute exhaustive search sweeps every labelled mask and dedupes pairwise
 with the backtracking `isomorphic`, the reference for the class-extension
@@ -13,6 +15,7 @@ is the reference for the packed moment-key lookup, and the `np.isin` orbit
 dedupe for the sorted-orbit one.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -223,6 +226,128 @@ def char_poly_4x4(matrix) -> tuple[float, float, float, float, float]:
         for j in range(4)
     )
     return (1.0, -e1, float(e2), -float(e3), float(e4))
+
+
+# ---------------------------------------------------------------------------
+# the paper's quotient quartic, bisected
+# ---------------------------------------------------------------------------
+
+class BracketError(ArithmeticError):
+    """A root bracket shows no sign change; the parameters are invalid."""
+
+
+@dataclass(frozen=True)
+class QuarticData:
+    """Monic quartic coefficients plus one isolating bracket per root,
+    stored with brackets in descending root order."""
+
+    coeffs: tuple[float, float, float, float, float]
+    brackets: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) != 5 or self.coeffs[0] != 1.0:
+            raise ParameterError("need five coefficients with leading 1")
+        if len(self.brackets) != 4:
+            raise ParameterError("need four root brackets")
+
+    def __call__(self, x: float) -> float:
+        acc = 0.0
+        for c in self.coeffs:
+            acc = acc * x + c
+        return acc
+
+    def derivative(self, x: float) -> float:
+        c4, c3, c2, c1, _ = self.coeffs
+        return ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
+
+
+def quartic_roots(data: QuarticData) -> tuple[float, float, float, float]:
+    """Bisect each bracket to width 1e-13 or to adjacent floats, then polish once.
+
+    Raises if a bracket shows no sign change or a polished root r fails the
+    root-error bound |p(r) / p'(r)| <= 1e-12 * max(1, |r|).
+    """
+    roots = []
+    for lo, hi in data.brackets:
+        flo = data(lo)
+        fhi = data(hi)
+        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
+            raise BracketError(f"no sign change on bracket ({lo}, {hi})")
+        neg_left = flo < 0.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            # above 512 adjacent floats lie more than 1e-13 apart
+            if mid == lo or mid == hi:
+                break
+            fmid = data(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (fmid < 0.0) == neg_left:
+                lo = mid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
+        slope = data.derivative(root)
+        if slope != 0.0:
+            root -= data(root) / slope
+        if abs(data(root)) > 1e-12 * max(1.0, abs(root)) * abs(data.derivative(root)):
+            raise BracketError(f"polished root {root} fails the root-error bound")
+        roots.append(root)
+    if not all(a > b for a, b in zip(roots, roots[1:])):
+        raise BracketError("brackets must isolate roots in descending order")
+    return tuple(roots)
+
+
+def _check_nqs(n: int, q: int, s: int) -> None:
+    if q < 1 or s < 1:
+        raise ParameterError("need q >= 1 and s >= 1")
+    if n - 1 - 2 * q - s < 2:
+        raise ParameterError(
+            "order leaves no room for a cycle or digon block (need n-1-2q-s >= 2)"
+        )
+
+
+def quartic_coeffs(n: int, q: int, s: int) -> QuarticData:
+    """The shared degree-4 factor of the cone families at parameters (n, q, s).
+
+    Its roots are bracketed by (n, n+2), (4, 5), (2, 3) and (0, 1); a
+    bracket without a sign change means the parameters are invalid.
+    """
+    _check_nqs(n, q, s)
+    coeffs = (
+        1.0,
+        -float(n + 8),
+        float(8 * n + 15),
+        float(4 * q + 4 * s - 19 * n + 4),
+        float(12 * n - 4 * q - 12 * s - 12),
+    )
+    data = QuarticData(
+        coeffs=coeffs,
+        brackets=((float(n), float(n + 2)), (4.0, 5.0), (2.0, 3.0), (0.0, 1.0)),
+    )
+    for lo, hi in data.brackets:
+        if not data(lo) * data(hi) < 0.0:
+            raise ParameterError(
+                f"invalid parameters (n={n}, q={q}, s={s}): no sign change on ({lo}, {hi})"
+            )
+    return data
+
+
+def quotient_matrix(n: int, q: int, s: int) -> np.ndarray:
+    """Equitable quotient over the parts (apex, cycle/digon vertices, K2
+    vertices, isolated vertices); its characteristic polynomial is the
+    shared quartic and its largest eigenvalue matches the cone's."""
+    _check_nqs(n, q, s)
+    return np.array(
+        [
+            [n - 1, n - 1 - 2 * q - s, 2 * q, s],
+            [1, 5, 0, 0],
+            [1, 0, 3, 0],
+            [1, 0, 0, 1],
+        ],
+        dtype=np.float64,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from qcones import (
     ConeSpec,
     adjacency_matrix,
     brute_counts,
+    closed_spectrum,
     closed_spectrum_F,
     closed_spectrum_G,
     counts_closed_form,
@@ -33,7 +34,15 @@ from qcones import (
     triangle_star_mate,
 )
 
-from helpers import CHUNK_SIZES, brute_search_family, isomorphic, random_graph, set_chunk
+from helpers import (
+    CHUNK_SIZES,
+    brute_search_family,
+    isomorphic,
+    quartic_coeffs,
+    quartic_roots,
+    random_graph,
+    set_chunk,
+)
 
 SEED = 20260819
 COSPECTRAL_TOL = 1e-8
@@ -87,6 +96,17 @@ def test_criterion_02_closed_f_spectra_match_numeric_grid():
         dist = spectrum_compare(closed_spectrum_F(spec), q_spectrum(realize(spec)))
         assert dist <= COSPECTRAL_TOL, f"{spec} deviates by {dist}"
     assert time.perf_counter() - start <= 60.0
+
+
+def test_quotient_values_are_the_roots_of_the_papers_quartic():
+    # the one-star family shares the quartic of its source, whose s is one larger
+    tags = [f"quartic-{i}" for i in range(1, 5)]
+    for spec in G_GRID + F_GRID:
+        closed = closed_spectrum(spec)
+        got = {tag: v for v, tag in zip(closed.values, closed.sources) if tag in tags}
+        roots = quartic_roots(quartic_coeffs(spec.n, spec.q, spec.s + spec.stars13))
+        assert sorted(got) == tags
+        assert max(abs(got[tag] - r) for tag, r in zip(tags, roots)) <= 1e-12, spec
 
 
 def test_criterion_03_triangle_star_mates_cospectral_non_isomorphic():

@@ -75,6 +75,23 @@ s4,18,18
 """
 
 
+# 3 ties 3+2cos(π/2) and 1 ties 3+2cos(π) bitwise; the constant's tag
+# comes first
+GOLDEN_TIED_CSV = """\
+index,value,source
+1,10.3899045136,quartic-1
+2,4.46953986749,quartic-2
+3,3,3
+4,3,3+2cos(π/2)
+5,3,3+2cos(3π/2)
+6,2.32577525251,quartic-3
+7,1,1
+8,1,1
+9,1,3+2cos(π)
+10,0.814780366368,quartic-4
+"""
+
+
 def _no_realize(spec):
     raise AssertionError("the command built an n x n matrix")
 
@@ -176,9 +193,27 @@ class TestSpectrumCommand:
         assert "unknown term 'Q9' at position 6" in doc["error"]
         assert "qcones:" in err
 
-    def test_closed_route_needs_family(self, capsys):
+    def test_closed_route_answers_any_cone(self, capsys):
         code, doc, _ = run_json(capsys, "spectrum", "K1 v P5 + 1K1", "--closed")
+        assert code == 0
+        closed = doc["result"]["closed"]
+        _, doc, _ = run_json(capsys, "spectrum", "K1 v P5 + 1K1", "--numeric")
+        numeric = doc["result"]["numeric"]["values"]
+        # payloads carry 12 significant digits
+        assert max(abs(a - b) for a, b in zip(closed["values"], numeric)) <= 1e-10
+        assert len(closed["sources"]) == 7
+
+    def test_closed_route_needs_a_cone(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "spectrum", encode_graph6(cycle_graph(5)), "--closed"
+        )
         assert code == 2
+        assert doc["error"] == "closed form needs a cone spec input"
+
+    def test_both_routes_on_a_digon_cone(self, capsys):
+        code, doc, _ = run_json(capsys, "spectrum", "K1 v C2 + K2 + K1", "--both")
+        assert code == 0
+        assert doc["result"]["distance"] <= 1e-12
 
     def test_numeric_route_accepts_graph6(self, capsys):
         code, doc, _ = run_json(capsys, "spectrum", "Bw", "--numeric")
@@ -199,6 +234,13 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(capsys, "spectrum", FLAGSHIP_TEXT, mode, "--format", "csv")
         assert code == 0
         assert out == golden
+
+    def test_tied_values_list_the_constant_first(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "K1 v C4 + 2K2 + K1", "--closed", "--format", "csv"
+        )
+        assert code == 0
+        assert out == GOLDEN_TIED_CSV
 
     def test_closed_route_builds_no_matrix(self, capsys, monkeypatch):
         monkeypatch.setattr("qcones.cli.realize", _no_realize)

@@ -11,6 +11,8 @@ from qcones import (
     FamilyError,
     InapplicableError,
     ParameterError,
+    ScaleError,
+    closed_spectrum,
     closed_spectrum_F,
     closed_spectrum_G,
     eigenvector_families,
@@ -18,15 +20,12 @@ from qcones import (
     g_family_spec,
     largest_q_eigenvalue,
     q_spectrum,
-    quartic_coeffs,
-    quartic_roots,
-    quotient_matrix,
     realize,
     spectrum_compare,
     triangle_star_mate,
 )
 
-from helpers import char_poly_4x4
+from helpers import char_poly_4x4, quartic_coeffs, quartic_roots, quotient_matrix
 
 FLAGSHIP = g_family_spec([3], 1, 1)
 
@@ -134,6 +133,26 @@ class TestClosedSpectrumG:
             closed_spectrum_G(ConeSpec(cycles=(2, 3), paths=(2, 1)))
 
 
+class TestClosedSpectrum:
+    def test_paths_share_main_values(self):
+        # 2π/3 = 6π/9 and 0 are main in P3 and P9; the other mains of P9 are
+        # 2π/9, 4π/9 and 8π/9, so the quotient has 5 + 1 rows
+        spec = ConeSpec(paths=(9, 3))
+        closed = closed_spectrum(spec)
+        assert closed.sources.count("3-2cos(2π/3)") == 1
+        assert closed.sources.count("1") == 1
+        assert sorted(t for t in closed.sources if t.startswith("quotient-")) == [
+            f"quotient-{i}" for i in range(1, 7)
+        ]
+        assert spectrum_compare(closed, q_spectrum(realize(spec))) <= 1e-12
+
+    def test_quotient_takes_the_order_cap(self):
+        # P8200 has 4 100 main values; a G cone keeps a 4 x 4 quotient at any order
+        with pytest.raises(ScaleError, match="quotient of order 4101 exceeds 4096"):
+            closed_spectrum(ConeSpec(paths=(8200,)))
+        assert len(closed_spectrum_G(g_family_spec([9000], 1, 1))) == 9004
+
+
 class TestClosedSpectrumF:
     def test_degenerate_star_case(self):
         spec = ConeSpec(paths=(2,), stars13=1)
@@ -194,7 +213,8 @@ class TestLargestEigenvalue:
     def test_matches_quartic_root(self):
         spec = ConeSpec(cycles=(3, 2), paths=(2, 2, 1))
         top = quartic_roots(quartic_coeffs(spec.n, spec.q, spec.s))[0]
-        assert largest_q_eigenvalue(spec) == top
+        # the quotient eigensolve and the bisected quartic share no code
+        assert abs(largest_q_eigenvalue(spec) - top) <= 1e-12
 
     def test_rejects_paths_and_stars(self):
         with pytest.raises(FamilyError):

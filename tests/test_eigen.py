@@ -1,4 +1,5 @@
-"""Eigenvalue machinery: the Jacobi oracle, grouped spectra, quartic roots."""
+"""Eigenvalue machinery: the Jacobi oracle, grouped spectra, and the quartic
+oracle's roots."""
 
 import math
 import random
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from qcones import (
-    BracketError,
     ComparisonError,
     ConeSpec,
     ContractViolationError,
@@ -15,7 +15,6 @@ from qcones import (
     MultiGraph,
     ParameterError,
     QSpectrum,
-    QuarticData,
     cycle_graph,
     digon,
     disjoint_union,
@@ -23,9 +22,6 @@ from qcones import (
     path_graph,
     q_matrix,
     q_spectrum,
-    quartic_coeffs,
-    quartic_roots,
-    quotient_matrix,
     realize,
     spectrum_compare,
     sym_eigenvalues,
@@ -33,7 +29,18 @@ from qcones import (
 from qcones import eigen
 from qcones.eigen import Group, _q_rows
 
-from helpers import CHUNK_SIZES, char_poly_4x4, jacobi_eigenvalues, random_graph, set_chunk
+from helpers import (
+    CHUNK_SIZES,
+    BracketError,
+    QuarticData,
+    char_poly_4x4,
+    jacobi_eigenvalues,
+    quartic_coeffs,
+    quartic_roots,
+    quotient_matrix,
+    random_graph,
+    set_chunk,
+)
 
 # Signless Laplacian spectrum of the 7-vertex triangle cone, frozen from the
 # package's own 12-significant-digit output after cross-checks against both

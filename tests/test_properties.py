@@ -1,7 +1,7 @@
 """Property tests: round-trips of spec text and graph6, moments against exact
-traces, independence from the vertex labelling (exhaustive-search hits,
-counted moments, cone recognition, spectra and components), and the CLI's
-output contract on fuzzed input."""
+traces, closed cone spectra against numeric ones, independence from the
+vertex labelling (exhaustive-search hits, counted moments, cone recognition,
+spectra and components), and the CLI's output contract on fuzzed input."""
 
 import contextlib
 import io
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qcones import (  # noqa: E402
     ConeSpec,
     MultiGraph,
+    closed_spectrum,
     components_and_bipartiteness,
     decode_graph6,
     encode_graph6,
@@ -123,6 +124,24 @@ def test_spectra_and_components_ignore_the_labelling(g, rnd):
     h = relabel(g, perm)
     assert np.abs(q_spectrum(g).values - q_spectrum(h).values).max() <= 1e-12
     assert components_and_bipartiteness(h) == components_and_bipartiteness(g)
+
+
+# cycles 2..11 (digons too), paths 1..14 and 0..2 claws, order <= 40
+closed_specs = st.tuples(
+    st.lists(st.integers(min_value=2, max_value=11), max_size=4),
+    st.lists(st.integers(min_value=1, max_value=14), max_size=5),
+    st.integers(min_value=0, max_value=2),
+).filter(lambda t: any(t) and 1 + sum(t[0]) + sum(t[1]) + 4 * t[2] <= 40).map(
+    lambda t: ConeSpec(cycles=tuple(t[0]), paths=tuple(t[1]), stars13=t[2])
+)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(closed_specs)
+def test_closed_spectrum_matches_the_numeric_one(spec):
+    closed = closed_spectrum(spec)
+    assert len(closed.sources) == spec.n
+    assert np.abs(closed.values - q_spectrum(realize(spec)).values).max() <= 1e-12
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Family and exhaustive mate searches, isomorphism, recognition, probes."""
 
+import itertools
 import random
 import time
 
@@ -411,6 +412,17 @@ class TestExhaustiveAgainstBruteSweep:
 
 
 class TestClasses:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_edge_images_equal_whole_table_gathers(self, n):
+        pairs = pair_order(n)
+        pos = np.zeros((n, n), dtype=np.uint8)
+        for e, (u, v) in enumerate(pairs):
+            pos[u, v] = pos[v, u] = e
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        want = pos[perms[:, [u for u, _ in pairs]], perms[:, [v for _, v in pairs]]]
+        got = orbits._edge_images(n)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
     def test_counts_match_a000088(self):
         assert [_classes(n).size for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
 
