@@ -84,17 +84,20 @@ class QSpectrum:
         return self._groups
 
     def _group(self) -> tuple[Group, ...]:
+        """Groups split at every gap above the tolerance, found at once.
+
+        A group's value is its members' `mean()`.  For a single member that
+        is the value plus 0.0 (-0.0 becomes 0.0), so singletons skip numpy.
+        """
         vals = self.values
+        cuts = np.flatnonzero(vals[:-1] - vals[1:] > self.group_tol) + 1
+        bounds = [0, *cuts.tolist(), vals.size]
+        singles = (vals + 0.0).tolist()
         groups = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i - 1] - vals[i] > self.group_tol:
-                chunk = vals[start:i]
-                tags = ()
-                if self.sources is not None:
-                    tags = tuple(sorted(set(self.sources[start:i])))
-                groups.append(Group(float(chunk.mean()), i - start, tags))
-                start = i
+        for a, b in zip(bounds, bounds[1:]):
+            value = singles[a] if b - a == 1 else float(vals[a:b].mean())
+            tags = () if self.sources is None else tuple(sorted(set(self.sources[a:b])))
+            groups.append(Group(value, b - a, tags))
         return tuple(groups)
 
     def __len__(self) -> int:

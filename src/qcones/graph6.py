@@ -3,10 +3,17 @@
 Only the short form (single size byte) is handled.  Upper-triangle adjacency
 bits are taken in column order (0,1), (0,2), (1,2), (0,3), ... and packed six
 per byte, most significant bit first, zero-padded, each six-bit group offset
-by 63 into printable ASCII.
+by 63 into printable ASCII.  Input is ASCII only: any other character is a
+byte out of the printable range.
+
+Both directions work on whole numpy arrays: the bytes are checked on one
+view, the six-bit groups are unpacked or packed at once, and the bits go
+through the pairs' index arrays, built once per order on first use.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,26 +29,28 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the `pair_order` pairs (at most one entry per
+    order up to MAX_GRAPH6_VERTICES)."""
+    cols, rows = np.tril_indices(n, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def encode_graph6(g: MultiGraph) -> str:
     if not g.is_simple():
         raise UnsupportedGraphError("graph6 encodes simple graphs only")
     n = g.n
     if n > MAX_GRAPH6_VERTICES:
         raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")
-    out = [chr(n + 63)]
-    group = 0
-    filled = 0
-    for u, v in pair_order(n):
-        group = (group << 1) | int(g.mult[u, v])
-        filled += 1
-        if filled == 6:
-            out.append(chr(group + 63))
-            group = 0
-            filled = 0
-    if filled:
-        group <<= 6 - filled
-        out.append(chr(group + 63))
-    return "".join(out)
+    npairs = n * (n - 1) // 2
+    bits = np.zeros(6 * ((npairs + 5) // 6), dtype=np.uint8)
+    bits[:npairs] = g.mult[_pair_index(n)]
+    # packbits fills eight bits from the top, so each six-bit group sits two up
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
+    return chr(n + 63) + body.tobytes().decode("ascii")
 
 
 def decode_graph6(text: str) -> MultiGraph:
@@ -50,27 +59,26 @@ def decode_graph6(text: str) -> MultiGraph:
         s = s[len(_HEADER):]
     if not s:
         raise FormatError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    if any(b < 63 or b > 126 for b in data):
+    # UTF-8 turns every non-ASCII character (a lone surrogate too) into
+    # bytes >= 128; uint8 wraps bytes below 63 round to >= 193
+    six = np.frombuffer(s.encode("utf-8", errors="surrogatepass"), dtype=np.uint8) - 63
+    if (six > 63).any():
         raise FormatError("graph6 byte out of printable range")
-    if data[0] == 126:
+    n = int(six[0])  # at most 63, and 63 ("~") opens the long form
+    if n == 63:
         raise FormatError("long-form graph6 sizes are not supported")
-    n = data[0] - 63
-    if n > MAX_GRAPH6_VERTICES:
-        raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")
     if n < 1:
         raise FormatError("graph needs at least one vertex")
     npairs = n * (n - 1) // 2
     expected = 1 + (npairs + 5) // 6
-    if len(data) != expected:
-        raise FormatError(f"graph6 body has {len(data)} bytes, expected {expected}")
-    bits = []
-    for b in data[1:]:
-        group = b - 63
-        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[npairs:]):
+    if six.size != expected:
+        raise FormatError(f"graph6 body has {six.size} bytes, expected {expected}")
+    # eight bits per byte, most significant first; the top two are zero
+    bits = np.unpackbits(six[1:, None], axis=1)[:, 2:].ravel()
+    if bits[npairs:].any():
         raise FormatError("non-zero padding bits")
+    rows, cols = _pair_index(n)
     arr = np.zeros((n, n), dtype=np.int64)
-    for bit, (u, v) in zip(bits, pair_order(n)):
-        arr[u, v] = arr[v, u] = bit
+    arr[rows, cols] = bits[:npairs]
+    arr[cols, rows] = bits[:npairs]
     return MultiGraph(arr)

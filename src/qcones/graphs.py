@@ -181,7 +181,10 @@ def _components(g: MultiGraph) -> list[tuple[list[int], bool]]:
     Parallel edges do not affect 2-colorability: a digon joins the two color
     classes like a single edge, so a bare digon component is bipartite.
     """
-    nbrs = [np.flatnonzero(row).tolist() for row in g.mult]
+    rows, cols = np.nonzero(g.mult)  # row-major: each row's columns in a run
+    bounds = np.searchsorted(rows, np.arange(g.n + 1)).tolist()
+    cols = cols.tolist()
+    nbrs = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
     color = [-1] * g.n
     comps = []
     for start in range(g.n):

@@ -12,7 +12,8 @@ brute exhaustive search sweeps every labelled mask and dedupes pairwise
 with the backtracking `isomorphic`, the reference for the class-extension
 scan and the orbit dedupe.  The filter-by-filter scan over int64 Q stacks
 is the reference for the packed moment-key lookup, and the `np.isin` orbit
-dedupe for the sorted-orbit one.
+dedupe for the sorted-orbit one.  The bit-by-bit graph6 loops are the
+reference for the array codec.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 from qcones import (
     ConeSpec,
     ContractViolationError,
+    FormatError,
     MultiGraph,
     ParameterError,
     QSpectrum,
@@ -39,7 +41,7 @@ from qcones import (
     spectrum_compare,
 )
 from qcones import eigen
-from qcones.graph6 import pair_order
+from qcones.graph6 import MAX_GRAPH6_VERTICES, pair_order
 from qcones.orbits import _classes, _orbit, _q_stack
 from qcones.search import _distances
 
@@ -563,3 +565,65 @@ def isin_orbit_classes(masks: np.ndarray, n: int):
         orbit = _orbit(first, n)
         masks = masks[~np.isin(masks, orbit)]
         yield first, orbit
+
+
+# ---------------------------------------------------------------------------
+# bit-by-bit graph6 codec (reference for the array codec)
+# ---------------------------------------------------------------------------
+
+_HEADER = ">>graph6<<"
+
+
+def encode_graph6_bitwise(g: MultiGraph) -> str:
+    if not g.is_simple():
+        raise UnsupportedGraphError("graph6 encodes simple graphs only")
+    n = g.n
+    if n > MAX_GRAPH6_VERTICES:
+        raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")
+    out = [chr(n + 63)]
+    group = 0
+    filled = 0
+    for u, v in pair_order(n):
+        group = (group << 1) | int(g.mult[u, v])
+        filled += 1
+        if filled == 6:
+            out.append(chr(group + 63))
+            group = 0
+            filled = 0
+    if filled:
+        group <<= 6 - filled
+        out.append(chr(group + 63))
+    return "".join(out)
+
+
+def decode_graph6_bitwise(text: str) -> MultiGraph:
+    """The old decoder; it still reads a non-ASCII character as "?"."""
+    s = text.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):]
+    if not s:
+        raise FormatError("empty graph6 string")
+    data = s.encode("ascii", errors="replace")
+    if any(b < 63 or b > 126 for b in data):
+        raise FormatError("graph6 byte out of printable range")
+    if data[0] == 126:
+        raise FormatError("long-form graph6 sizes are not supported")
+    n = data[0] - 63
+    if n > MAX_GRAPH6_VERTICES:
+        raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")
+    if n < 1:
+        raise FormatError("graph needs at least one vertex")
+    npairs = n * (n - 1) // 2
+    expected = 1 + (npairs + 5) // 6
+    if len(data) != expected:
+        raise FormatError(f"graph6 body has {len(data)} bytes, expected {expected}")
+    bits = []
+    for b in data[1:]:
+        group = b - 63
+        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[npairs:]):
+        raise FormatError("non-zero padding bits")
+    arr = np.zeros((n, n), dtype=np.int64)
+    for bit, (u, v) in zip(bits, pair_order(n)):
+        arr[u, v] = arr[v, u] = bit
+    return MultiGraph(arr)

@@ -220,6 +220,19 @@ class TestSpectrumCommand:
         assert code == 0
         assert doc["result"]["numeric"]["values"] == [4.0, 1.0, 1.0]
 
+    def test_non_ascii_graph6_rejected(self, capsys):
+        # "é" once decoded as "?" (six zero bits), so "Bé" answered as 3K1
+        code, out, err = run_cli(capsys, "spectrum", "Bé", "--numeric")
+        assert code == 2
+        assert '"input": "B\\u00e9"' in out
+        doc = json.loads(out)
+        assert doc["status"] == "error" and doc["result"] is None
+        assert doc["error"] == (
+            "input is neither a cone spec (unknown term 'Bé' at position 1) "
+            "nor graph6 (graph6 byte out of printable range)"
+        )
+        assert "qcones:" in err
+
     def test_csv_golden(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum", FLAGSHIP_TEXT, "--both", "--format", "csv"
@@ -662,13 +675,16 @@ def test_module_entry_point_without_warnings():
 
 def test_import_builds_no_exhaustive_table():
     # the class and moment tables cost about 0.15 s at n = 8; only an
-    # exhaustive search of that order may pay for them
+    # exhaustive search of that order may pay for them (and only a graph6
+    # call for the codec's pair index of its order)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import qcones, qcones.cli\n"
          "from qcones.orbits import _classes, _extension_moments\n"
+         "from qcones.graph6 import _pair_index\n"
          "assert _classes.cache_info().currsize == 0\n"
-         "assert _extension_moments.cache_info().currsize == 0\n"],
+         "assert _extension_moments.cache_info().currsize == 0\n"
+         "assert _pair_index.cache_info().currsize == 0\n"],
         capture_output=True,
         text=True,
     )

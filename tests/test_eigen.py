@@ -15,10 +15,12 @@ from qcones import (
     MultiGraph,
     ParameterError,
     QSpectrum,
+    closed_spectrum,
     cycle_graph,
     digon,
     disjoint_union,
     g_family_spec,
+    parse_spec_text,
     path_graph,
     q_matrix,
     q_spectrum,
@@ -231,6 +233,35 @@ class TestLazyGroups:
             assert spec.count_in_interval(0.5, 3.5, closed_hi=True) == sum(
                 0.5 < v <= 3.5 + 1e-7 for v in values
             )
+
+    @staticmethod
+    def _bits(groups):
+        return [(g.value.hex(), g.multiplicity, g.sources) for g in groups]
+
+    def test_large_groups_match_eager_grouping_bitwise(self):
+        # numpy sums blocks of more than 8 values pairwise, so each member's
+        # low bits count: these means differ from np.add.reduceat sums
+        rng = random.Random(40)
+        for _ in range(40):
+            values, sources = [], []
+            for _ in range(rng.randrange(1, 5)):
+                base = rng.uniform(0.0, 50.0)
+                values += [base + rng.uniform(-1e-12, 1e-12) for _ in range(rng.randrange(8, 41))]
+                sources += rng.choices("abc", k=len(values) - len(sources))
+            values += [rng.uniform(0.0, 50.0) for _ in range(rng.randrange(0, 4))] + [-0.0]
+            sources += ["d"] * (len(values) - len(sources))
+            for tags in (None, tuple(sources)):
+                spec = QSpectrum(values, group_tol=1e-9, sources=tags)
+                assert max(g.multiplicity for g in spec.groups) >= 8
+                assert self._bits(spec.groups) == self._bits(_eager_groups(values, 1e-9, tags))
+
+    @pytest.mark.parametrize("text", ["K1 v 20K2 + 12K1", "K1 v C4 + C4 + C4 + C4 + C4 + K2 + K1"])
+    def test_large_groups_of_cone_spectra_match_eager_grouping_bitwise(self, text):
+        spec = parse_spec_text(text)
+        for s in (closed_spectrum(spec), q_spectrum(realize(spec))):
+            assert max(g.multiplicity for g in s.groups) >= 8
+            eager = _eager_groups(s.values.tolist(), s.group_tol, s.sources)
+            assert self._bits(s.groups) == self._bits(eager)
 
     def test_tie_at_the_tolerance_joins_the_group(self):
         spec = QSpectrum([1.0, 1.0 - self.TOL, 1.0 - 3 * self.TOL], group_tol=self.TOL)

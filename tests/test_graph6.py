@@ -1,7 +1,9 @@
-"""graph6 text round-trips and malformed-input rejection."""
+"""graph6 text round-trips, malformed-input rejection, and the array codec
+against the bit-by-bit reference."""
 
 import random
 
+import numpy as np
 import pytest
 
 from qcones import (
@@ -16,7 +18,7 @@ from qcones import (
 )
 from qcones.graph6 import pair_order
 
-from helpers import random_graph
+from helpers import decode_graph6_bitwise, encode_graph6_bitwise, random_graph
 
 
 def test_pair_order_is_column_major():
@@ -94,3 +96,56 @@ def test_decode_rejects_nonzero_padding():
     broken = sample[0] + chr(((ord(sample[1]) - 63) | 1) + 63)
     with pytest.raises(FormatError):
         decode_graph6(broken)
+
+
+def test_decode_rejects_non_ascii():
+    # "é" once read as "?", six zero bits: "Bé" decoded to three isolated vertices
+    for text in ("Bé", "B\u00e9", "Bw\u00e9", "\u00c2w", "B\udcff"):
+        with pytest.raises(FormatError, match="graph6 byte out of printable range"):
+            decode_graph6(text)
+
+
+def test_codec_matches_bitwise_reference_at_every_order():
+    rng = random.Random(62)
+    for n in range(1, 63):
+        for p in (0.0, rng.random(), 1.0):
+            g = random_graph(rng, n, p)
+            text = encode_graph6(g)
+            assert text == encode_graph6_bitwise(g)
+            for framed in (text, f">>graph6<<{text}", f"  \t{text}\n", f"\n>>graph6<<{text} "):
+                got = decode_graph6(framed).mult
+                want = decode_graph6_bitwise(framed).mult
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _outcome(fn, arg):
+    try:
+        fn(arg)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", ">>graph6<<", ">>graph6<< \n", "~Bw", "~", "B\x1f", "B\x7f", " B}\x7f",
+     "Bww", "B", "A@", "Bx", "?", "??", "}"],
+    ids=["empty", "blank", "header-only", "header-blank", "long-form", "long-form-alone",
+         "below-range", "above-range", "above-range-late", "too-long", "too-short",
+         "padding-n2", "padding-n3", "n0", "n0-with-body", "n62-no-body"],
+)
+def test_decode_rejections_match_bitwise_reference(text):
+    want = _outcome(decode_graph6_bitwise, text)
+    assert want is not None
+    assert _outcome(decode_graph6, text) == want
+
+
+@pytest.mark.parametrize(
+    "g",
+    [MultiGraph.from_edges(63, [(0, 1)]), digon()],
+    ids=["n63", "multigraph"],
+)
+def test_encode_rejections_match_bitwise_reference(g):
+    want = _outcome(encode_graph6_bitwise, g)
+    assert want is not None
+    assert _outcome(encode_graph6, g) == want

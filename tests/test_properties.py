@@ -1,7 +1,8 @@
 """Property tests: round-trips of spec text and graph6, moments against exact
 traces, closed cone spectra against numeric ones, independence from the
 vertex labelling (exhaustive-search hits, counted moments, cone recognition,
-spectra and components), and the CLI's output contract on fuzzed input."""
+spectra and components), the CLI's output contract on fuzzed input, and the
+CLI's JSON writer against `json.dumps(indent=2)`."""
 
 import contextlib
 import io
@@ -29,7 +30,7 @@ from qcones import (  # noqa: E402
     recognize_cone,
     search_exhaustive,
 )
-from qcones.cli import main  # noqa: E402
+from qcones.cli import _json, main  # noqa: E402
 from qcones.graph6 import pair_order  # noqa: E402
 from qcones.search import _mask_graph  # noqa: E402
 
@@ -203,5 +204,79 @@ def test_cli_answers_every_input_with_one_json_document(text, call):
             return
     assert code in (0, 2, 3, 4, 5), out.getvalue()
     doc = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
     assert doc["command"] == call[0] and doc["input"] == text
     assert (doc["result"] is None) == (code not in (0, 3))
+
+
+def dumps(doc) -> str:
+    """The CLI writer on a whole document, as `_emit` calls it."""
+    return _json(doc, "\n")
+
+
+json_strings = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\té\u2028\U0001f600\ud800'), max_size=8),
+)
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e22, 1.7e308, -1.7e308, 0.1]),
+)
+json_leaves = st.one_of(
+    json_strings,
+    st.integers(),
+    st.integers(min_value=2 ** 63 - 2, max_value=2 ** 70),
+    st.integers(max_value=-(2 ** 63) + 2, min_value=-(2 ** 70)),
+    st.booleans(),
+    st.none(),
+    json_floats,
+    json_floats.map(np.float64),
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        # flat float lists take the writer's one-join path; 1.7e308 twice
+        # overflows the sum it checks, which sends them the long way
+        st.lists(json_floats, max_size=6),
+        st.dictionaries(json_strings, kids, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), [1.0, float("nan")],
+     [1e308, float("inf")], {"a": [1, {"b": -float("inf")}]}, (0.5, float("nan"))],
+)
+def test_json_writer_rejects_non_finite_floats(doc):
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [np.int64(3), {1, 2}, [1.0, np.int64(2)], {"a": set()}, np.bool_(True), {(1, 2): 3},
+     frozenset(), {"a": [object()]}],
+)
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        dumps(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_json_writer_takes_only_string_keys(key):
+    with pytest.raises(TypeError):
+        dumps({"a": {key: 1}})
