@@ -42,7 +42,7 @@ from .errors import (
     InapplicableError,
     ScaleError,
 )
-from .graphs import MAX_VERTICES, ConeSpec, realize
+from .graphs import MAX_VERTICES, ConeSpec, _blocks, realize
 from .moments import delta_moments
 
 RESIDUAL_TOL = 1e-8
@@ -151,16 +151,12 @@ def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum
 
 
 def largest_q_eigenvalue(spec: ConeSpec) -> float:
-    """Largest signless-Laplacian eigenvalue of a cycles/digons+K2+K1 cone.
+    """Largest signless-Laplacian eigenvalue of any cone spec: the top root
+    of its main-part quotient.
 
-    Valid for cycle lengths down to 2 (digons); the value depends only on
-    (n, q, s), so redistributing vertices among cycle and digon blocks
-    cannot change it.
+    On cycles/digons + K2 + K1 cones it depends only on (n, q, s), so
+    redistributing vertices among cycle and digon blocks cannot change it.
     """
-    if spec.stars13 or any(l > 2 for l in spec.paths):
-        raise FamilyError("closed form needs cycle/digon blocks plus K2 and K1 only")
-    if spec.t < 1 or spec.q < 1 or spec.s < 1:
-        raise FamilyError("need at least one cycle or digon, one K2 and one K1")
     return _quotient_values(spec.n, _block_values(spec)[1])[0]
 
 
@@ -195,7 +191,11 @@ def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
     """
     if not (spec.is_g_family() or spec.is_f_family()):
         raise FamilyError("eigenvector construction needs a family spec")
-    lay = spec.layout()
+    walk = [(kind, list(range(first, first + size))) for kind, first, size in _blocks(spec)]
+    iso = [b[0] for kind, b in walk if kind == "path" and len(b) == 1]
+    k2 = [b for kind, b in walk if kind == "path" and len(b) == 2]
+    cycles = [b for kind, b in walk if kind == "cycle"]
+    claws = [(b[:3], b[3]) for kind, b in walk if kind == "claw"]
     qm = q_matrix(realize(spec))
     n = spec.n
     out: list[EigenFamily] = []
@@ -208,45 +208,42 @@ def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
             )
         out.append(EigenFamily(label, value, vec, res))
 
-    iso = lay.isolated
     for j in range(len(iso) - 1):
         vec = np.zeros(n)
         vec[iso[j]] = 1.0
         vec[iso[j + 1]] = -1.0
         add("eig-1", 1.0, vec)
-    for u, w in lay.k2_pairs:
+    for u, w in k2:
         vec = np.zeros(n)
         vec[u] = 1.0
         vec[w] = -1.0
         add("eig-1", 1.0, vec)
-    for j in range(len(lay.k2_pairs) - 1):
+    for j in range(len(k2) - 1):
         vec = np.zeros(n)
-        u1, w1 = lay.k2_pairs[j]
-        u2, w2 = lay.k2_pairs[j + 1]
-        vec[[u1, w1]] = 1.0
-        vec[[u2, w2]] = -1.0
+        vec[k2[j]] = 1.0
+        vec[k2[j + 1]] = -1.0
         add("eig-3", 3.0, vec)
-    for block, k in zip(lay.cycles, spec.cycles):
+    for block, k in zip(cycles, spec.cycles):
         for j in range(1, k):
             vec = np.zeros(n)
             offsets = np.arange(k)
             if j <= k // 2:
-                vec[list(block)] = np.cos(2.0 * math.pi * j * offsets / k)
+                vec[block] = np.cos(2.0 * math.pi * j * offsets / k)
             else:
-                vec[list(block)] = np.sin(2.0 * math.pi * (k - j) * offsets / k)
+                vec[block] = np.sin(2.0 * math.pi * (k - j) * offsets / k)
             add("cycle-lift", 3.0 + 2.0 * math.cos(2.0 * math.pi * j / k), vec)
     for j in range(1, spec.t):
         vec = np.zeros(n)
-        vec[list(lay.cycles[0])] = -float(spec.cycles[j])
-        vec[list(lay.cycles[j])] = float(spec.cycles[0])
+        vec[cycles[0]] = -float(spec.cycles[j])
+        vec[cycles[j]] = float(spec.cycles[0])
         add("eig-5", 5.0, vec)
 
-    for leaves, center in lay.stars:
+    for leaves, center in claws:
         if iso:
             # the one eigenvalue-1 vector that couples a pendant to the star
             vec = np.zeros(n)
             vec[iso[0]] = 2.0
-            vec[list(leaves)] = -1.0
+            vec[leaves] = -1.0
             vec[center] = 1.0
             add("eig-1", 1.0, vec)
         for other in (leaves[1], leaves[2]):
@@ -256,21 +253,21 @@ def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
             add("eig-2", 2.0, vec)
         if spec.cycles:
             vec = np.zeros(n)
-            vec[list(lay.cycles[0])] = -6.0 / spec.cycles[0]
-            vec[list(leaves)] = 1.0
+            vec[cycles[0]] = -6.0 / spec.cycles[0]
+            vec[leaves] = 1.0
             vec[center] = 3.0
             add("eig-5", 5.0, vec)
     for rho in _quotient_values(n, _block_values(spec)[1]):
         vec = np.empty(n)
-        vec[list(iso)] = 1.0 / (rho - 1.0)
-        for u, w in lay.k2_pairs:
-            vec[[u, w]] = 1.0 / (rho - 3.0)
-        for block in lay.cycles:
-            vec[list(block)] = 1.0 / (rho - 5.0)
-        for leaves, center in lay.stars:
-            vec[list(leaves)] = (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))
+        vec[iso] = 1.0 / (rho - 1.0)
+        for pair in k2:
+            vec[pair] = 1.0 / (rho - 3.0)
+        for block in cycles:
+            vec[block] = 1.0 / (rho - 5.0)
+        for leaves, center in claws:
+            vec[leaves] = (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))
             vec[center] = (rho + 1.0) / ((rho - 1.0) * (rho - 5.0))
-        vec[lay.apex] = 1.0
+        vec[n - 1] = 1.0
         add("quartic", rho, vec)
     return out
 

@@ -86,8 +86,9 @@ class QSpectrum:
     def _group(self) -> tuple[Group, ...]:
         """Groups split at every gap above the tolerance, found at once.
 
-        A group's value is its members' `mean()`.  For a single member that
-        is the value plus 0.0 (-0.0 becomes 0.0), so singletons skip numpy.
+        A group's value is its members' `sum() / size`, bitwise `mean()`
+        without numpy's Python-level wrapper.  For a single member that is
+        the value plus 0.0 (-0.0 becomes 0.0), so singletons skip numpy.
         """
         vals = self.values
         cuts = np.flatnonzero(vals[:-1] - vals[1:] > self.group_tol) + 1
@@ -95,7 +96,7 @@ class QSpectrum:
         singles = (vals + 0.0).tolist()
         groups = []
         for a, b in zip(bounds, bounds[1:]):
-            value = singles[a] if b - a == 1 else float(vals[a:b].mean())
+            value = singles[a] if b - a == 1 else float(vals[a:b].sum() / (b - a))
             tags = () if self.sources is None else tuple(sorted(set(self.sources[a:b])))
             groups.append(Group(value, b - a, tags))
         return tuple(groups)

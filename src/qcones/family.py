@@ -3,10 +3,11 @@ members with a given moment signature.
 
 A family member is a cone over disjoint cycles (length >= 3), paths and at
 most one claw whose base has the degree profile (n1, n2, n3, n4) of
-`degree_profile`.  `enumerate_family` builds every member; `_family_size`
-counts them from partition counts; `_family_with_signature` builds only the
-members with given numbers of C3, C4 and K2 blocks, which together with the
-profile fix their moments T1..T4 (see `moments.signature_moments`).
+`degree_profile`.  `_family_with_signature` builds the members with given
+numbers of C3, C4 and K2 blocks, which together with the profile fix their
+moments T1..T4 (see `moments.signature_moments`); these slices partition
+the family, and `enumerate_family` is their sorted union.  `_family_size`
+counts the members from partition counts.
 """
 
 from __future__ import annotations
@@ -51,32 +52,30 @@ def _path_blocks(n: int, profile: tuple[int, int, int, int]) -> int | None:
 
 
 def enumerate_family(n: int, profile: tuple[int, int, int, int]) -> list[ConeSpec]:
-    """All cone specs of order n whose base realizes the degree profile.
+    """All cone specs of order n whose base realizes the degree profile: the
+    union of the `_family_with_signature` slices, sorted.
 
     An inconsistent or infeasible profile yields an empty list rather than
     an error; infeasibility is a meaningful outcome for the callers.  Cycle
     lengths start at 3 (the candidate sets are simple), path orders at 1,
-    and at most one star block is allowed.  The result is duplicate-free
-    and sorted.
+    and at most one star block is allowed.  Each member has exactly one
+    signature, so the result is duplicate-free.
     """
     profile = tuple(int(x) for x in profile)
     p = _path_blocks(n, profile)
     if p is None:
         return []
-    n1, _, n3, n4 = profile
-    found: set[ConeSpec] = set()
-    for csum in range(n3 + 1):
-        interior = n3 - csum
-        if p == 0 and interior:
-            continue
-        for cycles in _partitions(csum, min_part=3):
-            for interiors in _partitions(interior, min_part=1, max_parts=p):
-                pad = p - len(interiors)
-                paths = tuple(i + 2 for i in interiors) + (2,) * pad + (1,) * n1
-                if not cycles and not paths and not n4:
-                    continue
-                found.add(ConeSpec(cycles=cycles, paths=paths, stars13=n4))
-    return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
+    n3 = profile[2]
+    return sorted(
+        (
+            spec
+            for k3 in range(n3 // 3 + 1)
+            for k4 in range((n3 - 3 * k3) // 4 + 1)
+            for nk2 in range(p + 1)
+            for spec in _family_with_signature(n, profile, k3, k4, nk2)
+        ),
+        key=lambda c: (c.stars13, c.cycles, c.paths),
+    )
 
 
 @lru_cache(maxsize=None)

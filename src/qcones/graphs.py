@@ -5,6 +5,10 @@ Vertices are always 0..n-1.  Edge multiplicities live in a symmetric integer
 matrix with zero diagonal; a digon (one vertex pair joined by two parallel
 edges) is stored as multiplicity 2.  Simple graphs are exactly those with all
 multiplicities <= 1.
+
+`realize` numbers a cone spec's vertices block by block: isolated vertices,
+K2s, longer paths in descending order, cycles in descending order, claws
+(three leaves, then the center), and the apex last.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -269,18 +274,6 @@ def t_bar_f_bar(g: MultiGraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConeLayout:
-    """Vertex index ranges of a realized cone spec."""
-
-    isolated: tuple[int, ...]
-    k2_pairs: tuple[tuple[int, int], ...]
-    long_paths: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
-    stars: tuple[tuple[tuple[int, int, int], int], ...]
-    apex: int
-
-
-@dataclass(frozen=True)
 class ConeSpec:
     """Structured description of a cone: apex joined to cycles, paths and stars.
 
@@ -349,47 +342,6 @@ class ConeSpec:
             and all(l <= 2 for l in self.paths)
         )
 
-    def layout(self) -> ConeLayout:
-        """Assign vertex indices: isolated, K2 pairs, longer paths, cycles,
-        stars (three leaves then the center), apex last."""
-        isolated = []
-        k2_pairs = []
-        long_paths = []
-        cycles = []
-        stars = []
-        next_free = 0
-
-        def take(count: int) -> tuple[int, ...]:
-            nonlocal next_free
-            block = tuple(range(next_free, next_free + count))
-            next_free += count
-            return block
-
-        for l in self.paths:
-            if l == 1:
-                isolated.extend(take(1))
-        for l in self.paths:
-            if l == 2:
-                u, v = take(2)
-                k2_pairs.append((u, v))
-        for l in self.paths:
-            if l >= 3:
-                long_paths.append(take(l))
-        for k in self.cycles:
-            cycles.append(take(k))
-        for _ in range(self.stars13):
-            a, b, c, center = take(4)
-            stars.append(((a, b, c), center))
-        apex = next_free
-        return ConeLayout(
-            isolated=tuple(isolated),
-            k2_pairs=tuple(k2_pairs),
-            long_paths=tuple(long_paths),
-            cycles=tuple(cycles),
-            stars=tuple(stars),
-            apex=apex,
-        )
-
 
 def _check_order(spec: ConeSpec) -> ConeSpec:
     if spec.n > MAX_VERTICES:
@@ -397,28 +349,32 @@ def _check_order(spec: ConeSpec) -> ConeSpec:
     return spec
 
 
+def _blocks(spec: ConeSpec) -> Iterator[tuple[str, int, int]]:
+    """Each base block of a spec as (kind, first vertex, size), kind "path",
+    "cycle" or "claw", in the vertex order of `realize`."""
+    paths = [l for l in spec.paths if l <= 2][::-1] + [l for l in spec.paths if l >= 3]
+    blocks = [("path", l) for l in paths] + [("cycle", k) for k in spec.cycles]
+    first = 0
+    for kind, size in blocks + [("claw", 4)] * spec.stars13:
+        yield kind, first, size
+        first += size
+
+
 def realize(spec: ConeSpec) -> MultiGraph:
-    """Cone graph of a spec with the documented vertex order (apex last)."""
+    """Cone graph of a spec, vertices in the module docstring's order: isolated
+    vertices, K2s, longer paths, cycles, claws (center last), then the apex."""
     n = _check_order(spec).n
-    lay = spec.layout()
     arr = np.zeros((n, n), dtype=np.int64)
-    for block in lay.long_paths:
-        for u, v in zip(block, block[1:]):
+    for kind, first, size in _blocks(spec):
+        last = first + size - 1
+        for u in range(first, last):
+            v = last if kind == "claw" else u + 1
             arr[u, v] = arr[v, u] = 1
-    for u, v in lay.k2_pairs:
-        arr[u, v] = arr[v, u] = 1
-    for block in lay.cycles:
-        if len(block) == 2:
-            u, v = block
-            arr[u, v] = arr[v, u] = 2
-        else:
-            for u, v in zip(block, block[1:] + block[:1]):
-                arr[u, v] = arr[v, u] = 1
-    for leaves, center in lay.stars:
-        for u in leaves:
-            arr[u, center] = arr[center, u] = 1
-    arr[lay.apex, :lay.apex] = 1
-    arr[:lay.apex, lay.apex] = 1
+        if kind == "cycle":  # a digon's closing edge doubles its single edge
+            arr[first, last] += 1
+            arr[last, first] += 1
+    arr[n - 1, :n - 1] = 1
+    arr[:n - 1, n - 1] = 1
     return MultiGraph(arr)
 
 

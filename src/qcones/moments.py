@@ -239,7 +239,8 @@ def solve_degree_system(
     fails; infeasibility is a meaningful outcome for contradiction arguments.
     """
     for name, v in (("t1", t1), ("t2", t2), ("t3", t3), ("n", n), ("d1", d1), ("n4", n4)):
-        if int(v) != v:
+        # NaN and ±inf first: int() of them raises a ValueError or OverflowError
+        if v != v or v in (np.inf, -np.inf) or int(v) != v:
             raise ParameterError(f"{name} must be an integer, got {v!r}")
     t1, t2, t3, n, d1, n4 = int(t1), int(t2), int(t3), int(n), int(d1), int(n4)
     if n < 1 or n4 < 0:

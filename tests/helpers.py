@@ -7,7 +7,8 @@ characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The paper's quartic, with its coefficients, root
 brackets and bisection, is the oracle for the four quotient values of the
 closed G and F spectra.  The brute-path family search realizes and brute-counts
-every candidate, the reference for the closed-form moment filter.  The
+every candidate of the partition-loop enumeration, the reference for the
+closed-form moment filter and for the union of the signature slices.  The
 brute exhaustive search sweeps every labelled mask and dedupes pairwise
 with the backtracking `isomorphic`, the reference for the class-extension
 scan and the orbit dedupe.  The filter-by-filter scan over int64 Q stacks
@@ -33,14 +34,20 @@ from qcones import (
     SearchHit,
     SearchReport,
     UnsupportedGraphError,
-    enumerate_family,
+    cone,
+    cycle_graph,
+    digon,
+    disjoint_union,
     moments_from_counts,
+    path_graph,
     q_spectrum,
     realize,
     solve_degree_system,
     spectrum_compare,
+    star_graph,
 )
 from qcones import eigen
+from qcones.family import _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES, pair_order
 from qcones.orbits import _classes, _orbit, _q_stack
 from qcones.search import _distances
@@ -69,6 +76,29 @@ def random_graph(rng, n: int, p: float) -> MultiGraph:
             if rng.random() < p:
                 arr[u, v] = arr[v, u] = 1
     return MultiGraph(arr)
+
+
+def random_cone_spec(rng, max_path: int) -> ConeSpec:
+    """Cycles of length 2..9 (2 a digon), paths of order 1..max_path and 0-2
+    claws, at least one block."""
+    while True:
+        cycles = [rng.randint(2, 9) for _ in range(rng.randint(0, 3))]
+        paths = [rng.randint(1, max_path) for _ in range(rng.randint(0, 5))]
+        stars = rng.randint(0, 2)
+        if cycles or paths or stars:
+            return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+
+
+def cone_from_builders(spec: ConeSpec) -> MultiGraph:
+    """The cone of a spec from the named builders, in the documented vertex
+    order: isolated vertices, K2s, longer paths (descending), cycles
+    (descending), claws (center last), apex last."""
+    short = sorted(l for l in spec.paths if l <= 2)
+    long = sorted((l for l in spec.paths if l >= 3), reverse=True)
+    blocks = [path_graph(l) for l in short + long]
+    blocks += [digon() if k == 2 else cycle_graph(k) for k in sorted(spec.cycles, reverse=True)]
+    blocks += [star_graph(4)] * spec.stars13
+    return cone(disjoint_union(blocks))
 
 
 def _adj(g: MultiGraph):
@@ -356,6 +386,30 @@ def quotient_matrix(n: int, q: int, s: int) -> np.ndarray:
 # family search reference
 # ---------------------------------------------------------------------------
 
+def enumerate_family_by_partitions(n: int, profile) -> list[ConeSpec]:
+    """enumerate_family from one loop over the partitions of the cycle and
+    path-interior vertices, the reference for the union of the signature
+    slices."""
+    profile = tuple(int(x) for x in profile)
+    p = _path_blocks(n, profile)
+    if p is None:
+        return []
+    n1, _, n3, n4 = profile
+    found: set[ConeSpec] = set()
+    for csum in range(n3 + 1):
+        interior = n3 - csum
+        if p == 0 and interior:
+            continue
+        for cycles in _partitions(csum, min_part=3):
+            for interiors in _partitions(interior, min_part=1, max_parts=p):
+                pad = p - len(interiors)
+                paths = tuple(i + 2 for i in interiors) + (2,) * pad + (1,) * n1
+                if not cycles and not paths and not n4:
+                    continue
+                found.add(ConeSpec(cycles=cycles, paths=paths, stars13=n4))
+    return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
+
+
 @lru_cache(maxsize=None)
 def _brute_moments(cand):
     # targets of one order and degree profile share their candidates
@@ -372,7 +426,7 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     for n4 in (0, 1):
         counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
         if counts is not None:
-            candidates.update(enumerate_family(n, (*counts, n4)))
+            candidates.update(enumerate_family_by_partitions(n, (*counts, n4)))
     hits = []
     for cand in candidates:
         if cand == target:

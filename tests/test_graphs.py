@@ -25,12 +25,14 @@ from qcones import (
 )
 
 from helpers import (
+    cone_from_builders,
     isomorphic,
     naive_c3,
     naive_c4,
     naive_f_bar,
     naive_p3,
     naive_t_bar,
+    random_cone_spec,
     random_graph,
 )
 
@@ -318,22 +320,13 @@ class TestConeSpec:
         assert not ConeSpec(cycles=(3,), paths=(1,)).is_g_family()
         assert not ConeSpec(cycles=(3,), paths=(2,)).is_g_family()
 
-    def test_layout_covers_all_indices(self):
-        spec = ConeSpec(cycles=(4, 3), paths=(3, 2, 1), stars13=1)
-        lay = spec.layout()
-        seen = list(lay.isolated)
-        for pair in lay.k2_pairs:
-            seen.extend(pair)
-        for block in lay.long_paths:
-            seen.extend(block)
-        for block in lay.cycles:
-            seen.extend(block)
-        for leaves, center in lay.stars:
-            seen.extend(leaves)
-            seen.append(center)
-        seen.append(lay.apex)
-        assert sorted(seen) == list(range(spec.n))
-        assert lay.apex == spec.n - 1
+    def test_realize_follows_the_documented_vertex_order(self):
+        # digons, 0-2 claws and paths up to order 9, against the named builders
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            spec = random_cone_spec(rng, max_path=9)
+            built = cone_from_builders(spec).mult
+            assert realize(spec).mult.tobytes() == built.tobytes(), spec
 
     def test_realize_flagship_degrees(self):
         g = realize(g_family_spec([3], 1, 1))

@@ -1,5 +1,6 @@
 """Moment vectors, closed-form counts, moment shifts, degree systems."""
 
+import math
 import random
 
 import numpy as np
@@ -309,6 +310,14 @@ class TestSolveDegreeSystem:
     def test_rejects_non_integer(self):
         with pytest.raises(ParameterError):
             solve_degree_system(10.5, 30, 80, 6, 5, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5], ids=str)
+    @pytest.mark.parametrize("position", range(6))
+    def test_rejects_non_finite_with_a_typed_error(self, value, position):
+        args = [10, 30, 80, 6, 5, 0]
+        args[position] = value
+        with pytest.raises(ParameterError, match="must be an integer"):
+            solve_degree_system(*args)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ParameterError):

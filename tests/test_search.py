@@ -55,6 +55,7 @@ from helpers import (
     CHUNK_SIZES,
     brute_search_exhaustive,
     brute_search_family,
+    enumerate_family_by_partitions,
     extension_masks,
     isin_orbit_classes,
     isomorphic,
@@ -231,7 +232,8 @@ class TestFamilyBySignature:
     def test_family_size_counts_the_enumeration(self):
         for n in range(1, 15):
             for profile in _profiles(n):
-                assert _family_size(n, profile) == len(enumerate_family(n, profile)), (n, profile)
+                expected = len(enumerate_family_by_partitions(n, profile))
+                assert _family_size(n, profile) == expected, (n, profile)
 
     def test_signatures_split_the_enumeration(self):
         for n in range(1, 13):
@@ -248,7 +250,14 @@ class TestFamilyBySignature:
                                 assert spec.paths.count(2) == nk2
                             built += specs
                 assert len(built) == len(set(built))
-                assert set(built) == set(enumerate_family(n, profile)), (n, profile)
+                expected = enumerate_family_by_partitions(n, profile)
+                assert set(built) == set(expected), (n, profile)
+
+    def test_enumeration_is_the_partition_loop(self):
+        for n in range(1, 21):
+            for profile in _profiles(n):
+                expected = enumerate_family_by_partitions(n, profile)
+                assert enumerate_family(n, profile) == expected, (n, profile)
 
     @pytest.mark.parametrize("target, rejected", [
         (g_family_spec([5, 3], 2, 1), []),
@@ -272,7 +281,7 @@ class TestFamilyBySignature:
         union = {target}
         for n4, counts in enumerate(solved):
             if counts is not None:
-                union.update(enumerate_family(target.n, (*counts, n4)))
+                union.update(enumerate_family_by_partitions(target.n, (*counts, n4)))
         report = search_family(target)
         assert report.cardinality == len(union)
         assert report == brute_search_family(target)
