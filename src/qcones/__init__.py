@@ -18,20 +18,12 @@ from .graph6 import decode_graph6, encode_graph6
 from .graphs import (
     ConeSpec,
     MultiGraph,
-    complete_graph,
     components_and_bipartiteness,
-    cone,
     count_subgraphs,
-    cycle_graph,
     degree_profile,
-    digon,
-    disjoint_union,
     format_spec_text,
-    g_family_spec,
     parse_spec_text,
-    path_graph,
     realize,
-    star_graph,
     t_bar_f_bar,
 )
 from .eigen import (
@@ -43,11 +35,7 @@ from .eigen import (
     sym_eigenvalues,
 )
 from .cones import (
-    EigenFamily,
     closed_spectrum,
-    closed_spectrum_F,
-    closed_spectrum_G,
-    eigenvector_families,
     even_cycle_split_candidate,
     largest_q_eigenvalue,
     triangle_star_mate,
@@ -57,7 +45,6 @@ from .moments import (
     CountVector,
     MomentVector,
     brute_counts,
-    counts_closed_form,
     delta_moments,
     moments_closed_form,
     moments_from_counts,

@@ -1,5 +1,4 @@
-"""Closed-form spectra of cones, the explicit eigenvectors of the two
-families, and the cospectral-mate constructions.
+"""Closed-form spectra of cones and the cospectral-mate constructions.
 
 With the apex last, a cone over the blocks B has Q = [[Q_H + I, 1],
 [1^T, n - 1]], where Q_H + I is block diagonal.  An eigenvalue of a
@@ -31,21 +30,13 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import GROUP_TOL, QSpectrum, _eigvalsh, q_matrix
-from .errors import (
-    ConstructionError,
-    FamilyError,
-    InapplicableError,
-    ScaleError,
-)
-from .graphs import MAX_VERTICES, ConeSpec, _blocks, realize
+from .eigen import GROUP_TOL, QSpectrum, _eigvalsh
+from .errors import ConstructionError, InapplicableError, ScaleError
+from .graphs import MAX_VERTICES, ConeSpec
 from .moments import delta_moments
-
-RESIDUAL_TOL = 1e-8
 
 
 def _cos_tag(prefix: str, num: int, den: int) -> str:
@@ -73,36 +64,40 @@ def _path_value(j: int, l: int) -> tuple[float, str]:
     return 3.0 - 2.0 * math.cos(math.pi * j / l), tag
 
 
-def _block_values(spec: ConeSpec) -> tuple[list[tuple[float, str]], dict]:
-    """The blocks' non-main values with their tags, and their main values as
-    {value: [total weight, number of blocks, tag]}."""
-    plain: list[tuple[float, str]] = []
+def _main_values(spec: ConeSpec) -> dict:
+    """The blocks' main values as {value: [total weight, number of blocks,
+    tag]}, accumulated over paths, claws, then cycles; O(1) per cycle."""
     main: dict = {}
 
-    def add_main(value: float, tag: str, weight: float) -> None:
+    def add(value: float, tag: str, weight: float) -> None:
         entry = main.setdefault(value, [0.0, 0, tag])
         entry[0] += weight
         entry[1] += 1
 
     for l in spec.paths:
-        for j in range(l):
-            value, tag = _path_value(j, l)
-            if (j + l) % 2 == 0:
-                plain.append((value, tag))
-            elif j == 0:
-                add_main(value, tag, 1.0 / l)
+        for j in range((l + 1) % 2, l, 2):  # j + l odd
+            if j == 0:
+                weight = 1.0 / l
             else:
                 # cos(jπ/2l) as the sine of its complement, which keeps its
                 # relative accuracy as j nears l
-                add_main(value, tag, 2.0 / (l * math.sin(math.pi * (l - j) / (2 * l)) ** 2))
+                weight = 2.0 / (l * math.sin(math.pi * (l - j) / (2 * l)) ** 2)
+            add(*_path_value(j, l), weight)
     for _ in range(spec.stars13):
-        plain += [(2.0, "2")] * 2
-        add_main(5.0, "5", 3.0)
-        add_main(1.0, "1", 1.0)
+        add(5.0, "5", 3.0)
+        add(1.0, "1", 1.0)
+    for k in spec.cycles:
+        add(5.0, "5", float(k))
+    return main
+
+
+def _plain_values(spec: ConeSpec) -> list[tuple[float, str]]:
+    """The blocks' non-main values with their tags: paths, claws, then cycles."""
+    plain = [_path_value(j, l) for l in spec.paths for j in range(l % 2, l, 2)]
+    plain += [(2.0, "2")] * (2 * spec.stars13)
     for k in spec.cycles:
         plain += _cycle_values(k)
-        add_main(5.0, "5", float(k))
-    return plain, main
+    return plain
 
 
 def _quotient_values(n: int, main: dict) -> list[float]:
@@ -118,7 +113,7 @@ def _quotient_values(n: int, main: dict) -> list[float]:
 def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of any cone spec from its blocks' explicit values and one
     eigensolve of the main-part quotient, with a source tag per value."""
-    plain, main = _block_values(spec)
+    main = _main_values(spec)
     roots = _quotient_values(spec.n, main)
     kind = "quartic" if len(roots) == 4 else "quotient"
     tagged = [(r, f"{kind}-{i}") for i, r in enumerate(roots, start=1)]
@@ -126,28 +121,8 @@ def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
         tagged += [(value, tag)] * (copies - 1)
     # spare copies, path and claw values come before cycle values, so where
     # a constant equals a cycle value the constant's tag is listed first
-    values, sources = zip(*tagged, *plain)
+    values, sources = zip(*tagged, *_plain_values(spec))
     return QSpectrum(values, group_tol=group_tol, sources=sources)
-
-
-def closed_spectrum_G(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
-    """`closed_spectrum` of a cycles+K2+K1 cone: four quartic roots, the
-    constants 5^(t-1), 3^(q-1), 1^(s+q-1), and k-1 lift values per cycle."""
-    if not spec.is_g_family():
-        raise FamilyError("closed form needs cycles (>= 3) plus K2 and K1 blocks")
-    return closed_spectrum(spec, group_tol)
-
-
-def closed_spectrum_F(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
-    """`closed_spectrum` of the one-star mate family.
-
-    With derived parameters s = (#isolated)+1 and t = (#cycles)+1 it shares
-    the quartic of the source family and swaps one cycle's lift values for
-    the pair {2, 2}.
-    """
-    if not spec.is_f_family():
-        raise FamilyError("closed form needs exactly one star block, K2s, cycles >= 3")
-    return closed_spectrum(spec, group_tol)
 
 
 def largest_q_eigenvalue(spec: ConeSpec) -> float:
@@ -157,119 +132,7 @@ def largest_q_eigenvalue(spec: ConeSpec) -> float:
     On cycles/digons + K2 + K1 cones it depends only on (n, q, s), so
     redistributing vertices among cycle and digon blocks cannot change it.
     """
-    return _quotient_values(spec.n, _block_values(spec)[1])[0]
-
-
-# ---------------------------------------------------------------------------
-# explicit eigenvectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenFamily:
-    """One constructed eigenvector: family label, eigenvalue, vector, and the
-    relative residual of Q v - lambda v."""
-
-    label: str
-    eigenvalue: float
-    vector: np.ndarray
-    residual: float
-
-
-def _residual(qm: np.ndarray, value: float, vec: np.ndarray) -> float:
-    err = qm @ vec - value * vec
-    return float(np.abs(err).max() / max(1.0, np.abs(vec).max()))
-
-
-def eigenvector_families(spec: ConeSpec) -> list[EigenFamily]:
-    """Full explicit eigenbasis for a family spec.
-
-    Labels and counts: 'eig-1' pendant/K2 difference vectors (s+q-1 of them),
-    'eig-3' consecutive-K2 vectors (q-1), 'eig-5' cycle-pair vectors (t-1),
-    'cycle-lift' zero-sum cycle vectors (k-1 per cycle), 'eig-2' star-leaf
-    differences (2, one-star family only), and 'quartic' (4).  Any residual
-    above RESIDUAL_TOL signals a construction bug and raises.
-    """
-    if not (spec.is_g_family() or spec.is_f_family()):
-        raise FamilyError("eigenvector construction needs a family spec")
-    walk = [(kind, list(range(first, first + size))) for kind, first, size in _blocks(spec)]
-    iso = [b[0] for kind, b in walk if kind == "path" and len(b) == 1]
-    k2 = [b for kind, b in walk if kind == "path" and len(b) == 2]
-    cycles = [b for kind, b in walk if kind == "cycle"]
-    claws = [(b[:3], b[3]) for kind, b in walk if kind == "claw"]
-    qm = q_matrix(realize(spec))
-    n = spec.n
-    out: list[EigenFamily] = []
-
-    def add(label: str, value: float, vec: np.ndarray) -> None:
-        res = _residual(qm, value, vec)
-        if res > RESIDUAL_TOL:
-            raise ConstructionError(
-                f"{label} vector for {value} has residual {res:.3e}"
-            )
-        out.append(EigenFamily(label, value, vec, res))
-
-    for j in range(len(iso) - 1):
-        vec = np.zeros(n)
-        vec[iso[j]] = 1.0
-        vec[iso[j + 1]] = -1.0
-        add("eig-1", 1.0, vec)
-    for u, w in k2:
-        vec = np.zeros(n)
-        vec[u] = 1.0
-        vec[w] = -1.0
-        add("eig-1", 1.0, vec)
-    for j in range(len(k2) - 1):
-        vec = np.zeros(n)
-        vec[k2[j]] = 1.0
-        vec[k2[j + 1]] = -1.0
-        add("eig-3", 3.0, vec)
-    for block, k in zip(cycles, spec.cycles):
-        for j in range(1, k):
-            vec = np.zeros(n)
-            offsets = np.arange(k)
-            if j <= k // 2:
-                vec[block] = np.cos(2.0 * math.pi * j * offsets / k)
-            else:
-                vec[block] = np.sin(2.0 * math.pi * (k - j) * offsets / k)
-            add("cycle-lift", 3.0 + 2.0 * math.cos(2.0 * math.pi * j / k), vec)
-    for j in range(1, spec.t):
-        vec = np.zeros(n)
-        vec[cycles[0]] = -float(spec.cycles[j])
-        vec[cycles[j]] = float(spec.cycles[0])
-        add("eig-5", 5.0, vec)
-
-    for leaves, center in claws:
-        if iso:
-            # the one eigenvalue-1 vector that couples a pendant to the star
-            vec = np.zeros(n)
-            vec[iso[0]] = 2.0
-            vec[leaves] = -1.0
-            vec[center] = 1.0
-            add("eig-1", 1.0, vec)
-        for other in (leaves[1], leaves[2]):
-            vec = np.zeros(n)
-            vec[leaves[0]] = -1.0
-            vec[other] = 1.0
-            add("eig-2", 2.0, vec)
-        if spec.cycles:
-            vec = np.zeros(n)
-            vec[cycles[0]] = -6.0 / spec.cycles[0]
-            vec[leaves] = 1.0
-            vec[center] = 3.0
-            add("eig-5", 5.0, vec)
-    for rho in _quotient_values(n, _block_values(spec)[1]):
-        vec = np.empty(n)
-        vec[iso] = 1.0 / (rho - 1.0)
-        for pair in k2:
-            vec[pair] = 1.0 / (rho - 3.0)
-        for block in cycles:
-            vec[block] = 1.0 / (rho - 5.0)
-        for leaves, center in claws:
-            vec[leaves] = (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))
-            vec[center] = (rho + 1.0) / ((rho - 1.0) * (rho - 5.0))
-        vec[n - 1] = 1.0
-        add("quartic", rho, vec)
-    return out
+    return _quotient_values(spec.n, _main_values(spec))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -114,31 +114,6 @@ class QSpectrum:
         """Total size of the groups whose representative lies within tol of x."""
         return sum(g.multiplicity for g in self.groups if abs(g.value - x) <= tol)
 
-    def count_in_interval(
-        self,
-        lo: float,
-        hi: float,
-        closed_lo: bool = False,
-        closed_hi: bool = False,
-        tol: float = 1e-7,
-    ) -> int:
-        """Count values in the interval, resolving endpoint grazes at `tol`.
-
-        A value within tol of an endpoint counts exactly when that endpoint
-        is closed; everything else counts by strict comparison.
-        """
-        if not lo < hi:
-            raise ParameterError("interval needs lo < hi")
-        count = 0
-        for v in self.values:
-            if abs(v - lo) <= tol:
-                count += closed_lo
-            elif abs(v - hi) <= tol:
-                count += closed_hi
-            elif lo < v < hi:
-                count += 1
-        return count
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in self.groups)
         return f"QSpectrum({parts})"

@@ -1,5 +1,5 @@
-"""Multigraph carrier, named builders, cones, common-neighbour structure
-counts, and the cone spec text grammar.
+"""Multigraph carrier, common-neighbour structure counts, cone specs and
+their realization, and the cone spec text grammar.
 
 Vertices are always 0..n-1.  Edge multiplicities live in a symmetric integer
 matrix with zero diagonal; a digon (one vertex pair joined by two parallel
@@ -13,7 +13,6 @@ K2s, longer paths in descending order, cycles in descending order, claws
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -50,19 +49,6 @@ class MultiGraph:
         arr.setflags(write=False)
         self._mult = arr
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "MultiGraph":
-        """Build from an edge list; repeated pairs accumulate multiplicity."""
-        if n < 1:
-            raise ParameterError("need at least one vertex")
-        arr = np.zeros((n, n), dtype=np.int64)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ParameterError(f"bad edge ({u}, {v}) for n={n}")
-            arr[u, v] += 1
-            arr[v, u] += 1
-        return cls(arr)
-
     @property
     def n(self) -> int:
         return self._mult.shape[0]
@@ -75,9 +61,6 @@ class MultiGraph:
     def degrees(self) -> np.ndarray:
         return self._mult.sum(axis=1)
 
-    def degree(self, v: int) -> int:
-        return int(self._mult[v].sum())
-
     @property
     def num_edges(self) -> int:
         """Edge count with multiplicity."""
@@ -86,17 +69,20 @@ class MultiGraph:
     def is_simple(self) -> bool:
         return bool((self._mult <= 1).all())
 
-    def subgraph(self, vertices) -> "MultiGraph":
-        """Induced subgraph on the given vertices, relabeled in the given order."""
-        idx = np.asarray(list(vertices), dtype=np.intp)
-        return MultiGraph(self._mult[np.ix_(idx, idx)])
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ParameterError(f"vertex {v} outside 0..{self.n - 1}")
 
     def without_vertex(self, v: int) -> "MultiGraph":
+        """Induced subgraph on the other vertices, in their order."""
+        self._check_vertex(v)
         keep = [u for u in range(self.n) if u != v]
-        return self.subgraph(keep)
+        return MultiGraph(self._mult[np.ix_(keep, keep)])
 
     def without_edge(self, u: int, v: int) -> "MultiGraph":
         """Remove one parallel copy of the edge uv."""
+        self._check_vertex(u)
+        self._check_vertex(v)
         if self._mult[u, v] < 1:
             raise ParameterError(f"no edge between {u} and {v}")
         arr = self._mult.copy()
@@ -114,69 +100,6 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
-
-
-# ---------------------------------------------------------------------------
-# named builders
-# ---------------------------------------------------------------------------
-
-def path_graph(length: int) -> MultiGraph:
-    """Path on `length` vertices, labeled 0..length-1 along the chain."""
-    if length < 1:
-        raise ParameterError("path needs length >= 1")
-    return MultiGraph.from_edges(length, [(i, i + 1) for i in range(length - 1)])
-
-
-def cycle_graph(k: int) -> MultiGraph:
-    """Simple cycle 0-1-...-(k-1)-0; use digon() for the length-2 multigraph cycle."""
-    if k < 3:
-        raise ParameterError("simple cycle needs k >= 3")
-    return MultiGraph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def digon() -> MultiGraph:
-    """Two vertices joined by two parallel edges."""
-    return MultiGraph([[0, 2], [2, 0]])
-
-
-def complete_graph(n: int) -> MultiGraph:
-    if n < 1:
-        raise ParameterError("complete graph needs n >= 1")
-    return MultiGraph.from_edges(n, itertools.combinations(range(n), 2))
-
-
-def star_graph(n: int) -> MultiGraph:
-    """Star on n vertices: leaves 0..n-2, center n-1 (center last)."""
-    if n < 2:
-        raise ParameterError("star needs n >= 2")
-    return MultiGraph.from_edges(n, [(i, n - 1) for i in range(n - 1)])
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-def disjoint_union(graphs) -> MultiGraph:
-    graphs = list(graphs)
-    if not graphs:
-        raise ParameterError("union of no graphs")
-    n = sum(g.n for g in graphs)
-    arr = np.zeros((n, n), dtype=np.int64)
-    offset = 0
-    for g in graphs:
-        arr[offset:offset + g.n, offset:offset + g.n] = g.mult
-        offset += g.n
-    return MultiGraph(arr)
-
-
-def cone(base: MultiGraph) -> MultiGraph:
-    """Join a new apex to every vertex of `base`; the apex gets the last label."""
-    n = base.n
-    arr = np.zeros((n + 1, n + 1), dtype=np.int64)
-    arr[:n, :n] = base.mult
-    arr[n, :n] = 1
-    arr[:n, n] = 1
-    return MultiGraph(arr)
 
 
 def _components(g: MultiGraph) -> list[tuple[list[int], bool]]:
@@ -386,13 +309,6 @@ def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
     """
     n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
     return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
-
-
-def g_family_spec(cycles, q: int, s: int) -> ConeSpec:
-    """Convenience constructor for cycles + q K2 blocks + s isolated vertices."""
-    if q < 0 or s < 0:
-        raise ParameterError("q and s must be >= 0")
-    return ConeSpec(cycles=tuple(cycles), paths=(2,) * q + (1,) * s)
 
 
 # ---------------------------------------------------------------------------

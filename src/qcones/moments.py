@@ -147,17 +147,6 @@ def _signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int
     )
 
 
-def counts_closed_form(spec: ConeSpec) -> CountVector:
-    """Closed-form counts for any simple cone spec, no graph realization.
-
-    Every block adds fixed terms from its base degrees, its base edges'
-    endpoint degrees and whether it is a C3, C4 or K2 block; the apex adds
-    the rest.  Cross-checked against `brute_counts` in the test suite.
-    Digon specs raise FamilyError.
-    """
-    return _cone_counts(*_signature(spec))[1]
-
-
 def signature_moments(
     profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
 ) -> MomentVector:

@@ -1,5 +1,11 @@
 """Shared test utilities: random graphs and independent oracles.
 
+The graph builders (`from_edges`, `path_graph`, `cycle_graph`, `digon`,
+`complete_graph`, `star_graph`, `disjoint_union`, `cone`) and
+`g_family_spec` assemble cones block by block, independently of `realize`.
+`eigenvector_families` builds the paper's explicit eigenbasis of the G and
+F families, which the tests check by its residuals against Q.
+
 The counters here are deliberately written in the dumbest possible way
 (subset enumeration) so they share no code path with the package.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
@@ -26,6 +32,7 @@ import numpy as np
 from qcones import (
     ConeSpec,
     ContractViolationError,
+    FamilyError,
     FormatError,
     MultiGraph,
     ParameterError,
@@ -34,21 +41,17 @@ from qcones import (
     SearchHit,
     SearchReport,
     UnsupportedGraphError,
-    cone,
-    cycle_graph,
-    digon,
-    disjoint_union,
     moments_from_counts,
-    path_graph,
     q_spectrum,
     realize,
     solve_degree_system,
     spectrum_compare,
-    star_graph,
 )
 from qcones import eigen
+from qcones.cones import _main_values, _quotient_values
 from qcones.family import _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES, pair_order
+from qcones.graphs import _blocks
 from qcones.orbits import _classes, _orbit, _q_stack
 from qcones.search import _distances
 
@@ -87,6 +90,81 @@ def random_cone_spec(rng, max_path: int) -> ConeSpec:
         stars = rng.randint(0, 2)
         if cycles or paths or stars:
             return ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+
+
+def from_edges(n: int, edges) -> MultiGraph:
+    """Build from an edge list; repeated pairs accumulate multiplicity."""
+    if n < 1:
+        raise ParameterError("need at least one vertex")
+    arr = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ParameterError(f"bad edge ({u}, {v}) for n={n}")
+        arr[u, v] += 1
+        arr[v, u] += 1
+    return MultiGraph(arr)
+
+
+def path_graph(length: int) -> MultiGraph:
+    """Path on `length` vertices, labeled 0..length-1 along the chain."""
+    if length < 1:
+        raise ParameterError("path needs length >= 1")
+    return from_edges(length, [(i, i + 1) for i in range(length - 1)])
+
+
+def cycle_graph(k: int) -> MultiGraph:
+    """Simple cycle 0-1-...-(k-1)-0; use digon() for the length-2 multigraph cycle."""
+    if k < 3:
+        raise ParameterError("simple cycle needs k >= 3")
+    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def digon() -> MultiGraph:
+    """Two vertices joined by two parallel edges."""
+    return MultiGraph([[0, 2], [2, 0]])
+
+
+def complete_graph(n: int) -> MultiGraph:
+    if n < 1:
+        raise ParameterError("complete graph needs n >= 1")
+    return from_edges(n, combinations(range(n), 2))
+
+
+def star_graph(n: int) -> MultiGraph:
+    """Star on n vertices: leaves 0..n-2, center n-1 (center last)."""
+    if n < 2:
+        raise ParameterError("star needs n >= 2")
+    return from_edges(n, [(i, n - 1) for i in range(n - 1)])
+
+
+def disjoint_union(graphs) -> MultiGraph:
+    graphs = list(graphs)
+    if not graphs:
+        raise ParameterError("union of no graphs")
+    n = sum(g.n for g in graphs)
+    arr = np.zeros((n, n), dtype=np.int64)
+    offset = 0
+    for g in graphs:
+        arr[offset:offset + g.n, offset:offset + g.n] = g.mult
+        offset += g.n
+    return MultiGraph(arr)
+
+
+def cone(base: MultiGraph) -> MultiGraph:
+    """Join a new apex to every vertex of `base`; the apex gets the last label."""
+    n = base.n
+    arr = np.zeros((n + 1, n + 1), dtype=np.int64)
+    arr[:n, :n] = base.mult
+    arr[n, :n] = 1
+    arr[:n, n] = 1
+    return MultiGraph(arr)
+
+
+def g_family_spec(cycles, q: int, s: int) -> ConeSpec:
+    """Cycles + q K2 blocks + s isolated vertices."""
+    if q < 0 or s < 0:
+        raise ParameterError("q and s must be >= 0")
+    return ConeSpec(cycles=tuple(cycles), paths=(2,) * q + (1,) * s)
 
 
 def cone_from_builders(spec: ConeSpec) -> MultiGraph:
@@ -380,6 +458,81 @@ def quotient_matrix(n: int, q: int, s: int) -> np.ndarray:
         ],
         dtype=np.float64,
     )
+
+
+# ---------------------------------------------------------------------------
+# explicit eigenbasis of the G and F families
+# ---------------------------------------------------------------------------
+
+RESIDUAL_TOL = 1e-8
+
+
+def residual(qm: np.ndarray, value: float, vec: np.ndarray) -> float:
+    """Relative residual of Q v - value v."""
+    err = qm @ vec - value * vec
+    return float(np.abs(err).max() / max(1.0, np.abs(vec).max()))
+
+
+def eigenvector_families(spec: ConeSpec) -> list[tuple[str, float, np.ndarray]]:
+    """The paper's explicit eigenbasis of a family spec, as (label,
+    eigenvalue, vector) triples.
+
+    Labels and counts: 'eig-1' pendant/K2 difference vectors (s+q-1 of them),
+    'eig-3' consecutive-K2 vectors (q-1), 'eig-5' cycle-pair vectors (t-1),
+    'cycle-lift' zero-sum cycle vectors (k-1 per cycle), 'eig-2' star-leaf
+    differences (2, one-star family only), and 'quartic' (4).
+    """
+    if not (spec.is_g_family() or spec.is_f_family()):
+        raise FamilyError("eigenvector construction needs a family spec")
+    walk = [(kind, list(range(first, first + size))) for kind, first, size in _blocks(spec)]
+    iso = [b[0] for kind, b in walk if kind == "path" and len(b) == 1]
+    k2 = [b for kind, b in walk if kind == "path" and len(b) == 2]
+    cycles = [b for kind, b in walk if kind == "cycle"]
+    claws = [(b[:3], b[3]) for kind, b in walk if kind == "claw"]
+    n = spec.n
+    out = []
+
+    def add(label: str, value: float, entries) -> None:
+        vec = np.zeros(n)
+        for where, x in entries:
+            vec[where] = x
+        out.append((label, value, vec))
+
+    for a, b in zip(iso, iso[1:]):
+        add("eig-1", 1.0, [(a, 1.0), (b, -1.0)])
+    for u, w in k2:
+        add("eig-1", 1.0, [(u, 1.0), (w, -1.0)])
+    for a, b in zip(k2, k2[1:]):
+        add("eig-3", 3.0, [(a, 1.0), (b, -1.0)])
+    for block, k in zip(cycles, spec.cycles):
+        offsets = np.arange(k)
+        for j in range(1, k):
+            if j <= k // 2:
+                lift = np.cos(2.0 * np.pi * j * offsets / k)
+            else:
+                lift = np.sin(2.0 * np.pi * (k - j) * offsets / k)
+            add("cycle-lift", 3.0 + 2.0 * np.cos(2.0 * np.pi * j / k), [(block, lift)])
+    for j in range(1, spec.t):
+        add("eig-5", 5.0, [(cycles[0], -float(spec.cycles[j])), (cycles[j], float(spec.cycles[0]))])
+    for leaves, center in claws:
+        if iso:
+            # the one eigenvalue-1 vector that couples a pendant to the star
+            add("eig-1", 1.0, [(iso[0], 2.0), (leaves, -1.0), (center, 1.0)])
+        for other in (leaves[1], leaves[2]):
+            add("eig-2", 2.0, [(leaves[0], -1.0), (other, 1.0)])
+        if spec.cycles:
+            add("eig-5", 5.0, [(cycles[0], -6.0 / spec.cycles[0]), (leaves, 1.0), (center, 3.0)])
+    for rho in _quotient_values(n, _main_values(spec)):
+        entries = [(iso, 1.0 / (rho - 1.0)), (n - 1, 1.0)]
+        entries += [(pair, 1.0 / (rho - 3.0)) for pair in k2]
+        entries += [(block, 1.0 / (rho - 5.0)) for block in cycles]
+        for leaves, center in claws:
+            entries += [
+                (leaves, (rho - 3.0) / ((rho - 1.0) * (rho - 5.0))),
+                (center, (rho + 1.0) / ((rho - 1.0) * (rho - 5.0))),
+            ]
+        add("quartic", rho, entries)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,10 @@ from qcones import (
     adjacency_matrix,
     brute_counts,
     closed_spectrum,
-    closed_spectrum_F,
-    closed_spectrum_G,
-    counts_closed_form,
     delta_moments,
     degree_profile,
     enumerate_family,
     even_cycle_split_candidate,
-    g_family_spec,
     largest_q_eigenvalue,
     moments_from_counts,
     moments_from_spectrum,
@@ -33,10 +29,12 @@ from qcones import (
     sym_eigenvalues,
     triangle_star_mate,
 )
+from qcones.moments import _cone_counts, _signature
 
 from helpers import (
     CHUNK_SIZES,
     brute_search_family,
+    g_family_spec,
     isomorphic,
     quartic_coeffs,
     quartic_roots,
@@ -84,7 +82,8 @@ def test_criterion_01_closed_g_spectra_match_numeric_grid():
     start = time.perf_counter()
     assert len(G_GRID) >= 200
     for spec in G_GRID:
-        dist = spectrum_compare(closed_spectrum_G(spec), q_spectrum(realize(spec)))
+        assert spec.is_g_family()
+        dist = spectrum_compare(closed_spectrum(spec), q_spectrum(realize(spec)))
         assert dist <= COSPECTRAL_TOL, f"{spec} deviates by {dist}"
     assert time.perf_counter() - start <= 60.0
 
@@ -93,7 +92,8 @@ def test_criterion_02_closed_f_spectra_match_numeric_grid():
     start = time.perf_counter()
     assert len(F_GRID) >= 200
     for spec in F_GRID:
-        dist = spectrum_compare(closed_spectrum_F(spec), q_spectrum(realize(spec)))
+        assert spec.is_f_family()
+        dist = spectrum_compare(closed_spectrum(spec), q_spectrum(realize(spec)))
         assert dist <= COSPECTRAL_TOL, f"{spec} deviates by {dist}"
     assert time.perf_counter() - start <= 60.0
 
@@ -143,7 +143,7 @@ def test_criterion_05_closed_counts_exact_on_grid():
     for spec in G_GRID:
         if spec.n > 40:
             continue
-        assert counts_closed_form(spec) == brute_counts(realize(spec))
+        assert _cone_counts(*_signature(spec))[1] == brute_counts(realize(spec))
         checked += 1
     assert checked >= 100
 
@@ -230,9 +230,10 @@ def test_criterion_07_top_eigenvalue_invariant_under_redistribution():
 
 def test_criterion_08_unit_eigenvalue_multiplicity_law():
     for spec in G_GRID:
+        assert spec.is_g_family()
         even = sum(1 for k in spec.cycles if k % 2 == 0)
         expected = spec.s + spec.q - 1 + even
-        assert closed_spectrum_G(spec).multiplicity_at(1.0) == expected
+        assert closed_spectrum(spec).multiplicity_at(1.0) == expected
 
 
 def test_criterion_09_structural_probes_never_fail():
@@ -289,14 +290,19 @@ def _split_candidate_spec(k, q, s):
     return ConeSpec(cycles=(4,), paths=(k - 3, 3) + (2,) * (q - 2) + (1,) * s)
 
 
+def _count_unit_interval(spectrum, tol: float = 1e-7) -> int:
+    """Values in (0, 1]; within tol of an endpoint counts as on it."""
+    return int(((spectrum.values > tol) & (spectrum.values <= 1.0 + tol)).sum())
+
+
 def test_criterion_11_odd_cycle_exclusion_by_unit_interval_count():
     for k in (5, 7, 9):
         g_spec = g_family_spec([k], 2, 1)
         f_spec = _split_candidate_spec(k, 2, 1)
         g, f = realize(g_spec), realize(f_spec)
         assert sorted(g.degrees()) == sorted(f.degrees())
-        m_g = q_spectrum(g).count_in_interval(0.0, 1.0, closed_hi=True)
-        m_f = q_spectrum(f).count_in_interval(0.0, 1.0, closed_hi=True)
+        m_g = _count_unit_interval(q_spectrum(g))
+        m_f = _count_unit_interval(q_spectrum(f))
         assert m_g == g_spec.q + g_spec.s == 3
         assert m_f >= m_g + 1
 

@@ -12,13 +12,12 @@ from qcones import (
     ConeSpec,
     FormatError,
     ScaleError,
-    cycle_graph,
-    disjoint_union,
     encode_graph6,
-    g_family_spec,
     realize,
 )
 from qcones.cli import format_spec_text, main, parse_spec_text
+
+from helpers import cycle_graph, disjoint_union, g_family_spec
 
 FLAGSHIP_TEXT = "K1 v C3 + 1K2 + 1K1"
 MOMENT_REL_TOL = 1e-7
@@ -451,9 +450,9 @@ class TestMateCommand:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        # cones builds the candidate without eigensolving, so it binds no q_spectrum
-        for module in (qcones.cli, qcones.cones):
-            counted(module, "realize")
+        # cones builds the candidate as a spec: it binds neither realize nor
+        # q_spectrum, so every graph and spectrum comes from the cli
+        counted(qcones.cli, "realize")
         counted(qcones.cli, "q_spectrum")
         counted(qcones.cones, "delta_moments")
         code, doc, _ = run_json(capsys, "mate", "K1 v C8 + 3K2 + 2K1", "--theorem", "11")

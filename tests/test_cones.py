@@ -13,24 +13,26 @@ from qcones import (
     ParameterError,
     ScaleError,
     closed_spectrum,
-    closed_spectrum_F,
-    closed_spectrum_G,
-    eigenvector_families,
     even_cycle_split_candidate,
-    g_family_spec,
     largest_q_eigenvalue,
+    q_matrix,
     q_spectrum,
     realize,
     spectrum_compare,
     triangle_star_mate,
 )
+from qcones import cones
 
 from helpers import (
+    RESIDUAL_TOL,
     char_poly_4x4,
+    eigenvector_families,
+    g_family_spec,
     quartic_coeffs,
     quartic_roots,
     quotient_matrix,
     random_cone_spec,
+    residual,
 )
 
 FLAGSHIP = g_family_spec([3], 1, 1)
@@ -88,7 +90,8 @@ class TestQuotientMatrix:
 
 class TestClosedSpectrumG:
     def test_flagship_against_numeric(self):
-        closed = closed_spectrum_G(FLAGSHIP)
+        assert FLAGSHIP.is_g_family()
+        closed = closed_spectrum(FLAGSHIP)
         numeric = q_spectrum(realize(FLAGSHIP))
         assert spectrum_compare(closed, numeric) <= 1e-8
 
@@ -102,42 +105,34 @@ class TestClosedSpectrumG:
             ([3, 4, 5], 2, 3),
         ]:
             spec = g_family_spec(cycles, q, s)
-            closed = closed_spectrum_G(spec)
+            assert spec.is_g_family()
+            closed = closed_spectrum(spec)
             numeric = q_spectrum(realize(spec))
             assert spectrum_compare(closed, numeric) <= 1e-8
 
     def test_trace_is_twice_size(self):
         spec = g_family_spec([5, 3], 2, 2)
         m = realize(spec).num_edges
-        assert math.isclose(closed_spectrum_G(spec).power_sum(1), 2 * m, abs_tol=1e-8)
+        assert math.isclose(closed_spectrum(spec).power_sum(1), 2 * m, abs_tol=1e-8)
 
     def test_multiplicity_of_one_counts_even_cycles(self):
-        assert closed_spectrum_G(g_family_spec([4], 1, 1)).multiplicity_at(1.0) == 2
-        assert closed_spectrum_G(g_family_spec([3], 1, 1)).multiplicity_at(1.0) == 1
+        assert closed_spectrum(g_family_spec([4], 1, 1)).multiplicity_at(1.0) == 2
+        assert closed_spectrum(g_family_spec([3], 1, 1)).multiplicity_at(1.0) == 1
         spec = g_family_spec([6, 4, 3], 2, 2)
-        assert closed_spectrum_G(spec).multiplicity_at(1.0) == 2 + 2 - 1 + 2
+        assert closed_spectrum(spec).multiplicity_at(1.0) == 2 + 2 - 1 + 2
 
     def test_second_value_is_five_only_with_two_cycles(self):
-        one = closed_spectrum_G(g_family_spec([5], 1, 1))
+        one = closed_spectrum(g_family_spec([5], 1, 1))
         assert one.groups[1].value < 5.0 - 1e-9
-        two = closed_spectrum_G(g_family_spec([5, 3], 1, 1))
+        two = closed_spectrum(g_family_spec([5, 3], 1, 1))
         assert two.multiplicity_at(5.0) >= 1
 
     def test_source_tags(self):
-        s = closed_spectrum_G(g_family_spec([4], 1, 1))
+        s = closed_spectrum(g_family_spec([4], 1, 1))
         assert "3+2cos(π)" in s.sources
         assert "3+2cos(π/2)" in s.sources
         assert s.sources.count("1") == 1
         assert {f"quartic-{i}" for i in range(1, 5)} <= set(s.sources)
-
-    def test_rejects_non_family_specs(self):
-        with pytest.raises(FamilyError):
-            closed_spectrum_G(ConeSpec(cycles=(3,), paths=(3, 2, 1)))
-        with pytest.raises(FamilyError):
-            closed_spectrum_G(ConeSpec(cycles=(3,), paths=(2, 1), stars13=1))
-        with pytest.raises(FamilyError):
-            closed_spectrum_G(ConeSpec(cycles=(2, 3), paths=(2, 1)))
-
 
 class TestClosedSpectrum:
     def test_paths_share_main_values(self):
@@ -156,25 +151,26 @@ class TestClosedSpectrum:
         # P8200 has 4 100 main values; a G cone keeps a 4 x 4 quotient at any order
         with pytest.raises(ScaleError, match="quotient of order 4101 exceeds 4096"):
             closed_spectrum(ConeSpec(paths=(8200,)))
-        assert len(closed_spectrum_G(g_family_spec([9000], 1, 1))) == 9004
+        assert len(closed_spectrum(g_family_spec([9000], 1, 1))) == 9004
 
 
 class TestClosedSpectrumF:
     def test_degenerate_star_case(self):
         spec = ConeSpec(paths=(2,), stars13=1)
-        closed = closed_spectrum_F(spec)
+        assert spec.is_f_family()
+        closed = closed_spectrum(spec)
         numeric = q_spectrum(realize(spec))
         assert spectrum_compare(closed, numeric) <= 1e-8
         assert closed.multiplicity_at(2.0) == 2
         assert closed.multiplicity_at(1.0) == 1
 
     def test_matches_triangle_cone_exactly(self):
-        f = closed_spectrum_F(ConeSpec(paths=(2,), stars13=1))
-        g = closed_spectrum_G(FLAGSHIP)
+        f = closed_spectrum(ConeSpec(paths=(2,), stars13=1))
+        g = closed_spectrum(FLAGSHIP)
         assert spectrum_compare(f, g) <= 1e-12
 
     def test_trace(self):
-        f = closed_spectrum_F(ConeSpec(paths=(2,), stars13=1))
+        f = closed_spectrum(ConeSpec(paths=(2,), stars13=1))
         assert math.isclose(f.power_sum(1), 20.0, abs_tol=1e-9)
 
     def test_small_grid_against_numeric(self):
@@ -185,16 +181,10 @@ class TestClosedSpectrumF:
             ((6,), (2, 2, 2)),
         ]:
             spec = ConeSpec(cycles=cycles, paths=paths, stars13=1)
-            closed = closed_spectrum_F(spec)
+            assert spec.is_f_family()
+            closed = closed_spectrum(spec)
             numeric = q_spectrum(realize(spec))
             assert spectrum_compare(closed, numeric) <= 1e-8
-
-    def test_rejects_specs_without_single_star(self):
-        with pytest.raises(FamilyError):
-            closed_spectrum_F(FLAGSHIP)
-        with pytest.raises(FamilyError):
-            closed_spectrum_F(ConeSpec(paths=(2,), stars13=2))
-
 
 class TestLargestEigenvalue:
     def test_interval(self):
@@ -222,6 +212,19 @@ class TestLargestEigenvalue:
         # the quotient eigensolve and the bisected quartic share no code
         assert abs(largest_q_eigenvalue(spec) - top) <= 1e-12
 
+    def test_builds_no_cycle_values(self, monkeypatch):
+        # a cycle adds one main value in O(1); its k - 1 plain values are
+        # closed_spectrum's alone
+        def no_cycle_values(k):
+            raise AssertionError(f"built the plain values of C{k}")
+
+        monkeypatch.setattr(cones, "_cycle_values", no_cycle_values)
+        spec = ConeSpec(cycles=(10**6,), paths=(2, 1))
+        top = quartic_roots(quartic_coeffs(spec.n, spec.q, spec.s))[0]
+        assert math.isclose(largest_q_eigenvalue(spec), top, rel_tol=1e-12)
+        with pytest.raises(AssertionError, match="C1000000"):
+            closed_spectrum(spec)
+
     def test_matches_the_numeric_top_value_on_any_spec(self):
         # digons, paths up to order 13 and 0-2 claws, with or without K2 and K1
         rng = random.Random(20261018)
@@ -231,13 +234,27 @@ class TestLargestEigenvalue:
             assert math.isclose(largest_q_eigenvalue(spec), numeric, rel_tol=1e-13), spec
 
 
+def _eigenbasis(spec):
+    """The explicit eigenbasis of a family spec, each vector checked against Q."""
+    qm = q_matrix(realize(spec))
+    fams = eigenvector_families(spec)
+    for label, value, vec in fams:
+        assert residual(qm, value, vec) <= RESIDUAL_TOL, (spec, label, value)
+    return fams
+
+
+def _by_label(fams):
+    by_label = {}
+    for label, value, vec in fams:
+        by_label.setdefault(label, []).append((value, vec))
+    return by_label
+
+
 class TestEigenvectorFamilies:
     def test_counts_g_family(self):
         spec = g_family_spec([4, 3], 2, 2)
-        fams = eigenvector_families(spec)
-        by_label = {}
-        for f in fams:
-            by_label.setdefault(f.label, []).append(f)
+        fams = _eigenbasis(spec)
+        by_label = _by_label(fams)
         assert len(by_label["eig-1"]) == spec.s + spec.q - 1
         assert len(by_label["eig-3"]) == spec.q - 1
         assert len(by_label["eig-5"]) == spec.t - 1
@@ -247,10 +264,8 @@ class TestEigenvectorFamilies:
 
     def test_counts_f_family(self):
         spec = ConeSpec(cycles=(5, 3), paths=(2, 2, 1), stars13=1)
-        fams = eigenvector_families(spec)
-        by_label = {}
-        for f in fams:
-            by_label.setdefault(f.label, []).append(f)
+        fams = _eigenbasis(spec)
+        by_label = _by_label(fams)
         assert len(by_label["eig-1"]) == 3
         assert len(by_label["eig-2"]) == 2
         assert len(by_label["eig-3"]) == 1
@@ -262,19 +277,17 @@ class TestEigenvectorFamilies:
     def test_residuals_and_rank(self):
         for spec in [FLAGSHIP, g_family_spec([5, 4], 2, 1),
                      ConeSpec(cycles=(4,), paths=(2, 1), stars13=1)]:
-            fams = eigenvector_families(spec)
-            assert all(f.residual <= 1e-8 for f in fams)
-            stacked = np.vstack([f.vector for f in fams])
+            stacked = np.vstack([vec for _, _, vec in _eigenbasis(spec)])
             assert np.linalg.matrix_rank(stacked, tol=1e-9) == spec.n
 
     def test_cycle_pair_vector_shape(self):
         spec = g_family_spec([5, 7], 1, 1)
         # documented order: isolated 0, K2 1-2, C7 3-9, C5 10-14, apex 15
         cycle_blocks = [range(3, 10), range(10, 15)]
-        fams = [f for f in eigenvector_families(spec) if f.label == "eig-5"]
+        fams = _by_label(_eigenbasis(spec))["eig-5"]
         assert len(fams) == 1
-        vec = fams[0].vector
-        assert math.isclose(fams[0].eigenvalue, 5.0)
+        value, vec = fams[0]
+        assert math.isclose(value, 5.0)
         # Constant on each cycle block, zero elsewhere, zero total sum.
         for block in cycle_blocks:
             assert np.ptp(vec[block]) == 0.0
@@ -286,20 +299,20 @@ class TestEigenvectorFamilies:
 
     def test_k2_pair_vector_shape(self):
         spec = g_family_spec([4], 2, 1)
-        fams = [f for f in eigenvector_families(spec) if f.label == "eig-3"]
+        fams = _by_label(_eigenbasis(spec))["eig-3"]
         assert len(fams) == 1
-        vec = fams[0].vector
-        assert math.isclose(fams[0].eigenvalue, 3.0)
+        value, vec = fams[0]
+        assert math.isclose(value, 3.0)
         support = set(np.nonzero(vec)[0])
         # documented order: isolated 0, K2s 1-2 and 3-4, C4 5-8, apex 9
         assert support <= {1, 2, 3, 4}
         assert math.isclose(vec.sum(), 0.0, abs_tol=1e-12)
 
     def test_quartic_residual_flagship(self):
-        fams = [f for f in eigenvector_families(FLAGSHIP) if f.label == "quartic"]
-        top = max(fams, key=lambda f: f.eigenvalue)
-        assert 7 < top.eigenvalue < 9
-        assert top.residual <= 1e-8
+        qm = q_matrix(realize(FLAGSHIP))
+        top, vec = max(_by_label(eigenvector_families(FLAGSHIP))["quartic"], key=lambda f: f[0])
+        assert 7 < top < 9
+        assert residual(qm, top, vec) <= RESIDUAL_TOL
 
     def test_rejects_non_family(self):
         with pytest.raises(FamilyError):

@@ -16,12 +16,7 @@ from qcones import (
     ParameterError,
     QSpectrum,
     closed_spectrum,
-    cycle_graph,
-    digon,
-    disjoint_union,
-    g_family_spec,
     parse_spec_text,
-    path_graph,
     q_matrix,
     q_spectrum,
     realize,
@@ -36,7 +31,12 @@ from helpers import (
     BracketError,
     QuarticData,
     char_poly_4x4,
+    cycle_graph,
+    digon,
+    disjoint_union,
+    g_family_spec,
     jacobi_eigenvalues,
+    path_graph,
     quartic_coeffs,
     quartic_roots,
     quotient_matrix,
@@ -148,25 +148,9 @@ class TestQSpectrum:
         assert s.multiplicity_at(1.0) == 1
         assert s.multiplicity_at(10.0) == 0
 
-    def test_count_in_interval_flagship(self):
-        # m((0, 1]) = q + s on the C5 instance.
-        s = q_spectrum(realize(g_family_spec([5], 1, 1)))
-        assert s.count_in_interval(0.0, 1.0, closed_hi=True) == 2
-        assert s.count_in_interval(0.0, 1.0) == 1
-
     def test_zero_multiplicity_union(self):
         g = disjoint_union([cycle_graph(4), cycle_graph(3)])
         assert q_spectrum(g).multiplicity_at(0.0) == 1
-
-    def test_interval_rejects_empty(self):
-        s = QSpectrum([1.0])
-        with pytest.raises(ParameterError):
-            s.count_in_interval(1.0, 1.0)
-
-    def test_endpoint_graze_goes_to_closed_side(self):
-        s = QSpectrum([1.0 - 1e-9])
-        assert s.count_in_interval(0.0, 1.0, closed_hi=True) == 1
-        assert s.count_in_interval(0.0, 1.0, closed_hi=False) == 0
 
     def test_sources_follow_values(self):
         s = QSpectrum([1.0, 3.0], sources=("low", "high"))
@@ -230,9 +214,6 @@ class TestLazyGroups:
                 assert spec.multiplicity_at(x, tol=self.TOL) == sum(
                     g.multiplicity for g in eager if abs(g.value - x) <= self.TOL
                 )
-            assert spec.count_in_interval(0.5, 3.5, closed_hi=True) == sum(
-                0.5 < v <= 3.5 + 1e-7 for v in values
-            )
 
     @staticmethod
     def _bits(groups):

@@ -8,17 +8,21 @@ import pytest
 
 from qcones import (
     FormatError,
-    MultiGraph,
     UnsupportedGraphError,
-    complete_graph,
     decode_graph6,
-    digon,
     encode_graph6,
-    path_graph,
 )
 from qcones.graph6 import pair_order
 
-from helpers import decode_graph6_bitwise, encode_graph6_bitwise, random_graph
+from helpers import (
+    complete_graph,
+    decode_graph6_bitwise,
+    digon,
+    encode_graph6_bitwise,
+    from_edges,
+    path_graph,
+    random_graph,
+)
 
 
 def test_pair_order_is_column_major():
@@ -59,7 +63,7 @@ def test_encode_rejects_multigraph():
 
 
 def test_encode_rejects_large_order():
-    g = MultiGraph.from_edges(63, [(0, 1)])
+    g = from_edges(63, [(0, 1)])
     with pytest.raises(FormatError):
         encode_graph6(g)
 
@@ -142,7 +146,7 @@ def test_decode_rejections_match_bitwise_reference(text):
 
 @pytest.mark.parametrize(
     "g",
-    [MultiGraph.from_edges(63, [(0, 1)]), digon()],
+    [from_edges(63, [(0, 1)]), digon()],
     ids=["n63", "multigraph"],
 )
 def test_encode_rejections_match_bitwise_reference(g):

@@ -10,30 +10,31 @@ from qcones import (
     ParameterError,
     ScaleError,
     UnsupportedGraphError,
-    complete_graph,
     components_and_bipartiteness,
-    cone,
     count_subgraphs,
-    cycle_graph,
-    digon,
-    disjoint_union,
-    g_family_spec,
-    path_graph,
     realize,
-    star_graph,
     t_bar_f_bar,
 )
 
 from helpers import (
+    complete_graph,
+    cone,
     cone_from_builders,
+    cycle_graph,
+    digon,
+    disjoint_union,
+    g_family_spec,
+    from_edges,
     isomorphic,
     naive_c3,
     naive_c4,
     naive_f_bar,
     naive_p3,
     naive_t_bar,
+    path_graph,
     random_cone_spec,
     random_graph,
+    star_graph,
 )
 
 
@@ -55,13 +56,13 @@ class TestMultiGraph:
             MultiGraph([[0, 1], [0, 0]])
 
     def test_from_edges_accumulates(self):
-        g = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
+        g = from_edges(2, [(0, 1), (0, 1)])
         assert g.mult[0, 1] == 2
         assert not g.is_simple()
 
     def test_degree_counts_multiplicity(self):
         g = digon()
-        assert g.degree(0) == 2
+        assert g.degrees()[0] == 2
         assert g.num_edges == 2
 
     def test_without_edge(self):
@@ -78,10 +79,23 @@ class TestMultiGraph:
         assert g.n == 3
         assert g.num_edges == 0
 
-    def test_subgraph_keeps_induced_edges(self):
-        g = complete_graph(5).subgraph([0, 2, 4])
-        assert g.n == 3
-        assert g.num_edges == 3
+    def test_without_vertex_keeps_induced_edges(self):
+        assert complete_graph(5).without_vertex(2) == complete_graph(4)
+        # K1 v C3 + K2 + K1 less one K2 end is K1 v C3 + 2K1, labels kept in order
+        g = realize(ConeSpec(cycles=(3,), paths=(2, 1))).without_vertex(1)
+        assert g == realize(ConeSpec(cycles=(3,), paths=(1, 1)))
+
+    @pytest.mark.parametrize("v", [7, 99, -1])
+    def test_without_vertex_rejects_bad_index(self, v):
+        g = realize(ConeSpec(cycles=(3,), paths=(2, 1)))
+        with pytest.raises(ParameterError, match=f"vertex {v} outside 0..6"):
+            g.without_vertex(v)
+
+    @pytest.mark.parametrize("u,v", [(0, 99), (99, 0), (-1, 0), (6, -1)])
+    def test_without_edge_rejects_bad_index(self, u, v):
+        g = realize(ConeSpec(cycles=(3,), paths=(2, 1)))
+        with pytest.raises(ParameterError, match="outside 0..6"):
+            g.without_edge(u, v)
 
     def test_equality_and_hash(self):
         assert cycle_graph(3) == complete_graph(3)
@@ -94,7 +108,7 @@ class TestBuilders:
         g = cycle_graph(3)
         assert g.n == 3
         assert g.num_edges == 3
-        assert all(g.degree(v) == 2 for v in range(3))
+        assert all(g.degrees()[v] == 2 for v in range(3))
 
     def test_cycle_too_short(self):
         with pytest.raises(ParameterError):
@@ -107,7 +121,7 @@ class TestBuilders:
 
     def test_star(self):
         g = star_graph(4)
-        assert g.degree(3) == 3
+        assert g.degrees()[3] == 3
         assert g.num_edges == 3
 
     def test_digon(self):
@@ -137,7 +151,7 @@ class TestUnionAndCone:
 
     def test_cone_apex_is_last_vertex(self):
         g = cone(cycle_graph(3))
-        assert g.degree(3) == 3
+        assert g.degrees()[3] == 3
 
     def test_flagship_cone(self):
         base = disjoint_union([cycle_graph(3), path_graph(2), path_graph(1)])
@@ -148,7 +162,7 @@ class TestUnionAndCone:
 
     def test_cone_over_digon(self):
         g = cone(digon())
-        assert g.degree(2) == 2
+        assert g.degrees()[2] == 2
         assert sorted(g.degrees()) == [2, 3, 3]
 
     def test_cone_size_identity(self):
@@ -244,7 +258,7 @@ class TestCounts:
         k64 = complete_graph(64)
         assert count_subgraphs(k64, "C3") == 41_664
         assert count_subgraphs(k64, "C4") == 1_906_128
-        k32_32 = MultiGraph.from_edges(
+        k32_32 = from_edges(
             64, [(u, v) for u in range(32) for v in range(32, 64)]
         )
         assert count_subgraphs(k32_32, "C3") == 0
@@ -330,7 +344,7 @@ class TestConeSpec:
 
     def test_realize_flagship_degrees(self):
         g = realize(g_family_spec([3], 1, 1))
-        assert g.degree(g.n - 1) == 6
+        assert g.degrees()[g.n - 1] == 6
         assert sorted(g.degrees(), reverse=True) == [6, 3, 3, 3, 2, 2, 1]
 
     def test_realize_star_block(self):

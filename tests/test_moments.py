@@ -14,16 +14,12 @@ from qcones import (
     UnsupportedGraphError,
     adjacency_matrix,
     brute_counts,
-    counts_closed_form,
     degree_profile,
     delta_moments,
-    digon,
     enumerate_family,
-    g_family_spec,
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
-    path_graph,
     q_spectrum,
     realize,
     signature_moments,
@@ -31,13 +27,17 @@ from qcones import (
     solve_degree_system,
     sym_eigenvalues,
 )
+from qcones.moments import _cone_counts, _signature
 
 from helpers import (
+    digon,
+    g_family_spec,
     naive_c3,
     naive_c4,
     naive_f_bar,
     naive_p3,
     naive_t_bar,
+    path_graph,
     random_graph,
 )
 
@@ -105,17 +105,22 @@ class TestMomentsFromSpectrum:
         assert mv.s4 == 2.0
 
 
+def closed_counts(spec):
+    """The closed-form counts of a simple cone, from its signature."""
+    return _cone_counts(*_signature(spec))[1]
+
+
 class TestCountsClosedForm:
     def test_flagship(self):
-        c = counts_closed_form(FLAGSHIP)
+        c = closed_counts(FLAGSHIP)
         assert c == brute_counts(realize(FLAGSHIP))
 
     def test_four_cycle_count(self):
         # One C4 block adds one to the apex-edge 4-cycles.
-        assert counts_closed_form(g_family_spec([4], 1, 1)).c4 == 5
+        assert closed_counts(g_family_spec([4], 1, 1)).c4 == 5
 
     def test_t_term_substitution(self):
-        assert counts_closed_form(g_family_spec([5], 2, 1)).t_term == 864
+        assert closed_counts(g_family_spec([5], 2, 1)).t_term == 864
 
     def test_matches_brute_force_grid(self):
         for cycles, q, s in [
@@ -127,7 +132,7 @@ class TestCountsClosedForm:
             ([3, 3, 3], 1, 1),
         ]:
             spec = g_family_spec(cycles, q, s)
-            assert counts_closed_form(spec) == brute_counts(realize(spec))
+            assert closed_counts(spec) == brute_counts(realize(spec))
 
     def test_paths_and_stars_match_brute(self):
         for spec in (
@@ -136,12 +141,12 @@ class TestCountsClosedForm:
             ConeSpec(paths=(1,)),
             ConeSpec(paths=(9, 4), stars13=2),
         ):
-            assert counts_closed_form(spec) == brute_counts(realize(spec))
+            assert closed_counts(spec) == brute_counts(realize(spec))
 
     def test_rejects_non_family(self):
         # digons make the cone a multigraph, outside the counted family
         with pytest.raises(FamilyError):
-            counts_closed_form(ConeSpec(cycles=(4, 2), paths=(1,)))
+            _signature(ConeSpec(cycles=(4, 2), paths=(1,)))
         with pytest.raises(FamilyError):
             moments_closed_form(ConeSpec(cycles=(2,), paths=(2,)))
 
@@ -159,7 +164,7 @@ class TestCountsClosedForm:
             if spec.n > 40:
                 continue
             g = realize(spec)
-            assert counts_closed_form(spec) == brute_counts(g), spec
+            assert closed_counts(spec) == brute_counts(g), spec
             assert moments_closed_form(spec) == moments_from_counts(g), spec
             checked += 1
 
@@ -186,16 +191,12 @@ def _signature_profiles():
 SIGNATURE_PROFILES = _signature_profiles()
 
 
-def _signature_of(spec):
-    return degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2)
-
-
 class TestSignatureMoments:
     def test_every_candidate_has_the_moments_of_its_signature(self):
         checked = 0
         for n, profile in SIGNATURE_PROFILES:
             for spec in enumerate_family(n, profile):
-                sig = signature_moments(*_signature_of(spec))
+                sig = signature_moments(*_signature(spec))
                 assert moments_closed_form(spec) == sig, spec
                 assert moments_from_counts(realize(spec)) == sig, spec
                 checked += 1
@@ -221,7 +222,7 @@ class TestSignatureMoments:
         for n, profile in SIGNATURE_PROFILES:
             by_moments: dict = {}
             for spec in enumerate_family(n, profile):
-                sig = _signature_of(spec)
+                sig = _signature(spec)
                 by_moments.setdefault(signature_moments(*sig)[:4], set()).add(sig[1:])
             for moments, sigs in by_moments.items():
                 found = signatures_with_moments(profile, moments)

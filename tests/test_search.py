@@ -16,16 +16,11 @@ from qcones import (
     SearchHit,
     SearchReport,
     UnsupportedGraphError,
-    complete_graph,
     components_and_bipartiteness,
-    cycle_graph,
     degree_profile,
-    disjoint_union,
     encode_graph6,
     enumerate_family,
-    g_family_spec,
     parse_spec_text,
-    path_graph,
     q_spectrum,
     realize,
     recognize_cone,
@@ -33,7 +28,6 @@ from qcones import (
     search_exhaustive,
     search_family,
     solve_degree_system,
-    star_graph,
     triangle_star_mate,
 )
 from qcones.graph6 import decode_graph6, pair_order
@@ -55,13 +49,19 @@ from helpers import (
     CHUNK_SIZES,
     brute_search_exhaustive,
     brute_search_family,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
     enumerate_family_by_partitions,
     extension_masks,
+    g_family_spec,
     isin_orbit_classes,
     isomorphic,
+    path_graph,
     qstack_scan,
     random_graph,
     set_chunk,
+    star_graph,
 )
 
 FLAGSHIP = g_family_spec([3], 1, 1)
