@@ -67,6 +67,10 @@ def _path_value(j: int, l: int) -> tuple[float, str]:
 def _main_values(spec: ConeSpec) -> dict:
     """The blocks' main values as {value: [total weight, number of blocks,
     tag]}, accumulated over paths, claws, then cycles; O(1) per cycle."""
+    # the longest path's main values alone can pass the cap: check before the walk
+    k = (max(spec.paths, default=0) + 1) // 2
+    if k >= MAX_VERTICES:
+        raise ScaleError(f"main-part quotient of order {k + 1} exceeds {MAX_VERTICES} (one path)")
     main: dict = {}
 
     def add(value: float, tag: str, weight: float) -> None:

@@ -102,9 +102,10 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
 
 
-def _components(g: MultiGraph) -> list[tuple[list[int], bool]]:
+def _components(g: MultiGraph, skip: int = -1) -> list[tuple[list[int], bool]]:
     """Each component's vertices (in breadth-first order) and whether it is
-    bipartite, from one 2-coloring walk.
+    bipartite, from one 2-coloring walk; vertex `skip`, if any, is left out
+    as if deleted.
 
     Parallel edges do not affect 2-colorability: a digon joins the two color
     classes like a single edge, so a bare digon component is bipartite.
@@ -113,7 +114,8 @@ def _components(g: MultiGraph) -> list[tuple[list[int], bool]]:
     bounds = np.searchsorted(rows, np.arange(g.n + 1)).tolist()
     cols = cols.tolist()
     nbrs = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
-    color = [-1] * g.n
+    # 2 marks `skip`: never a start, never equal to a 0/1 neighbour
+    color = [2 if v == skip else -1 for v in range(g.n)]
     comps = []
     for start in range(g.n):
         if color[start] >= 0:

@@ -2,9 +2,11 @@
 classes, and the moments of one-vertex extensions.
 
 Bit e of a mask is the e-th `pair_order` pair of the graph's vertices.
-`_classes(n)` holds the lowest mask of every isomorphism class on n <= 8
-vertices, built from the one-vertex extensions of the classes of one order
-less; `_extension_moments(n)` packs the edge count, degree-square sum and
+Summing a graph's edge rows of `_image_bits(n)` gives its n! relabellings;
+the lowest names its class (McKay, "Isomorph-free exhaustive generation",
+1998).  `_classes(n)` holds that mask for every class on n <= 8 vertices,
+built from the one-vertex extensions of the classes of one order less;
+`_extension_moments(n)` packs the edge count, degree-square sum and
 tr(Q^3) of each of those extensions in one integer, so the exhaustive
 search matches a target's moments by one comparison.  The tables are built
 on first use and kept.
@@ -15,68 +17,66 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from .graph6 import pair_order
+from .graph6 import _pair_index
+
+SPLIT_ENTRIES = 1 << 20  # widest mask-by-orbit comparison of `_class_reps`
 
 
 def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
     """(len(masks), n, n) integer Q = D + A of the masks' graphs on n vertices."""
-    pairs = pair_order(n)
-    iu, iv = [u for u, _ in pairs], [v for _, v in pairs]
+    rows, cols = _pair_index(n)
     q = np.zeros((masks.size, n, n), dtype=np.int64)
-    q[:, iu, iv] = q[:, iv, iu] = (masks[:, None] >> np.arange(len(pairs))) & 1
+    q[:, rows, cols] = q[:, cols, rows] = (masks[:, None] >> np.arange(rows.size)) & 1
     idx = np.arange(n)
     q[:, idx, idx] = q.sum(axis=2)
     return q
 
 
 @lru_cache(maxsize=None)
-def _edge_images(n: int) -> np.ndarray:
-    """(n!, k) table: row p holds, for each `pair_order` edge, the position
-    of its image under the p-th permutation of range(n)."""
-    pairs = pair_order(n)
+def _image_bits(n: int) -> np.ndarray:
+    """(k, n!) table: entry (e, p) is 2^(position of the image of the e-th
+    `pair_order` edge under the p-th permutation of range(n)); int32 holds
+    every mask below 2^28.  4.5 MB at n = 8."""
+    rows, cols = _pair_index(n)
     pos = np.zeros((n, n), dtype=np.uint8)
-    for e, (u, v) in enumerate(pairs):
-        pos[u, v] = pos[v, u] = e
-    # uint8 permutations and one edge column gathered at a time keep the
-    # temporaries small beside the n! x k table; column-major, because
-    # `_orbit` reads whole columns
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    # uint8 permutations and one edge row at a time: small temporaries
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     perms = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
-    img = np.empty((perms.shape[0], len(pairs)), dtype=np.uint8, order="F")
-    for e, (u, v) in enumerate(pairs):
-        img[:, e] = pos[perms[:, u], perms[:, v]]
-    return img
+    bits = np.empty((rows.size, perms.shape[0]), dtype=np.int32)
+    for e, (u, v) in enumerate(zip(rows.tolist(), cols.tolist())):
+        np.left_shift(1, pos[perms[:, u], perms[:, v]], out=bits[e], dtype=np.int32)
+    return bits
 
 
 def _orbit(mask: int, n: int) -> np.ndarray:
-    """The masks of all n! relabellings of one graph, with repeats."""
-    img = _edge_images(n)
-    cols = [e for e in range(img.shape[1]) if mask >> e & 1]
-    return np.left_shift(1, img[:, cols], dtype=np.int64).sum(axis=1)
+    """The masks of all n! relabellings of one graph, with repeats, as int32;
+    added row by row in place, with no popcount x n! temporary."""
+    bits = _image_bits(n)
+    orbit = np.zeros(bits.shape[1], dtype=np.int32)
+    for e in range(bits.shape[0]):
+        if mask >> e & 1:
+            orbit += bits[e]
+    return orbit
 
 
-def _in_sorted(values, ascending: np.ndarray):
-    """Whether each of `values` occurs in the non-empty ascending array."""
-    idx = np.minimum(np.searchsorted(ascending, values), ascending.size - 1)
-    return ascending[idx] == values
-
-
-def _orbit_classes(masks: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first member, ascending orbit) per isomorphism class among sorted masks.
-
-    The first member is the lowest of the given masks in its class; its
-    orbit is exactly the set of labelled graphs isomorphic to it and is
-    dropped from the rest.
-    """
-    while masks.size:
-        first = int(masks[0])
-        orbit = np.sort(_orbit(first, n))
-        masks = masks[~_in_sorted(masks, orbit)]
-        yield first, orbit
+def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
+    """The lowest mask of each mask's class, one orbit at a time: the first
+    mask left names a class, and one broadcast comparison with its orbit
+    finds the members.  Past SPLIT_ENTRIES compared entries each mask left
+    takes its own orbit's minimum: one orbit per mask, not a pass per class."""
+    reps = np.empty(masks.size, dtype=np.int64)
+    left = np.arange(masks.size)
+    while 0 < left.size * math.factorial(n) <= SPLIT_ENTRIES:
+        orbit = _orbit(int(masks[left[0]]), n)
+        member = (masks[left, None] == orbit).any(axis=1)
+        reps[left[member]] = orbit.min()
+        left = left[~member]
+    reps[left] = [_orbit(int(masks[i]), n).min() for i in left.tolist()]
+    return reps
 
 
 def _extensions(n: int, idx: np.ndarray) -> np.ndarray:

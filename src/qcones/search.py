@@ -10,7 +10,8 @@ covers every simple graph on up to 8 vertices by joining one vertex in every
 way to each isomorphism class of one order less (`qcones.orbits`).  A table
 per order, built on first use, packs each such extension's edge count,
 degree-square sum and tr(Q^3) in one integer, so a target costs one key
-lookup before the batched eigensolve of the matches; one graph per class is
+lookup before one batched eigensolve of itself and its matches; the
+survivors split into classes by relabelling orbits, one graph per class
 reported.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
@@ -37,10 +38,10 @@ from .graphs import (
     components_and_bipartiteness,
     realize,
 )
-from .graph6 import pair_order
+from .graph6 import _pair_index
 from .eigen import QSpectrum, _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
-from .orbits import _in_sorted, _moment_matches, _orbit_classes, _q_stack
+from .orbits import _class_reps, _moment_matches, _q_stack
 from .moments import signatures_with_moments, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
@@ -126,7 +127,8 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
                     yield cand
 
     cands, feed = itertools.tee(others())
-    dists = _distance_chunks((q_matrix(realize(c)) for c in feed), tspec.values[::-1])
+    rows = _q_rows(q_matrix(realize(c)) for c in feed)
+    dists = (np.abs(r - tspec.values[::-1]).max(axis=1) for r in rows)
     hits = [SearchHit(target, 0.0, True)]
     for cand, dist in zip(cands, itertools.chain.from_iterable(dists)):
         if dist <= tol:
@@ -148,54 +150,53 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-def _mask_graph(mask: int, n: int, pairs) -> MultiGraph:
-    arr = np.zeros((n, n), dtype=np.int64)
-    for e, (u, v) in enumerate(pairs):
-        if mask >> e & 1:
-            arr[u, v] = arr[v, u] = 1
-    return MultiGraph(arr)
+def _spectra(q: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a Q stack, one row each, from batched eigensolves."""
+    return np.concatenate([np.empty((0, q.shape[-1])), *_q_rows(q)])
 
 
-def _distance_chunks(matrices, tvals: np.ndarray) -> Iterator[np.ndarray]:
-    """L-infinity distance from the spectrum of each Q matrix to the
-    ascending target values, one chunk of the batched eigensolve at a time."""
-    for rows in _q_rows(matrices):
-        yield np.abs(rows - tvals).max(axis=1)
+def _trace_key(g: MultiGraph) -> tuple[int, int, int]:
+    """(m, tr Q^2 - tr Q, tr Q^3) of Q = D + A, exact in int64 while m fits
+    its key field (a larger m matches nothing): a simple graph's key."""
+    q = g.mult.copy()
+    np.fill_diagonal(q, g.degrees())
+    q2 = q @ q
+    t1 = int(q.trace())
+    return t1 // 2, int(q2.trace()) - t1, int((q2 * q).sum())
 
 
-def _distances(q: np.ndarray, tvals: np.ndarray) -> np.ndarray:
-    """`_distance_chunks` of a Q stack, as one array."""
-    return np.concatenate([np.empty(0), *_distance_chunks(q, tvals)])
-
-
-def _scan(n: int, m: int, d2_t: int, t3_t: int, tvals: np.ndarray, tol: float) -> list[int]:
-    """Masks of the extensions of every class of order n - 1 whose edge
-    count, degree-square sum and tr(Q^3) equal the target's and whose
-    spectrum, from one batched dense eigensolve, lies within `tol` of it."""
-    masks = _moment_matches(n, m, d2_t, t3_t)
-    return masks[_distances(_q_stack(masks, n), tvals) <= tol].tolist()
+def _scan(n: int, key, tol: float, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending target spectrum, masks within `tol` of it) among the
+    extensions of order n whose key is `key`, in (class, S) order, from one
+    batched eigensolve; `target` is the spectrum, or the Q it solves first."""
+    masks = _moment_matches(n, *key)
+    q = _q_stack(masks, n)
+    if target.ndim == 2:
+        rows = _spectra(np.concatenate([target[None], q]))
+        target, rows = rows[0], rows[1:]
+    else:
+        rows = _spectra(q)
+    return target, masks[np.abs(rows - target).max(axis=1) <= tol]
 
 
 def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Search every labeled simple graph on n vertices for cospectral mates.
 
-    `target` may be a graph, a cone spec, or a spectrum; the order comes
-    from the spectrum size and is capped at 8.  The first three moments fix
-    the edge count m, the degree-square sum and the third moment as exact
-    integers (a non-finite moment raises ParameterError).  Stages:
+    `target` may be a graph, a cone spec, or a spectrum; the order is capped
+    at 8.  The key (m, sum d^2, tr Q^3) comes from exact integer traces of
+    a graph's Q, or from a spectrum's rounded power sums (a non-finite one
+    raises ParameterError; non-integral or odd ones match no graph).
 
     1. lookup: every graph is isomorphic to an extension of a class of
        order n - 1 by vertex n - 1.  `_extension_moments(n)`, built on the
-       first search of order n, packs the three moments of each extension
-       of `_classes(n - 1)` (9 984 at n = 7, 133 632 at n = 8) in one
-       integer, and one comparison with the target's key picks the
-       extensions that match all three;
-    2. eigensolve those in one batched call and keep the ones within `tol`
-       of the target spectrum;
-    3. dedupe by permutation orbits: each class among the survivors is
-       reported once, by the lowest mask of its orbit, when that mask's
-       spectrum is within `tol` too, with its distance.  Each orbit is
-       sorted once and answers membership by binary search.
+       first search of order n, packs the key of each extension of
+       `_classes(n - 1)` (9 984 at n = 7, 133 632 at n = 8) in one integer,
+       and one comparison picks the extensions with the target's key;
+    2. eigensolve those in one batch, with a graph target's Q as row 0,
+       and keep the ones within `tol` of the target spectrum;
+    3. split the survivors into classes by relabelling orbits
+       (`orbits._class_reps`), and report each class whose representative,
+       its lowest mask, is within `tol` too, from one more batch.
 
     Hits are therefore class representatives in lowest-bitmask order.  A
     hit is isomorphic to the target when the target's own mask lies in its
@@ -203,50 +204,41 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     equal graphs have equal spectra, solver noise aside.  `cardinality` is
     the whole space, 2^(n choose 2).
     """
-    tgraph: MultiGraph | None = None
-    if isinstance(target, ConeSpec):
-        tgraph = realize(target)
-    elif isinstance(target, MultiGraph):
-        tgraph = target
-    if tgraph is not None:
-        tspec = q_spectrum(tgraph)
-    elif isinstance(target, QSpectrum):
-        tspec = target
-    else:
-        tspec = QSpectrum(target)
-    n = len(tspec)
+    tgraph = realize(target) if isinstance(target, ConeSpec) else target
+    if not isinstance(tgraph, MultiGraph):
+        tgraph, tspec = None, target if isinstance(target, QSpectrum) else QSpectrum(target)
+    n = len(tspec) if tgraph is None else tgraph.n
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ScaleError(
             f"exhaustive search supports n <= {MAX_EXHAUSTIVE_VERTICES}, got n={n}"
         )
-    pairs = pair_order(n)
-    total = 1 << len(pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = [tspec.power_sum(r) for r in (1, 2, 3)]
-    if not np.isfinite(moments).all():
-        raise ParameterError("spectrum power sums must be finite")
-    ints = [round(v) for v in moments]
-    # non-integral moments cannot come from a graph; parity likewise
-    if any(abs(v - i) > 0.4 for v, i in zip(moments, ints)) or ints[0] % 2:
-        return SearchReport(target, float(tol), (), True, total)
-    t1, t2, t3 = ints
-    tvals = np.sort(tspec.values)
-    survivors = _scan(n, t1 // 2, t2 - t1, t3, tvals, tol)
-    tmask = None
-    if tgraph is not None and tgraph.is_simple():
-        tmask = sum(1 << e for e, (u, v) in enumerate(pairs) if tgraph.mult[u, v])
-        survivors.append(tmask)
-    orbits = sorted(
-        (int(orbit[0]), orbit)
-        for _, orbit in _orbit_classes(np.unique(np.array(survivors, dtype=np.int64)), n)
-    )
-    reps = np.array([rep for rep, _ in orbits], dtype=np.int64)
-    dists = _distances(_q_stack(reps, n), tvals)
-    hits: list[SearchHit] = []
-    for (rep, orbit), dist in zip(orbits, dists):
-        iso = tmask is not None and bool(_in_sorted(tmask, orbit))
-        if iso or dist <= tol:
-            hits.append(SearchHit(_mask_graph(rep, n, pairs), 0.0 if iso else float(dist), iso))
+    total = 1 << n * (n - 1) // 2
+    if tgraph is not None:
+        tvals, survivors = _scan(n, _trace_key(tgraph), tol, q_matrix(tgraph))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = [tspec.power_sum(r) for r in (1, 2, 3)]
+        if not np.isfinite(moments).all():
+            raise ParameterError("spectrum power sums must be finite")
+        t1, t2, t3 = (round(v) for v in moments)
+        if any(abs(v - i) > 0.4 for v, i in zip(moments, (t1, t2, t3))) or t1 % 2:
+            return SearchReport(target, float(tol), (), True, total)
+        tvals, survivors = _scan(n, (t1 // 2, t2 - t1, t3), tol, np.sort(tspec.values))
+    simple = tgraph is not None and tgraph.is_simple()
+    if simple:  # the target's own mask goes last
+        bits = tgraph.mult[_pair_index(n)]
+        survivors = np.append(survivors, bits @ np.left_shift(1, np.arange(bits.size)))
+    reps = _class_reps(survivors, n)
+    classes = np.unique(reps)
+    isos = classes == reps[-1] if simple else np.zeros(classes.size, dtype=bool)
+    q = _q_stack(classes, n)
+    dists = np.abs(_spectra(q) - tvals).max(axis=1)
+    q[:, np.arange(n), np.arange(n)] = 0  # the representatives' adjacency
+    hits = [
+        SearchHit(MultiGraph(adj), 0.0 if iso else float(dist), iso)
+        for iso, dist, adj in zip(isos.tolist(), dists, q)
+        if iso or dist <= tol
+    ]
     return SearchReport(target, float(tol), tuple(hits), True, total)
 
 
@@ -254,15 +246,15 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
 # cone recognition
 # ---------------------------------------------------------------------------
 
-def _base_spec(base: MultiGraph) -> ConeSpec | None:
-    """The blocks of a cone base, read off each component's sorted degrees
-    (multiplicities counted); None if some component is no block."""
-    deg = base.degrees()
+def _base_spec(g: MultiGraph, deg: list[int], apex: int) -> ConeSpec | None:
+    """The blocks of the cone base left by deleting `apex`, read off each
+    component's sorted base degrees `deg` (multiplicities counted); None if
+    some component is no block."""
     cycles: list[int] = []
     paths: list[int] = []
     stars = 0
-    for comp, _ in _components(base):
-        d = sorted(deg[comp].tolist())
+    for comp, _ in _components(g, apex):
+        d = sorted(deg[v] for v in comp)
         k = len(d)
         if d == [2] * k:
             cycles.append(k)
@@ -286,12 +278,14 @@ def recognize_cone(g: MultiGraph) -> ConeSpec | None:
     or a claw; a multiple edge inside a component of three or more vertices
     gives one of its ends degree >= 3, and [1, 1, 1, 3] has no second vertex
     of degree >= 2 for its other end; on two vertices the degree is the
-    multiplicity.  Returns None when no apex choice works.
+    multiplicity.  The base is read off the cone's own degrees and
+    neighbour lists.  Returns None when no apex choice works.
     """
     if g.n < 2:
         return None
+    deg = (g.degrees() - 1).tolist()  # less each vertex's edge to the apex
     for apex in _dominating_vertices(g).tolist():
-        spec = _base_spec(g.without_vertex(apex))
+        spec = _base_spec(g, deg, apex)
         if spec is not None:
             return spec
     return None

@@ -18,14 +18,15 @@ closed-form moment filter and for the union of the signature slices.  The
 brute exhaustive search sweeps every labelled mask and dedupes pairwise
 with the backtracking `isomorphic`, the reference for the class-extension
 scan and the orbit dedupe.  The filter-by-filter scan over int64 Q stacks
-is the reference for the packed moment-key lookup, and the `np.isin` orbit
-dedupe for the sorted-orbit one.  The bit-by-bit graph6 loops are the
-reference for the array codec.
+is the reference for the packed moment-key lookup.  Relabelled masks
+gathered from `itertools.permutations` are the reference for the
+relabelling table, and their `np.isin` dedupe for the one-orbit class
+split.  The bit-by-bit graph6 loops are the reference for the array codec.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -52,8 +53,8 @@ from qcones.cones import _main_values, _quotient_values
 from qcones.family import _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES, pair_order
 from qcones.graphs import _blocks
-from qcones.orbits import _classes, _orbit, _q_stack
-from qcones.search import _distances
+from qcones.orbits import _classes, _q_stack
+from qcones.search import _spectra
 
 # matrices per chunk of the batched eigensolve in the chunk-invariance
 # tests; None keeps the default CHUNK_ENTRIES
@@ -761,15 +762,51 @@ def qstack_scan(n: int, m: int, d2_t: int, t3_t: int, tvals, tol: float) -> list
     keep = (q @ q * q).sum(axis=(1, 2)) == t3_t
     if not keep.any():
         return []
-    return masks[keep][_distances(q[keep], tvals) <= tol].tolist()
+    return masks[keep][np.abs(_spectra(q[keep]) - tvals).max(axis=1) <= tol].tolist()
+
+
+def mask_graph(mask: int, n: int) -> MultiGraph:
+    """The simple graph on n vertices whose `pair_order` edges are the set
+    bits of `mask`, one pair at a time."""
+    arr = np.zeros((n, n), dtype=np.int64)
+    for e, (u, v) in enumerate(pair_order(n)):
+        if mask >> e & 1:
+            arr[u, v] = arr[v, u] = 1
+    return MultiGraph(arr)
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    return np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+
+
+def permutation_bits(n: int) -> np.ndarray:
+    """(k, n!) table of 2^(position of the image of edge e under the p-th
+    `itertools.permutations` of range(n)); positions from the closed
+    `pair_order` index v (v - 1) / 2 + u of a pair u < v."""
+    perms = _permutations(n)
+    rows = []
+    for u, v in pair_order(n):
+        a, b = perms[:, u], perms[:, v]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        rows.append(np.left_shift(1, hi * (hi - 1) // 2 + lo))
+    return np.array(rows, dtype=np.int64).reshape(-1, perms.shape[0])
+
+
+def permutation_orbit(mask: int, n: int) -> np.ndarray:
+    """The masks of the n! relabellings of one graph, in
+    `itertools.permutations` order, repeats included."""
+    bits = permutation_bits(n)
+    return bits[[e for e in range(bits.shape[0]) if mask >> e & 1]].sum(axis=0)
 
 
 def isin_orbit_classes(masks: np.ndarray, n: int):
     """(first member, orbit) per isomorphism class among sorted masks, each
-    orbit dropped from the rest by `np.isin`."""
+    orbit built from the permutations and dropped from the rest by
+    `np.isin`."""
     while masks.size:
         first = int(masks[0])
-        orbit = _orbit(first, n)
+        orbit = permutation_orbit(first, n)
         masks = masks[~np.isin(masks, orbit)]
         yield first, orbit
 

@@ -673,14 +673,15 @@ def test_module_entry_point_without_warnings():
 
 
 def test_import_builds_no_exhaustive_table():
-    # the class and moment tables cost about 0.15 s at n = 8; only an
-    # exhaustive search of that order may pay for them (and only a graph6
-    # call for the codec's pair index of its order)
+    # the relabelling, class and moment tables cost about 0.15 s at n = 8;
+    # only an exhaustive search of that order may pay for them (and only a
+    # graph6 call for the codec's pair index of its order)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import qcones, qcones.cli\n"
-         "from qcones.orbits import _classes, _extension_moments\n"
+         "from qcones.orbits import _classes, _extension_moments, _image_bits\n"
          "from qcones.graph6 import _pair_index\n"
+         "assert _image_bits.cache_info().currsize == 0\n"
          "assert _classes.cache_info().currsize == 0\n"
          "assert _extension_moments.cache_info().currsize == 0\n"
          "assert _pair_index.cache_info().currsize == 0\n"],

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ class TestClosedSpectrum:
         with pytest.raises(ScaleError, match="quotient of order 4101 exceeds 4096"):
             closed_spectrum(ConeSpec(paths=(8200,)))
         assert len(closed_spectrum(g_family_spec([9000], 1, 1))) == 9004
+
+    def test_long_path_raises_before_its_walk(self):
+        # P10^6 alone has 500 000 main values; walking them took seconds
+        start = time.perf_counter()
+        with pytest.raises(ScaleError, match="quotient of order 500001 exceeds 4096"):
+            largest_q_eigenvalue(ConeSpec(paths=(10 ** 6,)))
+        with pytest.raises(ScaleError, match="quotient of order 500001 exceeds 4096"):
+            closed_spectrum(ConeSpec(cycles=(5,), paths=(10 ** 6, 3)))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestClosedSpectrumF:

@@ -31,8 +31,10 @@ from qcones import (  # noqa: E402
     search_exhaustive,
 )
 from qcones.cli import _json, main  # noqa: E402
-from qcones.graph6 import pair_order  # noqa: E402
-from qcones.search import _mask_graph  # noqa: E402
+from qcones.orbits import _orbit  # noqa: E402
+from qcones.search import _trace_key  # noqa: E402
+
+from helpers import brute_search_exhaustive, mask_graph, permutation_bits  # noqa: E402
 
 
 def relabel(g: MultiGraph, perm) -> MultiGraph:
@@ -45,10 +47,10 @@ def relabel(g: MultiGraph, perm) -> MultiGraph:
 
 @st.composite
 def graph_and_relabelling(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
     mask = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     perm = draw(st.permutations(range(n)))
-    return _mask_graph(mask, n, pair_order(n)), perm
+    return mask_graph(mask, n), perm
 
 
 # digons (C2), long paths and up to two claws (K13), at least one block
@@ -74,6 +76,56 @@ def test_relabelling_keeps_the_hits(case):
         assert abs(x.distance - y.distance) <= 1e-12
 
 
+def report_key(report):
+    hits = [(encode_graph6(h.candidate), h.distance, h.isomorphic) for h in report.hits]
+    return hits, report.cardinality, report.exhaustive, report.tolerance
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Graphs on up to 8 vertices with multiplicities 0..2 (digons), some
+    of them simple."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    top = draw(st.sampled_from((1, 2)))
+    arr = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        for u in range(v):
+            arr[u, v] = arr[v, u] = draw(st.integers(min_value=0, max_value=top))
+    return MultiGraph(arr)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(small_multigraphs())
+def test_trace_key_is_the_rounded_power_sum_key(g):
+    spec = q_spectrum(g)
+    t1, t2, t3 = (round(spec.power_sum(r)) for r in (1, 2, 3))
+    assert _trace_key(g) == (t1 // 2, t2 - t1, t3)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.integers(min_value=0, max_value=(1 << n * (n - 1) // 2) - 1).map(
+        lambda mask: mask_graph(mask, n))))
+def test_spectrum_target_report_matches_the_full_sweep(g):
+    target = q_spectrum(g)
+    report = search_exhaustive(target)
+    assert report_key(report) == report_key(brute_search_exhaustive(target))
+    assert not any(h.isomorphic for h in report.hits)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_row_sums_are_all_relabellings(n):
+    """Every mask on n <= 6 vertices: its orbit, column by column, is the
+    mask's bits times the permutation-gathered image table."""
+    k = n * (n - 1) // 2
+    table = permutation_bits(n)
+    for lo in range(0, 1 << k, 2048):
+        masks = np.arange(lo, min(lo + 2048, 1 << k))
+        bits = (masks[:, None] >> np.arange(k)) & 1
+        got = np.array([_orbit(int(m), n) for m in masks])
+        assert np.array_equal(got, bits @ table)
+
+
 @settings(max_examples=200, deadline=2000)
 @given(cone_specs)
 def test_spec_text_round_trip(spec):
@@ -85,7 +137,7 @@ def simple_graphs(draw, max_n=62):
     n = draw(st.integers(min_value=1, max_value=max_n))
     k = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
-    return _mask_graph(mask, n, pair_order(n))
+    return mask_graph(mask, n)
 
 
 @settings(max_examples=100, deadline=2000)

@@ -1,6 +1,5 @@
 """Family and exhaustive mate searches, isomorphism, recognition, probes."""
 
-import itertools
 import random
 import time
 
@@ -30,20 +29,20 @@ from qcones import (
     solve_degree_system,
     triangle_star_mate,
 )
+from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6, pair_order
 from qcones.graphs import _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
 from qcones import orbits, search
 from qcones.orbits import (
     _KEY_BITS,
+    _class_reps,
     _classes,
     _extension_moments,
-    _in_sorted,
     _orbit,
-    _orbit_classes,
     _q_stack,
 )
-from qcones.search import _mask_graph, _scan
+from qcones.search import _scan, _trace_key
 
 from helpers import (
     CHUNK_SIZES,
@@ -57,7 +56,10 @@ from helpers import (
     g_family_spec,
     isin_orbit_classes,
     isomorphic,
+    mask_graph,
     path_graph,
+    permutation_bits,
+    permutation_orbit,
     qstack_scan,
     random_graph,
     set_chunk,
@@ -421,16 +423,14 @@ class TestExhaustiveAgainstBruteSweep:
 
 
 class TestClasses:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_edge_images_equal_whole_table_gathers(self, n):
-        pairs = pair_order(n)
-        pos = np.zeros((n, n), dtype=np.uint8)
-        for e, (u, v) in enumerate(pairs):
-            pos[u, v] = pos[v, u] = e
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        want = pos[perms[:, [u for u, _ in pairs]], perms[:, [v for _, v in pairs]]]
-        got = orbits._edge_images(n)
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        got = orbits._image_bits(n)
+        assert got.dtype == np.int32 and got.flags.c_contiguous
+        assert np.array_equal(got, permutation_bits(n))
+        if n == 8:
+            # every relabelling of K8 is K8: all 28 bits below 2^28
+            assert (got.sum(axis=0) == (1 << 28) - 1).all()
 
     def test_counts_match_a000088(self):
         assert [_classes(n).size for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
@@ -457,7 +457,20 @@ class TestScanAgainstQStackOracle:
     @staticmethod
     def assert_same(n, m, d2, t3, tvals):
         for tol in (1e-8, np.inf):
-            assert _scan(n, m, d2, t3, tvals, tol) == qstack_scan(n, m, d2, t3, tvals, tol)
+            got = _scan(n, (m, d2, t3), tol, tvals)[1].tolist()
+            assert got == qstack_scan(n, m, d2, t3, tvals, tol)
+
+    @classmethod
+    def assert_same_graph(cls, g: MultiGraph):
+        """Both target forms: the spectrum, and the Q matrix solved as row 0
+        of the matches' batch, which returns that spectrum bitwise."""
+        n, m, d2, t3, tvals = scan_args(g)
+        cls.assert_same(n, m, d2, t3, tvals)
+        assert _trace_key(g) == (m, d2, t3)
+        for tol in (1e-8, np.inf):
+            row, got = _scan(n, _trace_key(g), tol, q_matrix(g))
+            assert row.tobytes() == tvals.tobytes()
+            assert got.tolist() == qstack_scan(n, m, d2, t3, tvals, tol)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_moment_triple_up_to_six_vertices(self, n):
@@ -475,18 +488,18 @@ class TestScanAgainstQStackOracle:
     def test_benchmark_panel_relabelled(self, shape):
         rng = random.Random(repr(shape))
         g = decode_graph6(shape) if isinstance(shape, str) else realize(shape)
-        self.assert_same(*scan_args(permuted(g, rng)))
+        self.assert_same_graph(permuted(g, rng))
 
     def test_seeded_random_order_seven(self):
         rng = random.Random(77)
         for _ in range(50):
-            self.assert_same(*scan_args(random_graph(rng, 7, rng.choice([0.2, 0.4, 0.5, 0.6, 0.8]))))
+            self.assert_same_graph(random_graph(rng, 7, rng.choice([0.2, 0.4, 0.5, 0.6, 0.8])))
 
     def test_order_eight_pinned_target(self):
-        args = scan_args(realize(ConeSpec(cycles=(4,), paths=(2, 1))))
-        self.assert_same(*args)
+        g = realize(ConeSpec(cycles=(4,), paths=(2, 1)))
+        self.assert_same_graph(g)
         # the one hit class of `search_exhaustive`, among the survivors
-        assert 2209611 in _scan(*args, 1e-8)
+        assert 2209611 in _scan(8, _trace_key(g), 1e-8, q_matrix(g))[1]
 
     @pytest.mark.parametrize("m, d2, t3", [
         (32, 0, 0), (0, 512, 0), (0, 0, 8192), (-1, 2, 8), (1, -2, 8), (-2, 14, -34),
@@ -496,7 +509,7 @@ class TestScanAgainstQStackOracle:
         assert qstack_scan(8, m, d2, t3, tvals, np.inf) == []
         monkeypatch.setattr(orbits, "_extension_moments", None)
         monkeypatch.setattr(orbits, "_classes", None)
-        assert _scan(8, m, d2, t3, tvals, np.inf) == []
+        assert _scan(8, (m, d2, t3), np.inf, tvals)[1].size == 0
 
     def test_negative_spectrum_target_skips_the_table(self, monkeypatch):
         monkeypatch.setattr(orbits, "_extension_moments", None)
@@ -532,6 +545,9 @@ class TestExtensionMoments:
 
 
 class TestOrbitDedupe:
+    # 0 splits every mask alone, 1 << 40 broadcasts every orbit
+    SPLITS = (0, None, 1 << 40)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_pairwise_isomorphic(self, seed):
         rng = random.Random(seed)
@@ -540,43 +556,62 @@ class TestOrbitDedupe:
         # each class shows up under several labellings
         pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(6)}
         masks = np.array(sorted(pool), dtype=np.int64)
-        graph = {int(m): _mask_graph(int(m), n, pair_order(n)) for m in masks}
-        reps = []
-        for mask, g in graph.items():
-            if not any(isomorphic(g, graph[r]) for r in reps):
-                reps.append(mask)
-        classes = list(_orbit_classes(masks, n))
-        assert [rep for rep, _ in classes] == reps
-        for rep, orbit in classes:
-            members = set(orbit.tolist()) & set(graph)
-            assert all(isomorphic(graph[rep], graph[m]) for m in members)
+        graph = [mask_graph(int(m), n) for m in masks]
+        reps = _class_reps(masks, n).tolist()
+        for i, g in enumerate(graph):
+            assert reps[i] <= masks[i] and isomorphic(mask_graph(reps[i], n), g)
+            for j in range(i):
+                assert (reps[i] == reps[j]) == isomorphic(g, graph[j])
 
+    @pytest.mark.parametrize("entries", SPLITS)
     @pytest.mark.parametrize("n, seed", [(6, 0), (7, 0), (7, 1), (8, 0), (8, 1)])
-    def test_sorted_lookup_agrees_with_isin(self, n, seed):
+    def test_split_agrees_with_isin(self, monkeypatch, n, seed, entries):
+        if entries is not None:
+            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
         rng = random.Random(100 * n + seed)
         full = (1 << n * (n - 1) // 2) - 1
         target = random_graph(rng, n, 0.5)
         graphs = [target] + [random_graph(rng, n, p) for p in (0.2, 0.4, 0.6, 0.8)]
         pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(8)}
         # 0 lies below every other orbit's minimum and Kn above every maximum
-        tmask = graph_mask(target)
-        pool |= {tmask, 0, 1, full, full - 1}
+        pool |= {graph_mask(target), 0, 1, full, full - 1}
         masks = np.array(sorted(pool), dtype=np.int64)
-        got = list(_orbit_classes(masks, n))
-        want = list(isin_orbit_classes(masks, n))
-        assert [first for first, _ in got] == [first for first, _ in want]
-        assert sum(bool(_in_sorted(tmask, orbit)) for _, orbit in got) == 1
-        for (_, orbit), (_, ref) in zip(got, want):
-            assert (orbit == np.sort(ref)).all()
-            assert bool(_in_sorted(tmask, orbit)) == (tmask in set(ref.tolist()))
+        want = np.empty_like(masks)
+        for _, ref in isin_orbit_classes(masks, n):
+            want[np.isin(masks, ref)] = ref.min()
+        assert np.array_equal(_class_reps(masks, n), want)
+        # in any order, repeats included
+        shuffled = np.concatenate([masks, masks[:5]])
+        rng.shuffle(shuffled)
+        assert np.array_equal(_class_reps(shuffled, n), want[np.searchsorted(masks, shuffled)])
 
-    def test_in_sorted_edges(self):
-        ascending = np.array([3, 3, 5, 9, 9], dtype=np.int64)
-        values = np.array([0, 3, 4, 5, 8, 9, 10, 1 << 40], dtype=np.int64)
-        assert _in_sorted(values, ascending).tolist() == [
-            False, True, False, True, False, True, False, False,
+    def test_orbits_are_int32_relabellings(self):
+        for mask in (0, 1, 12345, (1 << 28) - 1):
+            orbit = _orbit(mask, 8)
+            assert orbit.dtype == np.int32
+            assert np.array_equal(orbit, permutation_orbit(mask, 8))
+
+    @pytest.mark.parametrize("entries", SPLITS)
+    def test_split_edges(self, monkeypatch, entries):
+        if entries is not None:
+            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
+        assert _class_reps(np.zeros(0, dtype=np.int64), 4).size == 0
+        # K4 less an edge, listed twice and under another labelling; the
+        # empty graph and K4 are their own orbits
+        masks = np.array([62, 0, 31, 63, 31, 47], dtype=np.int64)
+        assert _class_reps(masks, 4).tolist() == [31, 0, 31, 63, 31, 31]
+
+    @pytest.mark.parametrize("entries", SPLITS)
+    def test_wide_tolerance_reports_agree(self, monkeypatch, entries):
+        # every key match survives: 127 masks in 11 classes, the most at n = 7
+        target = decode_graph6("F}_@W")
+        want = report_key(search_exhaustive(target, tol=1e9))
+        if entries is not None:
+            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
+        assert report_key(search_exhaustive(target, tol=1e9)) == want
+        assert report_key(search_exhaustive(permuted(target, random.Random(5)), tol=1e9))[0] == [
+            (g6, pytest.approx(d, abs=1e-12), iso) for g6, d, iso in want[0]
         ]
-        assert _in_sorted(9, ascending) and not _in_sorted(12, ascending)
 
 
 class TestIsomorphic:
