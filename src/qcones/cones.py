@@ -66,17 +66,19 @@ def _path_value(j: int, l: int) -> tuple[float, str]:
 
 def _main_values(spec: ConeSpec) -> dict:
     """The blocks' main values as {value: [total weight, number of blocks,
-    tag]}, accumulated over paths, claws, then cycles; O(1) per cycle."""
-    # the longest path's main values alone can pass the cap: check before the walk
-    k = (max(spec.paths, default=0) + 1) // 2
-    if k >= MAX_VERTICES:
-        raise ScaleError(f"main-part quotient of order {k + 1} exceeds {MAX_VERTICES} (one path)")
+    tag]}, accumulated over paths, claws, then cycles; O(1) per cycle.
+    Raises ScaleError as soon as the quotient passes the order cap, so a
+    spec of long paths costs O(MAX_VERTICES) before the error."""
     main: dict = {}
 
     def add(value: float, tag: str, weight: float) -> None:
         entry = main.setdefault(value, [0.0, 0, tag])
         entry[0] += weight
         entry[1] += 1
+        if len(main) >= MAX_VERTICES:
+            raise ScaleError(
+                f"main-part quotient of order at least {MAX_VERTICES + 1} exceeds {MAX_VERTICES}"
+            )
 
     for l in spec.paths:
         for j in range((l + 1) % 2, l, 2):  # j + l odd

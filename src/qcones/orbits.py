@@ -22,8 +22,6 @@ import numpy as np
 
 from .graph6 import _pair_index
 
-SPLIT_ENTRIES = 1 << 20  # widest mask-by-orbit comparison of `_class_reps`
-
 
 def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
     """(len(masks), n, n) integer Q = D + A of the masks' graphs on n vertices."""
@@ -64,19 +62,8 @@ def _orbit(mask: int, n: int) -> np.ndarray:
 
 
 def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
-    """The lowest mask of each mask's class, one orbit at a time: the first
-    mask left names a class, and one broadcast comparison with its orbit
-    finds the members.  Past SPLIT_ENTRIES compared entries each mask left
-    takes its own orbit's minimum: one orbit per mask, not a pass per class."""
-    reps = np.empty(masks.size, dtype=np.int64)
-    left = np.arange(masks.size)
-    while 0 < left.size * math.factorial(n) <= SPLIT_ENTRIES:
-        orbit = _orbit(int(masks[left[0]]), n)
-        member = (masks[left, None] == orbit).any(axis=1)
-        reps[left[member]] = orbit.min()
-        left = left[~member]
-    reps[left] = [_orbit(int(masks[i]), n).min() for i in left.tolist()]
-    return reps
+    """The lowest mask of each mask's class: its own orbit's minimum."""
+    return np.array([_orbit(m, n).min() for m in masks.tolist()], dtype=np.int64)
 
 
 def _extensions(n: int, idx: np.ndarray) -> np.ndarray:

@@ -165,18 +165,12 @@ def _trace_key(g: MultiGraph) -> tuple[int, int, int]:
     return t1 // 2, int(q2.trace()) - t1, int((q2 * q).sum())
 
 
-def _scan(n: int, key, tol: float, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending target spectrum, masks within `tol` of it) among the
-    extensions of order n whose key is `key`, in (class, S) order, from one
-    batched eigensolve; `target` is the spectrum, or the Q it solves first."""
+def _scan(n: int, key, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, spectra) of the extensions of order n whose key is `key`, in
+    (class, S) order: one batched eigensolve gives the ascending spectra of
+    the Q stack `head`, then of those masks' Q matrices, one row each."""
     masks = _moment_matches(n, *key)
-    q = _q_stack(masks, n)
-    if target.ndim == 2:
-        rows = _spectra(np.concatenate([target[None], q]))
-        target, rows = rows[0], rows[1:]
-    else:
-        rows = _spectra(q)
-    return target, masks[np.abs(rows - target).max(axis=1) <= tol]
+    return masks, _spectra(np.concatenate([head, _q_stack(masks, n)]))
 
 
 def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
@@ -214,7 +208,8 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         )
     total = 1 << n * (n - 1) // 2
     if tgraph is not None:
-        tvals, survivors = _scan(n, _trace_key(tgraph), tol, q_matrix(tgraph))
+        masks, rows = _scan(n, _trace_key(tgraph), q_matrix(tgraph)[None])
+        tvals, rows = rows[0], rows[1:]
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             moments = [tspec.power_sum(r) for r in (1, 2, 3)]
@@ -223,7 +218,9 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         t1, t2, t3 = (round(v) for v in moments)
         if any(abs(v - i) > 0.4 for v, i in zip(moments, (t1, t2, t3))) or t1 % 2:
             return SearchReport(target, float(tol), (), True, total)
-        tvals, survivors = _scan(n, (t1 // 2, t2 - t1, t3), tol, np.sort(tspec.values))
+        masks, rows = _scan(n, (t1 // 2, t2 - t1, t3), np.zeros((0, n, n)))
+        tvals = np.sort(tspec.values)
+    survivors = masks[np.abs(rows - tvals).max(axis=1) <= tol]
     simple = tgraph is not None and tgraph.is_simple()
     if simple:  # the target's own mask goes last
         bits = tgraph.mult[_pair_index(n)]

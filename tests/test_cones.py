@@ -150,18 +150,34 @@ class TestClosedSpectrum:
 
     def test_quotient_takes_the_order_cap(self):
         # P8200 has 4 100 main values; a G cone keeps a 4 x 4 quotient at any order
-        with pytest.raises(ScaleError, match="quotient of order 4101 exceeds 4096"):
+        with pytest.raises(ScaleError, match="quotient of order at least 4097 exceeds 4096"):
             closed_spectrum(ConeSpec(paths=(8200,)))
         assert len(closed_spectrum(g_family_spec([9000], 1, 1))) == 9004
 
+    def test_cap_stops_the_walk(self, monkeypatch):
+        # P_l has ceil(l/2) main values: under a cap of 8 the walk raises
+        # from P15 on, exactly where the quotient would be too large
+        monkeypatch.setattr(cones, "MAX_VERTICES", 8)
+        for l in range(1, 20):
+            if l < 15:
+                assert largest_q_eigenvalue(ConeSpec(paths=(l,))) > 0
+            else:
+                with pytest.raises(ScaleError, match="order at least 9 exceeds 8"):
+                    largest_q_eigenvalue(ConeSpec(paths=(l,)))
+
     def test_long_path_raises_before_its_walk(self):
-        # P10^6 alone has 500 000 main values; walking them took seconds
-        start = time.perf_counter()
-        with pytest.raises(ScaleError, match="quotient of order 500001 exceeds 4096"):
-            largest_q_eigenvalue(ConeSpec(paths=(10 ** 6,)))
-        with pytest.raises(ScaleError, match="quotient of order 500001 exceeds 4096"):
-            closed_spectrum(ConeSpec(cycles=(5,), paths=(10 ** 6, 3)))
-        assert time.perf_counter() - start < 0.1
+        # P10^6 alone has 500 000 main values, and P2000..P3999 2.8 million
+        # together; walking them all took seconds
+        for spec in (
+            ConeSpec(paths=(10 ** 6,)),
+            ConeSpec(cycles=(5,), paths=(10 ** 6, 3)),
+            ConeSpec(paths=tuple(range(2000, 4000))),
+        ):
+            for call in (largest_q_eigenvalue, closed_spectrum):
+                start = time.perf_counter()
+                with pytest.raises(ScaleError, match="order at least 4097 exceeds 4096"):
+                    call(spec)
+                assert time.perf_counter() - start < 0.1
 
 
 class TestClosedSpectrumF:

@@ -455,22 +455,28 @@ class TestScanAgainstQStackOracle:
     int64 Q stacks: the same masks in the same order."""
 
     @staticmethod
-    def assert_same(n, m, d2, t3, tvals):
+    def survivors(masks, rows, tvals, tol):
+        return masks[np.abs(rows - tvals).max(axis=1) <= tol].tolist()
+
+    @classmethod
+    def assert_same(cls, n, m, d2, t3, tvals):
+        masks, rows = _scan(n, (m, d2, t3), np.zeros((0, n, n)))
+        assert rows.shape == (masks.size, n)
         for tol in (1e-8, np.inf):
-            got = _scan(n, (m, d2, t3), tol, tvals)[1].tolist()
-            assert got == qstack_scan(n, m, d2, t3, tvals, tol)
+            assert cls.survivors(masks, rows, tvals, tol) == qstack_scan(n, m, d2, t3, tvals, tol)
 
     @classmethod
     def assert_same_graph(cls, g: MultiGraph):
         """Both target forms: the spectrum, and the Q matrix solved as row 0
-        of the matches' batch, which returns that spectrum bitwise."""
+        of the matches' batch, which gives that spectrum bitwise."""
         n, m, d2, t3, tvals = scan_args(g)
         cls.assert_same(n, m, d2, t3, tvals)
         assert _trace_key(g) == (m, d2, t3)
+        masks, rows = _scan(n, _trace_key(g), q_matrix(g)[None])
+        assert rows[0].tobytes() == tvals.tobytes()
         for tol in (1e-8, np.inf):
-            row, got = _scan(n, _trace_key(g), tol, q_matrix(g))
-            assert row.tobytes() == tvals.tobytes()
-            assert got.tolist() == qstack_scan(n, m, d2, t3, tvals, tol)
+            got = cls.survivors(masks, rows[1:], tvals, tol)
+            assert got == qstack_scan(n, m, d2, t3, tvals, tol)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_moment_triple_up_to_six_vertices(self, n):
@@ -499,7 +505,8 @@ class TestScanAgainstQStackOracle:
         g = realize(ConeSpec(cycles=(4,), paths=(2, 1)))
         self.assert_same_graph(g)
         # the one hit class of `search_exhaustive`, among the survivors
-        assert 2209611 in _scan(8, _trace_key(g), 1e-8, q_matrix(g))[1]
+        masks, rows = _scan(8, _trace_key(g), q_matrix(g)[None])
+        assert 2209611 in self.survivors(masks, rows[1:], rows[0], 1e-8)
 
     @pytest.mark.parametrize("m, d2, t3", [
         (32, 0, 0), (0, 512, 0), (0, 0, 8192), (-1, 2, 8), (1, -2, 8), (-2, 14, -34),
@@ -509,7 +516,8 @@ class TestScanAgainstQStackOracle:
         assert qstack_scan(8, m, d2, t3, tvals, np.inf) == []
         monkeypatch.setattr(orbits, "_extension_moments", None)
         monkeypatch.setattr(orbits, "_classes", None)
-        assert _scan(8, (m, d2, t3), np.inf, tvals)[1].size == 0
+        masks, rows = _scan(8, (m, d2, t3), np.zeros((0, 8, 8)))
+        assert masks.size == rows.size == 0
 
     def test_negative_spectrum_target_skips_the_table(self, monkeypatch):
         monkeypatch.setattr(orbits, "_extension_moments", None)
@@ -545,9 +553,6 @@ class TestExtensionMoments:
 
 
 class TestOrbitDedupe:
-    # 0 splits every mask alone, 1 << 40 broadcasts every orbit
-    SPLITS = (0, None, 1 << 40)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_pairwise_isomorphic(self, seed):
         rng = random.Random(seed)
@@ -563,11 +568,8 @@ class TestOrbitDedupe:
             for j in range(i):
                 assert (reps[i] == reps[j]) == isomorphic(g, graph[j])
 
-    @pytest.mark.parametrize("entries", SPLITS)
     @pytest.mark.parametrize("n, seed", [(6, 0), (7, 0), (7, 1), (8, 0), (8, 1)])
-    def test_split_agrees_with_isin(self, monkeypatch, n, seed, entries):
-        if entries is not None:
-            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
+    def test_split_agrees_with_isin(self, n, seed):
         rng = random.Random(100 * n + seed)
         full = (1 << n * (n - 1) // 2) - 1
         target = random_graph(rng, n, 0.5)
@@ -591,24 +593,20 @@ class TestOrbitDedupe:
             assert orbit.dtype == np.int32
             assert np.array_equal(orbit, permutation_orbit(mask, 8))
 
-    @pytest.mark.parametrize("entries", SPLITS)
-    def test_split_edges(self, monkeypatch, entries):
-        if entries is not None:
-            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
+    def test_split_edges(self):
         assert _class_reps(np.zeros(0, dtype=np.int64), 4).size == 0
         # K4 less an edge, listed twice and under another labelling; the
         # empty graph and K4 are their own orbits
         masks = np.array([62, 0, 31, 63, 31, 47], dtype=np.int64)
         assert _class_reps(masks, 4).tolist() == [31, 0, 31, 63, 31, 31]
 
-    @pytest.mark.parametrize("entries", SPLITS)
-    def test_wide_tolerance_reports_agree(self, monkeypatch, entries):
+    def test_wide_tolerance_reports_agree(self):
         # every key match survives: 127 masks in 11 classes, the most at n = 7
         target = decode_graph6("F}_@W")
         want = report_key(search_exhaustive(target, tol=1e9))
-        if entries is not None:
-            monkeypatch.setattr(orbits, "SPLIT_ENTRIES", entries)
-        assert report_key(search_exhaustive(target, tol=1e9)) == want
+        hits = [h.candidate for h in search_exhaustive(target, tol=1e9).hits]
+        assert len(hits) == 11 and [iso for *_, iso in want[0]].count(True) == 1
+        assert not any(isomorphic(g, h) for i, g in enumerate(hits) for h in hits[:i])
         assert report_key(search_exhaustive(permuted(target, random.Random(5)), tol=1e9))[0] == [
             (g6, pytest.approx(d, abs=1e-12), iso) for g6, d, iso in want[0]
         ]
