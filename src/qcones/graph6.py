@@ -81,4 +81,4 @@ def decode_graph6(text: str) -> MultiGraph:
     arr = np.zeros((n, n), dtype=np.int64)
     arr[rows, cols] = bits[:npairs]
     arr[cols, rows] = bits[:npairs]
-    return MultiGraph(arr)
+    return MultiGraph._wrap(arr)

@@ -8,7 +8,9 @@ multiplicities <= 1.
 
 `realize` numbers a cone spec's vertices block by block: isolated vertices,
 K2s, longer paths in descending order, cycles in descending order, claws
-(three leaves, then the center), and the apex last.
+(three leaves, then the center), and the apex last.  `_cone_q` writes the
+float64 Q = D + A of the same cone in the same order without building a
+`MultiGraph`, for the searches and probes that only eigensolve it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ class MultiGraph:
             raise ParameterError("multiplicity matrix must be symmetric")
         arr.setflags(write=False)
         self._mult = arr
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "MultiGraph":
+        """A multigraph on `arr` itself, made read-only, with none of the
+        constructor's copy and checks: only for int64 matrices valid by
+        construction (square, order 1..MAX_VERTICES, non-negative entries,
+        zero diagonal, symmetric)."""
+        g = cls.__new__(cls)
+        arr.setflags(write=False)
+        g._mult = arr
+        return g
 
     @property
     def n(self) -> int:
@@ -285,22 +298,40 @@ def _blocks(spec: ConeSpec) -> Iterator[tuple[str, int, int]]:
         first += size
 
 
+def _cone_adjacency(spec: ConeSpec) -> np.ndarray:
+    """int64 multiplicity matrix of a spec's cone, in the vertex order of
+    `_blocks`, from one count of flat indices u * n + v: each block edge
+    both ways (a digon's pair twice), then the apex row and column."""
+    n = _check_order(spec).n
+    a, d = n - 1, n + 1  # the apex, and the stride along a diagonal
+    idx: list[int] = []
+    for kind, first, size in _blocks(spec):
+        last = first + size - 1
+        if kind == "claw":  # each leaf to the center
+            idx += range(first * n + last, last * n, n)
+            idx += range(last * n + first, last * n + last)
+        else:  # each vertex to the next
+            idx += range(first * d + 1, last * d, d)
+            idx += range(first * d + n, last * d, d)
+            if kind == "cycle":  # on a digon the closing edge doubles the one above
+                idx += (first * n + last, last * n + first)
+    idx += range(a * n, a * n + a)
+    idx += range(a, a * n, n)
+    return np.bincount(idx, minlength=n * n).reshape(n, n)
+
+
 def realize(spec: ConeSpec) -> MultiGraph:
     """Cone graph of a spec, vertices in the module docstring's order: isolated
     vertices, K2s, longer paths, cycles, claws (center last), then the apex."""
-    n = _check_order(spec).n
-    arr = np.zeros((n, n), dtype=np.int64)
-    for kind, first, size in _blocks(spec):
-        last = first + size - 1
-        for u in range(first, last):
-            v = last if kind == "claw" else u + 1
-            arr[u, v] = arr[v, u] = 1
-        if kind == "cycle":  # a digon's closing edge doubles its single edge
-            arr[first, last] += 1
-            arr[last, first] += 1
-    arr[n - 1, :n - 1] = 1
-    arr[:n - 1, n - 1] = 1
-    return MultiGraph(arr)
+    return MultiGraph._wrap(_cone_adjacency(spec))
+
+
+def _cone_q(spec: ConeSpec) -> np.ndarray:
+    """float64 Q = D + A of a spec's cone, with no MultiGraph: bitwise
+    `eigen.q_matrix(realize(spec))`, in the same vertex order."""
+    q = _cone_adjacency(spec).astype(np.float64)
+    q.flat[::len(q) + 1] = q.sum(axis=1)  # the degrees
+    return q
 
 
 def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:

@@ -4,21 +4,24 @@ The family search covers the cones over disjoint cycles, paths and at most
 one 4-vertex star that share the target's order and degree profile.  Their
 moments T1..T4 depend only on a signature (the profile and the numbers of
 C3, C4 and K2 blocks), so it streams only the candidates whose signature
-gives the target's moments through a chunked, batched eigensolve; the
-others are counted by partition counts, never built.  The exhaustive search
-covers every simple graph on up to 8 vertices by joining one vertex in every
-way to each isomorphism class of one order less (`qcones.orbits`).  A table
-per order, built on first use, packs each such extension's edge count,
-degree-square sum and tr(Q^3) in one integer, so a target costs one key
-lookup before one batched eigensolve of itself and its matches; the
-survivors split into classes by relabelling orbits, one graph per class
-reported.
+gives the target's moments, read as exact traces of the target's Q,
+through a chunked, batched eigensolve whose first row is the target
+itself; the others are counted by partition counts, never built.  Every Q
+there is written straight from its spec (`graphs._cone_q`), with no graph
+built.  The exhaustive search covers every simple graph on up to 8
+vertices by joining one vertex in every way to each isomorphism class of
+one order less (`qcones.orbits`).  A table per order, built on first use,
+packs each such extension's edge count, degree-square sum and tr(Q^3) in
+one integer, so a target costs one key lookup before one batched
+eigensolve of itself and its matches; the survivors split into classes by
+relabelling orbits, one graph per class reported.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
 largest-eigenvalue facts numerically; each probe that needs many spectra of
 one order (edge and vertex deletions, path rewirings) solves them in
-chunked batches and scans them in order.
+chunked batches and scans them in order; the path rewirings follow the
+recognized cone's own Q, all written from their specs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .graphs import (
     ConeSpec,
     MultiGraph,
     _components,
+    _cone_q,
     _dominating_vertices,
     components_and_bipartiteness,
     realize,
@@ -80,15 +84,25 @@ class SearchReport:
 # family search
 # ---------------------------------------------------------------------------
 
+def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
+    """tr Q^r for r = 1..4 of a cone's float64 Q of order n <= 64, exact:
+    its entries are at most 63 and those of Q^2 under 2^13, so every sum,
+    the largest sum(Q^2 * Q^2) < 2^38, stays an integer in float64."""
+    q2 = q @ q
+    return tuple(int(v) for v in (q.trace(), (q * q).sum(), (q2 * q).sum(), (q2 * q2).sum()))
+
+
 def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Scan all family candidates sharing the target's order and moments.
 
-    The first three spectral moments give each candidate degree profile
-    (with and without a star block).  T1..T4 see a candidate only through
-    its signature: the profile and its numbers of C3, C4 and K2 blocks.  So
-    the search solves for the signatures whose closed-form moments equal the
-    target's and builds only the specs with those signatures, one at a time:
-    their Q matrices go through a chunked, batched eigensolve, and only the
+    The target's moments T1..T4 are exact integer traces of its Q, and the
+    first three give each candidate degree profile (with and without a star
+    block).  T1..T4 see a candidate only through its signature: the profile
+    and its numbers of C3, C4 and K2 blocks.  So the search solves for the
+    signatures whose closed-form moments equal the target's and builds only
+    the specs with those signatures, one at a time.  Their Q matrices,
+    written straight from each spec with no graph built, follow the
+    target's own Q through one chunked, batched eigensolve, and only the
     hits are kept, so memory does not grow with the number of matches.
     `cardinality` still counts every candidate of the profiles, plus the
     target when it is not one of them (a digon or two claws), from
@@ -102,9 +116,9 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         raise ScaleError(
             f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
         )
-    tspec = q_spectrum(realize(target))
     n = target.n
-    moments = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+    tq = _cone_q(target)
+    moments = _power_traces(tq)
     cardinality = 0
     sigs = []
     for n4 in (0, 1):
@@ -127,8 +141,11 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
                     yield cand
 
     cands, feed = itertools.tee(others())
-    rows = _q_rows(q_matrix(realize(c)) for c in feed)
-    dists = (np.abs(r - tspec.values[::-1]).max(axis=1) for r in rows)
+    # the target's Q is row 0 of the candidates' batch
+    chunks = _q_rows(itertools.chain((tq,), map(_cone_q, feed)))
+    first = next(chunks)
+    tvals = first[0]
+    dists = (np.abs(r - tvals).max(axis=1) for r in itertools.chain((first[1:],), chunks))
     hits = [SearchHit(target, 0.0, True)]
     for cand, dist in zip(cands, itertools.chain.from_iterable(dists)):
         if dist <= tol:
@@ -403,7 +420,6 @@ def _probe_path_vs_cycle(g: MultiGraph):
     lengths = sorted({l for l in spec.paths if l >= 4})
     if not lengths:
         return "skipped", None, "no path block of order >= 4"
-    chi1 = float(q_spectrum(g).values[0])
     rewirings = []
     for l in lengths:
         rest = list(spec.paths)
@@ -419,8 +435,13 @@ def _probe_path_vs_cycle(g: MultiGraph):
                 stars13=spec.stars13,
             )
             rewirings.append((l, cyc, tail, alt))
-    rows = _q_rows(q_matrix(realize(alt)) for *_, alt in rewirings)
-    for (l, cyc, tail, _), row in zip(rewirings, itertools.chain.from_iterable(rows)):
+    # chi1 is row 0 of the rewirings' batch: the recognized cone's Q in
+    # `realize` order, so the result does not depend on g's labelling
+    rows = itertools.chain.from_iterable(
+        _q_rows(map(_cone_q, [spec, *(alt for *_, alt in rewirings)]))
+    )
+    chi1 = float(next(rows)[-1])
+    for (l, cyc, tail, _), row in zip(rewirings, rows):
         rhs = float(row[-1])
         if chi1 > rhs + STRICT_MARGIN:
             return (
@@ -457,8 +478,10 @@ def run_probe(g: MultiGraph, probe_id: str) -> ProbeResult:
     components, "2.10" largest-eigenvalue degree bound, "5.1" strict
     path-versus-cycle comparisons.  Graphs outside a probe's hypotheses
     report "skipped", never "fail"; so does a 5.1 rewiring whose gap lies
-    within STRICT_MARGIN.  "2.2" raises ScaleError when edges * n^3 exceeds
-    EDGE_PROBE_BUDGET (one eigensolve per edge).
+    within STRICT_MARGIN.  "5.1" solves the recognized cone's blocks in one
+    vertex order, so its result does not depend on g's labelling.  "2.2"
+    raises ScaleError when edges * n^3 exceeds EDGE_PROBE_BUDGET (one
+    eigensolve per edge).
     """
     runner = _PROBES.get(str(probe_id))
     if runner is None:

@@ -8,6 +8,7 @@ import pytest
 
 from qcones import (
     FormatError,
+    MultiGraph,
     UnsupportedGraphError,
     decode_graph6,
     encode_graph6,
@@ -120,6 +121,16 @@ def test_codec_matches_bitwise_reference_at_every_order():
                 got = decode_graph6(framed).mult
                 want = decode_graph6_bitwise(framed).mult
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_decoded_graph_equals_the_checked_constructor():
+    # the decoder wraps its matrix without the constructor's copy and checks
+    rng = random.Random(6)
+    for n in range(1, 63):
+        g = decode_graph6(encode_graph6(random_graph(rng, n, rng.random())))
+        checked = MultiGraph(g.mult)
+        assert g == checked and g.mult.dtype == checked.mult.dtype
+        assert not g.mult.flags.writeable
 
 
 def _outcome(fn, arg):

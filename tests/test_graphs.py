@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qcones import (
@@ -15,6 +16,8 @@ from qcones import (
     realize,
     t_bar_f_bar,
 )
+from qcones.eigen import q_matrix
+from qcones.graphs import _cone_q
 
 from helpers import (
     complete_graph,
@@ -342,6 +345,15 @@ class TestConeSpec:
             built = cone_from_builders(spec).mult
             assert realize(spec).mult.tobytes() == built.tobytes(), spec
 
+    def test_realized_graph_equals_the_checked_constructor(self):
+        # realize wraps its matrix without the constructor's copy and checks
+        rng = random.Random(20261019)
+        for _ in range(300):
+            g = realize(random_cone_spec(rng, max_path=9))
+            checked = MultiGraph(g.mult)
+            assert g == checked and g.mult.dtype == checked.mult.dtype
+            assert not g.mult.flags.writeable
+
     def test_realize_flagship_degrees(self):
         g = realize(g_family_spec([3], 1, 1))
         assert g.degrees()[g.n - 1] == 6
@@ -364,6 +376,42 @@ class TestConeSpec:
             g_family_spec([3], -1, 1)
         with pytest.raises(ParameterError):
             g_family_spec([3], 1, -1)
+
+
+class TestConeQ:
+    """`_cone_q` writes Q = D + A of a spec's cone with no graph built."""
+
+    @staticmethod
+    def _assert_bitwise(spec):
+        want = q_matrix(realize(spec))
+        q = _cone_q(spec)
+        # compared as int64 views: bitwise, with no copy of either matrix
+        assert q.dtype == want.dtype and (q.view(np.int64) == want.view(np.int64)).all(), spec
+
+    def test_is_q_matrix_of_realize(self):
+        # digons, 0-2 claws and paths up to order 9
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            self._assert_bitwise(random_cone_spec(rng, max_path=9))
+
+    @pytest.mark.parametrize("spec", [
+        ConeSpec(cycles=(4000,), paths=(2,) * 40 + (1,) * 15),
+        ConeSpec(paths=(4095,)),
+        ConeSpec(cycles=(2,) * 2000 + (3,), paths=(9, 2, 1), stars13=20),
+    ], ids=["cycle", "path", "digons-and-claws"])
+    def test_is_q_matrix_of_realize_at_the_order_cap(self, spec):
+        assert spec.n == 4096
+        self._assert_bitwise(spec)
+
+    def test_order_cap(self):
+        with pytest.raises(ScaleError):
+            _cone_q(ConeSpec(paths=(4096,)))
+
+    def test_digon_entry_and_degrees(self):
+        # vertex 0 is the K1, vertices 1 and 2 the digon, 3 the apex
+        q = _cone_q(ConeSpec(cycles=(2,), paths=(1,)))
+        assert q.tolist() == [[1.0, 0.0, 0.0, 1.0], [0.0, 3.0, 2.0, 1.0],
+                              [0.0, 2.0, 3.0, 1.0], [1.0, 1.0, 1.0, 3.0]]
 
 
 def test_realized_cone_matches_manual_construction():

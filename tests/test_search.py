@@ -31,7 +31,7 @@ from qcones import (
 )
 from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6, pair_order
-from qcones.graphs import _dominating_vertices
+from qcones.graphs import _cone_q, _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
 from qcones import orbits, search
 from qcones.orbits import (
@@ -42,7 +42,8 @@ from qcones.orbits import (
     _orbit,
     _q_stack,
 )
-from qcones.search import _scan, _trace_key
+from qcones.moments import moments_closed_form
+from qcones.search import _power_traces, _scan, _trace_key
 
 from helpers import (
     CHUNK_SIZES,
@@ -61,6 +62,7 @@ from helpers import (
     permutation_bits,
     permutation_orbit,
     qstack_scan,
+    random_cone_spec,
     random_graph,
     set_chunk,
     star_graph,
@@ -210,6 +212,77 @@ class TestSearchFamily:
         monkeypatch.setattr(QSpectrum, "_group", refuse)
         for target in (FLAGSHIP, g_family_spec([3, 4], 2, 1), ConeSpec(cycles=(2,), paths=(3, 1))):
             assert search_family(target).hits[0].candidate == target
+
+
+def refuse_graphs_and_spectra(monkeypatch):
+    """Make `realize`, `q_matrix` and `q_spectrum` raise inside `search`."""
+    for name in ("realize", "q_matrix", "q_spectrum"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"search called {name}")
+
+        monkeypatch.setattr(search, name, refuse)
+
+
+class TestFamilySearchFromSpecs:
+    """The target and its candidates are solved from their specs' Q
+    matrices in one batch, the target's moments read as exact traces."""
+
+    # G, F, a digon (outside the enumeration) and two claws (outside too)
+    TARGETS = (
+        FLAGSHIP,
+        ConeSpec(paths=(2,), stars13=1),
+        g_family_spec([3, 5], 2, 1),
+        parse_spec_text("K1 v C2 + C5 + 2K2 + K1"),
+        ConeSpec(cycles=(2,), paths=(3, 1)),
+        ConeSpec(cycles=(3,), paths=(4,), stars13=2),
+        ConeSpec(paths=(2, 1), stars13=2),
+    )
+
+    def test_builds_no_graph_and_solves_no_spectrum(self, monkeypatch):
+        reports = [search_family(t) for t in self.TARGETS]
+        assert any(len(r.hits) > 1 for r in reports)
+        refuse_graphs_and_spectra(monkeypatch)
+        assert [search_family(t) for t in self.TARGETS] == reports
+
+    @pytest.mark.parametrize("matrices", CHUNK_SIZES)
+    def test_target_row_at_every_chunk_size(self, monkeypatch, matrices):
+        # a chunk of one holds the target alone
+        for target in self.TARGETS:
+            set_chunk(monkeypatch, matrices, target.n)
+            assert search_family(target) == brute_search_family(target), target
+
+    def test_moments_are_the_closed_form_on_simple_specs(self):
+        rng = random.Random(20261019)
+        specs = [
+            parse_spec_text("K1 v C55 + C3 + 2K2 + K1"),
+            parse_spec_text("K1 v C10 + C10 + C10 + C10 + C10 + C9 + 2K2"),
+            ConeSpec(paths=(1,) * 63),
+            ConeSpec(cycles=(3,) * 21),
+            ConeSpec(paths=(2, 2, 2, 1), stars13=14),
+        ]
+        while len(specs) < 300:
+            spec = random_cone_spec(rng, max_path=9)
+            if not spec.has_digon():
+                specs.append(spec)
+        for spec in specs:
+            assert spec.n <= 64
+            assert _power_traces(_cone_q(spec)) == tuple(moments_closed_form(spec)[:4]), spec
+
+    def test_moments_are_the_rounded_power_sums_on_digon_specs(self):
+        rng = random.Random(20261020)
+        specs = [
+            ConeSpec(cycles=(2,) * 31, paths=(1,)),
+            ConeSpec(cycles=(2,) * 10 + (9, 3), paths=(20, 2, 1), stars13=2),
+        ]
+        while len(specs) < 100:
+            spec = random_cone_spec(rng, max_path=9)
+            if spec.has_digon():
+                specs.append(spec)
+        assert max(spec.n for spec in specs) == 64
+        for spec in specs:
+            tspec = q_spectrum(realize(spec))
+            want = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+            assert _power_traces(_cone_q(spec)) == want, spec
 
 
 def _profiles(n: int):
@@ -790,6 +863,29 @@ class TestProbes:
 
     def test_path_swap_skip_off_family(self):
         assert run_probe(cycle_graph(6), "5.1").status == "skipped"
+
+    PATH_SWAP_GRAPHS = (
+        realize(ConeSpec(paths=(4, 2, 1))),
+        realize(ConeSpec(paths=(7, 2, 1))),
+        realize(ConeSpec(cycles=(2, 4), paths=(6, 5, 1), stars13=1)),
+        # an unresolved gap: skipped
+        realize(ConeSpec(paths=(14, 2, 1))),
+    )
+
+    def test_path_swap_builds_no_graph_and_solves_no_spectrum(self, monkeypatch):
+        results = [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS]
+        assert [r.status for r in results] == ["pass", "pass", "pass", "skipped"]
+        refuse_graphs_and_spectra(monkeypatch)
+        assert [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS] == results
+
+    def test_path_swap_does_not_depend_on_labelling(self):
+        # every largest eigenvalue comes from a spec's Q in one vertex order,
+        # even the float64 noise in an unresolved gap
+        rng = random.Random(51)
+        for g in self.PATH_SWAP_GRAPHS:
+            want = run_probe(g, "5.1")
+            for _ in range(3):
+                assert run_probe(permuted(g, rng), "5.1") == want
 
 
 class TestChunkInvariance:
