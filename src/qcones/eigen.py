@@ -35,7 +35,7 @@ CHUNK_ENTRIES = 1 << 17
 def q_matrix(g: MultiGraph) -> np.ndarray:
     """Degree-plus-adjacency matrix as float64; multiplicities count in both."""
     m = g.mult.astype(np.float64)
-    m[np.diag_indices(g.n)] = g.degrees()
+    m.flat[::g.n + 1] = g.degrees()
     return m
 
 

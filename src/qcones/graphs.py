@@ -8,9 +8,7 @@ multiplicities <= 1.
 
 `realize` numbers a cone spec's vertices block by block: isolated vertices,
 K2s, longer paths in descending order, cycles in descending order, claws
-(three leaves, then the center), and the apex last.  `_cone_q` writes the
-float64 Q = D + A of the same cone in the same order without building a
-`MultiGraph`, for the searches and probes that only eigensolve it.
+(three leaves, then the center), and the apex last.
 """
 
 from __future__ import annotations
@@ -298,10 +296,12 @@ def _blocks(spec: ConeSpec) -> Iterator[tuple[str, int, int]]:
         first += size
 
 
-def _cone_adjacency(spec: ConeSpec) -> np.ndarray:
-    """int64 multiplicity matrix of a spec's cone, in the vertex order of
-    `_blocks`, from one count of flat indices u * n + v: each block edge
-    both ways (a digon's pair twice), then the apex row and column."""
+def realize(spec: ConeSpec) -> MultiGraph:
+    """Cone graph of a spec, vertices in the module docstring's order: isolated
+    vertices, K2s, longer paths, cycles, claws (center last), then the apex.
+
+    One count of flat indices u * n + v writes the multiplicities: each block
+    edge both ways (a digon's pair twice), then the apex row and column."""
     n = _check_order(spec).n
     a, d = n - 1, n + 1  # the apex, and the stride along a diagonal
     idx: list[int] = []
@@ -317,21 +317,7 @@ def _cone_adjacency(spec: ConeSpec) -> np.ndarray:
                 idx += (first * n + last, last * n + first)
     idx += range(a * n, a * n + a)
     idx += range(a, a * n, n)
-    return np.bincount(idx, minlength=n * n).reshape(n, n)
-
-
-def realize(spec: ConeSpec) -> MultiGraph:
-    """Cone graph of a spec, vertices in the module docstring's order: isolated
-    vertices, K2s, longer paths, cycles, claws (center last), then the apex."""
-    return MultiGraph._wrap(_cone_adjacency(spec))
-
-
-def _cone_q(spec: ConeSpec) -> np.ndarray:
-    """float64 Q = D + A of a spec's cone, with no MultiGraph: bitwise
-    `eigen.q_matrix(realize(spec))`, in the same vertex order."""
-    q = _cone_adjacency(spec).astype(np.float64)
-    q.flat[::len(q) + 1] = q.sum(axis=1)  # the degrees
-    return q
+    return MultiGraph._wrap(np.bincount(idx, minlength=n * n).reshape(n, n))
 
 
 def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:

@@ -6,22 +6,21 @@ moments T1..T4 depend only on a signature (the profile and the numbers of
 C3, C4 and K2 blocks), so it streams only the candidates whose signature
 gives the target's moments, read as exact traces of the target's Q,
 through a chunked, batched eigensolve whose first row is the target
-itself; the others are counted by partition counts, never built.  Every Q
-there is written straight from its spec (`graphs._cone_q`), with no graph
-built.  The exhaustive search covers every simple graph on up to 8
-vertices by joining one vertex in every way to each isomorphism class of
-one order less (`qcones.orbits`).  A table per order, built on first use,
-packs each such extension's edge count, degree-square sum and tr(Q^3) in
-one integer, so a target costs one key lookup before one batched
-eigensolve of itself and its matches; the survivors split into classes by
-relabelling orbits, one graph per class reported.
+itself; the others are counted by partition counts, never built.  The
+exhaustive search covers every simple graph on up to 8 vertices by joining
+one vertex in every way to each isomorphism class of one order less
+(`qcones.orbits`).  A table per order, built on first use, packs each such
+extension's edge count, degree-square sum and tr(Q^3) in one integer, so a
+target costs one key lookup before one batched eigensolve of itself and
+its matches; the survivors split into classes by relabelling orbits, one
+graph per class reported.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
 largest-eigenvalue facts numerically; each probe that needs many spectra of
 one order (edge and vertex deletions, path rewirings) solves them in
 chunked batches and scans them in order; the path rewirings follow the
-recognized cone's own Q, all written from their specs.
+recognized cone's own Q, realized from its spec.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .graphs import (
     ConeSpec,
     MultiGraph,
     _components,
-    _cone_q,
     _dominating_vertices,
     components_and_bipartiteness,
     realize,
@@ -85,9 +83,11 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
-    """tr Q^r for r = 1..4 of a cone's float64 Q of order n <= 64, exact:
-    its entries are at most 63 and those of Q^2 under 2^13, so every sum,
-    the largest sum(Q^2 * Q^2) < 2^38, stays an integer in float64."""
+    """tr Q^r for r = 1..4 of a float64 Q = D + A, exact for a cone of order
+    n <= 64 (its entries are at most 63 and those of Q^2 under 2^13, so
+    every sum, the largest sum(Q^2 * Q^2) < 2^38, stays an integer in
+    float64) and for a graph on n <= 8 vertices whose edge count fits the
+    exhaustive key (its multiplicities then fit too)."""
     q2 = q @ q
     return tuple(int(v) for v in (q.trace(), (q * q).sum(), (q2 * q).sum(), (q2 * q2).sum()))
 
@@ -100,10 +100,10 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     block).  T1..T4 see a candidate only through its signature: the profile
     and its numbers of C3, C4 and K2 blocks.  So the search solves for the
     signatures whose closed-form moments equal the target's and builds only
-    the specs with those signatures, one at a time.  Their Q matrices,
-    written straight from each spec with no graph built, follow the
-    target's own Q through one chunked, batched eigensolve, and only the
-    hits are kept, so memory does not grow with the number of matches.
+    the specs with those signatures, one at a time.  Their Q matrices
+    follow the target's own Q through one chunked, batched eigensolve, and
+    only the hits are kept, so memory does not grow with the number of
+    matches.
     `cardinality` still counts every candidate of the profiles, plus the
     target when it is not one of them (a digon or two claws), from
     partition counts, with none of the others built.  The target is always
@@ -117,7 +117,7 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
             f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
         )
     n = target.n
-    tq = _cone_q(target)
+    tq = q_matrix(realize(target))
     moments = _power_traces(tq)
     cardinality = 0
     sigs = []
@@ -142,7 +142,7 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
 
     cands, feed = itertools.tee(others())
     # the target's Q is row 0 of the candidates' batch
-    chunks = _q_rows(itertools.chain((tq,), map(_cone_q, feed)))
+    chunks = _q_rows(itertools.chain((tq,), (q_matrix(realize(c)) for c in feed)))
     first = next(chunks)
     tvals = first[0]
     dists = (np.abs(r - tvals).max(axis=1) for r in itertools.chain((first[1:],), chunks))
@@ -170,16 +170,6 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
 def _spectra(q: np.ndarray) -> np.ndarray:
     """Ascending spectra of a Q stack, one row each, from batched eigensolves."""
     return np.concatenate([np.empty((0, q.shape[-1])), *_q_rows(q)])
-
-
-def _trace_key(g: MultiGraph) -> tuple[int, int, int]:
-    """(m, tr Q^2 - tr Q, tr Q^3) of Q = D + A, exact in int64 while m fits
-    its key field (a larger m matches nothing): a simple graph's key."""
-    q = g.mult.copy()
-    np.fill_diagonal(q, g.degrees())
-    q2 = q @ q
-    t1 = int(q.trace())
-    return t1 // 2, int(q2.trace()) - t1, int((q2 * q).sum())
 
 
 def _scan(n: int, key, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +215,9 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         )
     total = 1 << n * (n - 1) // 2
     if tgraph is not None:
-        masks, rows = _scan(n, _trace_key(tgraph), q_matrix(tgraph)[None])
+        q = q_matrix(tgraph)
+        t1, t2, t3, _ = _power_traces(q)
+        masks, rows = _scan(n, (t1 // 2, t2 - t1, t3), q[None])
         tvals, rows = rows[0], rows[1:]
     else:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -438,7 +430,7 @@ def _probe_path_vs_cycle(g: MultiGraph):
     # chi1 is row 0 of the rewirings' batch: the recognized cone's Q in
     # `realize` order, so the result does not depend on g's labelling
     rows = itertools.chain.from_iterable(
-        _q_rows(map(_cone_q, [spec, *(alt for *_, alt in rewirings)]))
+        _q_rows(q_matrix(realize(s)) for s in [spec, *(alt for *_, alt in rewirings)])
     )
     chi1 = float(next(rows)[-1])
     for (l, cyc, tail, _), row in zip(rewirings, rows):

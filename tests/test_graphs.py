@@ -16,8 +16,6 @@ from qcones import (
     realize,
     t_bar_f_bar,
 )
-from qcones.eigen import q_matrix
-from qcones.graphs import _cone_q
 
 from helpers import (
     complete_graph,
@@ -378,40 +376,52 @@ class TestConeSpec:
             g_family_spec([3], 1, -1)
 
 
-class TestConeQ:
-    """`_cone_q` writes Q = D + A of a spec's cone with no graph built."""
+def cone_by_edges(spec: ConeSpec) -> np.ndarray:
+    """Multiplicity matrix of a spec's cone from one store per edge, blocks
+    in the documented vertex order, with no block matrix built."""
+    n = spec.n
+    arr = np.zeros((n, n), dtype=np.int64)
 
-    @staticmethod
-    def _assert_bitwise(spec):
-        want = q_matrix(realize(spec))
-        q = _cone_q(spec)
-        # compared as int64 views: bitwise, with no copy of either matrix
-        assert q.dtype == want.dtype and (q.view(np.int64) == want.view(np.int64)).all(), spec
+    def join(u, v):
+        arr[u, v] += 1
+        arr[v, u] += 1
 
-    def test_is_q_matrix_of_realize(self):
-        # digons, 0-2 claws and paths up to order 9
-        rng = random.Random(20261020)
-        for _ in range(2000):
-            self._assert_bitwise(random_cone_spec(rng, max_path=9))
+    first = 0
+    short = sorted(l for l in spec.paths if l <= 2)
+    long = sorted((l for l in spec.paths if l >= 3), reverse=True)
+    for l in short + long:
+        for i in range(l - 1):
+            join(first + i, first + i + 1)
+        first += l
+    for k in sorted(spec.cycles, reverse=True):
+        for i in range(k):  # on a digon both edges join the same pair
+            join(first + i, first + (i + 1) % k)
+        first += k
+    for _ in range(spec.stars13):
+        for leaf in range(3):
+            join(first + leaf, first + 3)
+        first += 4
+    for v in range(n - 1):
+        join(v, n - 1)
+    return arr
+
+
+class TestRealizeAtTheOrderCap:
+    """`realize` counts flat indices of the block walk; long blocks and many
+    blocks at the order cap against one store per edge."""
 
     @pytest.mark.parametrize("spec", [
         ConeSpec(cycles=(4000,), paths=(2,) * 40 + (1,) * 15),
         ConeSpec(paths=(4095,)),
         ConeSpec(cycles=(2,) * 2000 + (3,), paths=(9, 2, 1), stars13=20),
     ], ids=["cycle", "path", "digons-and-claws"])
-    def test_is_q_matrix_of_realize_at_the_order_cap(self, spec):
+    def test_matches_one_store_per_edge(self, spec):
         assert spec.n == 4096
-        self._assert_bitwise(spec)
+        assert np.array_equal(realize(spec).mult, cone_by_edges(spec)), spec
 
     def test_order_cap(self):
         with pytest.raises(ScaleError):
-            _cone_q(ConeSpec(paths=(4096,)))
-
-    def test_digon_entry_and_degrees(self):
-        # vertex 0 is the K1, vertices 1 and 2 the digon, 3 the apex
-        q = _cone_q(ConeSpec(cycles=(2,), paths=(1,)))
-        assert q.tolist() == [[1.0, 0.0, 0.0, 1.0], [0.0, 3.0, 2.0, 1.0],
-                              [0.0, 2.0, 3.0, 1.0], [1.0, 1.0, 1.0, 3.0]]
+            realize(ConeSpec(paths=(4096,)))
 
 
 def test_realized_cone_matches_manual_construction():

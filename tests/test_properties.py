@@ -32,7 +32,8 @@ from qcones import (  # noqa: E402
 )
 from qcones.cli import _json, main  # noqa: E402
 from qcones.orbits import _orbit  # noqa: E402
-from qcones.search import _trace_key  # noqa: E402
+from qcones.eigen import q_matrix  # noqa: E402
+from qcones.search import _power_traces  # noqa: E402
 
 from helpers import brute_search_exhaustive, mask_graph, permutation_bits  # noqa: E402
 
@@ -96,10 +97,10 @@ def small_multigraphs(draw):
 
 @settings(max_examples=150, deadline=2000)
 @given(small_multigraphs())
-def test_trace_key_is_the_rounded_power_sum_key(g):
+def test_power_traces_are_the_rounded_power_sums(g):
+    # the exhaustive key (m, sum d^2, tr Q^3) is (t1 // 2, t2 - t1, t3)
     spec = q_spectrum(g)
-    t1, t2, t3 = (round(spec.power_sum(r)) for r in (1, 2, 3))
-    assert _trace_key(g) == (t1 // 2, t2 - t1, t3)
+    assert _power_traces(q_matrix(g)) == tuple(round(spec.power_sum(r)) for r in (1, 2, 3, 4))
 
 
 @settings(max_examples=40, deadline=5000)

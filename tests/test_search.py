@@ -31,7 +31,7 @@ from qcones import (
 )
 from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6, pair_order
-from qcones.graphs import _cone_q, _dominating_vertices
+from qcones.graphs import _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
 from qcones import orbits, search
 from qcones.orbits import (
@@ -43,7 +43,7 @@ from qcones.orbits import (
     _q_stack,
 )
 from qcones.moments import moments_closed_form
-from qcones.search import _power_traces, _scan, _trace_key
+from qcones.search import _power_traces, _scan
 
 from helpers import (
     CHUNK_SIZES,
@@ -214,18 +214,18 @@ class TestSearchFamily:
             assert search_family(target).hits[0].candidate == target
 
 
-def refuse_graphs_and_spectra(monkeypatch):
-    """Make `realize`, `q_matrix` and `q_spectrum` raise inside `search`."""
-    for name in ("realize", "q_matrix", "q_spectrum"):
-        def refuse(*args, name=name, **kwargs):
-            raise AssertionError(f"search called {name}")
+def refuse_spectra(monkeypatch):
+    """Make `q_spectrum` raise inside `search`: every spectrum must come
+    from a batch."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("search called q_spectrum")
 
-        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(search, "q_spectrum", refuse)
 
 
 class TestFamilySearchFromSpecs:
-    """The target and its candidates are solved from their specs' Q
-    matrices in one batch, the target's moments read as exact traces."""
+    """The target and its candidates are solved in one batch, the target's
+    moments read as exact traces of its Q."""
 
     # G, F, a digon (outside the enumeration) and two claws (outside too)
     TARGETS = (
@@ -238,10 +238,10 @@ class TestFamilySearchFromSpecs:
         ConeSpec(paths=(2, 1), stars13=2),
     )
 
-    def test_builds_no_graph_and_solves_no_spectrum(self, monkeypatch):
+    def test_solves_no_spectrum_alone(self, monkeypatch):
         reports = [search_family(t) for t in self.TARGETS]
         assert any(len(r.hits) > 1 for r in reports)
-        refuse_graphs_and_spectra(monkeypatch)
+        refuse_spectra(monkeypatch)
         assert [search_family(t) for t in self.TARGETS] == reports
 
     @pytest.mark.parametrize("matrices", CHUNK_SIZES)
@@ -266,7 +266,8 @@ class TestFamilySearchFromSpecs:
                 specs.append(spec)
         for spec in specs:
             assert spec.n <= 64
-            assert _power_traces(_cone_q(spec)) == tuple(moments_closed_form(spec)[:4]), spec
+            want = tuple(moments_closed_form(spec)[:4])
+            assert _power_traces(q_matrix(realize(spec))) == want, spec
 
     def test_moments_are_the_rounded_power_sums_on_digon_specs(self):
         rng = random.Random(20261020)
@@ -280,9 +281,10 @@ class TestFamilySearchFromSpecs:
                 specs.append(spec)
         assert max(spec.n for spec in specs) == 64
         for spec in specs:
+            q = q_matrix(realize(spec))
             tspec = q_spectrum(realize(spec))
             want = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
-            assert _power_traces(_cone_q(spec)) == want, spec
+            assert _power_traces(q) == want, spec
 
 
 def _profiles(n: int):
@@ -523,6 +525,12 @@ def scan_args(g: MultiGraph):
     return g.n, t1 // 2, t2 - t1, t3, np.sort(tspec.values)
 
 
+def trace_key(g: MultiGraph):
+    """The key `search_exhaustive` reads off a graph target's Q."""
+    t1, t2, t3, _ = _power_traces(q_matrix(g))
+    return t1 // 2, t2 - t1, t3
+
+
 class TestScanAgainstQStackOracle:
     """The packed moment-key lookup against the filter-by-filter scan over
     int64 Q stacks: the same masks in the same order."""
@@ -544,8 +552,8 @@ class TestScanAgainstQStackOracle:
         of the matches' batch, which gives that spectrum bitwise."""
         n, m, d2, t3, tvals = scan_args(g)
         cls.assert_same(n, m, d2, t3, tvals)
-        assert _trace_key(g) == (m, d2, t3)
-        masks, rows = _scan(n, _trace_key(g), q_matrix(g)[None])
+        assert trace_key(g) == (m, d2, t3)
+        masks, rows = _scan(n, trace_key(g), q_matrix(g)[None])
         assert rows[0].tobytes() == tvals.tobytes()
         for tol in (1e-8, np.inf):
             got = cls.survivors(masks, rows[1:], tvals, tol)
@@ -578,7 +586,7 @@ class TestScanAgainstQStackOracle:
         g = realize(ConeSpec(cycles=(4,), paths=(2, 1)))
         self.assert_same_graph(g)
         # the one hit class of `search_exhaustive`, among the survivors
-        masks, rows = _scan(8, _trace_key(g), q_matrix(g)[None])
+        masks, rows = _scan(8, trace_key(g), q_matrix(g)[None])
         assert 2209611 in self.survivors(masks, rows[1:], rows[0], 1e-8)
 
     @pytest.mark.parametrize("m, d2, t3", [
@@ -872,10 +880,10 @@ class TestProbes:
         realize(ConeSpec(paths=(14, 2, 1))),
     )
 
-    def test_path_swap_builds_no_graph_and_solves_no_spectrum(self, monkeypatch):
+    def test_path_swap_solves_no_spectrum_alone(self, monkeypatch):
         results = [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS]
         assert [r.status for r in results] == ["pass", "pass", "pass", "skipped"]
-        refuse_graphs_and_spectra(monkeypatch)
+        refuse_spectra(monkeypatch)
         assert [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS] == results
 
     def test_path_swap_does_not_depend_on_labelling(self):
