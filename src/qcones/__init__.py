@@ -45,7 +45,6 @@ from .moments import (
     CountVector,
     MomentVector,
     brute_counts,
-    delta_moments,
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,

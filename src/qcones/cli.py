@@ -8,6 +8,9 @@ Exit codes: 0 success, 2 input error, 3 verification mismatch or probe
 failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
 internally built object failed its own check, or LAPACK's eigensolver
 failed; a bug, not bad input).
+`mate` builds the mate (13) or candidate (11) spec and (13) counts the
+target under the n <= 64 cap before it realizes the other graph or solves a
+spectrum, so an inapplicable or over-cap input exits with no eigensolve.
 Each subparser declares its handler, its `params` echo and (spectrum and
 moments) its CSV renderer with `set_defaults`.  `search --jobs` is still
 parsed and must be >= 1, but the exhaustive scan runs in this process and
@@ -241,52 +244,33 @@ def cmd_mate(args) -> tuple[dict, int]:
         raise ParameterError(f"unknown theorem id {args.theorem!r}; expected 11 or 13")
     _, spec = _read_input(args.input)
     spec = _require_spec(spec, "mate construction")
+    if args.theorem == "13":
+        role, other, shifts = "mate", triangle_star_mate(spec), {}
+    else:
+        role, (other, ds4, dt4) = "candidate", even_cycle_split_candidate(spec)
+        shifts = {"delta_s4": ds4, "delta_t4": dt4}
     target_graph = realize(spec)
-    target_spec = q_spectrum(target_graph)
+    # theorem 13's count cap raises before the other graph is built
+    counted = moments_from_counts(target_graph) if role == "mate" else None
+    other_graph = realize(other)
+    target_spec, other_spec = q_spectrum(target_graph), q_spectrum(other_graph)
+    distance = spectrum_compare(target_spec, other_spec)
     result: dict = {
         "target": format_spec_text(spec),
         "theorem": args.theorem,
         "tolerance": _f(args.tol),
+        role: format_spec_text(other),
+        **shifts,
+        "distance": _f(distance),
+        "cospectral_within_tolerance": bool(distance <= args.tol),
     }
-    if args.theorem == "13":
-        mate = triangle_star_mate(spec)
-        mate_graph = realize(mate)
-        mate_spec = q_spectrum(mate_graph)
-        distance = spectrum_compare(target_spec, mate_spec)
-        tm = moments_from_counts(target_graph)
-        mm = moments_from_counts(mate_graph)
-        result.update(
-            {
-                "mate": format_spec_text(mate),
-                "distance": _f(distance),
-                "cospectral_within_tolerance": bool(distance <= args.tol),
-                "moment_delta": {
-                    k: a - b
-                    for k, a, b in zip(("t1", "t2", "t3", "t4", "s4"), tm, mm)
-                },
-                "spectra": {
-                    "target": _spectrum_payload(target_spec),
-                    "mate": _spectrum_payload(mate_spec),
-                },
-            }
-        )
-        return result, 0
-    candidate, ds4, dt4 = even_cycle_split_candidate(spec)
-    candidate_spec = q_spectrum(realize(candidate))
-    distance = spectrum_compare(target_spec, candidate_spec)
-    result.update(
-        {
-            "candidate": format_spec_text(candidate),
-            "delta_s4": ds4,
-            "delta_t4": dt4,
-            "distance": _f(distance),
-            "cospectral_within_tolerance": bool(distance <= args.tol),
-            "spectra": {
-                "target": _spectrum_payload(target_spec),
-                "candidate": _spectrum_payload(candidate_spec),
-            },
-        }
-    )
+    if counted is not None:
+        deltas = zip(counted._fields, counted, moments_from_counts(other_graph))
+        result["moment_delta"] = {k: a - b for k, a, b in deltas}
+    result["spectra"] = {
+        "target": _spectrum_payload(target_spec),
+        role: _spectrum_payload(other_spec),
+    }
     return result, 0
 
 
@@ -306,7 +290,7 @@ def cmd_search(args) -> tuple[dict, int]:
             for h in report.hits
         ]
     else:
-        report = search_exhaustive(_graph(graph, spec), tol=args.tol)
+        report = search_exhaustive(spec if graph is None else graph, tol=args.tol)
         hits = [
             {
                 "graph6": encode_graph6(h.candidate),

@@ -1,4 +1,4 @@
-"""Closed-form spectra of cones and the cospectral-mate constructions.
+"""Closed-form spectra of cones and the cospectral-mate constructions on specs.
 
 With the apex last, a cone over the blocks B has Q = [[Q_H + I, 1],
 [1^T, n - 1]], where Q_H + I is block diagonal.  An eigenvalue of a
@@ -36,7 +36,7 @@ import numpy as np
 from .eigen import GROUP_TOL, QSpectrum, _eigvalsh
 from .errors import ConstructionError, InapplicableError, ScaleError
 from .graphs import MAX_VERTICES, ConeSpec
-from .moments import delta_moments
+from .moments import moments_closed_form
 
 
 def _cos_tag(prefix: str, num: int, den: int) -> str:
@@ -107,10 +107,8 @@ def _plain_values(spec: ConeSpec) -> list[tuple[float, str]]:
 
 
 def _quotient_values(n: int, main: dict) -> list[float]:
-    """Eigenvalues of the main-part quotient, largest first.  The quotient
-    takes the order cap of every matrix the package builds."""
-    if len(main) >= MAX_VERTICES:
-        raise ScaleError(f"main-part quotient of order {len(main) + 1} exceeds {MAX_VERTICES}")
+    """Eigenvalues of the main-part quotient, largest first; `_main_values`
+    holds its order under the cap of every matrix the package builds."""
     m = np.diag([n - 1.0, *main])
     m[0, 1:] = m[1:, 0] = np.sqrt([w for w, _, _ in main.values()])
     return _eigvalsh(m)[::-1].tolist()
@@ -166,7 +164,7 @@ def triangle_star_mate(spec: ConeSpec) -> ConeSpec:
 
 def even_cycle_split_candidate(spec: ConeSpec) -> tuple[ConeSpec, int, int]:
     """Candidate mate for a single even cycle: C4 plus two path blocks paid
-    for by two K2s, with its (S4, T4) moment shifts.  Shares order, size,
+    for by two K2s, with its closed-form (S4, T4) shifts.  Shares order, size,
     degree sequence, triangle count and the first four spectral moments
     (a nonzero T4 shift raises ConstructionError); cospectrality is NOT
     asserted, callers measure the spectral distance themselves.
@@ -184,7 +182,8 @@ def even_cycle_split_candidate(spec: ConeSpec) -> tuple[ConeSpec, int, int]:
         cycles=(4,),
         paths=(k - 3, 3) + (2,) * (spec.q - 2) + (1,) * spec.s,
     )
-    ds4, dt4 = delta_moments(spec, candidate)
+    mt, mc = moments_closed_form(spec), moments_closed_form(candidate)
+    ds4, dt4 = mc.s4 - mt.s4, mc.t4 - mt.t4
     if dt4 != 0:
         raise ConstructionError(f"candidate moment shift {dt4} should be zero")
     return candidate, ds4, dt4

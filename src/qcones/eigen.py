@@ -28,6 +28,8 @@ from .errors import (
 from .graphs import MultiGraph
 
 GROUP_TOL = 1e-9
+# Q = D + A is PSD: a value below -_PSD_TOL is a bug, whatever the group_tol
+_PSD_TOL = 1e-9
 # a batched eigensolve stacks at most this many float64 entries (1 MiB)
 CHUNK_ENTRIES = 1 << 17
 
@@ -139,10 +141,10 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + at)
 
 
-def _require_psd(lowest, group_tol: float) -> None:
-    if lowest < -group_tol:
+def _require_psd(lowest) -> None:
+    if lowest < -_PSD_TOL:
         raise ContractViolationError(
-            f"negative value {lowest!r} in a degree-plus-adjacency spectrum"
+            f"negative value {float(lowest)!r} in a degree-plus-adjacency spectrum"
         )
 
 
@@ -157,7 +159,7 @@ def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
 def q_spectrum(g: MultiGraph, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Numeric signless-Laplacian spectrum; validates positive semidefiniteness."""
     spec = sym_eigenvalues(q_matrix(g), group_tol=group_tol)
-    _require_psd(spec.values[-1], group_tol)
+    _require_psd(spec.values[-1])
     return spec
 
 
@@ -175,7 +177,7 @@ def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         for k, m in enumerate(itertools.islice(itertools.chain((first,), it), len(stack))):
             stack[k] = m
         rows = _eigvalsh(_symmetric(stack[:k + 1]))
-        _require_psd(rows[:, 0].min(), GROUP_TOL)
+        _require_psd(rows[:, 0].min())
         yield rows
 
 

@@ -4,6 +4,8 @@ the degree-count linear system.
 T_i is the i-th power sum of the Q-spectrum; S4 is the fourth power sum of
 the adjacency spectrum.  For simple graphs every T_i and S4 is an integer
 expressible in subgraph counts, which is what makes the moment method bite.
+The moment shift of a rewiring between two cones is the difference of their
+`moments_closed_form` vectors.
 """
 
 from __future__ import annotations
@@ -190,28 +192,6 @@ def signatures_with_moments(
         ):
             found.append((k3, k4, nk2))
     return found
-
-
-def delta_moments(spec_g: ConeSpec, spec_other: ConeSpec) -> tuple[int, int]:
-    """(S4 shift, T4 shift) when cycles are rewired into cycles plus paths at
-    fixed order and degree sequence: differences of the closed-form moments.
-
-    They read as block multiset data: 8 per gained/lost 4-cycle block, 72 per
-    gained/lost triangle block, and -4 per path of order >= 3 on the rewired
-    side.  T1 and T2 are pinned by the shared order and degree sequence; T3
-    moves by 6 per gained triangle block.
-    """
-    if not spec_g.is_g_family():
-        raise FamilyError("left spec must be a cycles+K2+K1 cone")
-    if spec_other.stars13 != 0 or any(k < 3 for k in spec_other.cycles):
-        raise FamilyError("right spec must use simple cycles and paths only")
-    if spec_g.n != spec_other.n:
-        raise ParameterError("specs must share the same order")
-    # at equal order the cone degree sequences agree iff the profiles do
-    if degree_profile(spec_g) != degree_profile(spec_other):
-        raise ParameterError("specs must share the same degree sequence")
-    mg, mo = moments_closed_form(spec_g), moments_closed_form(spec_other)
-    return mo.s4 - mg.s4, mo.t4 - mg.t4
 
 
 def solve_degree_system(

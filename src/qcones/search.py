@@ -205,14 +205,17 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     equal graphs have equal spectra, solver noise aside.  `cardinality` is
     the whole space, 2^(n choose 2).
     """
-    tgraph = realize(target) if isinstance(target, ConeSpec) else target
-    if not isinstance(tgraph, MultiGraph):
-        tgraph, tspec = None, target if isinstance(target, QSpectrum) else QSpectrum(target)
-    n = len(tspec) if tgraph is None else tgraph.n
+    if isinstance(target, (ConeSpec, MultiGraph)):
+        tgraph, n = target, target.n
+    else:
+        tspec = target if isinstance(target, QSpectrum) else QSpectrum(target)
+        tgraph, n = None, len(tspec)
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ScaleError(
             f"exhaustive search supports n <= {MAX_EXHAUSTIVE_VERTICES}, got n={n}"
         )
+    if isinstance(tgraph, ConeSpec):  # realized only under the cap
+        tgraph = realize(tgraph)
     total = 1 << n * (n - 1) // 2
     if tgraph is not None:
         q = q_matrix(tgraph)

@@ -35,3 +35,24 @@ def test_readme_names_the_defining_module():
     for module, names in _readme_api().items():
         for name in names:
             assert getattr(qcones, name).__module__ == f"qcones.{module}", name
+
+
+def _outside_parentheses(text: str) -> str:
+    kept, depth = [], 0
+    for ch in text:
+        depth += ch == "("
+        if depth == 0:
+            kept.append(ch)
+        depth -= ch == ")"
+    return "".join(kept)
+
+
+def test_names_no_longer_exported_are_gone():
+    """Every name of the README's "No longer exported" paragraph, outside
+    its parenthesized replacements, is absent from the package."""
+    text = README.read_text().split("\nNo longer exported: ", 1)[1].split("\n\n", 1)[0]
+    removed = re.findall(r"`([\w.]+)`", _outside_parentheses(text))
+    assert "delta_moments" in removed
+    for name in removed:
+        owner, _, attr = name.rpartition(".")
+        assert not hasattr(getattr(qcones, owner) if owner else qcones, attr), name

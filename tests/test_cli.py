@@ -11,6 +11,7 @@ import pytest
 from qcones import (
     ConeSpec,
     FormatError,
+    MomentVector,
     ScaleError,
     encode_graph6,
     realize,
@@ -268,6 +269,24 @@ class TestSpectrumCommand:
         assert doc["result"]["n"] == 47
         assert doc["result"]["distance"] <= doc["result"]["tolerance"]
 
+    def test_semidefinite_check_ignores_the_group_tolerance(self, capsys):
+        # the claw's zero eigenvalue comes out of LAPACK slightly negative
+        runs = [
+            run_json(capsys, "spectrum", "K1 v 3K1", "--group-tol", tol) for tol in ("0", "1e-9")
+        ]
+        assert [code for code, _, _ in runs] == [0, 0]
+        (_, loose, _), (_, default, _) = runs
+        for route in ("closed", "numeric"):
+            assert loose["result"][route]["values"] == default["result"][route]["values"]
+
+    def test_semidefinite_check_survives_a_huge_group_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setattr("qcones.eigen._eigvalsh", lambda a: np.full(a.shape[-1], -1e-6))
+        code, doc, _ = run_json(
+            capsys, "spectrum", FLAGSHIP_TEXT, "--numeric", "--group-tol", "1e300"
+        )
+        assert code == 2
+        assert doc["error"] == "negative value -1e-06 in a degree-plus-adjacency spectrum"
+
     @pytest.mark.parametrize("text", ["K1 v C999999999", "K1 v 999999999K1"])
     def test_order_capped_before_allocation(self, capsys, text):
         code, doc, _ = run_json(capsys, "spectrum", text)
@@ -427,7 +446,10 @@ class TestMateCommand:
 
     def test_construction_error_is_an_internal_error(self, capsys, monkeypatch):
         # a T4 shift of 8 trips the construction's own residual check
-        monkeypatch.setattr("qcones.cones.delta_moments", lambda g, other: (8, 8))
+        monkeypatch.setattr(
+            "qcones.cones.moments_closed_form",
+            lambda spec: MomentVector(0, 0, 0, 8 * (4 in spec.cycles), 8 * (4 in spec.cycles)),
+        )
         code, doc, err = run_json(capsys, "mate", "K1 v C6 + 2K2 + 1K1", "--theorem", "11")
         assert code == 6
         assert doc["status"] == "internal"
@@ -454,11 +476,29 @@ class TestMateCommand:
         # q_spectrum, so every graph and spectrum comes from the cli
         counted(qcones.cli, "realize")
         counted(qcones.cli, "q_spectrum")
-        counted(qcones.cones, "delta_moments")
+        counted(qcones.cones, "moments_closed_form")
         code, doc, _ = run_json(capsys, "mate", "K1 v C8 + 3K2 + 2K1", "--theorem", "11")
         assert code == 0
         assert doc["result"]["candidate"] == "K1 v C4 + P5 + P3 + 1K2 + 2K1"
-        assert calls == {"realize": 2, "q_spectrum": 2, "delta_moments": 1}
+        assert calls == {"realize": 2, "q_spectrum": 2, "moments_closed_form": 2}
+
+    @pytest.mark.parametrize("text, theorem, code", [
+        ("K1 v C4 + 1K2 + 1K1", "13", 4),
+        ("K1 v C4000 + 40K2 + 14K1", "13", 4),
+        ("K1 v C5 + 2K2 + 1K1", "11", 4),
+        ("K1 v C3999 + 40K2 + 15K1", "11", 4),
+        ("K1 v C56 + C3 + 2K2 + K1", "13", 5),
+    ])
+    def test_refusals_come_before_any_eigensolve(self, capsys, monkeypatch, text, theorem, code):
+        def no_solve(graph, group_tol=None):
+            raise AssertionError("the command solved a spectrum")
+
+        monkeypatch.setattr("qcones.cli.q_spectrum", no_solve)
+        if code == 4:  # the construction is refused before any matrix is built
+            monkeypatch.setattr("qcones.cli.realize", _no_realize)
+        got, doc, _ = run_json(capsys, "mate", text, "--theorem", theorem)
+        assert got == code
+        assert doc["status"] == ("inapplicable" if code == 4 else "scale")
 
 
 class TestLapackFailure:
@@ -529,10 +569,12 @@ class TestSearchCommand:
             "error": "--jobs must be >= 1",
         }
 
-    def test_scale_cap(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "search", "K1 v C6 + 2K2 + 1K1", "--exhaustive"
-        )
+    @pytest.mark.parametrize("text", ["K1 v C6 + 2K2 + 1K1", "K1 v C4000 + 40K2 + 14K1"])
+    def test_scale_cap(self, capsys, monkeypatch, text):
+        # the order is read off the spec before any matrix is built
+        monkeypatch.setattr("qcones.cli.realize", _no_realize)
+        monkeypatch.setattr("qcones.search.realize", _no_realize)
+        code, doc, _ = run_json(capsys, "search", text, "--exhaustive")
         assert code == 5
         assert doc["status"] == "scale"
 
