@@ -8,9 +8,9 @@ Exit codes: 0 success, 2 input error, 3 verification mismatch or probe
 failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
 internally built object failed its own check, or LAPACK's eigensolver
 failed; a bug, not bad input).
-`mate` builds the mate (13) or candidate (11) spec and (13) counts the
-target under the n <= 64 cap before it realizes the other graph or solves a
-spectrum, so an inapplicable or over-cap input exits with no eigensolve.
+`mate` builds the mate (13) or candidate (11) spec and (13) checks the
+target's order against the n <= 64 cap of the counts before it realizes
+anything, so an inapplicable or over-cap input exits with no matrix built.
 Each subparser declares its handler, its `params` echo and (spectrum and
 moments) its CSV renderer with `set_defaults`.  `search --jobs` is still
 parsed and must be >= 1, but the exhaustive scan runs in this process and
@@ -33,7 +33,14 @@ from .errors import (
     QConesError,
     ScaleError,
 )
-from .graphs import ConeSpec, MultiGraph, format_spec_text, parse_spec_text, realize
+from .graphs import (
+    ConeSpec,
+    MultiGraph,
+    _require_count_order,
+    format_spec_text,
+    parse_spec_text,
+    realize,
+)
 from .graph6 import decode_graph6, encode_graph6
 from .eigen import (
     GROUP_TOL,
@@ -249,8 +256,9 @@ def cmd_mate(args) -> tuple[dict, int]:
     else:
         role, (other, ds4, dt4) = "candidate", even_cycle_split_candidate(spec)
         shifts = {"delta_s4": ds4, "delta_t4": dt4}
+    if role == "mate":  # the count cap raises before any matrix is built
+        _require_count_order(spec.n)
     target_graph = realize(spec)
-    # theorem 13's count cap raises before the other graph is built
     counted = moments_from_counts(target_graph) if role == "mate" else None
     other_graph = realize(other)
     target_spec, other_spec = q_spectrum(target_graph), q_spectrum(other_graph)

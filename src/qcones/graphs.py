@@ -80,27 +80,6 @@ class MultiGraph:
     def is_simple(self) -> bool:
         return bool((self._mult <= 1).all())
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ParameterError(f"vertex {v} outside 0..{self.n - 1}")
-
-    def without_vertex(self, v: int) -> "MultiGraph":
-        """Induced subgraph on the other vertices, in their order."""
-        self._check_vertex(v)
-        keep = [u for u in range(self.n) if u != v]
-        return MultiGraph(self._mult[np.ix_(keep, keep)])
-
-    def without_edge(self, u: int, v: int) -> "MultiGraph":
-        """Remove one parallel copy of the edge uv."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if self._mult[u, v] < 1:
-            raise ParameterError(f"no edge between {u} and {v}")
-        arr = self._mult.copy()
-        arr[u, v] -= 1
-        arr[v, u] -= 1
-        return MultiGraph(arr)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
@@ -160,11 +139,15 @@ def _dominating_vertices(g: MultiGraph) -> np.ndarray:
 # structure counts from common neighbours (checks the closed formulas)
 # ---------------------------------------------------------------------------
 
+def _require_count_order(n: int) -> None:
+    if n > MAX_COUNT_VERTICES:
+        raise ScaleError(f"common-neighbour counting capped at n <= {MAX_COUNT_VERTICES}")
+
+
 def _require_countable(g: MultiGraph) -> None:
     if not g.is_simple():
         raise UnsupportedGraphError("subgraph counting is defined for simple graphs")
-    if g.n > MAX_COUNT_VERTICES:
-        raise ScaleError(f"common-neighbour counting capped at n <= {MAX_COUNT_VERTICES}")
+    _require_count_order(g.n)
 
 
 def count_subgraphs(g: MultiGraph, pattern: str) -> int:

@@ -17,17 +17,16 @@ graph per class reported.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
-largest-eigenvalue facts numerically; each probe that needs many spectra of
-one order (edge and vertex deletions, path rewirings) solves them in
-chunked batches and scans them in order; the path rewirings follow the
-recognized cone's own Q, realized from its spec.
+largest-eigenvalue facts numerically.  Edge and vertex deletions edit g's
+own Q and go through chunked batches, scanned in order; path rewirings read
+each largest eigenvalue off a spec's main-part quotient.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .graphs import (
     components_and_bipartiteness,
     realize,
 )
+from .cones import largest_q_eigenvalue
 from .graph6 import _pair_index
 from .eigen import QSpectrum, _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
@@ -128,19 +128,13 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         profile = (*counts, n4)
         cardinality += _family_size(n, profile)
         sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
-    generated = False
-
-    def others() -> Iterator[ConeSpec]:
-        # profiles and signatures split the family: no candidate comes twice
-        nonlocal generated
-        for profile, sig in sigs:
-            for cand in _family_with_signature(n, profile, *sig):
-                if cand == target:
-                    generated = True
-                else:
-                    yield cand
-
-    cands, feed = itertools.tee(others())
+    # the family holds the target unless it has a digon or two claws
+    cardinality += target.has_digon() or target.stars13 > 1
+    # profiles and signatures split the family: no candidate comes twice
+    cands, feed = itertools.tee(
+        cand for profile, sig in sigs for cand in _family_with_signature(n, profile, *sig)
+        if cand != target
+    )
     # the target's Q is row 0 of the candidates' batch
     chunks = _q_rows(itertools.chain((tq,), (q_matrix(realize(c)) for c in feed)))
     first = next(chunks)
@@ -150,7 +144,6 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     for cand, dist in zip(cands, itertools.chain.from_iterable(dists)):
         if dist <= tol:
             hits.append(SearchHit(cand, float(dist), False))
-    cardinality += not generated
     hits.sort(key=lambda h: (
         h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
     ))
@@ -328,9 +321,14 @@ def _probe_edge_deletion(g: MultiGraph):
             f"edge-deletion probe needs {len(edges)} eigensolves at n={g.n}; "
             f"edges * n^3 must stay <= {EDGE_PROBE_BUDGET:g}"
         )
-    vals = q_spectrum(g).values
-    subs = _q_rows(q_matrix(g.without_edge(u, v)) for u, v in edges)
-    for (u, v), row in zip(edges, itertools.chain.from_iterable(subs)):
+    # g's own Q is row 0; deleting uv (one copy of a digon) takes off b b^T
+    q = q_matrix(g)
+    bs = (np.bincount((u, v), minlength=g.n) for u, v in edges)  # b = e_u + e_v
+    rows = itertools.chain.from_iterable(
+        _q_rows(itertools.chain((q,), (q - np.outer(b, b) for b in bs)))
+    )
+    vals = next(rows)[::-1]
+    for (u, v), row in zip(edges, rows):
         sub = row[::-1]
         bad = np.nonzero(vals < sub - PROBE_TOL)[0]
         if bad.size:
@@ -354,7 +352,9 @@ def _probe_dominating_vertex(g: MultiGraph):
         return "skipped", None, "no vertex joined simply to all others"
     vals = q_spectrum(g).values
     hi, lo = vals[:-1] - 1, vals[1:] - 1
-    subs = _q_rows(q_matrix(g.without_vertex(v)) for v in doms)
+    # v has a simple edge to each other vertex: its deletion lowers each degree
+    q, eye = q_matrix(g), np.eye(g.n - 1)
+    subs = _q_rows(np.delete(np.delete(q, v, 0), v, 1) - eye for v in doms)
     for v, row in zip(doms, itertools.chain.from_iterable(subs)):
         sub = row[::-1]
         bad = np.nonzero((sub > hi + PROBE_TOL) | (sub < lo - PROBE_TOL))[0]
@@ -415,29 +415,14 @@ def _probe_path_vs_cycle(g: MultiGraph):
     lengths = sorted({l for l in spec.paths if l >= 4})
     if not lengths:
         return "skipped", None, "no path block of order >= 4"
-    rewirings = []
-    for l in lengths:
+    # each value reads the spec alone, so g's labelling cannot change it
+    chi1 = largest_q_eigenvalue(spec)
+    rewirings = [(l, c) for l in lengths for c in ([2] if l == 4 else range(3, l - 1))]
+    for l, cyc in rewirings:
         rest = list(spec.paths)
         rest.remove(l)
-        if l == 4:
-            swaps = [(2, 2)]
-        else:
-            swaps = [(r, l - r) for r in range(3, l - 1)]
-        for cyc, tail in swaps:
-            alt = ConeSpec(
-                cycles=spec.cycles + (cyc,),
-                paths=tuple(rest) + (tail,),
-                stars13=spec.stars13,
-            )
-            rewirings.append((l, cyc, tail, alt))
-    # chi1 is row 0 of the rewirings' batch: the recognized cone's Q in
-    # `realize` order, so the result does not depend on g's labelling
-    rows = itertools.chain.from_iterable(
-        _q_rows(q_matrix(realize(s)) for s in [spec, *(alt for *_, alt in rewirings)])
-    )
-    chi1 = float(next(rows)[-1])
-    for (l, cyc, tail, _), row in zip(rewirings, rows):
-        rhs = float(row[-1])
+        tail = l - cyc
+        rhs = largest_q_eigenvalue(ConeSpec(spec.cycles + (cyc,), (*rest, tail), spec.stars13))
         if chi1 > rhs + STRICT_MARGIN:
             return (
                 "fail",
@@ -473,10 +458,11 @@ def run_probe(g: MultiGraph, probe_id: str) -> ProbeResult:
     components, "2.10" largest-eigenvalue degree bound, "5.1" strict
     path-versus-cycle comparisons.  Graphs outside a probe's hypotheses
     report "skipped", never "fail"; so does a 5.1 rewiring whose gap lies
-    within STRICT_MARGIN.  "5.1" solves the recognized cone's blocks in one
-    vertex order, so its result does not depend on g's labelling.  "2.2"
-    raises ScaleError when edges * n^3 exceeds EDGE_PROBE_BUDGET (one
-    eigensolve per edge).
+    within STRICT_MARGIN.  "2.2" solves Q - b b^T, b = e_u + e_v, per edge
+    uv and "2.3" Q less a row and column, less I, per dominating vertex.
+    "5.1" reads the top roots of the recognized spec's and its rewirings'
+    main-part quotients, so g's labelling cannot change its result.  "2.2"
+    raises ScaleError when edges * n^3 exceeds EDGE_PROBE_BUDGET.
     """
     runner = _PROBES.get(str(probe_id))
     if runner is None:

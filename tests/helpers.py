@@ -22,6 +22,8 @@ is the reference for the packed moment-key lookup.  Relabelled masks
 gathered from `itertools.permutations` are the reference for the
 relabelling table, and their `np.isin` dedupe for the one-orbit class
 split.  The bit-by-bit graph6 loops are the reference for the array codec.
+`edge_deleted` and `vertex_deleted` build a deletion subgraph through the
+checked constructor, the reference for the probes' edits of Q.
 """
 
 from dataclasses import dataclass
@@ -104,6 +106,20 @@ def from_edges(n: int, edges) -> MultiGraph:
         arr[u, v] += 1
         arr[v, u] += 1
     return MultiGraph(arr)
+
+
+def edge_deleted(g: MultiGraph, u: int, v: int) -> MultiGraph:
+    """g less one parallel copy of the edge uv."""
+    arr = g.mult.copy()
+    arr[u, v] -= 1
+    arr[v, u] -= 1
+    return MultiGraph(arr)
+
+
+def vertex_deleted(g: MultiGraph, v: int) -> MultiGraph:
+    """The subgraph induced on every vertex but v, in their order."""
+    keep = [u for u in range(g.n) if u != v]
+    return MultiGraph(g.mult[np.ix_(keep, keep)])
 
 
 def path_graph(length: int) -> MultiGraph:

@@ -488,17 +488,21 @@ class TestMateCommand:
         ("K1 v C5 + 2K2 + 1K1", "11", 4),
         ("K1 v C3999 + 40K2 + 15K1", "11", 4),
         ("K1 v C56 + C3 + 2K2 + K1", "13", 5),
+        ("K1 v C3 + C3990 + 40K2 + 14K1", "13", 5),
     ])
     def test_refusals_come_before_any_eigensolve(self, capsys, monkeypatch, text, theorem, code):
         def no_solve(graph, group_tol=None):
             raise AssertionError("the command solved a spectrum")
 
         monkeypatch.setattr("qcones.cli.q_spectrum", no_solve)
-        if code == 4:  # the construction is refused before any matrix is built
-            monkeypatch.setattr("qcones.cli.realize", _no_realize)
-        got, doc, _ = run_json(capsys, "mate", text, "--theorem", theorem)
+        # the construction and theorem 13's count cap are checked on the
+        # spec, before any matrix is built
+        monkeypatch.setattr("qcones.cli.realize", _no_realize)
+        got, doc, err = run_json(capsys, "mate", text, "--theorem", theorem)
         assert got == code
         assert doc["status"] == ("inapplicable" if code == 4 else "scale")
+        if code == 5:
+            assert err == "qcones: common-neighbour counting capped at n <= 64\n"
 
 
 class TestLapackFailure:

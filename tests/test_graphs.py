@@ -66,38 +66,6 @@ class TestMultiGraph:
         assert g.degrees()[0] == 2
         assert g.num_edges == 2
 
-    def test_without_edge(self):
-        g = cycle_graph(4).without_edge(0, 1)
-        assert g.num_edges == 3
-        assert g.mult[0, 1] == 0
-
-    def test_without_edge_missing(self):
-        with pytest.raises(ParameterError):
-            path_graph(2).without_edge(0, 1).without_edge(0, 1)
-
-    def test_without_vertex(self):
-        g = star_graph(4).without_vertex(3)
-        assert g.n == 3
-        assert g.num_edges == 0
-
-    def test_without_vertex_keeps_induced_edges(self):
-        assert complete_graph(5).without_vertex(2) == complete_graph(4)
-        # K1 v C3 + K2 + K1 less one K2 end is K1 v C3 + 2K1, labels kept in order
-        g = realize(ConeSpec(cycles=(3,), paths=(2, 1))).without_vertex(1)
-        assert g == realize(ConeSpec(cycles=(3,), paths=(1, 1)))
-
-    @pytest.mark.parametrize("v", [7, 99, -1])
-    def test_without_vertex_rejects_bad_index(self, v):
-        g = realize(ConeSpec(cycles=(3,), paths=(2, 1)))
-        with pytest.raises(ParameterError, match=f"vertex {v} outside 0..6"):
-            g.without_vertex(v)
-
-    @pytest.mark.parametrize("u,v", [(0, 99), (99, 0), (-1, 0), (6, -1)])
-    def test_without_edge_rejects_bad_index(self, u, v):
-        g = realize(ConeSpec(cycles=(3,), paths=(2, 1)))
-        with pytest.raises(ParameterError, match="outside 0..6"):
-            g.without_edge(u, v)
-
     def test_equality_and_hash(self):
         assert cycle_graph(3) == complete_graph(3)
         assert hash(cycle_graph(3)) == hash(complete_graph(3))

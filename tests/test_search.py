@@ -19,6 +19,7 @@ from qcones import (
     degree_profile,
     encode_graph6,
     enumerate_family,
+    largest_q_eigenvalue,
     parse_spec_text,
     q_spectrum,
     realize,
@@ -56,6 +57,8 @@ from helpers import (
     extension_masks,
     g_family_spec,
     isin_orbit_classes,
+    edge_deleted,
+    from_edges,
     isomorphic,
     mask_graph,
     path_graph,
@@ -66,6 +69,7 @@ from helpers import (
     random_graph,
     set_chunk,
     star_graph,
+    vertex_deleted,
 )
 
 FLAGSHIP = g_family_spec([3], 1, 1)
@@ -832,6 +836,56 @@ class TestProbes:
         res = run_probe(MultiGraph(np.zeros((3, 3), dtype=np.int64)), "2.2")
         assert res.status == "skipped"
 
+    # digons, a double edge off the apex, and many dominating vertices
+    DELETION_GRAPHS = (
+        realize(FLAGSHIP),
+        realize(ConeSpec(cycles=(2, 4), paths=(6, 5, 1), stars13=1)),
+        realize(ConeSpec(cycles=(2, 2), paths=(3,))),
+        # vertex 2 is joined simply to the others; 0 and 1 share a double edge
+        from_edges(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]),
+        complete_graph(6),
+    )
+
+    def test_deletions_edit_g_own_q(self, monkeypatch):
+        """Every matrix 2.2 and 2.3 solve is bitwise the Q of the subgraph
+        built by copying g and deleting through the checked constructor."""
+        batches = []
+
+        def recording(matrices, real=search._q_rows):
+            batch = []
+            batches.append(batch)
+
+            def copies():
+                for m in matrices:
+                    batch.append(m.copy())
+                    yield m
+
+            return real(copies())
+
+        monkeypatch.setattr(search, "_q_rows", recording)
+        for g in self.DELETION_GRAPHS:
+            us, vs = np.nonzero(np.triu(g.mult, 1))
+            doms = _dominating_vertices(g).tolist()
+            assert doms
+            for probe, want in (
+                ("2.2", [g] + [edge_deleted(g, u, v) for u, v in zip(us, vs)]),
+                ("2.3", [vertex_deleted(g, v) for v in doms]),
+            ):
+                batches.clear()
+                assert run_probe(g, probe).passed
+                assert len(batches) == 1 and len(batches[0]) == len(want)
+                for got, sub in zip(batches[0], want):
+                    q = q_matrix(sub)
+                    assert got.dtype == q.dtype and got.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("probe_tol", [search.PROBE_TOL, -100.0])
+    def test_edge_deletion_solves_no_spectrum_alone(self, monkeypatch, probe_tol):
+        monkeypatch.setattr(search, "PROBE_TOL", probe_tol)
+        results = [run_probe(g, "2.2") for g in self.DELETION_GRAPHS]
+        assert {r.status for r in results} == {"pass" if probe_tol > 0 else "fail"}
+        refuse_spectra(monkeypatch)
+        assert [run_probe(g, "2.2") for g in self.DELETION_GRAPHS] == results
+
     def test_dominating_vertex_pass(self):
         assert run_probe(realize(FLAGSHIP), "2.3").passed
 
@@ -886,8 +940,32 @@ class TestProbes:
         refuse_spectra(monkeypatch)
         assert [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS] == results
 
+    def test_path_swap_reads_specs_only(self, monkeypatch):
+        results = [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe 5.1 built or solved a matrix")
+
+        for name in ("realize", "q_matrix", "_q_rows", "q_spectrum"):
+            monkeypatch.setattr(search, name, refuse)
+        assert [run_probe(g, "5.1") for g in self.PATH_SWAP_GRAPHS] == results
+        # every rewiring fails: the witness holds the two specs' top roots
+        monkeypatch.setattr(search, "STRICT_MARGIN", -100.0)
+        for g in self.PATH_SWAP_GRAPHS:
+            spec, w = recognize_cone(g), run_probe(g, "5.1").witness
+            rest = list(spec.paths)
+            rest.remove(w["path"])
+            alt = ConeSpec(
+                cycles=spec.cycles + (w["cycle"],),
+                paths=tuple(rest) + (w["tail"],),
+                stars13=spec.stars13,
+            )
+            assert (w["lhs"], w["rhs"]) == (
+                largest_q_eigenvalue(spec), largest_q_eigenvalue(alt),
+            )
+
     def test_path_swap_does_not_depend_on_labelling(self):
-        # every largest eigenvalue comes from a spec's Q in one vertex order,
+        # every largest eigenvalue is the top root of a spec's quotient,
         # even the float64 noise in an unresolved gap
         rng = random.Random(51)
         for g in self.PATH_SWAP_GRAPHS:
@@ -897,7 +975,8 @@ class TestProbes:
 
 
 class TestChunkInvariance:
-    """Probes read the batched eigensolve in order, whatever its chunk size."""
+    """Probes 2.2 and 2.3 read their batched eigensolves in order, whatever
+    the chunk size; 5.1, which solves no batch, scans its rewirings in order."""
 
     GRAPHS = (
         realize(FLAGSHIP),
