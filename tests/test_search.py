@@ -846,9 +846,10 @@ class TestProbes:
         complete_graph(6),
     )
 
-    def test_deletions_edit_g_own_q(self, monkeypatch):
-        """Every matrix 2.2 and 2.3 solve is bitwise the Q of the subgraph
-        built by copying g and deleting through the checked constructor."""
+    @staticmethod
+    def _solved(monkeypatch, g, probe):
+        """Run one passing probe on g; return copies of the matrices it
+        hands `_q_rows`, which must all come in one batch."""
         batches = []
 
         def recording(matrices, real=search._q_rows):
@@ -863,20 +864,60 @@ class TestProbes:
             return real(copies())
 
         monkeypatch.setattr(search, "_q_rows", recording)
-        for g in self.DELETION_GRAPHS:
-            us, vs = np.nonzero(np.triu(g.mult, 1))
-            doms = _dominating_vertices(g).tolist()
-            assert doms
-            for probe, want in (
-                ("2.2", [g] + [edge_deleted(g, u, v) for u, v in zip(us, vs)]),
-                ("2.3", [vertex_deleted(g, v) for v in doms]),
-            ):
-                batches.clear()
-                assert run_probe(g, probe).passed
-                assert len(batches) == 1 and len(batches[0]) == len(want)
-                for got, sub in zip(batches[0], want):
-                    q = q_matrix(sub)
-                    assert got.dtype == q.dtype and got.tobytes() == q.tobytes()
+        assert run_probe(g, probe).passed
+        assert len(batches) == 1
+        return batches[0]
+
+    @staticmethod
+    def _assert_q_of(got, graphs):
+        assert len(got) == len(graphs)
+        for m, sub in zip(got, graphs):
+            q = q_matrix(sub)
+            assert m.dtype == q.dtype and m.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("g", DELETION_GRAPHS)
+    def test_deletions_edit_g_own_q(self, monkeypatch, g):
+        """Every matrix 2.2 and 2.3 solve is bitwise the Q of the subgraph
+        built by copying g and deleting through the checked constructor."""
+        us, vs = np.nonzero(np.triu(g.mult, 1))
+        doms = _dominating_vertices(g).tolist()
+        assert doms
+        self._assert_q_of(
+            self._solved(monkeypatch, g, "2.2"),
+            [g] + [edge_deleted(g, u, v) for u, v in zip(us, vs)],
+        )
+        self._assert_q_of(
+            self._solved(monkeypatch, g, "2.3"), [vertex_deleted(g, v) for v in doms]
+        )
+
+    def test_edge_edit_drops_one_edge(self, monkeypatch):
+        # C4's edges in upper-triangle order, each followed by the rest
+        edges = [(0, 1), (0, 3), (1, 2), (2, 3)]
+        want = [from_edges(4, [f for f in edges if f != e]) for e in edges]
+        self._assert_q_of(
+            self._solved(monkeypatch, cycle_graph(4), "2.2"), [cycle_graph(4)] + want
+        )
+
+    def test_edge_edit_removes_one_digon_copy(self, monkeypatch):
+        # a triangle with 01 doubled: less one copy of 01 it is K3
+        g = from_edges(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
+        got = self._solved(monkeypatch, g, "2.2")
+        self._assert_q_of(got[:2], [g, complete_graph(3)])
+
+    def test_vertex_edit_of_star_centre(self, monkeypatch):
+        # only the centre dominates; the leaves it leaves are isolated
+        empty = MultiGraph(np.zeros((3, 3), dtype=np.int64))
+        self._assert_q_of(self._solved(monkeypatch, star_graph(4), "2.3"), [empty])
+
+    def test_vertex_edit_keeps_induced_edges(self, monkeypatch):
+        self._assert_q_of(
+            self._solved(monkeypatch, complete_graph(5), "2.3"), [complete_graph(4)] * 5
+        )
+        # deleting vertex 2 keeps the double edge 01 and the edge 03, in order
+        g = from_edges(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 2), (0, 3)])
+        self._assert_q_of(
+            self._solved(monkeypatch, g, "2.3"), [from_edges(3, [(0, 1), (0, 1), (0, 2)])]
+        )
 
     @pytest.mark.parametrize("probe_tol", [search.PROBE_TOL, -100.0])
     def test_edge_deletion_solves_no_spectrum_alone(self, monkeypatch, probe_tol):
