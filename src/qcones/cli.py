@@ -20,6 +20,7 @@ the value changes nothing.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -123,6 +124,11 @@ def _f(x) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _number(x):
+    """`_f` on a float; an int, None or string is kept as it is."""
+    return _f(x) if isinstance(x, float) else x
+
+
 def _spectrum_payload(spec: QSpectrum) -> dict:
     payload: dict = {"values": [_f(v) for v in spec.values.tolist()]}
     if spec.sources is not None:
@@ -139,15 +145,7 @@ def _spectrum_payload(spec: QSpectrum) -> dict:
 
 
 def _moment_payload(mom) -> dict:
-    out = {}
-    for name, value in zip(("t1", "t2", "t3", "t4", "s4"), mom):
-        if value is None:
-            out[name] = None
-        elif isinstance(value, int):
-            out[name] = value
-        else:
-            out[name] = _f(value)
-    return out
+    return {name: _number(value) for name, value in zip(mom._fields, mom)}
 
 
 def _json(o, pad: str) -> str:
@@ -341,40 +339,26 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _csv(first: str, names: list[str], rows, *last: str) -> str:
+    """A table whose value columns are headed by their names, or by "value"
+    when there is only one."""
+    header = [first, *(names if len(names) > 1 else ["value"]), *last]
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
+
+
 def _csv_spectrum(result: dict) -> str:
-    lines = []
-    if "closed" in result and "numeric" in result:
-        closed = result["closed"]
-        numeric = result["numeric"]
-        sources = closed.get("sources") or [""] * len(closed["values"])
-        lines.append("index,closed,numeric,source")
-        rows = zip(closed["values"], numeric["values"], sources)
-        for i, (c, x, s) in enumerate(rows, start=1):
-            lines.append(f"{i},{_csv_cell(c)},{_csv_cell(x)},{s}")
-    else:
-        key = "closed" if "closed" in result else "numeric"
-        payload = result[key]
-        sources = payload.get("sources") or [""] * len(payload["values"])
-        lines.append("index,value,source")
-        for i, (v, s) in enumerate(zip(payload["values"], sources), start=1):
-            lines.append(f"{i},{_csv_cell(v)},{s}")
-    return "\n".join(lines) + "\n"
+    routes = [key for key in ("closed", "numeric") if key in result]
+    values = [result[key]["values"] for key in routes]
+    # only the closed route tags its values
+    sources = result[routes[0]].get("sources") or [""] * len(values[0])
+    return _csv("index", routes, zip(itertools.count(1), *values, sources), "source")
 
 
 def _csv_moments(result: dict) -> str:
-    names = ("t1", "t2", "t3", "t4", "s4")
-    if result["from"] == "both":
-        lines = ["name,counts,spectrum"]
-        for name in names:
-            a = result["counts_moments"][name]
-            b = result["spectrum_moments"][name]
-            lines.append(f"{name},{_csv_cell(a)},{_csv_cell(b)}")
-    else:
-        key = "counts_moments" if result["from"] == "counts" else "spectrum_moments"
-        lines = ["name,value"]
-        for name in names:
-            lines.append(f"{name},{_csv_cell(result[key][name])}")
-    return "\n".join(lines) + "\n"
+    routes = [key for key in ("counts", "spectrum") if f"{key}_moments" in result]
+    tables = [result[f"{key}_moments"] for key in routes]
+    rows = ([name, *(t[name] for t in tables)] for name in ("t1", "t2", "t3", "t4", "s4"))
+    return _csv("name", routes, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_tolerances(args)
         params = {key: getattr(args, dest) for key, dest in args.echo}
-        doc["params"] = {k: _f(v) if isinstance(v, float) else v for k, v in params.items()}
+        doc["params"] = {k: _number(v) for k, v in params.items()}
         result, code = args.handler(args)
     except QConesError as exc:
         code, doc["status"] = next(

@@ -18,21 +18,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError, UnsupportedGraphError
-from .graphs import MultiGraph
+from .graphs import _SPACE, MultiGraph
 
 _HEADER = ">>graph6<<"
 MAX_GRAPH6_VERTICES = 62
 
 
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The column-major upper-triangle pair sequence shared with the codec."""
-    return [(u, v) for v in range(1, n) for u in range(v)]
-
-
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the `pair_order` pairs (at most one entry per
-    order up to MAX_GRAPH6_VERTICES)."""
+    """Rows and columns of the upper-triangle pairs in the codec's column
+    order (at most one entry per order up to MAX_GRAPH6_VERTICES)."""
     cols, rows = np.tril_indices(n, -1)
     rows.setflags(write=False)
     cols.setflags(write=False)
@@ -54,7 +49,7 @@ def encode_graph6(g: MultiGraph) -> str:
 
 
 def decode_graph6(text: str) -> MultiGraph:
-    s = text.strip()
+    s = text.strip(_SPACE)  # a non-ASCII space stays, and is out of range
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:

@@ -317,81 +317,69 @@ def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
 # spec text grammar
 # ---------------------------------------------------------------------------
 
-_PREFIX = re.compile(r"^\s*K1\s+[vV](\s+|\s*$)")
-_TERM_PATTERNS = (
-    (re.compile(r"^C(\d+)$"), "cycle"),
-    (re.compile(r"^P(\d+)$"), "path"),
-    (re.compile(r"^(\d*)K2$"), "k2"),
-    (re.compile(r"^(\d*)K1$"), "k1"),
-    (re.compile(r"^K13$"), "star"),
-)
-
-
-def _parse_term(term: str, pos: int) -> tuple[str, int]:
-    for pattern, kind in _TERM_PATTERNS:
-        m = pattern.match(term)
-        if not m:
-            continue
-        if kind == "star":
-            return kind, 1
-        raw = m.group(1)
-        # int() refuses very long digit strings (leading zeros count too);
-        # any value that long is over the cap
-        digits = raw.lstrip("0")
-        if len(digits) > len(str(MAX_VERTICES)):
-            raise ScaleError(
-                f"{len(digits)}-digit number at position {pos} exceeds {MAX_VERTICES}"
-            )
-        value = int(digits or "0") if raw else 1
-        if kind in ("k2", "k1"):
-            if value < 1:
-                raise FormatError(f"count must be >= 1 in {term!r} at position {pos}")
-            if value > MAX_VERTICES:  # parse_spec_text expands counts block by block
-                raise ScaleError(f"count {value} in {term!r} exceeds {MAX_VERTICES} vertices")
-        elif kind == "cycle" and value < 2:
-            raise FormatError(f"cycle length must be >= 2 in {term!r} at position {pos}")
-        elif kind == "path" and value < 1:
-            raise FormatError(f"path order must be >= 1 in {term!r} at position {pos}")
-        return kind, value
-    raise FormatError(f"unknown term {term!r} at position {pos}")
+# the ASCII characters str.isspace() accepts (\x1c-\x1f too); non-ASCII
+# spaces and digits are no part of the grammar
+_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_S = f"[{re.escape(_SPACE)}]"
+_PREFIX = re.compile(rf"{_S}*K1{_S}+[vV]({_S}+|{_S}*$)")
+# one alternative per term: K13, Ck, Pl, then qK2 and sK1 with their block
+_TERM = re.compile(r"(K13)|C(\d+)|P(\d+)|(\d*)K([12])", re.ASCII)
 
 
 def parse_spec_text(text: str) -> ConeSpec:
     """Parse the compact cone grammar, e.g. "K1 v C3 + C5 + 2K2 + 1K1".
 
     The leading "K1 v" is optional.  Terms are '+'-separated: Ck (cycle,
-    2 = digon), Pl (path), qK2, sK1 and K13.  Errors carry the 1-based
-    character position of the offending term.  A cone of more than
-    MAX_VERTICES vertices raises ScaleError, as realize would.
+    2 = digon), Pl (path), qK2, sK1 and K13.  Digits and spaces are ASCII.
+    Errors carry the 1-based character position of the offending term.  A
+    cone of more than MAX_VERTICES vertices raises ScaleError, as realize
+    would.
     """
-    offset = 0
     m = _PREFIX.match(text)
-    if m:
-        offset = m.end()
+    offset = m.end() if m else 0
     body = text[offset:]
-    if not body.strip():
+    if not body.strip(_SPACE):
         raise FormatError(f"empty cone description at position {offset + 1}")
     cycles: list[int] = []
     paths: list[int] = []
     stars = 0
     pos = offset
     for chunk in body.split("+"):
-        term = chunk.strip()
-        term_pos = pos + (len(chunk) - len(chunk.lstrip())) + 1
+        term = chunk.strip(_SPACE)
+        term_pos = pos + (len(chunk) - len(chunk.lstrip(_SPACE))) + 1
         pos += len(chunk) + 1
         if not term:
             raise FormatError(f"empty term at position {term_pos}")
-        kind, value = _parse_term(term, term_pos)
-        if kind == "cycle":
-            cycles.append(value)
-        elif kind == "path":
-            paths.append(value)
-        elif kind == "k2":
-            paths.extend([2] * value)
-        elif kind == "k1":
-            paths.extend([1] * value)
-        else:
+        m = _TERM.fullmatch(term)
+        if not m:
+            raise FormatError(f"unknown term {term!r} at position {term_pos}")
+        star, cycle, path, count, block = m.groups()
+        if star:
             stars += 1
+            continue
+        raw = cycle or path or count
+        # int() refuses very long digit strings (leading zeros count too);
+        # any value that long is over the cap
+        digits = raw.lstrip("0")
+        if len(digits) > len(str(MAX_VERTICES)):
+            raise ScaleError(
+                f"{len(digits)}-digit number at position {term_pos} exceeds {MAX_VERTICES}"
+            )
+        value = int(digits or "0") if raw else 1
+        if cycle:
+            if value < 2:
+                raise FormatError(f"cycle length must be >= 2 in {term!r} at position {term_pos}")
+            cycles.append(value)
+        elif path:
+            if value < 1:
+                raise FormatError(f"path order must be >= 1 in {term!r} at position {term_pos}")
+            paths.append(value)
+        else:
+            if value < 1:
+                raise FormatError(f"count must be >= 1 in {term!r} at position {term_pos}")
+            if value > MAX_VERTICES:  # the count expands block by block
+                raise ScaleError(f"count {value} in {term!r} exceeds {MAX_VERTICES} vertices")
+            paths += [int(block)] * value
     return _check_order(ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars))
 
 

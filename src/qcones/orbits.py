@@ -1,7 +1,8 @@
 """Small labelled graphs as edge bitmasks: relabelling orbits, isomorphism
 classes, and the moments of one-vertex extensions.
 
-Bit e of a mask is the e-th `pair_order` pair of the graph's vertices.
+Bit e of a mask is the e-th pair of `graph6._pair_index(n)`, the graph6
+column order (0, 1), (0, 2), (1, 2), (0, 3), ... of the graph's vertices.
 Summing a graph's edge rows of `_image_bits(n)` gives its n! relabellings;
 the lowest names its class (McKay, "Isomorph-free exhaustive generation",
 1998).  `_classes(n)` holds that mask for every class on n <= 8 vertices,
@@ -36,7 +37,7 @@ def _q_stack(masks: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _image_bits(n: int) -> np.ndarray:
     """(k, n!) table: entry (e, p) is 2^(position of the image of the e-th
-    `pair_order` edge under the p-th permutation of range(n)); int32 holds
+    `_pair_index` edge under the p-th permutation of range(n)); int32 holds
     every mask below 2^28.  4.5 MB at n = 8."""
     rows, cols = _pair_index(n)
     pos = np.zeros((n, n), dtype=np.uint8)
@@ -69,7 +70,7 @@ def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
 def _extensions(n: int, idx: np.ndarray) -> np.ndarray:
     """Masks of the extensions with row-major indices `idx`: class
     idx >> (n - 1) of `_classes(n - 1)` with vertex n - 1, whose edges are
-    the last n - 1 `pair_order` bits, joined to the set idx & (2^(n-1) - 1)."""
+    the last n - 1 `_pair_index` bits, joined to the set idx & (2^(n-1) - 1)."""
     low = (n - 1) * (n - 2) // 2
     return _classes(n - 1)[idx >> (n - 1)] | (idx & (1 << (n - 1)) - 1) << low
 

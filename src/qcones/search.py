@@ -350,10 +350,11 @@ def _probe_dominating_vertex(g: MultiGraph):
     doms = _dominating_vertices(g).tolist() if g.n >= 2 else []
     if not doms:
         return "skipped", None, "no vertex joined simply to all others"
-    vals = q_spectrum(g).values
+    # g's Q is solved on its own: the deletions have order n - 1
+    q, eye = q_matrix(g), np.eye(g.n - 1)
+    vals = next(_q_rows((q,)))[0][::-1]
     hi, lo = vals[:-1] - 1, vals[1:] - 1
     # v has a simple edge to each other vertex: its deletion lowers each degree
-    q, eye = q_matrix(g), np.eye(g.n - 1)
     subs = _q_rows(np.delete(np.delete(q, v, 0), v, 1) - eye for v in doms)
     for v, row in zip(doms, itertools.chain.from_iterable(subs)):
         sub = row[::-1]

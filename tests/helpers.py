@@ -53,7 +53,7 @@ from qcones import (
 from qcones import eigen
 from qcones.cones import _main_values, _quotient_values
 from qcones.family import _partitions, _path_blocks
-from qcones.graph6 import MAX_GRAPH6_VERTICES, pair_order
+from qcones.graph6 import MAX_GRAPH6_VERTICES
 from qcones.graphs import _blocks
 from qcones.orbits import _classes, _q_stack
 from qcones.search import _spectra
@@ -832,6 +832,12 @@ def isin_orbit_classes(masks: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 _HEADER = ">>graph6<<"
+
+
+def pair_order(n: int) -> list[tuple[int, int]]:
+    """The column-major upper-triangle pairs (0, 1), (0, 2), (1, 2), (0, 3),
+    ... as a list: the reference for `graph6._pair_index`."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 def encode_graph6_bitwise(g: MultiGraph) -> str:

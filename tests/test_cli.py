@@ -13,6 +13,7 @@ from qcones import (
     FormatError,
     MomentVector,
     ScaleError,
+    decode_graph6,
     encode_graph6,
     realize,
 )
@@ -233,6 +234,24 @@ class TestSpectrumCommand:
         )
         assert "qcones:" in err
 
+    @pytest.mark.parametrize("text", [
+        "K1 v C\u0663 + K2 + K1",  # an Arabic-Indic 3
+        "K1 v C\uff13 + K2 + K1",  # a fullwidth 3
+        "K1 v C3 +\u00a0K2 + K1",  # a no-break space
+        "K1\u2003v C3 + K2 + K1",  # an em space
+        "Bw\u00a0",  # graph6 of K3 and a no-break space
+        "\u2003Bw",
+        "C" + "\u0660" * 5 + "3",  # once read as a 6-digit number
+    ])
+    def test_non_ascii_digits_and_spaces_rejected(self, capsys, text):
+        # each once answered with exit 0, the last with exit 5
+        code, doc, _ = run_json(capsys, "spectrum", text)
+        assert (code, doc["status"], doc["result"]) == (2, "error", None)
+        with pytest.raises(FormatError, match="unknown term"):
+            parse_spec_text(text)
+        with pytest.raises(FormatError, match="out of printable range"):
+            decode_graph6(text)
+
     def test_csv_golden(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum", FLAGSHIP_TEXT, "--both", "--format", "csv"
@@ -330,6 +349,14 @@ class TestMomentsCommand:
     def test_counts_csv_golden(self, capsys):
         code, out, _ = run_cli(capsys, "moments", FLAGSHIP_TEXT, "--from", "counts", "--format", "csv")
         assert code == 0
+        assert out == GOLDEN_COUNTS_CSV
+
+    def test_spectrum_csv_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "moments", FLAGSHIP_TEXT, "--from", "spectrum", "--format", "csv"
+        )
+        assert code == 0
+        # the spectra's power sums print as the exact counts at 12 digits
         assert out == GOLDEN_COUNTS_CSV
 
     def test_counts_from_spec_text_build_no_matrix(self, capsys, monkeypatch):

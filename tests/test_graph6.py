@@ -13,7 +13,6 @@ from qcones import (
     decode_graph6,
     encode_graph6,
 )
-from qcones.graph6 import pair_order
 
 from helpers import (
     complete_graph,
@@ -21,6 +20,7 @@ from helpers import (
     digon,
     encode_graph6_bitwise,
     from_edges,
+    pair_order,
     path_graph,
     random_graph,
 )

@@ -4,9 +4,11 @@ vertex labelling (exhaustive-search hits, counted moments, cone recognition,
 spectra and components), the CLI's output contract on fuzzed input, and the
 CLI's JSON writer against `json.dumps(indent=2)`."""
 
+import ast
 import contextlib
 import io
 import json
+import re
 import string
 
 import numpy as np
@@ -17,7 +19,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qcones import (  # noqa: E402
     ConeSpec,
+    FormatError,
     MultiGraph,
+    ScaleError,
     closed_spectrum,
     components_and_bipartiteness,
     decode_graph6,
@@ -130,6 +134,49 @@ def test_orbit_row_sums_are_all_relabellings(n):
 @settings(max_examples=200, deadline=2000)
 @given(cone_specs)
 def test_spec_text_round_trip(spec):
+    assert parse_spec_text(format_spec_text(spec)) == spec
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.sampled_from(("", "00", "007", "4096", "4097", "0000000001", "12345")),
+)
+_TERMS = st.one_of(
+    st.just("K13"),
+    st.tuples(st.sampled_from(("C", "P")), _NUMBERS).map("".join),
+    st.tuples(_NUMBERS, st.sampled_from(("K1", "K2"))).map("".join),
+    st.sampled_from(("", "K3", "K14", "v", "C-1", "2K13")),
+)
+_SPACES = st.text(" \t\n\r\x0b\x0c\x1f", max_size=2)
+
+
+@st.composite
+def grammar_texts(draw):
+    """'+'-joined terms from the grammar's atoms, with ASCII spaces around
+    each and an optional prefix; some terms are empty, unknown or out of
+    range."""
+    terms = draw(st.lists(st.tuples(_SPACES, _TERMS, _SPACES).map("".join),
+                          min_size=1, max_size=5))
+    prefix = draw(st.sampled_from(("", "K1 v ", "K1 V", " K1\tv\n", "K1 v")))
+    return prefix + "+".join(terms)
+
+
+@settings(max_examples=500, deadline=2000)
+@given(grammar_texts())
+def test_spec_text_parses_or_points_at_its_term(text):
+    """A text parses and round-trips, or raises FormatError or ScaleError
+    whose "at position p" is where the term it names (if any) starts."""
+    try:
+        spec = parse_spec_text(text)
+    except (FormatError, ScaleError) as exc:
+        at = re.search(r"at position (\d+)", str(exc))
+        named = re.search(r"('[^']*') at position", str(exc))
+        if named:
+            p = int(at.group(1))
+            assert text[p - 1:].startswith(ast.literal_eval(named.group(1))), (text, str(exc))
+        elif at:
+            assert 1 <= int(at.group(1)) <= len(text) + 1, (text, str(exc))
+        return
     assert parse_spec_text(format_spec_text(spec)) == spec
 
 

@@ -1,5 +1,6 @@
 """Family and exhaustive mate searches, isomorphism, recognition, probes."""
 
+import itertools
 import random
 import time
 
@@ -31,7 +32,7 @@ from qcones import (
     triangle_star_mate,
 )
 from qcones.eigen import q_matrix
-from qcones.graph6 import decode_graph6, pair_order
+from qcones.graph6 import decode_graph6
 from qcones.graphs import _dominating_vertices
 from qcones.family import _family_size, _family_with_signature, _partitions
 from qcones import orbits, search
@@ -61,6 +62,7 @@ from helpers import (
     from_edges,
     isomorphic,
     mask_graph,
+    pair_order,
     path_graph,
     permutation_bits,
     permutation_orbit,
@@ -849,7 +851,7 @@ class TestProbes:
     @staticmethod
     def _solved(monkeypatch, g, probe):
         """Run one passing probe on g; return copies of the matrices it
-        hands `_q_rows`, which must all come in one batch."""
+        hands `_q_rows`, one list per call."""
         batches = []
 
         def recording(matrices, real=search._q_rows):
@@ -865,29 +867,31 @@ class TestProbes:
 
         monkeypatch.setattr(search, "_q_rows", recording)
         assert run_probe(g, probe).passed
-        assert len(batches) == 1
-        return batches[0]
+        return batches
 
     @staticmethod
-    def _assert_q_of(got, graphs):
-        assert len(got) == len(graphs)
-        for m, sub in zip(got, graphs):
+    def _assert_q_of(got, batches):
+        """Each call's matrices are bitwise the Q of its list of graphs."""
+        assert [len(b) for b in got] == [len(b) for b in batches]
+        for m, sub in zip(itertools.chain(*got), itertools.chain(*batches)):
             q = q_matrix(sub)
             assert m.dtype == q.dtype and m.tobytes() == q.tobytes()
 
     @pytest.mark.parametrize("g", DELETION_GRAPHS)
     def test_deletions_edit_g_own_q(self, monkeypatch, g):
-        """Every matrix 2.2 and 2.3 solve is bitwise the Q of the subgraph
-        built by copying g and deleting through the checked constructor."""
+        """Every matrix 2.2 and 2.3 solve is g's own Q or bitwise the Q of
+        the subgraph built by copying g and deleting through the checked
+        constructor: 2.2 in one batch, 2.3 with g alone before its deletions
+        of order n - 1."""
         us, vs = np.nonzero(np.triu(g.mult, 1))
         doms = _dominating_vertices(g).tolist()
         assert doms
         self._assert_q_of(
             self._solved(monkeypatch, g, "2.2"),
-            [g] + [edge_deleted(g, u, v) for u, v in zip(us, vs)],
+            [[g] + [edge_deleted(g, u, v) for u, v in zip(us, vs)]],
         )
         self._assert_q_of(
-            self._solved(monkeypatch, g, "2.3"), [vertex_deleted(g, v) for v in doms]
+            self._solved(monkeypatch, g, "2.3"), [[g], [vertex_deleted(g, v) for v in doms]]
         )
 
     def test_edge_edit_drops_one_edge(self, monkeypatch):
@@ -895,37 +899,40 @@ class TestProbes:
         edges = [(0, 1), (0, 3), (1, 2), (2, 3)]
         want = [from_edges(4, [f for f in edges if f != e]) for e in edges]
         self._assert_q_of(
-            self._solved(monkeypatch, cycle_graph(4), "2.2"), [cycle_graph(4)] + want
+            self._solved(monkeypatch, cycle_graph(4), "2.2"), [[cycle_graph(4)] + want]
         )
 
     def test_edge_edit_removes_one_digon_copy(self, monkeypatch):
         # a triangle with 01 doubled: less one copy of 01 it is K3
         g = from_edges(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
-        got = self._solved(monkeypatch, g, "2.2")
-        self._assert_q_of(got[:2], [g, complete_graph(3)])
+        (got,) = self._solved(monkeypatch, g, "2.2")
+        self._assert_q_of([got[:2]], [[g, complete_graph(3)]])
 
     def test_vertex_edit_of_star_centre(self, monkeypatch):
         # only the centre dominates; the leaves it leaves are isolated
         empty = MultiGraph(np.zeros((3, 3), dtype=np.int64))
-        self._assert_q_of(self._solved(monkeypatch, star_graph(4), "2.3"), [empty])
+        g = star_graph(4)
+        self._assert_q_of(self._solved(monkeypatch, g, "2.3"), [[g], [empty]])
 
     def test_vertex_edit_keeps_induced_edges(self, monkeypatch):
         self._assert_q_of(
-            self._solved(monkeypatch, complete_graph(5), "2.3"), [complete_graph(4)] * 5
+            self._solved(monkeypatch, complete_graph(5), "2.3"),
+            [[complete_graph(5)], [complete_graph(4)] * 5],
         )
         # deleting vertex 2 keeps the double edge 01 and the edge 03, in order
         g = from_edges(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 2), (0, 3)])
         self._assert_q_of(
-            self._solved(monkeypatch, g, "2.3"), [from_edges(3, [(0, 1), (0, 1), (0, 2)])]
+            self._solved(monkeypatch, g, "2.3"), [[g], [from_edges(3, [(0, 1), (0, 1), (0, 2)])]]
         )
 
+    @pytest.mark.parametrize("probe", ["2.2", "2.3"])
     @pytest.mark.parametrize("probe_tol", [search.PROBE_TOL, -100.0])
-    def test_edge_deletion_solves_no_spectrum_alone(self, monkeypatch, probe_tol):
+    def test_edge_deletion_solves_no_spectrum_alone(self, monkeypatch, probe_tol, probe):
         monkeypatch.setattr(search, "PROBE_TOL", probe_tol)
-        results = [run_probe(g, "2.2") for g in self.DELETION_GRAPHS]
+        results = [run_probe(g, probe) for g in self.DELETION_GRAPHS]
         assert {r.status for r in results} == {"pass" if probe_tol > 0 else "fail"}
         refuse_spectra(monkeypatch)
-        assert [run_probe(g, "2.2") for g in self.DELETION_GRAPHS] == results
+        assert [run_probe(g, probe) for g in self.DELETION_GRAPHS] == results
 
     def test_dominating_vertex_pass(self):
         assert run_probe(realize(FLAGSHIP), "2.3").passed
@@ -1066,8 +1073,6 @@ class TestChunkInvariance:
 
 
 def test_recognition_agrees_with_enumeration_at_order_five():
-    from qcones.graph6 import pair_order
-
     pairs = pair_order(5)
     for mask in range(1 << len(pairs)):
         arr = np.zeros((5, 5), dtype=np.int64)
