@@ -173,10 +173,9 @@ def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """
     it = iter(matrices)
     for first in it:
-        stack = np.empty((max(1, CHUNK_ENTRIES // first.size), *first.shape))
-        for k, m in enumerate(itertools.islice(itertools.chain((first,), it), len(stack))):
-            stack[k] = m
-        rows = _eigvalsh(_symmetric(stack[:k + 1]))
+        cap = max(1, CHUNK_ENTRIES // first.size)
+        stack = np.array([first, *itertools.islice(it, cap - 1)], dtype=np.float64)
+        rows = _eigvalsh(_symmetric(stack))
         _require_psd(rows[:, 0].min())
         yield rows
 

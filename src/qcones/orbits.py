@@ -5,9 +5,10 @@ Bit e of a mask is the e-th pair of `graph6._pair_index(n)`, the graph6
 column order (0, 1), (0, 2), (1, 2), (0, 3), ... of the graph's vertices.
 Summing a graph's edge rows of `_image_bits(n)` gives its n! relabellings;
 the lowest names its class (McKay, "Isomorph-free exhaustive generation",
-1998).  `_classes(n)` holds that mask for every class on n <= 8 vertices,
-built from the one-vertex extensions of the classes of one order less;
-`_extension_moments(n)` packs the edge count, degree-square sum and
+1998), and `_class_reps` names the classes of many masks from one sorted
+orbit per class.  `_classes(n)` holds that mask for every class on n <= 8
+vertices, built from the one-vertex extensions of the classes of one order
+less; `_extension_moments(n)` packs the edge count, degree-square sum and
 tr(Q^3) of each of those extensions in one integer, so the exhaustive
 search matches a target's moments by one comparison.  The tables are built
 on first use and kept.
@@ -63,8 +64,22 @@ def _orbit(mask: int, n: int) -> np.ndarray:
 
 
 def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
-    """The lowest mask of each mask's class: its own orbit's minimum."""
-    return np.array([_orbit(m, n).min() for m in masks.tolist()], dtype=np.int64)
+    """The lowest mask of each mask's class, from one orbit per class.
+
+    The first mask not yet placed gives its sorted orbit; every remaining
+    mask found in it by binary search takes the orbit's minimum, and the
+    rest go round again.  So the cost is one orbit and one n! sort per
+    class plus a log n! search per mask.
+    """
+    reps = np.empty(masks.size, dtype=np.int64)
+    todo = np.arange(masks.size)
+    left = masks.astype(np.int32)  # every mask fits, as in the orbits
+    while todo.size:
+        orbit = np.sort(_orbit(int(left[0]), n))
+        found = orbit.take(np.searchsorted(orbit, left), mode="clip") == left
+        reps[todo[found]] = orbit[0]
+        todo, left = todo[~found], left[~found]
+    return reps
 
 
 def _extensions(n: int, idx: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ one vertex in every way to each isomorphism class of one order less
 (`qcones.orbits`).  A table per order, built on first use, packs each such
 extension's edge count, degree-square sum and tr(Q^3) in one integer, so a
 target costs one key lookup before one batched eigensolve of itself and
-its matches; the survivors split into classes by relabelling orbits, one
-graph per class reported.
+its matches; the survivors split into classes by one sorted relabelling
+orbit per class, one graph per class reported, and only the classes other
+than the target's own are solved again.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
@@ -188,15 +189,19 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
        and one comparison picks the extensions with the target's key;
     2. eigensolve those in one batch, with a graph target's Q as row 0,
        and keep the ones within `tol` of the target spectrum;
-    3. split the survivors into classes by relabelling orbits
-       (`orbits._class_reps`), and report each class whose representative,
-       its lowest mask, is within `tol` too, from one more batch.
+    3. split the survivors, after a simple target's own mask, into classes
+       (`orbits._class_reps`: one sorted orbit per class, found by binary
+       search), so a target whose survivors are all its relabellings takes
+       a single orbit;
+    4. report each class whose representative, its lowest mask, is within
+       `tol` too, from one more batch of the classes other than the
+       target's own.
 
     Hits are therefore class representatives in lowest-bitmask order.  A
     hit is isomorphic to the target when the target's own mask lies in its
-    orbit; a simple graph target is always its own hit, at distance zero:
-    equal graphs have equal spectra, solver noise aside.  `cardinality` is
-    the whole space, 2^(n choose 2).
+    orbit; a simple graph target is always its own hit, at distance zero
+    and never solved again: equal graphs have equal spectra, solver noise
+    aside.  `cardinality` is the whole space, 2^(n choose 2).
     """
     if isinstance(target, (ConeSpec, MultiGraph)):
         tgraph, n = target, target.n
@@ -227,18 +232,21 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         tvals = np.sort(tspec.values)
     survivors = masks[np.abs(rows - tvals).max(axis=1) <= tol]
     simple = tgraph is not None and tgraph.is_simple()
-    if simple:  # the target's own mask goes last
+    if simple:  # the target's own mask goes first: its orbit is built first
         bits = tgraph.mult[_pair_index(n)]
-        survivors = np.append(survivors, bits @ np.left_shift(1, np.arange(bits.size)))
+        own = bits @ np.left_shift(1, np.arange(bits.size))
+        survivors = np.concatenate(([own], survivors))
     reps = _class_reps(survivors, n)
     classes = np.unique(reps)
-    isos = classes == reps[-1] if simple else np.zeros(classes.size, dtype=bool)
+    isos = classes == reps[0] if simple else np.zeros(classes.size, dtype=bool)
     q = _q_stack(classes, n)
-    dists = np.abs(_spectra(q) - tvals).max(axis=1)
+    # the target's own class is a hit at distance 0.0: only the others are solved
+    dists = np.zeros(classes.size)
+    dists[~isos] = np.abs(_spectra(q[~isos]) - tvals).max(axis=1)
     q[:, np.arange(n), np.arange(n)] = 0  # the representatives' adjacency
     hits = [
-        SearchHit(MultiGraph(adj), 0.0 if iso else float(dist), iso)
-        for iso, dist, adj in zip(isos.tolist(), dists, q)
+        SearchHit(MultiGraph._wrap(adj), dist, iso)
+        for iso, dist, adj in zip(isos.tolist(), dists.tolist(), q)
         if iso or dist <= tol
     ]
     return SearchReport(target, float(tol), tuple(hits), True, total)

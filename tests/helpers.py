@@ -796,17 +796,20 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
 
 
+@lru_cache(maxsize=None)
 def permutation_bits(n: int) -> np.ndarray:
     """(k, n!) table of 2^(position of the image of edge e under the p-th
     `itertools.permutations` of range(n)); positions from the closed
-    `pair_order` index v (v - 1) / 2 + u of a pair u < v."""
+    `pair_order` index v (v - 1) / 2 + u of a pair u < v.  Kept, read-only."""
     perms = _permutations(n)
     rows = []
     for u, v in pair_order(n):
         a, b = perms[:, u], perms[:, v]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         rows.append(np.left_shift(1, hi * (hi - 1) // 2 + lo))
-    return np.array(rows, dtype=np.int64).reshape(-1, perms.shape[0])
+    bits = np.array(rows, dtype=np.int64).reshape(-1, perms.shape[0])
+    bits.setflags(write=False)
+    return bits
 
 
 def permutation_orbit(mask: int, n: int) -> np.ndarray:

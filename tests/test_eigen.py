@@ -3,6 +3,7 @@ oracle's roots."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ class TestQRows:
         rows = np.concatenate(chunks)
         expected = np.array([q_spectrum(g).values[::-1] for g in graphs])
         assert rows.tobytes() == expected.tobytes()
+
+    def test_int64_stacks_give_the_generator_rows(self):
+        # `search._spectra` hands over a ready int64 stack
+        graphs = self._graphs(7, count=10)
+        for k in range(1, len(graphs) + 1):
+            stack = np.array([q_matrix(g) for g in graphs[:k]]).astype(np.int64)
+            (want,) = _q_rows(q_matrix(g) for g in graphs[:k])
+            (got,) = _q_rows(stack)
+            assert got.tobytes() == want.tobytes()
+
+    def test_small_batches_allocate_no_full_chunk(self):
+        q = q_matrix(cycle_graph(7))
+        tracemalloc.start()
+        try:
+            next(_q_rows((q,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < eigen.CHUNK_ENTRIES * 8 // 4
 
     def test_multigraph_rows(self):
         g = realize(ConeSpec(cycles=(2, 3), paths=(4, 1), stars13=1))

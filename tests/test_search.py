@@ -456,6 +456,59 @@ class TestSearchExhaustive:
         ]
 
 
+class TestTargetClassSolvedOnce:
+    """The target's own class is a hit at distance 0.0 from the scan's
+    batch: the representatives' eigensolve takes only the other classes."""
+
+    @staticmethod
+    def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL):
+        """The report, and a copy of every Q stack `_spectra` solves."""
+        calls = []
+
+        def spy(q, real=search._spectra):
+            calls.append(q.copy())
+            return real(q)
+
+        monkeypatch.setattr(search, "_spectra", spy)
+        return search_exhaustive(target, tol=tol), calls
+
+    @staticmethod
+    def _others(report, n):
+        return _q_stack(
+            np.array([graph_mask(h.candidate) for h in report.hits if not h.isomorphic],
+                     dtype=np.int64),
+            n,
+        )
+
+    @pytest.mark.parametrize("target, tol, classes", [
+        (realize(FLAGSHIP), search.COSPECTRAL_TOL, 2),
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 1),
+        (decode_graph6("Gz]C?{"), 1e9, 86),
+    ], ids=["flagship", "order-eight-one-class", "order-eight-wide"])
+    def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, classes):
+        report, calls = self._solved(monkeypatch, target, tol)
+        assert len(report.hits) == classes
+        (own,) = [h for h in report.hits if h.isomorphic]
+        assert own.distance == 0.0 and isomorphic(own.candidate, target)
+        # the scan's batch (the target first), then the other classes only
+        assert len(calls) == 2 and np.array_equal(calls[0][0], q_matrix(target))
+        assert calls[1].tobytes() == self._others(report, target.n).tobytes()
+        assert calls[1].shape == (classes - 1, target.n, target.n)
+
+    @pytest.mark.parametrize("target, tol, classes", [
+        # this digon cone has no hit at 1e-8; at 1e9 every key match survives
+        (realize(parse_spec_text("K1 v C2 + C3 + K2")), 1e9, 2),
+        (q_spectrum(realize(FLAGSHIP)), search.COSPECTRAL_TOL, 2),
+    ], ids=["digon", "spectrum"])
+    def test_every_class_is_solved_without_a_simple_target(
+        self, monkeypatch, target, tol, classes
+    ):
+        report, calls = self._solved(monkeypatch, target, tol)
+        assert len(report.hits) == classes and not any(h.isomorphic for h in report.hits)
+        n = report.hits[0].candidate.n
+        assert calls[-1].tobytes() == self._others(report, n).tobytes()
+
+
 class TestExhaustiveAgainstBruteSweep:
     """The class-extension scan with orbit dedupe against the full sweep
     with pairwise isomorphism dedupe: identical reports."""
@@ -674,6 +727,23 @@ class TestOrbitDedupe:
         rng.shuffle(shuffled)
         assert np.array_equal(_class_reps(shuffled, n), want[np.searchsorted(masks, shuffled)])
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reps_are_permutation_orbit_minima(self, n):
+        """Several classes (the empty and complete graphs among them), each
+        under a few relabellings, with repeats, in shuffled order: each
+        mask gets the minimum of its own orbit."""
+        rng = np.random.default_rng(n)
+        full = 1 << n * (n - 1) // 2
+        seeds = [0, full - 1, *rng.integers(0, full, size=3).tolist()]
+        pool = [int(m) for s in seeds for m in rng.choice(permutation_orbit(s, n), 4)]
+        masks = np.array(pool + pool[::3], dtype=np.int64)
+        rng.shuffle(masks)
+        want = [int(permutation_orbit(m, n).min()) for m in masks.tolist()]
+        assert len(set(want)) >= min(n, 2)
+        got = _class_reps(masks, n)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert _class_reps(np.zeros(0, dtype=np.int64), n).size == 0
+
     def test_orbits_are_int32_relabellings(self):
         for mask in (0, 1, 12345, (1 << 28) - 1):
             orbit = _orbit(mask, 8)
@@ -686,6 +756,26 @@ class TestOrbitDedupe:
         # empty graph and K4 are their own orbits
         masks = np.array([62, 0, 31, 63, 31, 47], dtype=np.int64)
         assert _class_reps(masks, 4).tolist() == [31, 0, 31, 63, 31, 31]
+
+    def test_wide_tolerance_order_eight_pinned(self, monkeypatch):
+        # every one of the 910 key matches survives; with the target, 911
+        # masks in 86 classes, one of them the target's own
+        seen = []
+
+        def spy(masks, n, real=search._class_reps):
+            seen.append(masks.copy())
+            return real(masks, n)
+
+        monkeypatch.setattr(search, "_class_reps", spy)
+        target = decode_graph6("Gz]C?{")
+        report = search_exhaustive(target, tol=1e9)
+        (masks,) = seen
+        assert masks.size == 911 and masks[0] == graph_mask(target)
+        want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(np.unique(masks), 8))
+        assert [graph_mask(h.candidate) for h in report.hits] == want
+        assert len(want) == 86 and [h.isomorphic for h in report.hits].count(True) == 1
+        (own,) = [h.candidate for h in report.hits if h.isomorphic]
+        assert isomorphic(own, target)
 
     def test_wide_tolerance_reports_agree(self):
         # every key match survives: 127 masks in 11 classes, the most at n = 7
