@@ -155,17 +155,8 @@ def _json(o, pad: str) -> str:
     The standard library runs its pure-Python encoder whenever `indent` is
     set; this writer takes the same type checks in the same order and joins
     flat float lists in one step.  Keys must be strings (the CLI's are): any
-    other key raises TypeError.  A value whose exact type is str, int or a
-    finite float, dict values included, is written on the spot; subclasses
-    (bool, np.float64) and non-finite floats take the type checks.
+    other key raises TypeError.
     """
-    kind = type(o)
-    if kind is str:
-        return encode_basestring_ascii(o)
-    if kind is int:
-        return int.__repr__(o)
-    if kind is float and math.isfinite(o):
-        return float.__repr__(o)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -193,18 +184,7 @@ def _json(o, pad: str) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = []
-        for k, v in o.items():
-            key, kind = encode_basestring_ascii(k), type(v)
-            if kind is str:
-                text = encode_basestring_ascii(v)
-            elif kind is int:
-                text = int.__repr__(v)
-            elif kind is float and math.isfinite(v):
-                text = float.__repr__(v)
-            else:
-                text = _json(v, inner)
-            items.append(f"{key}: {text}")
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

@@ -169,7 +169,10 @@ def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 
     Each matrix passes the checks of `q_spectrum`, and each row is bitwise
     `q_spectrum`'s values reversed.  Matrices are read only as chunks need
-    them, so a caller that stops early solves no further chunk.
+    them, so a caller that stops early solves no further chunk.  A chunk
+    holds its matrices while they are copied into the float64 stack, so a
+    full chunk from a generator peaks at about twice CHUNK_ENTRIES entries
+    (about 2 MiB); a stack of fewer matrices allocates only its own size.
     """
     it = iter(matrices)
     for first in it:

@@ -461,15 +461,22 @@ class TestTargetClassSolvedOnce:
     batch: the representatives' eigensolve takes only the other classes."""
 
     @staticmethod
-    def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL):
-        """The report, and a copy of every Q stack `_spectra` solves."""
+    def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL, split=None):
+        """The report, and a copy of every Q stack `_spectra` solves (and,
+        into `split`, of every mask array `_class_reps` splits)."""
         calls = []
 
         def spy(q, real=search._spectra):
             calls.append(q.copy())
             return real(q)
 
+        def split_spy(masks, n, real=search._class_reps):
+            split.append(masks.copy())
+            return real(masks, n)
+
         monkeypatch.setattr(search, "_spectra", spy)
+        if split is not None:
+            monkeypatch.setattr(search, "_class_reps", split_spy)
         return search_exhaustive(target, tol=tol), calls
 
     @staticmethod
@@ -480,13 +487,22 @@ class TestTargetClassSolvedOnce:
             n,
         )
 
-    @pytest.mark.parametrize("target, tol, classes", [
-        (realize(FLAGSHIP), search.COSPECTRAL_TOL, 2),
-        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 1),
-        (decode_graph6("Gz]C?{"), 1e9, 86),
+    @pytest.mark.parametrize("target, tol, masks, classes", [
+        (realize(FLAGSHIP), search.COSPECTRAL_TOL, 11, 2),
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 6, 1),
+        # every one of the 910 key matches survives: with the target, 911
+        # masks in 86 classes, one of them the target's own
+        (decode_graph6("Gz]C?{"), 1e9, 911, 86),
     ], ids=["flagship", "order-eight-one-class", "order-eight-wide"])
-    def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, classes):
-        report, calls = self._solved(monkeypatch, target, tol)
+    def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, masks, classes):
+        split = []
+        report, calls = self._solved(monkeypatch, target, tol, split)
+        # one split of the survivors, the target's own mask first; the hits
+        # are the orbit minima of its classes
+        (seen,) = split
+        assert seen.size == masks and seen[0] == graph_mask(target)
+        want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(np.unique(seen), target.n))
+        assert [graph_mask(h.candidate) for h in report.hits] == want
         assert len(report.hits) == classes
         (own,) = [h for h in report.hits if h.isomorphic]
         assert own.distance == 0.0 and isomorphic(own.candidate, target)
@@ -708,7 +724,9 @@ class TestOrbitDedupe:
             for j in range(i):
                 assert (reps[i] == reps[j]) == isomorphic(g, graph[j])
 
-    @pytest.mark.parametrize("n, seed", [(6, 0), (7, 0), (7, 1), (8, 0), (8, 1)])
+    @pytest.mark.parametrize("n, seed", [
+        (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (7, 1), (8, 0), (8, 1),
+    ])
     def test_split_agrees_with_isin(self, n, seed):
         rng = random.Random(100 * n + seed)
         full = (1 << n * (n - 1) // 2) - 1
@@ -716,33 +734,17 @@ class TestOrbitDedupe:
         graphs = [target] + [random_graph(rng, n, p) for p in (0.2, 0.4, 0.6, 0.8)]
         pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(8)}
         # 0 lies below every other orbit's minimum and Kn above every maximum
-        pool |= {graph_mask(target), 0, 1, full, full - 1}
+        pool |= {graph_mask(target)} | {m for m in (0, 1, full - 1, full) if 0 <= m <= full}
         masks = np.array(sorted(pool), dtype=np.int64)
         want = np.empty_like(masks)
         for _, ref in isin_orbit_classes(masks, n):
             want[np.isin(masks, ref)] = ref.min()
-        assert np.array_equal(_class_reps(masks, n), want)
+        got = _class_reps(masks, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
         # in any order, repeats included
         shuffled = np.concatenate([masks, masks[:5]])
         rng.shuffle(shuffled)
         assert np.array_equal(_class_reps(shuffled, n), want[np.searchsorted(masks, shuffled)])
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_reps_are_permutation_orbit_minima(self, n):
-        """Several classes (the empty and complete graphs among them), each
-        under a few relabellings, with repeats, in shuffled order: each
-        mask gets the minimum of its own orbit."""
-        rng = np.random.default_rng(n)
-        full = 1 << n * (n - 1) // 2
-        seeds = [0, full - 1, *rng.integers(0, full, size=3).tolist()]
-        pool = [int(m) for s in seeds for m in rng.choice(permutation_orbit(s, n), 4)]
-        masks = np.array(pool + pool[::3], dtype=np.int64)
-        rng.shuffle(masks)
-        want = [int(permutation_orbit(m, n).min()) for m in masks.tolist()]
-        assert len(set(want)) >= min(n, 2)
-        got = _class_reps(masks, n)
-        assert got.dtype == np.int64 and got.tolist() == want
-        assert _class_reps(np.zeros(0, dtype=np.int64), n).size == 0
 
     def test_orbits_are_int32_relabellings(self):
         for mask in (0, 1, 12345, (1 << 28) - 1):
@@ -756,26 +758,6 @@ class TestOrbitDedupe:
         # empty graph and K4 are their own orbits
         masks = np.array([62, 0, 31, 63, 31, 47], dtype=np.int64)
         assert _class_reps(masks, 4).tolist() == [31, 0, 31, 63, 31, 31]
-
-    def test_wide_tolerance_order_eight_pinned(self, monkeypatch):
-        # every one of the 910 key matches survives; with the target, 911
-        # masks in 86 classes, one of them the target's own
-        seen = []
-
-        def spy(masks, n, real=search._class_reps):
-            seen.append(masks.copy())
-            return real(masks, n)
-
-        monkeypatch.setattr(search, "_class_reps", spy)
-        target = decode_graph6("Gz]C?{")
-        report = search_exhaustive(target, tol=1e9)
-        (masks,) = seen
-        assert masks.size == 911 and masks[0] == graph_mask(target)
-        want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(np.unique(masks), 8))
-        assert [graph_mask(h.candidate) for h in report.hits] == want
-        assert len(want) == 86 and [h.isomorphic for h in report.hits].count(True) == 1
-        (own,) = [h.candidate for h in report.hits if h.isomorphic]
-        assert isomorphic(own, target)
 
     def test_wide_tolerance_reports_agree(self):
         # every key match survives: 127 masks in 11 classes, the most at n = 7
