@@ -40,7 +40,6 @@ from .cones import (
     largest_q_eigenvalue,
     triangle_star_mate,
 )
-from .family import enumerate_family
 from .moments import (
     CountVector,
     MomentVector,

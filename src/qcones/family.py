@@ -1,13 +1,13 @@
-"""The cone family of a degree profile: enumeration, counting, and the
-members with a given moment signature.
+"""The cone family of a degree profile: its size, and the members with a
+given moment signature.
 
 A family member is a cone over disjoint cycles (length >= 3), paths and at
 most one claw whose base has the degree profile (n1, n2, n3, n4) of
 `degree_profile`.  `_family_with_signature` builds the members with given
 numbers of C3, C4 and K2 blocks, which together with the profile fix their
 moments T1..T4 (see `moments.signature_moments`); these slices partition
-the family, and `enumerate_family` is their sorted union.  `_family_size`
-counts the members from partition counts.
+the family, so the family search builds only the slices it needs.
+`_family_size` counts the members from partition counts.
 """
 
 from __future__ import annotations
@@ -51,33 +51,6 @@ def _path_blocks(n: int, profile: tuple[int, int, int, int]) -> int | None:
     return endpoints // 2
 
 
-def enumerate_family(n: int, profile: tuple[int, int, int, int]) -> list[ConeSpec]:
-    """All cone specs of order n whose base realizes the degree profile: the
-    union of the `_family_with_signature` slices, sorted.
-
-    An inconsistent or infeasible profile yields an empty list rather than
-    an error; infeasibility is a meaningful outcome for the callers.  Cycle
-    lengths start at 3 (the candidate sets are simple), path orders at 1,
-    and at most one star block is allowed.  Each member has exactly one
-    signature, so the result is duplicate-free.
-    """
-    profile = tuple(int(x) for x in profile)
-    p = _path_blocks(n, profile)
-    if p is None:
-        return []
-    n3 = profile[2]
-    return sorted(
-        (
-            spec
-            for k3 in range(n3 // 3 + 1)
-            for k4 in range((n3 - 3 * k3) // 4 + 1)
-            for nk2 in range(p + 1)
-            for spec in _family_with_signature(n, profile, k3, k4, nk2)
-        ),
-        key=lambda c: (c.stars13, c.cycles, c.paths),
-    )
-
-
 @lru_cache(maxsize=None)
 def _partition_count(total: int, min_part: int, max_part: int) -> int:
     """Number of partitions of `total` into parts in [min_part, max_part]."""
@@ -93,7 +66,8 @@ def _partition_count(total: int, min_part: int, max_part: int) -> int:
 
 
 def _family_size(n: int, profile: tuple[int, int, int, int]) -> int:
-    """len(enumerate_family(n, profile)), counted without building a spec.
+    """The number of family members of order n with this profile, counted
+    without building a spec.
 
     A spec is a partition of its n3 cycle vertices into parts >= 3 and one
     of the remaining path-interior vertices into at most p parts (one per
@@ -113,9 +87,10 @@ def _family_size(n: int, profile: tuple[int, int, int, int]) -> int:
 def _family_with_signature(
     n: int, profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
 ) -> Iterator[ConeSpec]:
-    """The specs of enumerate_family(n, profile) with exactly k3 C3, k4 C4
-    and nk2 K2 blocks: their other cycles have length >= 5, and p - nk2 of
-    their p paths of order >= 2 have order >= 3."""
+    """The family members of order n with this profile and exactly k3 C3,
+    k4 C4 and nk2 K2 blocks: their other cycles have length >= 5, and
+    p - nk2 of their p paths of order >= 2 have order >= 3.  Cycle lengths
+    start at 3 and path orders at 1; an infeasible profile yields nothing."""
     p = _path_blocks(n, profile)
     if p is None or n == 1 or not 0 <= nk2 <= p:
         return

@@ -49,7 +49,7 @@ def encode_graph6(g: MultiGraph) -> str:
 
 
 def decode_graph6(text: str) -> MultiGraph:
-    s = text.strip(_SPACE)  # a non-ASCII space stays, and is out of range
+    s = text.strip(_SPACE)  # \x1c-\x1f or a non-ASCII space stays, out of range
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:

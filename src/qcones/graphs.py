@@ -317,9 +317,10 @@ def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
 # spec text grammar
 # ---------------------------------------------------------------------------
 
-# the ASCII characters str.isspace() accepts (\x1c-\x1f too); non-ASCII
-# spaces and digits are no part of the grammar
-_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+# string.whitespace: space, tab, newline, return, vertical tab, form feed;
+# the separators \x1c-\x1f, non-ASCII spaces and non-ASCII digits are no
+# part of the grammar
+_SPACE = " \t\n\r\x0b\x0c"
 _S = f"[{re.escape(_SPACE)}]"
 _PREFIX = re.compile(rf"{_S}*K1{_S}+[vV]({_S}+|{_S}*$)")
 # one alternative per term: K13, Ck, Pl, then qK2 and sK1 with their block

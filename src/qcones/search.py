@@ -7,12 +7,12 @@ C3, C4 and K2 blocks), so it streams only the candidates whose signature
 gives the target's moments, read as exact traces of the target's Q,
 through a chunked, batched eigensolve whose first row is the target
 itself; the others are counted by partition counts, never built.  The
-exhaustive search covers every simple graph on up to 8 vertices by joining
-one vertex in every way to each isomorphism class of one order less
-(`qcones.orbits`).  A table per order, built on first use, packs each such
-extension's edge count, degree-square sum and tr(Q^3) in one integer, so a
-target costs one key lookup before one batched eigensolve of itself and
-its matches; the survivors split into classes by one sorted relabelling
+exhaustive search of a graph or cone spec covers every simple graph on up
+to 8 vertices by joining one vertex in every way to each isomorphism class
+of one order less (`qcones.orbits`).  A table per order, built on first
+use, packs each such extension's edge count, degree-square sum and tr(Q^3)
+in one integer, so a target costs one key lookup before one batched
+eigensolve of itself and its matches; the survivors split into classes by one sorted relabelling
 orbit per class, one graph per class reported, and only the classes other
 than the target's own are solved again.
 Cone recognition takes each vertex joined simply to all others as the apex
@@ -42,7 +42,7 @@ from .graphs import (
 )
 from .cones import largest_q_eigenvalue
 from .graph6 import _pair_index
-from .eigen import QSpectrum, _q_rows, q_matrix, q_spectrum
+from .eigen import _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
 from .orbits import _class_reps, _moment_matches, _q_stack
 from .moments import signatures_with_moments, solve_degree_system
@@ -72,7 +72,7 @@ class SearchHit:
 class SearchReport:
     """Search outcome: deduplicated hits plus the space that was scanned."""
 
-    target: object
+    target: Union[ConeSpec, MultiGraph]
     tolerance: float
     hits: tuple[SearchHit, ...]
     exhaustive: bool
@@ -166,29 +166,20 @@ def _spectra(q: np.ndarray) -> np.ndarray:
     return np.concatenate([np.empty((0, q.shape[-1])), *_q_rows(q)])
 
 
-def _scan(n: int, key, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, spectra) of the extensions of order n whose key is `key`, in
-    (class, S) order: one batched eigensolve gives the ascending spectra of
-    the Q stack `head`, then of those masks' Q matrices, one row each."""
-    masks = _moment_matches(n, *key)
-    return masks, _spectra(np.concatenate([head, _q_stack(masks, n)]))
-
-
 def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Search every labeled simple graph on n vertices for cospectral mates.
 
-    `target` may be a graph, a cone spec, or a spectrum; the order is capped
-    at 8.  The key (m, sum d^2, tr Q^3) comes from exact integer traces of
-    a graph's Q, or from a spectrum's rounded power sums (a non-finite one
-    raises ParameterError; non-integral or odd ones match no graph).
+    `target` is a graph or a cone spec (anything else raises
+    ParameterError); the order is capped at 8.  The key (m, sum d^2,
+    tr Q^3) comes from exact integer traces of the target's Q.
 
     1. lookup: every graph is isomorphic to an extension of a class of
        order n - 1 by vertex n - 1.  `_extension_moments(n)`, built on the
        first search of order n, packs the key of each extension of
        `_classes(n - 1)` (9 984 at n = 7, 133 632 at n = 8) in one integer,
        and one comparison picks the extensions with the target's key;
-    2. eigensolve those in one batch, with a graph target's Q as row 0,
-       and keep the ones within `tol` of the target spectrum;
+    2. eigensolve those in one batch, with the target's Q as row 0, and
+       keep the ones within `tol` of the target spectrum;
     3. split the survivors, after a simple target's own mask, into classes
        (`orbits._class_reps`: one sorted orbit per class, found by binary
        search), so a target whose survivors are all its relabellings takes
@@ -203,35 +194,22 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     and never solved again: equal graphs have equal spectra, solver noise
     aside.  `cardinality` is the whole space, 2^(n choose 2).
     """
-    if isinstance(target, (ConeSpec, MultiGraph)):
-        tgraph, n = target, target.n
-    else:
-        tspec = target if isinstance(target, QSpectrum) else QSpectrum(target)
-        tgraph, n = None, len(tspec)
+    if not isinstance(target, (ConeSpec, MultiGraph)):
+        raise ParameterError("exhaustive search expects a graph or cone spec target")
+    n = target.n
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ScaleError(
             f"exhaustive search supports n <= {MAX_EXHAUSTIVE_VERTICES}, got n={n}"
         )
-    if isinstance(tgraph, ConeSpec):  # realized only under the cap
-        tgraph = realize(tgraph)
-    total = 1 << n * (n - 1) // 2
-    if tgraph is not None:
-        q = q_matrix(tgraph)
-        t1, t2, t3, _ = _power_traces(q)
-        masks, rows = _scan(n, (t1 // 2, t2 - t1, t3), q[None])
-        tvals, rows = rows[0], rows[1:]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            moments = [tspec.power_sum(r) for r in (1, 2, 3)]
-        if not np.isfinite(moments).all():
-            raise ParameterError("spectrum power sums must be finite")
-        t1, t2, t3 = (round(v) for v in moments)
-        if any(abs(v - i) > 0.4 for v, i in zip(moments, (t1, t2, t3))) or t1 % 2:
-            return SearchReport(target, float(tol), (), True, total)
-        masks, rows = _scan(n, (t1 // 2, t2 - t1, t3), np.zeros((0, n, n)))
-        tvals = np.sort(tspec.values)
+    # realized only under the cap
+    tgraph = realize(target) if isinstance(target, ConeSpec) else target
+    q = q_matrix(tgraph)
+    t1, t2, t3, _ = _power_traces(q)
+    masks = _moment_matches(n, t1 // 2, t2 - t1, t3)
+    rows = _spectra(np.concatenate([q[None], _q_stack(masks, n)]))
+    tvals, rows = rows[0], rows[1:]
     survivors = masks[np.abs(rows - tvals).max(axis=1) <= tol]
-    simple = tgraph is not None and tgraph.is_simple()
+    simple = tgraph.is_simple()
     if simple:  # the target's own mask goes first: its orbit is built first
         bits = tgraph.mult[_pair_index(n)]
         own = bits @ np.left_shift(1, np.arange(bits.size))
@@ -249,7 +227,7 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         for iso, dist, adj in zip(isos.tolist(), dists.tolist(), q)
         if iso or dist <= tol
     ]
-    return SearchReport(target, float(tol), tuple(hits), True, total)
+    return SearchReport(target, float(tol), tuple(hits), True, 1 << n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ split.  The bit-by-bit graph6 loops are the reference for the array codec.
 checked constructor, the reference for the probes' edits of Q.
 """
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -39,7 +40,6 @@ from qcones import (
     FormatError,
     MultiGraph,
     ParameterError,
-    QSpectrum,
     ScaleError,
     SearchHit,
     SearchReport,
@@ -52,7 +52,7 @@ from qcones import (
 )
 from qcones import eigen
 from qcones.cones import _main_values, _quotient_values
-from qcones.family import _partitions, _path_blocks
+from qcones.family import _family_with_signature, _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES
 from qcones.graphs import _blocks
 from qcones.orbits import _classes, _q_stack
@@ -557,9 +557,9 @@ def eigenvector_families(spec: ConeSpec) -> list[tuple[str, float, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 def enumerate_family_by_partitions(n: int, profile) -> list[ConeSpec]:
-    """enumerate_family from one loop over the partitions of the cycle and
-    path-interior vertices, the reference for the union of the signature
-    slices."""
+    """The cone family of a profile from one loop over the partitions of the
+    cycle and path-interior vertices, sorted: the reference for the union
+    of the signature slices."""
     profile = tuple(int(x) for x in profile)
     p = _path_blocks(n, profile)
     if p is None:
@@ -578,6 +578,25 @@ def enumerate_family_by_partitions(n: int, profile) -> list[ConeSpec]:
                     continue
                 found.add(ConeSpec(cycles=cycles, paths=paths, stars13=n4))
     return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
+
+
+def slices_union(n: int, profile) -> list[ConeSpec]:
+    """The union of `_family_with_signature(n, profile, k3, k4, nk2)` over
+    every (k3, k4, nk2), sorted like `enumerate_family_by_partitions`.
+    Asserts that each spec has its slice's numbers of C3, C4 and K2 blocks
+    and that no spec comes twice."""
+    n3, q = profile[2], max(profile[1] - 3 * profile[3], 0) // 2
+    built = []
+    for k3 in range(n3 // 3 + 1):
+        for k4 in range(n3 // 4 + 1):
+            for nk2 in range(q + 1):
+                for spec in _family_with_signature(n, profile, k3, k4, nk2):
+                    assert spec.cycles.count(3) == k3
+                    assert spec.cycles.count(4) == k4
+                    assert spec.paths.count(2) == nk2
+                    built.append(spec)
+    assert len(built) == len(set(built))
+    return sorted(built, key=lambda c: (c.stars13, c.cycles, c.paths))
 
 
 @lru_cache(maxsize=None)
@@ -726,20 +745,12 @@ def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
     the survivors in mask order with pairwise `isomorphic`; n <= 7 keeps
     the sweep in memory."""
     tgraph = realize(target) if isinstance(target, ConeSpec) else target
-    if isinstance(tgraph, MultiGraph):
-        tspec = q_spectrum(tgraph)
-    else:
-        tgraph = None
-        tspec = target if isinstance(target, QSpectrum) else QSpectrum(target)
+    tspec = q_spectrum(tgraph)
     n = len(tspec)
     pairs = pair_order(n)
-    total = 1 << len(pairs)
-    moments = [tspec.power_sum(r) for r in (1, 2, 3)]
-    t1, t2, t3 = (round(v) for v in moments)
-    if any(abs(v - i) > 0.4 for v, i in zip(moments, (t1, t2, t3))) or t1 % 2:
-        return SearchReport(target, float(tol), (), True, total)
+    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
     tvals = np.sort(tspec.values)
-    compare = tgraph if tgraph is not None and tgraph.is_simple() else None
+    compare = tgraph if tgraph.is_simple() else None
     hits = []
     for mask, dist in _sweep(n, pairs, t1 // 2, t2 - t1, t3, tvals, tol):
         arr = np.zeros((n, n), dtype=np.int64)
@@ -751,7 +762,7 @@ def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
             continue
         iso = compare is not None and isomorphic(g, compare)
         hits.append(SearchHit(g, 0.0 if iso else dist, iso))
-    return SearchReport(target, float(tol), tuple(hits), True, total)
+    return SearchReport(target, float(tol), tuple(hits), True, 1 << len(pairs))
 
 
 def extension_masks(n: int) -> np.ndarray:
@@ -867,7 +878,7 @@ def encode_graph6_bitwise(g: MultiGraph) -> str:
 
 def decode_graph6_bitwise(text: str) -> MultiGraph:
     """The old decoder; it still reads a non-ASCII character as "?"."""
-    s = text.strip()
+    s = text.strip(string.whitespace)
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:

@@ -242,9 +242,14 @@ class TestSpectrumCommand:
         "Bw\u00a0",  # graph6 of K3 and a no-break space
         "\u2003Bw",
         "C" + "\u0660" * 5 + "3",  # once read as a 6-digit number
+        # the ASCII separators \x1c-\x1f, which str.isspace() accepts
+        "K1 v C3\x1f+ K2 + K1",
+        "\x1cK1 v C3 + K2 + K1",
+        "Bw\x1d",
+        "\x1eBw",
     ])
-    def test_non_ascii_digits_and_spaces_rejected(self, capsys, text):
-        # each once answered with exit 0, the last with exit 5
+    def test_non_ascii_and_control_characters_rejected(self, capsys, text):
+        # each once answered with exit 0, the Arabic-Indic digits with exit 5
         code, doc, _ = run_json(capsys, "spectrum", text)
         assert (code, doc["status"], doc["result"]) == (2, "error", None)
         with pytest.raises(FormatError, match="unknown term"):

@@ -143,11 +143,11 @@ def _outcome(fn, arg):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", ">>graph6<<", ">>graph6<< \n", "~Bw", "~", "B\x1f", "B\x7f", " B}\x7f",
-     "Bww", "B", "A@", "Bx", "?", "??", "}"],
+    ["", "   ", ">>graph6<<", ">>graph6<< \n", "~Bw", "~", "B\x1f", "\x1cBw", "B\x7f",
+     " B}\x7f", "Bww", "B", "A@", "Bx", "?", "??", "}"],
     ids=["empty", "blank", "header-only", "header-blank", "long-form", "long-form-alone",
-         "below-range", "above-range", "above-range-late", "too-long", "too-short",
-         "padding-n2", "padding-n3", "n0", "n0-with-body", "n62-no-body"],
+         "below-range", "below-range-first", "above-range", "above-range-late", "too-long",
+         "too-short", "padding-n2", "padding-n3", "n0", "n0-with-body", "n62-no-body"],
 )
 def test_decode_rejections_match_bitwise_reference(text):
     want = _outcome(decode_graph6_bitwise, text)

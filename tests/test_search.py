@@ -19,7 +19,6 @@ from qcones import (
     components_and_bipartiteness,
     degree_profile,
     encode_graph6,
-    enumerate_family,
     largest_q_eigenvalue,
     parse_spec_text,
     q_spectrum,
@@ -34,18 +33,19 @@ from qcones import (
 from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6
 from qcones.graphs import _dominating_vertices
-from qcones.family import _family_size, _family_with_signature, _partitions
+from qcones.family import _family_size, _partitions
 from qcones import orbits, search
 from qcones.orbits import (
     _KEY_BITS,
     _class_reps,
     _classes,
     _extension_moments,
+    _moment_matches,
     _orbit,
     _q_stack,
 )
 from qcones.moments import moments_closed_form
-from qcones.search import _power_traces, _scan
+from qcones.search import _power_traces, _spectra
 
 from helpers import (
     CHUNK_SIZES,
@@ -70,6 +70,7 @@ from helpers import (
     random_cone_spec,
     random_graph,
     set_chunk,
+    slices_union,
     star_graph,
     vertex_deleted,
 )
@@ -148,26 +149,33 @@ def naive_specs(base_order):
 
 
 class TestEnumerateFamily:
+    """The union of the signature slices, and `_family_size`, against
+    listed families and direct generation."""
+
+    @staticmethod
+    def family(n, profile):
+        specs = slices_union(n, profile)
+        assert _family_size(n, profile) == len(specs)
+        return specs
+
     def test_flagship_profile(self):
-        specs = enumerate_family(7, (1, 2, 3, 0))
-        assert specs == [
+        assert self.family(7, (1, 2, 3, 0)) == [
             ConeSpec(paths=(5, 1)),
             ConeSpec(cycles=(3,), paths=(2, 1)),
         ]
 
     def test_star_profile(self):
-        assert enumerate_family(7, (0, 5, 0, 1)) == [
+        assert self.family(7, (0, 5, 0, 1)) == [
             ConeSpec(paths=(2,), stars13=1)
         ]
 
-    def test_odd_endpoints_infeasible(self):
-        assert enumerate_family(7, (1, 3, 2, 0)) == []
-
-    def test_wrong_total_infeasible(self):
-        assert enumerate_family(7, (1, 2, 2, 0)) == []
-
-    def test_two_stars_out_of_scope(self):
-        assert enumerate_family(12, (1, 8, 0, 2)) == []
+    @pytest.mark.parametrize("n, profile", [
+        (7, (1, 3, 2, 0)),  # odd number of path endpoints
+        (7, (1, 2, 2, 0)),  # wrong total
+        (12, (1, 8, 0, 2)),  # two claws
+    ], ids=["odd-endpoints", "wrong-total", "two-stars"])
+    def test_infeasible_profiles_are_empty(self, n, profile):
+        assert self.family(n, profile) == []
 
     def test_complete_against_naive_generation(self):
         for n in range(2, 10):
@@ -178,7 +186,7 @@ class TestEnumerateFamily:
                     (s for s in universe if degree_profile(s) == profile),
                     key=lambda c: (c.stars13, c.cycles, c.paths),
                 )
-                assert enumerate_family(n, profile) == expected
+                assert self.family(n, profile) == expected
 
 
 class TestSearchFamily:
@@ -319,28 +327,11 @@ class TestFamilyBySignature:
                 assert _family_size(n, profile) == expected, (n, profile)
 
     def test_signatures_split_the_enumeration(self):
-        for n in range(1, 13):
-            for profile in _profiles(n):
-                n3, q = profile[2], max(profile[1] - 3 * profile[3], 0) // 2
-                built = []
-                for k3 in range(n3 // 3 + 1):
-                    for k4 in range(n3 // 4 + 1):
-                        for nk2 in range(q + 1):
-                            specs = list(_family_with_signature(n, profile, k3, k4, nk2))
-                            for spec in specs:
-                                assert spec.cycles.count(3) == k3
-                                assert spec.cycles.count(4) == k4
-                                assert spec.paths.count(2) == nk2
-                            built += specs
-                assert len(built) == len(set(built))
-                expected = enumerate_family_by_partitions(n, profile)
-                assert set(built) == set(expected), (n, profile)
-
-    def test_enumeration_is_the_partition_loop(self):
+        # `slices_union` asserts each slice's block counts and no duplicate
         for n in range(1, 21):
             for profile in _profiles(n):
                 expected = enumerate_family_by_partitions(n, profile)
-                assert enumerate_family(n, profile) == expected, (n, profile)
+                assert slices_union(n, profile) == expected, (n, profile)
 
     @pytest.mark.parametrize("target, rejected", [
         (g_family_spec([5, 3], 2, 1), []),
@@ -425,29 +416,16 @@ class TestSearchExhaustive:
             "FtrE?",
         }
 
-    def test_spectrum_only_target(self):
-        report = search_exhaustive(q_spectrum(realize(FLAGSHIP)))
-        assert len(report.hits) == 2
-        assert all(not h.isomorphic for h in report.hits)
-        assert all(h.distance <= 1e-8 for h in report.hits)
-
-    def test_non_graphical_spectrum(self):
-        report = search_exhaustive(QSpectrum([0.5, 0.5]))
-        assert report.hits == ()
-        assert report.cardinality == 2
-
-    def test_odd_trace_spectrum(self):
-        report = search_exhaustive(QSpectrum([1.0, 0.0, 0.0]))
-        assert report.hits == ()
-
     def test_order_cap(self):
         with pytest.raises(ScaleError):
             search_exhaustive(MultiGraph(np.zeros((9, 9), dtype=np.int64)))
 
-    @pytest.mark.parametrize("values", [[1e200, -1e200, 2, 0], [np.inf, 1.0, 0.0]])
-    def test_non_finite_power_sums(self, values):
-        with pytest.raises(ParameterError):
-            search_exhaustive(QSpectrum(values))
+    @pytest.mark.parametrize("target", [
+        QSpectrum([4.0, 1.0, 1.0]), [4.0, 1.0, 1.0], "Bw",
+    ], ids=["spectrum", "list", "string"])
+    def test_rejects_targets_that_are_no_graph(self, target):
+        with pytest.raises(ParameterError, match="graph or cone spec"):
+            search_exhaustive(target)
 
     def test_target_is_its_own_hit_at_zero_tolerance(self):
         report = search_exhaustive(realize(FLAGSHIP), tol=0.0)
@@ -511,18 +489,12 @@ class TestTargetClassSolvedOnce:
         assert calls[1].tobytes() == self._others(report, target.n).tobytes()
         assert calls[1].shape == (classes - 1, target.n, target.n)
 
-    @pytest.mark.parametrize("target, tol, classes", [
+    def test_every_class_is_solved_without_a_simple_target(self, monkeypatch):
         # this digon cone has no hit at 1e-8; at 1e9 every key match survives
-        (realize(parse_spec_text("K1 v C2 + C3 + K2")), 1e9, 2),
-        (q_spectrum(realize(FLAGSHIP)), search.COSPECTRAL_TOL, 2),
-    ], ids=["digon", "spectrum"])
-    def test_every_class_is_solved_without_a_simple_target(
-        self, monkeypatch, target, tol, classes
-    ):
-        report, calls = self._solved(monkeypatch, target, tol)
-        assert len(report.hits) == classes and not any(h.isomorphic for h in report.hits)
-        n = report.hits[0].candidate.n
-        assert calls[-1].tobytes() == self._others(report, n).tobytes()
+        target = realize(parse_spec_text("K1 v C2 + C3 + K2"))
+        report, calls = self._solved(monkeypatch, target, 1e9)
+        assert len(report.hits) == 2 and not any(h.isomorphic for h in report.hits)
+        assert calls[-1].tobytes() == self._others(report, target.n).tobytes()
 
 
 class TestExhaustiveAgainstBruteSweep:
@@ -548,12 +520,6 @@ class TestExhaustiveAgainstBruteSweep:
         report = search_exhaustive(target)
         assert report_key(report) == report_key(brute_search_exhaustive(target))
         assert sum(h.isomorphic for h in report.hits) == 1
-
-    def test_spectrum_only_target(self):
-        target = q_spectrum(realize(FLAGSHIP))
-        assert report_key(search_exhaustive(target)) == report_key(
-            brute_search_exhaustive(target)
-        )
 
     def test_digon_cone(self):
         target = realize(ConeSpec(cycles=(3, 2)))
@@ -594,7 +560,7 @@ class TestClasses:
 
 def scan_args(g: MultiGraph):
     """(n, m, degree-square sum, tr(Q^3), ascending spectrum) of a graph,
-    as `search_exhaustive` takes them from its spectrum."""
+    the key from its spectrum's rounded power sums."""
     tspec = q_spectrum(g)
     t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
     return g.n, t1 // 2, t2 - t1, t3, np.sort(tspec.values)
@@ -604,6 +570,14 @@ def trace_key(g: MultiGraph):
     """The key `search_exhaustive` reads off a graph target's Q."""
     t1, t2, t3, _ = _power_traces(q_matrix(g))
     return t1 // 2, t2 - t1, t3
+
+
+def scan(n: int, key, head: np.ndarray):
+    """(masks, spectra) as `search_exhaustive` computes them: the extensions
+    of order n whose key is `key`, in (class, S) order, and one batched
+    eigensolve of the Q stack `head` followed by those masks' Q matrices."""
+    masks = _moment_matches(n, *key)
+    return masks, _spectra(np.concatenate([head, _q_stack(masks, n)]))
 
 
 class TestScanAgainstQStackOracle:
@@ -616,7 +590,7 @@ class TestScanAgainstQStackOracle:
 
     @classmethod
     def assert_same(cls, n, m, d2, t3, tvals):
-        masks, rows = _scan(n, (m, d2, t3), np.zeros((0, n, n)))
+        masks, rows = scan(n, (m, d2, t3), np.zeros((0, n, n)))
         assert rows.shape == (masks.size, n)
         for tol in (1e-8, np.inf):
             assert cls.survivors(masks, rows, tvals, tol) == qstack_scan(n, m, d2, t3, tvals, tol)
@@ -628,7 +602,7 @@ class TestScanAgainstQStackOracle:
         n, m, d2, t3, tvals = scan_args(g)
         cls.assert_same(n, m, d2, t3, tvals)
         assert trace_key(g) == (m, d2, t3)
-        masks, rows = _scan(n, trace_key(g), q_matrix(g)[None])
+        masks, rows = scan(n, trace_key(g), q_matrix(g)[None])
         assert rows[0].tobytes() == tvals.tobytes()
         for tol in (1e-8, np.inf):
             got = cls.survivors(masks, rows[1:], tvals, tol)
@@ -661,7 +635,7 @@ class TestScanAgainstQStackOracle:
         g = realize(ConeSpec(cycles=(4,), paths=(2, 1)))
         self.assert_same_graph(g)
         # the one hit class of `search_exhaustive`, among the survivors
-        masks, rows = _scan(8, trace_key(g), q_matrix(g)[None])
+        masks, rows = scan(8, trace_key(g), q_matrix(g)[None])
         assert 2209611 in self.survivors(masks, rows[1:], rows[0], 1e-8)
 
     @pytest.mark.parametrize("m, d2, t3", [
@@ -672,14 +646,9 @@ class TestScanAgainstQStackOracle:
         assert qstack_scan(8, m, d2, t3, tvals, np.inf) == []
         monkeypatch.setattr(orbits, "_extension_moments", None)
         monkeypatch.setattr(orbits, "_classes", None)
-        masks, rows = _scan(8, (m, d2, t3), np.zeros((0, 8, 8)))
+        masks, rows = scan(8, (m, d2, t3), np.zeros((0, 8, 8)))
         assert masks.size == rows.size == 0
 
-    def test_negative_spectrum_target_skips_the_table(self, monkeypatch):
-        monkeypatch.setattr(orbits, "_extension_moments", None)
-        monkeypatch.setattr(orbits, "_classes", None)
-        # power sums -4, 14 and -34: m = -2, degree-square sum 18
-        assert search_exhaustive(QSpectrum([-3.0, -2.0, 1.0])).hits == ()
 
 
 class TestExtensionMoments:
@@ -1157,4 +1126,4 @@ def test_recognition_agrees_with_enumeration_at_order_five():
             continue
         assert isomorphic(realize(spec), g)
         profile = degree_profile(spec)
-        assert spec in enumerate_family(5, profile)
+        assert spec in slices_union(5, profile)
