@@ -421,8 +421,10 @@ class TestSearchExhaustive:
             search_exhaustive(MultiGraph(np.zeros((9, 9), dtype=np.int64)))
 
     @pytest.mark.parametrize("target", [
-        QSpectrum([4.0, 1.0, 1.0]), [4.0, 1.0, 1.0], "Bw",
-    ], ids=["spectrum", "list", "string"])
+        QSpectrum([4.0, 1.0, 1.0]), [4.0, 1.0, 1.0], np.array([4.0, 1.0, 1.0]), "Bw",
+        # an adjacency matrix is not a MultiGraph
+        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64),
+    ], ids=["spectrum", "list", "array", "string", "adjacency"])
     def test_rejects_targets_that_are_no_graph(self, target):
         with pytest.raises(ParameterError, match="graph or cone spec"):
             search_exhaustive(target)
@@ -489,9 +491,12 @@ class TestTargetClassSolvedOnce:
         assert calls[1].tobytes() == self._others(report, target.n).tobytes()
         assert calls[1].shape == (classes - 1, target.n, target.n)
 
-    def test_every_class_is_solved_without_a_simple_target(self, monkeypatch):
-        # this digon cone has no hit at 1e-8; at 1e9 every key match survives
-        target = realize(parse_spec_text("K1 v C2 + C3 + K2"))
+    @pytest.mark.parametrize("realized", [True, False], ids=["digon", "digon-spec"])
+    def test_every_class_is_solved_without_a_simple_target(self, monkeypatch, realized):
+        # this digon cone has no hit at 1e-8; at 1e9 every key match survives,
+        # whether the target is the realized graph or its cone spec
+        spec = parse_spec_text("K1 v C2 + C3 + K2")
+        target = realize(spec) if realized else spec
         report, calls = self._solved(monkeypatch, target, 1e9)
         assert len(report.hits) == 2 and not any(h.isomorphic for h in report.hits)
         assert calls[-1].tobytes() == self._others(report, target.n).tobytes()
