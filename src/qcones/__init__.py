@@ -2,17 +2,13 @@
 cospectral mates and searches."""
 
 from .errors import (
-    ComparisonError,
     ConstructionError,
-    ContractViolationError,
     EigensolverError,
-    FamilyError,
     FormatError,
     InapplicableError,
     ParameterError,
     QConesError,
     ScaleError,
-    UnsupportedGraphError,
 )
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import (

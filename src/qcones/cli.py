@@ -6,8 +6,8 @@ document is written by `_json`, byte for byte as
 `json.dumps(doc, indent=2, allow_nan=False)` would write it.
 Exit codes: 0 success, 2 input error, 3 verification mismatch or probe
 failure, 4 inapplicable construction, 5 scale limit, 6 internal error (an
-internally built object failed its own check, or LAPACK's eigensolver
-failed; a bug, not bad input).
+internally built object failed its own check, LAPACK's eigensolver failed,
+or a Q spectrum had a negative value; a bug, not bad input).
 `mate` builds the mate (13) or candidate (11) spec and (13) checks the
 target's order against the n <= 64 cap of the counts before it realizes
 anything, so an inapplicable or over-cap input exits with no matrix built.

@@ -9,7 +9,8 @@ small main-part quotient behind each closed-form cone spectrum
 each matrix, so the first two give bitwise the same values.  The inputs are
 small integer positive-semidefinite matrices, where the solver agrees with
 an independent plane-rotation solver to within 1e-13.  There is no root
-finder.  A LAPACK failure raises `EigensolverError`.
+finder.  A LAPACK failure, or a negative value in a Q spectrum, raises
+`EigensolverError`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ComparisonError,
-    ContractViolationError,
-    EigensolverError,
-    ParameterError,
-)
+from .errors import EigensolverError, ParameterError
 from .graphs import MultiGraph
 
 GROUP_TOL = 1e-9
@@ -137,13 +133,13 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
         return a
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     if (np.abs(a - at).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale).any():
-        raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
+        raise ParameterError("matrix is not symmetric within 1e-12 (relative)")
     return 0.5 * (a + at)
 
 
 def _require_psd(lowest) -> None:
     if lowest < -_PSD_TOL:
-        raise ContractViolationError(
+        raise EigensolverError(
             f"negative value {float(lowest)!r} in a degree-plus-adjacency spectrum"
         )
 
@@ -188,5 +184,5 @@ def spectrum_compare(a, b) -> float:
     va = a.values if isinstance(a, QSpectrum) else np.sort(np.asarray(a, float))[::-1]
     vb = b.values if isinstance(b, QSpectrum) else np.sort(np.asarray(b, float))[::-1]
     if va.size != vb.size:
-        raise ComparisonError(f"spectra sizes differ: {va.size} vs {vb.size}")
+        raise ParameterError(f"spectra sizes differ: {va.size} vs {vb.size}")
     return float(np.abs(va - vb).max())

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package; `cli` names every class."""
 
 
 class QConesError(Exception):
@@ -6,27 +6,13 @@ class QConesError(Exception):
 
 
 class ParameterError(QConesError, ValueError):
-    """Invalid sizes or parameter combinations (bad k, l, n, q, s, ...)."""
-
-
-class UnsupportedGraphError(QConesError, ValueError):
-    """Operation defined for simple graphs received a multigraph."""
+    """Invalid sizes or parameter combinations (bad k, l, n, q, s, ...), a
+    multigraph or digon spec where counting needs a simple graph, a matrix
+    that is not symmetric, or spectra of different sizes."""
 
 
 class FormatError(QConesError, ValueError):
     """Malformed graph6 text or other serialization problems."""
-
-
-class ContractViolationError(QConesError, ValueError):
-    """Numeric input violates a documented contract (e.g. non-symmetric matrix)."""
-
-
-class ComparisonError(QConesError, ValueError):
-    """Spectra of different sizes cannot be compared."""
-
-
-class FamilyError(QConesError, ValueError):
-    """Spec lies outside the structured family an operation requires."""
 
 
 class InapplicableError(QConesError, ValueError):
@@ -42,4 +28,5 @@ class ConstructionError(QConesError, ArithmeticError):
 
 
 class EigensolverError(QConesError, ArithmeticError):
-    """LAPACK's symmetric eigensolver failed; an internal error, not bad input."""
+    """LAPACK's symmetric eigensolver failed, or a degree-plus-adjacency
+    spectrum had a negative value; an internal error, not bad input."""

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedGraphError
+from .errors import FormatError
 from .graphs import _SPACE, MultiGraph
 
 _HEADER = ">>graph6<<"
@@ -36,7 +36,7 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_graph6(g: MultiGraph) -> str:
     if not g.is_simple():
-        raise UnsupportedGraphError("graph6 encodes simple graphs only")
+        raise FormatError("graph6 encodes simple graphs only")
     n = g.n
     if n > MAX_GRAPH6_VERTICES:
         raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ScaleError, UnsupportedGraphError
+from .errors import FormatError, ParameterError, ScaleError
 
 MAX_VERTICES = 4096
 
@@ -146,7 +146,7 @@ def _require_count_order(n: int) -> None:
 
 def _require_countable(g: MultiGraph) -> None:
     if not g.is_simple():
-        raise UnsupportedGraphError("subgraph counting is defined for simple graphs")
+        raise ParameterError("subgraph counting is defined for simple graphs")
     _require_count_order(g.n)
 
 
@@ -248,15 +248,6 @@ class ConeSpec:
             and self.t >= 1
             and self.q >= 1
             and self.s >= 1
-            and all(k >= 3 for k in self.cycles)
-            and all(l <= 2 for l in self.paths)
-        )
-
-    def is_f_family(self) -> bool:
-        """One star block plus cycles (>= 3), K2s and isolated vertices."""
-        return (
-            self.stars13 == 1
-            and self.q >= 1
             and all(k >= 3 for k in self.cycles)
             and all(l <= 2 for l in self.paths)
         )

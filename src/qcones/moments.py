@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FamilyError, ParameterError
+from .errors import ParameterError
 from .graphs import (
     ConeSpec,
     MultiGraph,
@@ -143,7 +143,7 @@ def _cone_counts(
 
 def _signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:
     if spec.has_digon():
-        raise FamilyError("closed-form counts need a simple cone (no C2 block)")
+        raise ParameterError("closed-form counts need a simple cone (no C2 block)")
     return (
         degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2),
     )

@@ -314,11 +314,14 @@ def _probe_edge_deletion(g: MultiGraph):
         _q_rows(itertools.chain((q,), (q - np.outer(b, b) for b in bs)))
     )
     vals = next(rows)[::-1]
+    # Q(g) = Q(g - uv) + b b^T: lambda_i(g) >= lambda_i(g - uv) >= lambda_{i+1}(g), or 0
+    lo = np.append(vals[1:], 0.0)
     for (u, v), row in zip(edges, rows):
         sub = row[::-1]
-        bad = np.nonzero(vals < sub - PROBE_TOL)[0]
+        bad = np.nonzero((vals < sub - PROBE_TOL) | (sub < lo - PROBE_TOL))[0]
         if bad.size:
             i = int(bad[0])
+            moved = "rose" if vals[i] < sub[i] - PROBE_TOL else "fell below its lower bound"
             return (
                 "fail",
                 {
@@ -327,7 +330,7 @@ def _probe_edge_deletion(g: MultiGraph):
                     "value": float(vals[i]),
                     "deleted_value": float(sub[i]),
                 },
-                f"eigenvalue {i + 1} rose after deleting edge ({u}, {v})",
+                f"eigenvalue {i + 1} {moved} after deleting edge ({u}, {v})",
             )
     return "pass", None, f"all {len(edges)} single-edge deletions interlace"
 

@@ -35,15 +35,12 @@ import numpy as np
 
 from qcones import (
     ConeSpec,
-    ContractViolationError,
-    FamilyError,
     FormatError,
     MultiGraph,
     ParameterError,
     ScaleError,
     SearchHit,
     SearchReport,
-    UnsupportedGraphError,
     moments_from_counts,
     q_spectrum,
     realize,
@@ -184,6 +181,16 @@ def g_family_spec(cycles, q: int, s: int) -> ConeSpec:
     return ConeSpec(cycles=tuple(cycles), paths=(2,) * q + (1,) * s)
 
 
+def is_f_family(spec: ConeSpec) -> bool:
+    """One star block plus cycles (>= 3), K2s and isolated vertices."""
+    return (
+        spec.stars13 == 1
+        and spec.q >= 1
+        and all(k >= 3 for k in spec.cycles)
+        and all(l <= 2 for l in spec.paths)
+    )
+
+
 def cone_from_builders(spec: ConeSpec) -> MultiGraph:
     """The cone of a spec from the named builders, in the documented vertex
     order: isolated vertices, K2s, longer paths (descending), cycles
@@ -302,7 +309,7 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     n = a.shape[0]
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ContractViolationError("matrix is not symmetric within 1e-12 (relative)")
+        raise ParameterError("matrix is not symmetric within 1e-12 (relative)")
     a = 0.5 * (a + a.T)
     if n == 1:
         return a.diagonal().copy()
@@ -499,8 +506,8 @@ def eigenvector_families(spec: ConeSpec) -> list[tuple[str, float, np.ndarray]]:
     'cycle-lift' zero-sum cycle vectors (k-1 per cycle), 'eig-2' star-leaf
     differences (2, one-star family only), and 'quartic' (4).
     """
-    if not (spec.is_g_family() or spec.is_f_family()):
-        raise FamilyError("eigenvector construction needs a family spec")
+    if not (spec.is_g_family() or is_f_family(spec)):
+        raise ParameterError("eigenvector construction needs a family spec")
     walk = [(kind, list(range(first, first + size))) for kind, first, size in _blocks(spec)]
     iso = [b[0] for kind, b in walk if kind == "path" and len(b) == 1]
     k2 = [b for kind, b in walk if kind == "path" and len(b) == 2]
@@ -666,7 +673,7 @@ def isomorphic(g: MultiGraph, h: MultiGraph) -> bool:
     completes the decision.  Symmetric and invariant under relabeling.
     """
     if not (g.is_simple() and h.is_simple()):
-        raise UnsupportedGraphError("isomorphism testing covers simple graphs only")
+        raise ParameterError("isomorphism testing covers simple graphs only")
     if g.n > MAX_ISO_VERTICES or h.n > MAX_ISO_VERTICES:
         raise ScaleError(f"isomorphism testing caps at {MAX_ISO_VERTICES} vertices")
     if g.n != h.n or g.num_edges != h.num_edges:
@@ -856,7 +863,7 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 
 def encode_graph6_bitwise(g: MultiGraph) -> str:
     if not g.is_simple():
-        raise UnsupportedGraphError("graph6 encodes simple graphs only")
+        raise FormatError("graph6 encodes simple graphs only")
     n = g.n
     if n > MAX_GRAPH6_VERTICES:
         raise FormatError(f"graph6 short form capped at n <= {MAX_GRAPH6_VERTICES}")

@@ -35,6 +35,7 @@ from helpers import (
     CHUNK_SIZES,
     brute_search_family,
     g_family_spec,
+    is_f_family,
     isomorphic,
     quartic_coeffs,
     quartic_roots,
@@ -93,7 +94,7 @@ def test_criterion_02_closed_f_spectra_match_numeric_grid():
     start = time.perf_counter()
     assert len(F_GRID) >= 200
     for spec in F_GRID:
-        assert spec.is_f_family()
+        assert is_f_family(spec)
         dist = spectrum_compare(closed_spectrum(spec), q_spectrum(realize(spec)))
         assert dist <= COSPECTRAL_TOL, f"{spec} deviates by {dist}"
     assert time.perf_counter() - start <= 60.0

@@ -308,7 +308,7 @@ class TestSpectrumCommand:
         code, doc, _ = run_json(
             capsys, "spectrum", FLAGSHIP_TEXT, "--numeric", "--group-tol", "1e300"
         )
-        assert code == 2
+        assert (code, doc["status"]) == (6, "internal")
         assert doc["error"] == "negative value -1e-06 in a degree-plus-adjacency spectrum"
 
     @pytest.mark.parametrize("text", ["K1 v C999999999", "K1 v 999999999K1"])

@@ -9,7 +9,6 @@ import pytest
 from qcones import (
     FormatError,
     MultiGraph,
-    UnsupportedGraphError,
     decode_graph6,
     encode_graph6,
 )
@@ -59,7 +58,7 @@ def test_single_vertex():
 
 
 def test_encode_rejects_multigraph():
-    with pytest.raises(UnsupportedGraphError):
+    with pytest.raises(FormatError, match="graph6 encodes simple graphs only"):
         encode_graph6(digon())
 
 

@@ -15,7 +15,6 @@ from qcones import (
     ScaleError,
     SearchHit,
     SearchReport,
-    UnsupportedGraphError,
     components_and_bipartiteness,
     degree_profile,
     encode_graph6,
@@ -761,7 +760,7 @@ class TestIsomorphic:
         assert not isomorphic(path_graph(4), star_graph(4))
 
     def test_rejects_multigraphs(self):
-        with pytest.raises(UnsupportedGraphError):
+        with pytest.raises(ParameterError, match="isomorphism testing covers simple graphs only"):
             isomorphic(realize(ConeSpec(cycles=(2,), paths=(1,))), complete_graph(4))
 
     def test_order_cap(self):
@@ -879,6 +878,33 @@ class TestProbes:
     def test_edge_deletion_on_multigraph(self):
         res = run_probe(realize(ConeSpec(cycles=(2,), paths=(2, 1))), "2.2")
         assert res.passed
+
+    @pytest.mark.parametrize("i", [1, 6])
+    def test_edge_deletion_checks_the_lower_bound(self, monkeypatch, i):
+        """Deleting an edge may not push eigenvalue i + 1 (1-based) below g's
+        next one, or below 0 for the last: the first deletion's value is set
+        1.0 under that bound, still under g's own eigenvalue i + 1."""
+        g = realize(FLAGSHIP)
+        vals = q_spectrum(g).values
+        low = (vals[i + 1] if i + 1 < g.n else 0.0) - 1.0
+
+        def lowered(matrices, real=search._q_rows):
+            chunks = real(matrices)
+            rows = next(chunks).copy()  # ascending rows, g's own first
+            rows[1, g.n - 1 - i] = low
+            yield rows
+            yield from chunks
+
+        monkeypatch.setattr(search, "_q_rows", lowered)
+        res = run_probe(g, "2.2")
+        us, vs = np.nonzero(np.triu(g.mult, 1))
+        edge = [int(us[0]), int(vs[0])]
+        assert res.status == "fail"
+        assert res.witness["edge"] == edge and res.witness["index"] == i + 1
+        assert res.witness["deleted_value"] == low < res.witness["value"] == vals[i]
+        assert res.message == (
+            f"eigenvalue {i + 1} fell below its lower bound after deleting edge {tuple(edge)}"
+        )
 
     def test_edge_deletion_skip(self):
         res = run_probe(MultiGraph(np.zeros((3, 3), dtype=np.int64)), "2.2")
