@@ -221,8 +221,8 @@ def cmd_spectrum(args) -> tuple[dict, int]:
 
 def cmd_moments(args) -> tuple[dict, int]:
     graph, spec = _read_input(args.input)
-    simple = not spec.has_digon() if graph is None else graph.is_simple()
-    if not simple:
+    # graph6 input is always simple; only a spec can hold a digon
+    if graph is None and spec.has_digon():
         raise ParameterError("moment identities are defined for simple graphs only")
     result = {**_describe(graph, spec), "from": args.source}
     counted = None

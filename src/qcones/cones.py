@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .eigen import GROUP_TOL, QSpectrum, _eigvalsh
+from .eigen import GROUP_TOL, QSpectrum, _q_rows
 from .errors import ConstructionError, InapplicableError, ScaleError
 from .graphs import MAX_VERTICES, ConeSpec
 from .moments import moments_closed_form
@@ -107,11 +107,13 @@ def _plain_values(spec: ConeSpec) -> list[tuple[float, str]]:
 
 
 def _quotient_values(n: int, main: dict) -> list[float]:
-    """Eigenvalues of the main-part quotient, largest first; `_main_values`
-    holds its order under the cap of every matrix the package builds."""
+    """Eigenvalues of the main-part quotient, largest first, from the
+    checked Q solve; `_main_values` holds its order under the cap of every
+    matrix the package builds."""
     m = np.diag([n - 1.0, *main])
     m[0, 1:] = m[1:, 0] = np.sqrt([w for w, _, _ in main.values()])
-    return _eigvalsh(m)[::-1].tolist()
+    (rows,) = _q_rows((m,))
+    return rows[0, ::-1].tolist()
 
 
 def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:

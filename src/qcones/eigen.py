@@ -1,16 +1,15 @@
 """Dense symmetric eigenvalues and grouped spectra.
 
 Every spectrum in the package comes from LAPACK's symmetric eigensolver
-(`np.linalg.eigvalsh`, behind `_eigvalsh`): one matrix at a time behind
-`sym_eigenvalues`, many same-order Q matrices at once behind `_q_rows`,
-which stacks them in chunks of at most CHUNK_ENTRIES entries, and the
-small main-part quotient behind each closed-form cone spectrum
-(`cones.closed_spectrum`).  A stacked call runs the same LAPACK routine on
-each matrix, so the first two give bitwise the same values.  The inputs are
-small integer positive-semidefinite matrices, where the solver agrees with
-an independent plane-rotation solver to within 1e-13.  There is no root
-finder.  A LAPACK failure, or a negative value in a Q spectrum, raises
-`EigensolverError`.
+(`np.linalg.eigvalsh`, behind `_eigvalsh`), through two entry points:
+`sym_eigenvalues` for one symmetric matrix (the adjacency spectrum), and
+`_q_rows`, the one checked path for every Q spectrum: the rows of
+same-order batches, `q_spectrum`'s single row, and the main-part quotient
+behind each closed-form cone spectrum (`cones.closed_spectrum`).  The
+inputs are small integer positive-semidefinite matrices, where the solver
+agrees with an independent plane-rotation solver to within 1e-13.  There
+is no root finder.  A LAPACK failure, or a negative value in a Q spectrum,
+raises `EigensolverError`.
 """
 
 from __future__ import annotations
@@ -105,9 +104,6 @@ class QSpectrum:
     def __iter__(self):
         return iter(self.values)
 
-    def power_sum(self, r: int) -> float:
-        return float((self.values ** r).sum())
-
     def multiplicity_at(self, x: float, tol: float = 1e-7) -> int:
         """Total size of the groups whose representative lies within tol of x."""
         return sum(g.multiplicity for g in self.groups if abs(g.value - x) <= tol)
@@ -137,13 +133,6 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + at)
 
 
-def _require_psd(lowest) -> None:
-    if lowest < -_PSD_TOL:
-        raise EigensolverError(
-            f"negative value {float(lowest)!r} in a degree-plus-adjacency spectrum"
-        )
-
-
 def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
     a = np.asarray(matrix, dtype=np.float64)
@@ -153,36 +142,41 @@ def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
 
 
 def q_spectrum(g: MultiGraph, group_tol: float = GROUP_TOL) -> QSpectrum:
-    """Numeric signless-Laplacian spectrum; validates positive semidefiniteness."""
-    spec = sym_eigenvalues(q_matrix(g), group_tol=group_tol)
-    _require_psd(spec.values[-1])
-    return spec
+    """Numeric signless-Laplacian spectrum: the one row of `_q_rows`."""
+    (rows,) = _q_rows((q_matrix(g),))
+    return QSpectrum(rows[0], group_tol=group_tol)
 
 
 def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Ascending eigenvalues of same-order Q matrices, one (k, n) array per
     chunk of at most CHUNK_ENTRIES stacked entries (one matrix at least).
 
-    Each matrix passes the checks of `q_spectrum`, and each row is bitwise
-    `q_spectrum`'s values reversed.  Matrices are read only as chunks need
-    them, so a caller that stops early solves no further chunk.  A chunk
-    holds its matrices while they are copied into the float64 stack, so a
-    full chunk from a generator peaks at about twice CHUNK_ENTRIES entries
-    (about 2 MiB); a stack of fewer matrices allocates only its own size.
+    Each matrix must be symmetric within 1e-12 (relative); a value below
+    -1e-9 raises `EigensolverError`, as Q = D + A is semidefinite.  Matrices
+    are read only as chunks need them, so a caller that stops early solves
+    no further chunk.  A lone float64 matrix is solved from a view, with no
+    copy; a full chunk from a generator peaks at about twice CHUNK_ENTRIES
+    entries (about 2 MiB) while it is copied into the float64 stack.
     """
     it = iter(matrices)
     for first in it:
-        cap = max(1, CHUNK_ENTRIES // first.size)
-        stack = np.array([first, *itertools.islice(it, cap - 1)], dtype=np.float64)
+        rest = list(itertools.islice(it, max(1, CHUNK_ENTRIES // first.size) - 1))
+        if rest:
+            stack = np.array([first, *rest], dtype=np.float64)
+        else:
+            stack = np.asarray(first, dtype=np.float64)[None]
         rows = _eigvalsh(_symmetric(stack))
-        _require_psd(rows[:, 0].min())
+        lowest = rows[:, 0].min()
+        if lowest < -_PSD_TOL:
+            raise EigensolverError(
+                f"negative value {float(lowest)!r} in a degree-plus-adjacency spectrum"
+            )
         yield rows
 
 
-def spectrum_compare(a, b) -> float:
-    """L-infinity distance between two sorted spectra of equal size."""
-    va = a.values if isinstance(a, QSpectrum) else np.sort(np.asarray(a, float))[::-1]
-    vb = b.values if isinstance(b, QSpectrum) else np.sort(np.asarray(b, float))[::-1]
-    if va.size != vb.size:
-        raise ParameterError(f"spectra sizes differ: {va.size} vs {vb.size}")
-    return float(np.abs(va - vb).max())
+def spectrum_compare(a: QSpectrum, b: QSpectrum) -> float:
+    """L-infinity distance between two `QSpectrum`s of equal size, value by
+    value in their non-increasing order."""
+    if len(a) != len(b):
+        raise ParameterError(f"spectra sizes differ: {len(a)} vs {len(b)}")
+    return float(np.abs(a.values - b.values).max())

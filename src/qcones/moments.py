@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eigen import QSpectrum
 from .errors import ParameterError
 from .graphs import (
     ConeSpec,
@@ -82,20 +83,13 @@ def moments_from_counts(g: MultiGraph) -> MomentVector:
     return _moments(g.num_edges, brute_counts(g))
 
 
-def moments_from_spectrum(q_spec, adjacency_spec=None) -> MomentVector:
-    """Power sums of a Q-spectrum; S4 comes from a separately supplied
-    adjacency spectrum and is None when that is omitted."""
-    vals = np.asarray(
-        q_spec.values if hasattr(q_spec, "values") else q_spec, dtype=np.float64
-    )
-    sums = [float((vals ** r).sum()) for r in (1, 2, 3, 4)]
-    s4 = None
-    if adjacency_spec is not None:
-        avals = np.asarray(
-            adjacency_spec.values if hasattr(adjacency_spec, "values") else adjacency_spec,
-            dtype=np.float64,
-        )
-        s4 = float((avals ** 4).sum())
+def moments_from_spectrum(
+    q_spec: QSpectrum, adjacency_spec: QSpectrum | None = None
+) -> MomentVector:
+    """Power sums of a `QSpectrum`; S4 comes from a separately supplied
+    adjacency `QSpectrum` and is None when that is omitted."""
+    sums = [float((q_spec.values ** r).sum()) for r in (1, 2, 3, 4)]
+    s4 = None if adjacency_spec is None else float((adjacency_spec.values ** 4).sum())
     return MomentVector(*sums, s4)
 
 

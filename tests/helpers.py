@@ -38,6 +38,7 @@ from qcones import (
     FormatError,
     MultiGraph,
     ParameterError,
+    QSpectrum,
     ScaleError,
     SearchHit,
     SearchReport,
@@ -189,6 +190,11 @@ def is_f_family(spec: ConeSpec) -> bool:
         and all(k >= 3 for k in spec.cycles)
         and all(l <= 2 for l in spec.paths)
     )
+
+
+def power_sum(spec: QSpectrum, r: int) -> float:
+    """The r-th power sum of a spectrum's values."""
+    return float((spec.values ** r).sum())
 
 
 def cone_from_builders(spec: ConeSpec) -> MultiGraph:
@@ -617,7 +623,7 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     candidates (n <= 64)."""
     tspec = q_spectrum(realize(target))
     n = target.n
-    t1, t2, t3, t4 = (round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+    t1, t2, t3, t4 = (round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
     candidates = {target}
     for n4 in (0, 1):
         counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
@@ -755,7 +761,7 @@ def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
     tspec = q_spectrum(tgraph)
     n = len(tspec)
     pairs = pair_order(n)
-    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
+    t1, t2, t3 = (round(power_sum(tspec, r)) for r in (1, 2, 3))
     tvals = np.sort(tspec.values)
     compare = tgraph if tgraph.is_simple() else None
     hits = []

@@ -221,6 +221,13 @@ class TestSpectrumCommand:
         assert code == 0
         assert doc["result"]["numeric"]["values"] == [4.0, 1.0, 1.0]
 
+    def test_numeric_route_accepts_the_graph6_header(self, capsys):
+        # the optional header holds the digit 6, which spec text also holds
+        code, doc, _ = run_json(capsys, "spectrum", ">>graph6<<Bw", "--numeric")
+        assert code == 0
+        assert doc["result"]["n"] == 3
+        assert doc["result"]["numeric"]["values"] == [4.0, 1.0, 1.0]
+
     def test_non_ascii_graph6_rejected(self, capsys):
         # "é" once decoded as "?" (six zero bits), so "Bé" answered as 3K1
         code, out, err = run_cli(capsys, "spectrum", "Bé", "--numeric")
@@ -304,11 +311,19 @@ class TestSpectrumCommand:
             assert loose["result"][route]["values"] == default["result"][route]["values"]
 
     def test_semidefinite_check_survives_a_huge_group_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setattr("qcones.eigen._eigvalsh", lambda a: np.full(a.shape[-1], -1e-6))
+        monkeypatch.setattr("qcones.eigen._eigvalsh", lambda a: np.full(a.shape[:-1], -1e-6))
         code, doc, _ = run_json(
             capsys, "spectrum", FLAGSHIP_TEXT, "--numeric", "--group-tol", "1e300"
         )
         assert (code, doc["status"]) == (6, "internal")
+        assert doc["error"] == "negative value -1e-06 in a degree-plus-adjacency spectrum"
+
+    @pytest.mark.parametrize("text", [FLAGSHIP_TEXT, "K1 v C2 + P6 + K13 + K1"])
+    def test_closed_route_checks_semidefiniteness(self, capsys, monkeypatch, text):
+        # the main-part quotient is solved on the checked Q path too
+        monkeypatch.setattr("qcones.eigen._eigvalsh", lambda a: np.full(a.shape[:-1], -1e-6))
+        code, doc, _ = run_json(capsys, "spectrum", text, "--closed")
+        assert (code, doc["status"], doc["result"]) == (6, "internal", None)
         assert doc["error"] == "negative value -1e-06 in a degree-plus-adjacency spectrum"
 
     @pytest.mark.parametrize("text", ["K1 v C999999999", "K1 v 999999999K1"])
@@ -549,6 +564,7 @@ class TestLapackFailure:
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", FLAGSHIP_TEXT, "--numeric"),
+        ("spectrum", FLAGSHIP_TEXT, "--closed"),
         ("search", FLAGSHIP_TEXT, "--exhaustive"),
     ])
     def test_exits_6(self, capsys, argv):

@@ -10,6 +10,7 @@ from qcones import (
     ConeSpec,
     MultiGraph,
     ParameterError,
+    QSpectrum,
     adjacency_matrix,
     brute_counts,
     degree_profile,
@@ -89,16 +90,16 @@ class TestMomentsFromCounts:
 
 class TestMomentsFromSpectrum:
     def test_power_sums(self):
-        mv = moments_from_spectrum([2.0, 0.0])
+        mv = moments_from_spectrum(QSpectrum([2.0, 0.0]))
         assert mv[:4] == (2.0, 4.0, 8.0, 16.0)
         assert mv.s4 is None
 
     def test_zero_spectrum(self):
-        mv = moments_from_spectrum([0.0, 0.0, 0.0])
+        mv = moments_from_spectrum(QSpectrum([0.0, 0.0, 0.0]))
         assert mv[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_adjacency_side(self):
-        mv = moments_from_spectrum([2.0, 0.0], [1.0, -1.0])
+        mv = moments_from_spectrum(QSpectrum([2.0, 0.0]), QSpectrum([1.0, -1.0]))
         assert mv.s4 == 2.0
 
 

@@ -65,6 +65,7 @@ from helpers import (
     path_graph,
     permutation_bits,
     permutation_orbit,
+    power_sum,
     qstack_scan,
     random_cone_spec,
     random_graph,
@@ -296,7 +297,7 @@ class TestFamilySearchFromSpecs:
         for spec in specs:
             q = q_matrix(realize(spec))
             tspec = q_spectrum(realize(spec))
-            want = tuple(round(tspec.power_sum(r)) for r in (1, 2, 3, 4))
+            want = tuple(round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
             assert _power_traces(q) == want, spec
 
 
@@ -314,7 +315,7 @@ def _profiles(n: int):
 def _solved_profiles(target):
     """solve_degree_system on the target's moments, for n4 = 0 and 1."""
     tspec = q_spectrum(realize(target))
-    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
+    t1, t2, t3 = (round(power_sum(tspec, r)) for r in (1, 2, 3))
     return [solve_degree_system(t1, t2, t3, target.n, target.n - 1, n4) for n4 in (0, 1)]
 
 
@@ -566,7 +567,7 @@ def scan_args(g: MultiGraph):
     """(n, m, degree-square sum, tr(Q^3), ascending spectrum) of a graph,
     the key from its spectrum's rounded power sums."""
     tspec = q_spectrum(g)
-    t1, t2, t3 = (round(tspec.power_sum(r)) for r in (1, 2, 3))
+    t1, t2, t3 = (round(power_sum(tspec, r)) for r in (1, 2, 3))
     return g.n, t1 // 2, t2 - t1, t3, np.sort(tspec.values)
 
 
@@ -904,6 +905,39 @@ class TestProbes:
         assert res.witness["deleted_value"] == low < res.witness["value"] == vals[i]
         assert res.message == (
             f"eigenvalue {i + 1} fell below its lower bound after deleting edge {tuple(edge)}"
+        )
+
+    @pytest.mark.parametrize("bound", ["upper", "lower"])
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_dominating_vertex_failure_reports_both_bounds(self, monkeypatch, i, bound):
+        """The first deletion's value i + 1 (1-based) is set 1.0 past one of
+        its bounds: g's own value i + 1, or g's value i + 2, less 1."""
+        g = realize(FLAGSHIP)
+        vals = q_spectrum(g).values
+        upper, lower = vals[i] - 1, vals[i + 1] - 1
+        value = upper + 1.0 if bound == "upper" else lower - 1.0
+        solves = []
+
+        def perturbed(matrices, real=search._q_rows):
+            chunks = real(matrices)
+            solves.append(1)
+            if len(solves) == 1:  # g's own Q
+                yield from chunks
+                return
+            rows = next(chunks).copy()  # ascending rows of order n - 1
+            rows[0, g.n - 2 - i] = value
+            yield rows
+            yield from chunks
+
+        monkeypatch.setattr(search, "_q_rows", perturbed)
+        res = run_probe(g, "2.3")
+        v = int(_dominating_vertices(g)[0])
+        assert res.status == "fail"
+        assert res.witness == {
+            "vertex": v, "index": i + 1, "value": value, "upper": upper, "lower": lower,
+        }
+        assert res.message == (
+            f"shifted interlacing fails at position {i + 1} after removing vertex {v}"
         )
 
     def test_edge_deletion_skip(self):
