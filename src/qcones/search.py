@@ -215,7 +215,7 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         own = bits @ np.left_shift(1, np.arange(bits.size))
         survivors = np.concatenate(([own], survivors))
     reps = _class_reps(survivors, n)
-    classes = np.unique(reps)
+    classes = np.array(sorted(set(reps.tolist())), dtype=np.int64)  # np.unique loads numpy.ma
     isos = classes == reps[0] if simple else np.zeros(classes.size, dtype=bool)
     q = _q_stack(classes, n)
     # the target's own class is a hit at distance 0.0: only the others are solved

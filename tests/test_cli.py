@@ -18,6 +18,7 @@ from qcones import (
     realize,
 )
 from qcones.cli import format_spec_text, main, parse_spec_text
+from qcones.search import PROBE_IDS
 
 from helpers import cycle_graph, disjoint_union, g_family_spec
 
@@ -779,6 +780,43 @@ def test_import_builds_no_exhaustive_table():
          "assert _classes.cache_info().currsize == 0\n"
          "assert _extension_moments.cache_info().currsize == 0\n"
          "assert _pair_index.cache_info().currsize == 0\n"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_imports_a_module_after_the_cli():
+    # a fresh interpreter, since another test may have loaded numpy.ma (which
+    # np.unique pulls in, at 16-19 ms and 0.5-0.7 MB per process)
+    probe_5_1 = "K1 v K13 + C6 + C6 + C4 + C4 + P6 + 4K2 + 8K1"
+    calls = [
+        (["spectrum", FLAGSHIP_TEXT, "--closed"], 0),
+        (["spectrum", FLAGSHIP_TEXT, "--numeric"], 0),
+        (["spectrum", FLAGSHIP_TEXT, "--both"], 0),
+        (["spectrum", FLAGSHIP_TEXT, "--format", "csv"], 0),
+        (["moments", FLAGSHIP_TEXT, "--from", "both"], 0),
+        (["moments", encode_graph6(realize(parse_spec_text(FLAGSHIP_TEXT))), "--from", "both"], 0),
+        (["mate", "K1 v C6 + 2K2 + 1K1", "--theorem", "11"], 0),
+        (["mate", FLAGSHIP_TEXT, "--theorem", "13"], 0),
+        (["search", FLAGSHIP_TEXT, "--family"], 0),
+        (["search", "FT{GW", "--exhaustive"], 0),
+        *((["probe", probe_5_1 if lemma == "5.1" else FLAGSHIP_TEXT, "--lemma", lemma], 0)
+          for lemma in PROBE_IDS),
+        (["spectrum", "K1 v C3 +"], 2),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, json, sys\n"
+         "from qcones.cli import main\n"
+         "before = set(sys.modules)\n"
+         "for argv, want in json.loads(sys.argv[1]):\n"
+         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+         "        code = main(argv)\n"
+         "    assert code == want, (argv, code)\n"
+         "    gained = sorted(set(sys.modules) - before)\n"
+         "    assert not gained, (argv, gained)\n",
+         json.dumps(calls)],
         capture_output=True,
         text=True,
     )

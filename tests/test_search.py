@@ -473,7 +473,9 @@ class TestTargetClassSolvedOnce:
         # every one of the 910 key matches survives: with the target, 911
         # masks in 86 classes, one of them the target's own
         (decode_graph6("Gz]C?{"), 1e9, 911, 86),
-    ], ids=["flagship", "order-eight-one-class", "order-eight-wide"])
+        # the 127 key matches of n = 7's widest target, and the target
+        (decode_graph6("F}_@W"), 1e9, 128, 11),
+    ], ids=["flagship", "order-eight-one-class", "order-eight-wide", "order-seven-wide"])
     def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, masks, classes):
         split = []
         report, calls = self._solved(monkeypatch, target, tol, split)
@@ -484,6 +486,8 @@ class TestTargetClassSolvedOnce:
         want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(np.unique(seen), target.n))
         assert [graph_mask(h.candidate) for h in report.hits] == want
         assert len(report.hits) == classes
+        # every class is a hit, in strictly ascending order like np.unique's
+        assert want == np.unique(_class_reps(seen, target.n)).tolist()
         (own,) = [h for h in report.hits if h.isomorphic]
         assert own.distance == 0.0 and isomorphic(own.candidate, target)
         # the scan's batch (the target first), then the other classes only
