@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .eigen import (
     QSpectrum,
-    adjacency_matrix,
     q_matrix,
     q_spectrum,
     spectrum_compare,
@@ -37,9 +36,7 @@ from .cones import (
     triangle_star_mate,
 )
 from .moments import (
-    CountVector,
     MomentVector,
-    brute_counts,
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,

@@ -46,7 +46,6 @@ from .graph6 import decode_graph6, encode_graph6
 from .eigen import (
     GROUP_TOL,
     QSpectrum,
-    adjacency_matrix,
     q_spectrum,
     spectrum_compare,
     sym_eigenvalues,
@@ -235,7 +234,7 @@ def cmd_moments(args) -> tuple[dict, int]:
         graph = _graph(graph, spec)
         spectral = moments_from_spectrum(
             q_spectrum(graph),
-            adjacency_spec=sym_eigenvalues(adjacency_matrix(graph)),
+            adjacency_spec=sym_eigenvalues(graph.mult),
         )
         result["spectrum_moments"] = _moment_payload(spectral)
     if args.source == "both":

@@ -36,10 +36,6 @@ def q_matrix(g: MultiGraph) -> np.ndarray:
     return m
 
 
-def adjacency_matrix(g: MultiGraph) -> np.ndarray:
-    return g.mult.astype(np.float64)
-
-
 class Group(NamedTuple):
     value: float
     multiplicity: int

@@ -151,18 +151,14 @@ def _require_countable(g: MultiGraph) -> None:
 
 
 def count_subgraphs(g: MultiGraph, pattern: str) -> int:
-    """Count P3, C3 or C4 subgraphs from degrees and common neighbours.
+    """Count C3 or C4 subgraphs from common neighbours.
 
     With c = A @ A the common-neighbour counts, C3 = sum(c * A) / 6 and
     C4 = sum_{u<v} C(c_uv, 2) / 2 (each 4-cycle has two diagonal pairs, each
     closed by its two common neighbours).  No trace identity enters, so the
-    result can still check tr(A^4) against the spectrum.  P3 uses the degree
-    binomial sum.
+    result can still check tr(A^4) against the spectrum.
     """
     _require_countable(g)
-    if pattern == "P3":
-        d = g.degrees()
-        return int((d * (d - 1) // 2).sum())
     adj = (g.mult > 0).astype(np.int64)
     common = adj @ adj
     if pattern == "C3":
@@ -170,7 +166,7 @@ def count_subgraphs(g: MultiGraph, pattern: str) -> int:
     if pattern == "C4":
         x = common * (common - 1)
         return (int(x.sum()) - int(x.trace())) // 8
-    raise ParameterError(f"unknown pattern {pattern!r}; expected P3, C3 or C4")
+    raise ParameterError(f"unknown pattern {pattern!r}; expected C3 or C4")
 
 
 def t_bar_f_bar(g: MultiGraph) -> tuple[int, int]:

@@ -46,28 +46,6 @@ class CountVector(NamedTuple):
     d4: int
 
 
-def _degree_sums(g: MultiGraph) -> tuple[int, int, int]:
-    d = g.degrees()
-    return int((d ** 2).sum()), int((d ** 3).sum()), int((d ** 4).sum())
-
-
-def brute_counts(g: MultiGraph) -> CountVector:
-    """All count ingredients from degrees and common-neighbour counts
-    (simple graphs, n <= 64)."""
-    d2, d3, d4 = _degree_sums(g)
-    t_term, f_term = t_bar_f_bar(g)
-    return CountVector(
-        p3=count_subgraphs(g, "P3"),
-        c3=count_subgraphs(g, "C3"),
-        c4=count_subgraphs(g, "C4"),
-        t_term=t_term,
-        f_term=f_term,
-        d2=d2,
-        d3=d3,
-        d4=d4,
-    )
-
-
 def _moments(m: int, counts: CountVector) -> MomentVector:
     """Exact integer moment vector (T1..T4, S4) from m edges and the counts."""
     t1 = 2 * m
@@ -79,8 +57,15 @@ def _moments(m: int, counts: CountVector) -> MomentVector:
 
 
 def moments_from_counts(g: MultiGraph) -> MomentVector:
-    """Exact integer moment vector (T1..T4, S4) of a simple graph."""
-    return _moments(g.num_edges, brute_counts(g))
+    """Exact integer moment vector (T1..T4, S4) of a simple graph (n <= 64),
+    from its degree power sums and common-neighbour counts, with
+    P3 = sum C(d, 2) = (sum d^2 - 2m) / 2."""
+    t_term, f_term = t_bar_f_bar(g)
+    d = g.degrees()
+    d2, d3, d4 = (int((d ** r).sum()) for r in (2, 3, 4))
+    m = g.num_edges
+    c3, c4 = count_subgraphs(g, "C3"), count_subgraphs(g, "C4")
+    return _moments(m, CountVector((d2 - 2 * m) // 2, c3, c4, t_term, f_term, d2, d3, d4))
 
 
 def moments_from_spectrum(

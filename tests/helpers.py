@@ -7,7 +7,9 @@ The graph builders (`from_edges`, `path_graph`, `cycle_graph`, `digon`,
 F families, which the tests check by its residuals against Q.
 
 The counters here are deliberately written in the dumbest possible way
-(subset enumeration) so they share no code path with the package.  The
+(subset enumeration) so they share no code path with the package;
+`brute_counts` assembles them into the counts behind the moments, the
+reference for `moments_from_counts` and the closed-form cone counts.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The paper's quartic, with its coefficients, root
@@ -42,17 +44,20 @@ from qcones import (
     ScaleError,
     SearchHit,
     SearchReport,
+    count_subgraphs,
     moments_from_counts,
     q_spectrum,
     realize,
     solve_degree_system,
     spectrum_compare,
+    t_bar_f_bar,
 )
 from qcones import eigen
 from qcones.cones import _main_values, _quotient_values
 from qcones.family import _family_with_signature, _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES
 from qcones.graphs import _blocks
+from qcones.moments import CountVector
 from qcones.orbits import _classes, _q_stack
 from qcones.search import _spectra
 
@@ -266,6 +271,29 @@ def naive_f_bar(g: MultiGraph) -> int:
         for u, v in combinations(range(g.n), 2)
         if adj(u, v)
     )
+
+
+# the subset-enumeration counters are quick up to this order
+NAIVE_COUNT_VERTICES = 16
+
+
+def brute_counts(g: MultiGraph) -> CountVector:
+    """The eight count ingredients of a simple graph's moments.
+
+    Up to NAIVE_COUNT_VERTICES vertices they come from the naive counters
+    above; beyond, from `count_subgraphs`, `t_bar_f_bar` and P3 as the sum
+    of C(d, 2).  Degree power sums are summed as Python ints.
+    """
+    d = [int(x) for x in g.degrees()]
+    d2, d3, d4 = (sum(x ** r for x in d) for r in (2, 3, 4))
+    if g.n <= NAIVE_COUNT_VERTICES:
+        p3, c3, c4 = naive_p3(g), naive_c3(g), naive_c4(g)
+        t_term, f_term = naive_t_bar(g), naive_f_bar(g)
+    else:
+        t_term, f_term = t_bar_f_bar(g)
+        p3 = sum(x * (x - 1) // 2 for x in d)
+        c3, c4 = count_subgraphs(g, "C3"), count_subgraphs(g, "C4")
+    return CountVector(p3, c3, c4, t_term, f_term, d2, d3, d4)
 
 
 # ---------------------------------------------------------------------------

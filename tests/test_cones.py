@@ -15,6 +15,7 @@ from qcones import (
     closed_spectrum,
     even_cycle_split_candidate,
     largest_q_eigenvalue,
+    parse_spec_text,
     q_matrix,
     q_spectrum,
     realize,
@@ -26,15 +27,19 @@ from qcones import cones
 from helpers import (
     RESIDUAL_TOL,
     char_poly_4x4,
+    cycle_graph,
+    digon,
     eigenvector_families,
     g_family_spec,
     is_f_family,
+    path_graph,
     power_sum,
     quartic_coeffs,
     quartic_roots,
     quotient_matrix,
     random_cone_spec,
     residual,
+    star_graph,
 )
 
 FLAGSHIP = g_family_spec([3], 1, 1)
@@ -360,10 +365,16 @@ class TestTriangleStarMate:
 
     def test_cospectral_but_not_isomorphic(self):
         rng = random.Random(17)
+        pairs = []
         for _ in range(8):
             cycles = [3] + [rng.randrange(3, 9) for _ in range(rng.randrange(0, 2))]
             spec = g_family_spec(cycles, rng.randrange(1, 4), rng.randrange(1, 4))
-            mate = triangle_star_mate(spec)
+            pairs.append((spec, triangle_star_mate(spec)))
+        # the C3 + K1 -> K13 swap applied twice, which no single mate makes
+        pairs.append((
+            parse_spec_text("K1 v C3 + C3 + K2 + 2K1"), parse_spec_text("K1 v K13 + K13 + K2"),
+        ))
+        for spec, mate in pairs:
             ga, gb = realize(spec), realize(mate)
             assert spectrum_compare(q_spectrum(ga), q_spectrum(gb)) <= 1e-8
             assert sorted(ga.degrees()) != sorted(gb.degrees())
@@ -375,6 +386,64 @@ class TestTriangleStarMate:
     def test_requires_isolated_vertex(self):
         with pytest.raises(InapplicableError):
             triangle_star_mate(ConeSpec(cycles=(3,), paths=(2,)))
+
+
+def _block_graphs(spec: ConeSpec) -> list:
+    """The base blocks of a spec as graphs, independently of `realize`."""
+    return (
+        [digon() if k == 2 else cycle_graph(k) for k in spec.cycles]
+        + [path_graph(l) for l in spec.paths]
+        + [star_graph(4)] * spec.stars13
+    )
+
+
+def _phi_psi(sp, block):
+    """(phi_B, psi_B) of one base block, as sympy polynomials in x."""
+    x = sp.Symbol("x")
+    m = sp.Matrix(q_matrix(block).astype(int).tolist()) + sp.eye(block.n)
+    phi = m.charpoly(x).as_expr()
+    # det(xI - M + J) is the characteristic polynomial of M - J
+    return phi, sp.expand((m - sp.ones(block.n, block.n)).charpoly(x).as_expr() - phi)
+
+
+class TestTheorem13Exact:
+    """Theorem 13 as an exact polynomial identity.
+
+    With the apex last, Q of a cone is [[M, 1], [1^T, n - 1]] with
+    M = Q_H + I block diagonal.  For a block B let phi_B = det(xI - M_B) and
+    psi_B = det(xI - M_B + J) - phi_B.  The matrix determinant lemma gives
+    det(xI - Q) = Phi (x - n + 1) - sum_B psi_B prod_{B' != B} phi_B', with
+    Phi the product of all phi_B.  If C3 + K1 and K13 have the same phi and
+    the same psi-sum, swapping one for the other keeps the characteristic
+    polynomial, for every other block and every number of swaps.
+    """
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    def test_claw_block_matches_triangle_plus_isolated_vertex(self, sp):
+        phi_c3, psi_c3 = _phi_psi(sp, cycle_graph(3))
+        phi_k1, psi_k1 = _phi_psi(sp, path_graph(1))
+        phi_k13, psi_k13 = _phi_psi(sp, star_graph(4))
+        assert sp.expand(phi_c3 * phi_k1 - phi_k13) == 0
+        assert sp.expand(psi_c3 * phi_k1 + psi_k1 * phi_c3 - psi_k13) == 0
+
+    @pytest.mark.parametrize("text", [
+        "K1 v C3 + P3 + K2 + K1",
+        "K1 v C2 + C3 + K2 + K1",
+        "K1 v K13 + C4 + K2",
+    ])
+    def test_bordered_identity_is_the_characteristic_polynomial(self, sp, text):
+        x = sp.Symbol("x")
+        spec = parse_spec_text(text)
+        blocks = [_phi_psi(sp, b) for b in _block_graphs(spec)]
+        phis = [phi for phi, _ in blocks]
+        bordered = sp.Mul(*phis) * (x - spec.n + 1) - sum(
+            psi * sp.Mul(*(phis[:i] + phis[i + 1:])) for i, (_, psi) in enumerate(blocks)
+        )
+        q = sp.Matrix(q_matrix(realize(spec)).astype(int).tolist())
+        assert sp.expand(bordered - q.charpoly(x).as_expr()) == 0
 
 
 class TestEvenCycleSplit:
