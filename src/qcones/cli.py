@@ -12,9 +12,11 @@ or a Q spectrum had a negative value; a bug, not bad input).
 target's order against the n <= 64 cap of the counts before it realizes
 anything, so an inapplicable or over-cap input exits with no matrix built.
 Each subparser declares its handler, its `params` echo and (spectrum and
-moments) its CSV renderer with `set_defaults`.  `search --jobs` is still
-parsed and must be >= 1, but the exhaustive scan runs in this process and
-the value changes nothing.
+moments) its CSV renderer with `set_defaults`.  An argv that starts with a
+command name is parsed once, by that subparser alone; leftover arguments
+get the top-level parser's error, as `parse_args` would give it.
+`search --jobs` is still parsed and must be >= 1, but the exhaustive scan
+runs in this process and the value changes nothing.
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ def _mode_flags(parser, required: bool, **flags: str) -> None:
                            default=argparse.SUPPRESS, help=help_text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="qcones",
         description=(
@@ -422,10 +424,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("input", help="cone spec text or graph6 string")
     pr.add_argument("--lemma", required=True, help="probe id, e.g. 2.4")
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+# the parser, and its subparsers by command name
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _check_tolerances(args) -> None:
@@ -438,7 +441,14 @@ def _check_tolerances(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h or an unknown command
+        args = _PARSER.parse_args(argv)
+    else:  # the top-level pass would only set `command`
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     doc = {
         "command": args.command,
         "input": args.input,

@@ -63,21 +63,27 @@ def _orbit(mask: int, n: int) -> np.ndarray:
     return orbit
 
 
+def _orbit_members(mask: int, n: int, masks: np.ndarray) -> tuple[int, np.ndarray]:
+    """The lowest mask of `mask`'s class, and which of the int32 `masks`
+    lie in its orbit: one n! sort, then a log n! binary search per mask."""
+    orbit = np.sort(_orbit(mask, n))
+    return int(orbit[0]), orbit.take(np.searchsorted(orbit, masks), mode="clip") == masks
+
+
 def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
     """The lowest mask of each mask's class, from one orbit per class.
 
     The first mask not yet placed gives its sorted orbit; every remaining
-    mask found in it by binary search takes the orbit's minimum, and the
-    rest go round again.  So the cost is one orbit and one n! sort per
+    mask found in it takes the orbit's minimum, and the rest go round
+    again (`_orbit_members`).  So the cost is one orbit and one n! sort per
     class plus a log n! search per mask.
     """
     reps = np.empty(masks.size, dtype=np.int64)
     todo = np.arange(masks.size)
     left = masks.astype(np.int32)  # every mask fits, as in the orbits
     while todo.size:
-        orbit = np.sort(_orbit(int(left[0]), n))
-        found = orbit.take(np.searchsorted(orbit, left), mode="clip") == left
-        reps[todo[found]] = orbit[0]
+        low, found = _orbit_members(int(left[0]), n, left)
+        reps[todo[found]] = low
         todo, left = todo[~found], left[~found]
     return reps
 

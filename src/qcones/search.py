@@ -11,10 +11,11 @@ exhaustive search of a graph or cone spec covers every simple graph on up
 to 8 vertices by joining one vertex in every way to each isomorphism class
 of one order less (`qcones.orbits`).  A table per order, built on first
 use, packs each such extension's edge count, degree-square sum and tr(Q^3)
-in one integer, so a target costs one key lookup before one batched
-eigensolve of itself and its matches; the survivors split into classes by one sorted relabelling
-orbit per class, one graph per class reported, and only the classes other
-than the target's own are solved again.
+in one integer, so a target costs one key lookup.  A simple target's own
+sorted relabelling orbit comes first and takes every match in it; only
+the matches outside it are eigensolved, in one batch behind the target,
+and the survivors split into classes by one sorted orbit per class, each
+reported by one graph once its representative is solved again.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
@@ -44,7 +45,7 @@ from .cones import largest_q_eigenvalue
 from .graph6 import _pair_index
 from .eigen import _q_rows, q_matrix, q_spectrum
 from .family import _family_size, _family_with_signature
-from .orbits import _class_reps, _moment_matches, _q_stack
+from .orbits import _class_reps, _moment_matches, _orbit_members, _q_stack
 from .moments import signatures_with_moments, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
@@ -178,21 +179,22 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
        first search of order n, packs the key of each extension of
        `_classes(n - 1)` (9 984 at n = 7, 133 632 at n = 8) in one integer,
        and one comparison picks the extensions with the target's key;
-    2. eigensolve those in one batch, with the target's Q as row 0, and
-       keep the ones within `tol` of the target spectrum;
-    3. split the survivors, after a simple target's own mask, into classes
-       (`orbits._class_reps`: one sorted orbit per class, found by binary
-       search), so a target whose survivors are all its relabellings takes
-       a single orbit;
-    4. report each class whose representative, its lowest mask, is within
-       `tol` too, from one more batch of the classes other than the
-       target's own.
+    2. own orbit: a simple target's sorted relabelling orbit drops every
+       match in it (`orbits._orbit_members`).  Its class is a hit at
+       distance zero, never solved: equal graphs have equal spectra,
+       solver noise aside;
+    3. eigensolve the matches left in one batch, with the target's Q as
+       row 0, and keep the ones within `tol` of the target spectrum; with
+       no match left nothing is solved;
+    4. split the survivors into classes (`orbits._class_reps`: one sorted
+       orbit per class, found by binary search), and report each class
+       whose representative, its lowest mask, is within `tol` too, from
+       one more batch.
 
-    Hits are therefore class representatives in lowest-bitmask order.  A
-    hit is isomorphic to the target when the target's own mask lies in its
-    orbit; a simple graph target is always its own hit, at distance zero
-    and never solved again: equal graphs have equal spectra, solver noise
-    aside.  `cardinality` is the whole space, 2^(n choose 2).
+    Hits are therefore class representatives in lowest-bitmask order, the
+    target's own among them when it is simple; that one is the only hit
+    isomorphic to the target.  A multigraph target has no orbit: every
+    match is solved.  `cardinality` is the whole space, 2^(n choose 2).
     """
     if not isinstance(target, (ConeSpec, MultiGraph)):
         raise ParameterError("exhaustive search expects a graph or cone spec target")
@@ -206,28 +208,28 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     q = q_matrix(tgraph)
     t1, t2, t3, _ = _power_traces(q)
     masks = _moment_matches(n, t1 // 2, t2 - t1, t3)
-    rows = _spectra(np.concatenate([q[None], _q_stack(masks, n)]))
-    tvals, rows = rows[0], rows[1:]
-    survivors = masks[np.abs(rows - tvals).max(axis=1) <= tol]
-    simple = tgraph.is_simple()
-    if simple:  # the target's own mask goes first: its orbit is built first
+    own, hits = None, {}
+    if tgraph.is_simple():  # its own class is a hit at 0.0: no member is solved
         bits = tgraph.mult[_pair_index(n)]
-        own = bits @ np.left_shift(1, np.arange(bits.size))
-        survivors = np.concatenate(([own], survivors))
-    reps = _class_reps(survivors, n)
-    classes = np.array(sorted(set(reps.tolist())), dtype=np.int64)  # np.unique loads numpy.ma
-    isos = classes == reps[0] if simple else np.zeros(classes.size, dtype=bool)
-    q = _q_stack(classes, n)
-    # the target's own class is a hit at distance 0.0: only the others are solved
-    dists = np.zeros(classes.size)
-    dists[~isos] = np.abs(_spectra(q[~isos]) - tvals).max(axis=1)
-    q[:, np.arange(n), np.arange(n)] = 0  # the representatives' adjacency
-    hits = [
-        SearchHit(MultiGraph._wrap(adj), dist, iso)
-        for iso, dist, adj in zip(isos.tolist(), dists.tolist(), q)
-        if iso or dist <= tol
-    ]
-    return SearchReport(target, float(tol), tuple(hits), True, 1 << n * (n - 1) // 2)
+        own, found = _orbit_members(
+            int(bits @ np.left_shift(1, np.arange(bits.size))), n, masks.astype(np.int32)
+        )
+        masks = masks[~found]
+        hits[own] = 0.0
+    if masks.size:  # with no match left there is no other class to solve
+        rows = _spectra(np.concatenate([q[None], _q_stack(masks, n)]))
+        survivors = masks[np.abs(rows[1:] - rows[0]).max(axis=1) <= tol]
+        reps = np.array(sorted(set(_class_reps(survivors, n).tolist())), dtype=np.int64)
+        dists = np.abs(_spectra(_q_stack(reps, n)) - rows[0]).max(axis=1)
+        hits.update((r, d) for r, d in zip(reps.tolist(), dists.tolist()) if d <= tol)
+    keep = sorted(hits)
+    adj = _q_stack(np.array(keep, dtype=np.int64), n)
+    adj[:, np.arange(n), np.arange(n)] = 0  # the representatives' adjacency
+    return SearchReport(
+        target, float(tol),
+        tuple(SearchHit(MultiGraph._wrap(a), hits[k], k == own) for k, a in zip(keep, adj)),
+        True, 1 << n * (n - 1) // 2,
+    )
 
 
 # ---------------------------------------------------------------------------

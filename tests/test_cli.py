@@ -17,6 +17,7 @@ from qcones import (
     encode_graph6,
     realize,
 )
+from qcones import cli
 from qcones.cli import format_spec_text, main, parse_spec_text
 from qcones.search import PROBE_IDS
 
@@ -742,6 +743,67 @@ def test_bad_tolerance_rejected(capsys, argv, value):
     assert code == 2
     assert doc["status"] == "error"
     assert "must be finite and >= 0" in doc["error"]
+
+
+class _Parsed(Exception):
+    """Raised in place of the first step after `main`'s parse."""
+
+
+def _parse_outcome(capsys, parse, argv):
+    """A parse's namespace as a dict, or the exit code, stdout and stderr
+    of a parse that exits."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (), ("-h",), ("--help",), ("-h", "spectrum"), ("--", "spectrum", FLAGSHIP_TEXT),
+        ("bogus",), ("Spectrum",), ("spec",),
+        ("spectrum", "-h"), ("spectrum", FLAGSHIP_TEXT, "-h"), ("search", "--help"),
+        ("spectrum", FLAGSHIP_TEXT), ("moments", FLAGSHIP_TEXT, "--from", "both"),
+        ("mate", FLAGSHIP_TEXT, "--theorem", "11"), ("probe", FLAGSHIP_TEXT, "--lemma", "2.4"),
+        ("search", FLAGSHIP_TEXT, "--exhaustive", "--jobs", "2"),
+        ("spectrum", FLAGSHIP_TEXT, "extra"), ("spectrum", FLAGSHIP_TEXT, "a", "--b"),
+        ("probe", FLAGSHIP_TEXT, "--lemma", "2.4", "--bogus", "x"),
+        ("spectrum", FLAGSHIP_TEXT, "--numeric", "--closed"),
+        ("search", FLAGSHIP_TEXT, "--family", "--exhaustive"), ("search", FLAGSHIP_TEXT),
+        ("spectrum", FLAGSHIP_TEXT, "--tol=1e-3"), ("spectrum", FLAGSHIP_TEXT, "--to", "1e-3"),
+        ("mate", FLAGSHIP_TEXT, "--the", "13"),
+        ("spectrum", "--", "X"), ("spectrum", FLAGSHIP_TEXT, "--tol", "-1"),
+        ("spectrum",), ("mate", FLAGSHIP_TEXT),
+        ("search", FLAGSHIP_TEXT, "--exhaustive", "--jobs", "x"),
+        ("moments", FLAGSHIP_TEXT, "--from", "nope"),
+    ],
+    ids=repr,
+)
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # the same namespace, or the same exit, help text and error message
+    def stop(args):
+        raise _Parsed(args)
+
+    def parse_in_main(argv):
+        with pytest.raises(_Parsed) as parsed:
+            main(argv)
+        return parsed.value.args[0]
+
+    monkeypatch.setattr(cli, "_check_tolerances", stop)
+    want = _parse_outcome(capsys, cli._PARSER.parse_args, argv)
+    assert _parse_outcome(capsys, parse_in_main, argv) == want
+
+
+def test_a_command_is_parsed_once(capsys, monkeypatch):
+    # a known command goes to its subparser alone: no top-level pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    code, doc, _ = run_json(capsys, "spectrum", FLAGSHIP_TEXT, "--numeric")
+    assert code == 0 and doc["params"]["mode"] == "numeric"
 
 
 def test_entry_point_subprocess():

@@ -437,8 +437,9 @@ class TestSearchExhaustive:
 
 
 class TestTargetClassSolvedOnce:
-    """The target's own class is a hit at distance 0.0 from the scan's
-    batch: the representatives' eigensolve takes only the other classes."""
+    """The target's own class is a hit at distance 0.0 that is never
+    solved: its orbit is built first, and only the key matches outside it
+    and then the other classes' representatives are eigensolved."""
 
     @staticmethod
     def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL, split=None):
@@ -467,33 +468,65 @@ class TestTargetClassSolvedOnce:
             n,
         )
 
-    @pytest.mark.parametrize("target, tol, masks, classes", [
-        (realize(FLAGSHIP), search.COSPECTRAL_TOL, 11, 2),
-        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 6, 1),
-        # every one of the 910 key matches survives: with the target, 911
-        # masks in 86 classes, one of them the target's own
-        (decode_graph6("Gz]C?{"), 1e9, 911, 86),
-        # the 127 key matches of n = 7's widest target, and the target
-        (decode_graph6("F}_@W"), 1e9, 128, 11),
+    @staticmethod
+    def _stack_masks(q):
+        """The edge mask of each matrix in a Q stack, read off its off-diagonal."""
+        pairs = pair_order(q.shape[-1])
+        return [sum(1 << e for e, (u, v) in enumerate(pairs) if m[u, v]) for m in q]
+
+    @pytest.mark.parametrize("target, tol, solved, classes", [
+        # 10 key matches, 6 of them relabellings of the target: the target
+        # and the other 4 are solved, where all 11 were before
+        (realize(FLAGSHIP), search.COSPECTRAL_TOL, 5, 2),
+        # 5 of the 17 key matches lie in the orbit; none of the other 12 survives
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 13, 1),
+        # all 910 key matches survive: 3 in the target's orbit, the other
+        # 907 in the 85 other classes
+        (decode_graph6("Gz]C?{"), 1e9, 908, 86),
+        # the 127 key matches of n = 7's widest target, 14 of them in its orbit
+        (decode_graph6("F}_@W"), 1e9, 114, 11),
     ], ids=["flagship", "order-eight-one-class", "order-eight-wide", "order-seven-wide"])
-    def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, masks, classes):
+    def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, solved, classes):
+        n, own = target.n, graph_mask(target)
+        orbit = set(permutation_orbit(own, n).tolist())
         split = []
         report, calls = self._solved(monkeypatch, target, tol, split)
-        # one split of the survivors, the target's own mask first; the hits
-        # are the orbit minima of its classes
+        # the target first, then exactly the key matches outside its orbit
+        matches = _moment_matches(n, *trace_key(target))
+        outside = matches[~np.isin(matches, list(orbit))]
+        assert calls[0].shape == (solved, n, n) and outside.size == solved - 1
+        assert np.array_equal(calls[0][0], q_matrix(target))
+        assert calls[0][1:].tobytes() == _q_stack(outside, n).astype(np.float64).tobytes()
+        # no solved stack holds a relabelling of the target but the target itself
+        assert not orbit.intersection(self._stack_masks(np.concatenate([calls[0][1:], *calls[1:]])))
+        # one split of the survivors, none of them in the target's orbit; the
+        # hits are the orbit minima of their classes and of the target's own
         (seen,) = split
-        assert seen.size == masks and seen[0] == graph_mask(target)
-        want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(np.unique(seen), target.n))
+        assert not orbit.intersection(seen.tolist())
+        classes_of = isin_orbit_classes(np.unique(np.append(seen, own)), n)
+        want = sorted(int(ref.min()) for _, ref in classes_of)
         assert [graph_mask(h.candidate) for h in report.hits] == want
         assert len(report.hits) == classes
-        # every class is a hit, in strictly ascending order like np.unique's
-        assert want == np.unique(_class_reps(seen, target.n)).tolist()
-        (own,) = [h for h in report.hits if h.isomorphic]
-        assert own.distance == 0.0 and isomorphic(own.candidate, target)
-        # the scan's batch (the target first), then the other classes only
-        assert len(calls) == 2 and np.array_equal(calls[0][0], q_matrix(target))
-        assert calls[1].tobytes() == self._others(report, target.n).tobytes()
-        assert calls[1].shape == (classes - 1, target.n, target.n)
+        (iso,) = [h for h in report.hits if h.isomorphic]
+        assert iso.distance == 0.0 and isomorphic(iso.candidate, target)
+        assert graph_mask(iso.candidate) == min(orbit)
+        # the scan's batch, then the other classes only
+        assert len(calls) == 2
+        assert calls[1].tobytes() == self._others(report, n).tobytes()
+        assert calls[1].shape == (classes - 1, n, n)
+
+    @pytest.mark.parametrize("spec", [
+        ConeSpec(cycles=(6,)), ConeSpec(paths=(2, 2, 2)), ConeSpec(cycles=(3, 3)),
+    ], ids=["C6", "3K2", "C3+C3"])
+    def test_an_orbit_that_holds_every_match_solves_nothing(self, monkeypatch, spec):
+        # a DQS cone of the n = 7 panel: every key match relabels the target
+        target = permuted(realize(spec), random.Random(repr(spec)))
+        assert _moment_matches(target.n, *trace_key(target)).size > 1
+        report, calls = self._solved(monkeypatch, target)
+        assert calls == []
+        (hit,) = report.hits
+        assert hit.isomorphic and hit.distance == 0.0 and isomorphic(hit.candidate, target)
+        assert graph_mask(hit.candidate) == permutation_orbit(graph_mask(target), target.n).min()
 
     @pytest.mark.parametrize("realized", [True, False], ids=["digon", "digon-spec"])
     def test_every_class_is_solved_without_a_simple_target(self, monkeypatch, realized):
@@ -514,12 +547,14 @@ class TestExhaustiveAgainstBruteSweep:
         nx = pytest.importorskip("networkx")
         targets = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
         assert len(targets) == 52
-        for g in targets:
+        # tol = 0 is left out: roundoff decides which relabelled copies of a
+        # target pass it, in the oracle's sweep as in the scan
+        for tol, g in itertools.product((search.COSPECTRAL_TOL, 1e-12, 0.5, 1e9), targets):
             a = nx.to_numpy_array(g, nodelist=range(g.number_of_nodes()), dtype=np.int64)
             target = MultiGraph(a)
-            assert report_key(search_exhaustive(target)) == report_key(
-                brute_search_exhaustive(target)
-            ), encode_graph6(target)
+            assert report_key(search_exhaustive(target, tol)) == report_key(
+                brute_search_exhaustive(target, tol)
+            ), (encode_graph6(target), tol)
 
     @pytest.mark.parametrize("shape", EXHAUSTIVE_PANEL, ids=str)
     def test_benchmark_panel_relabelled(self, shape):
