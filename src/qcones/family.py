@@ -1,9 +1,10 @@
 """The cone family of a degree profile: its size, and the members with a
 given moment signature.
 
-A family member is a cone over disjoint cycles (length >= 3), paths and at
-most one claw whose base has the degree profile (n1, n2, n3, n4) of
-`degree_profile`.  `_family_with_signature` builds the members with given
+A family member is a cone over disjoint cycles (length >= 3), paths and
+any number n4 of claws whose base has the degree profile (n1, n2, n3, n4)
+of `degree_profile`, which fixes the order; `search.search_family` asks for
+at most one claw.  `_family_with_signature` builds the members with given
 numbers of C3, C4 and K2 blocks, which together with the profile fix their
 moments T1..T4 (see `moments.signature_moments`); these slices partition
 the family, so the family search builds only the slices it needs.
@@ -37,16 +38,13 @@ def _partitions(
             yield (first,) + rest
 
 
-def _path_blocks(n: int, profile: tuple[int, int, int, int]) -> int | None:
-    """Number of paths of order >= 2 in every family spec of order n with
-    this base degree profile; None when the profile has no such spec (it is
-    negative, has the wrong total or more than one claw, or leaves an odd
-    number of path endpoints)."""
-    n1, n2, n3, n4 = profile
-    if min(profile) < 0 or n1 + n2 + n3 + n4 != n - 1 or n4 > 1:
-        return None
-    endpoints = n2 - 3 * n4
-    if endpoints < 0 or endpoints % 2:
+def _path_blocks(profile: tuple[int, int, int, int]) -> int | None:
+    """Number of paths of order >= 2 in every family spec with this base
+    degree profile, whose n4 claws take 3 of its n2 degree-2 vertices each;
+    None when the profile has no such spec (it is negative or leaves a
+    negative or odd number of path endpoints)."""
+    endpoints = profile[1] - 3 * profile[3]
+    if min(profile) < 0 or endpoints < 0 or endpoints % 2:
         return None
     return endpoints // 2
 
@@ -65,17 +63,17 @@ def _partition_count(total: int, min_part: int, max_part: int) -> int:
     )
 
 
-def _family_size(n: int, profile: tuple[int, int, int, int]) -> int:
-    """The number of family members of order n with this profile, counted
-    without building a spec.
+def _family_size(profile: tuple[int, int, int, int]) -> int:
+    """The number of family members with this profile, counted without
+    building a spec.
 
     A spec is a partition of its n3 cycle vertices into parts >= 3 and one
     of the remaining path-interior vertices into at most p parts (one per
     path of order >= 3); by conjugation those are as many as the partitions
     into parts <= p.
     """
-    p = _path_blocks(n, profile)
-    if p is None or n == 1:
+    p = _path_blocks(profile)
+    if p is None:
         return 0
     n3 = profile[2]
     return sum(
@@ -85,14 +83,14 @@ def _family_size(n: int, profile: tuple[int, int, int, int]) -> int:
 
 
 def _family_with_signature(
-    n: int, profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
+    profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
 ) -> Iterator[ConeSpec]:
-    """The family members of order n with this profile and exactly k3 C3,
-    k4 C4 and nk2 K2 blocks: their other cycles have length >= 5, and
-    p - nk2 of their p paths of order >= 2 have order >= 3.  Cycle lengths
-    start at 3 and path orders at 1; an infeasible profile yields nothing."""
-    p = _path_blocks(n, profile)
-    if p is None or n == 1 or not 0 <= nk2 <= p:
+    """The family members with this profile and exactly k3 C3, k4 C4 and
+    nk2 <= p K2 blocks: their other cycles have length >= 5, and p - nk2
+    of their p paths of order >= 2 have order >= 3.  Cycle lengths start
+    at 3 and path orders at 1; an infeasible profile yields nothing."""
+    p = _path_blocks(profile)
+    if p is None:
         return
     n1, _, n3, n4 = profile
     longer = p - nk2

@@ -5,13 +5,13 @@ Bit e of a mask is the e-th pair of `graph6._pair_index(n)`, the graph6
 column order (0, 1), (0, 2), (1, 2), (0, 3), ... of the graph's vertices.
 Summing a graph's edge rows of `_image_bits(n)` gives its n! relabellings;
 the lowest names its class (McKay, "Isomorph-free exhaustive generation",
-1998), and `_class_reps` names the classes of many masks from one sorted
-orbit per class.  `_classes(n)` holds that mask for every class on n <= 8
-vertices, built from the one-vertex extensions of the classes of one order
-less; `_extension_moments(n)` packs the edge count, degree-square sum and
-tr(Q^3) of each of those extensions in one integer, so the exhaustive
-search matches a target's moments by one comparison.  The tables are built
-on first use and kept.
+1998), and `_class_reps` lists the distinct classes of many masks by that
+mask, from one sorted orbit per class.  `_classes(n)` holds that mask for
+every class on n <= 8 vertices, built from the one-vertex extensions of
+the classes of one order less; `_extension_moments(n)` packs the edge
+count, degree-square sum and tr(Q^3) of each of those extensions in one
+integer, so the exhaustive search matches a target's moments by one
+comparison.  The tables are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -71,21 +71,21 @@ def _orbit_members(mask: int, n: int, masks: np.ndarray) -> tuple[int, np.ndarra
 
 
 def _class_reps(masks: np.ndarray, n: int) -> np.ndarray:
-    """The lowest mask of each mask's class, from one orbit per class.
+    """The lowest mask of each class among the masks, ascending and each
+    once, from one orbit per class.
 
-    The first mask not yet placed gives its sorted orbit; every remaining
-    mask found in it takes the orbit's minimum, and the rest go round
-    again (`_orbit_members`).  So the cost is one orbit and one n! sort per
-    class plus a log n! search per mask.
+    The first mask left gives its sorted orbit, whose minimum names its
+    class; every mask found in it is dropped, and the rest go round again
+    (`_orbit_members`).  So the cost is one orbit and one n! sort per class
+    plus a log n! search per mask.
     """
-    reps = np.empty(masks.size, dtype=np.int64)
-    todo = np.arange(masks.size)
+    lows = []
     left = masks.astype(np.int32)  # every mask fits, as in the orbits
-    while todo.size:
+    while left.size:
         low, found = _orbit_members(int(left[0]), n, left)
-        reps[todo[found]] = low
-        todo, left = todo[~found], left[~found]
-    return reps
+        lows.append(low)
+        left = left[~found]
+    return np.array(sorted(lows), dtype=np.int64)
 
 
 def _extensions(n: int, idx: np.ndarray) -> np.ndarray:

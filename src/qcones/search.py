@@ -98,16 +98,17 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     """Scan all family candidates sharing the target's order and moments.
 
     The target's moments T1..T4 are exact integer traces of its Q, and the
-    first three give each candidate degree profile (with and without a star
-    block).  T1..T4 see a candidate only through its signature: the profile
-    and its numbers of C3, C4 and K2 blocks.  So the search solves for the
-    signatures whose closed-form moments equal the target's and builds only
-    the specs with those signatures, one at a time.  Their Q matrices
-    follow the target's own Q through one chunked, batched eigensolve, and
-    only the hits are kept, so memory does not grow with the number of
-    matches.
+    first three give each candidate degree profile, with no claw and with
+    one: the n4 loop and the cardinality term below are the family's only
+    claw limit (the `qcones.family` helpers take any number).  T1..T4 see
+    a candidate only through its signature: the profile and its numbers of
+    C3, C4 and K2 blocks.  So the search solves for the signatures whose
+    closed-form moments equal the target's and builds only the specs with
+    those signatures, one at a time.  Their Q matrices follow the target's
+    own Q through one chunked, batched eigensolve, and only the hits are
+    kept, so memory does not grow with the number of matches.
     `cardinality` still counts every candidate of the profiles, plus the
-    target when it is not one of them (a digon or two claws), from
+    target when it is not one of them (a digon or more than one claw), from
     partition counts, with none of the others built.  The target is always
     its own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
     ScaleError before enumeration.
@@ -128,13 +129,13 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         if counts is None:
             continue
         profile = (*counts, n4)
-        cardinality += _family_size(n, profile)
+        cardinality += _family_size(profile)
         sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
-    # the family holds the target unless it has a digon or two claws
+    # the family holds the target unless it has a digon or more than one claw
     cardinality += target.has_digon() or target.stars13 > 1
     # profiles and signatures split the family: no candidate comes twice
     cands, feed = itertools.tee(
-        cand for profile, sig in sigs for cand in _family_with_signature(n, profile, *sig)
+        cand for profile, sig in sigs for cand in _family_with_signature(profile, *sig)
         if cand != target
     )
     # the target's Q is row 0 of the candidates' batch
@@ -219,7 +220,7 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     if masks.size:  # with no match left there is no other class to solve
         rows = _spectra(np.concatenate([q[None], _q_stack(masks, n)]))
         survivors = masks[np.abs(rows[1:] - rows[0]).max(axis=1) <= tol]
-        reps = np.array(sorted(set(_class_reps(survivors, n).tolist())), dtype=np.int64)
+        reps = _class_reps(survivors, n)
         dists = np.abs(_spectra(_q_stack(reps, n)) - rows[0]).max(axis=1)
         hits.update((r, d) for r, d in zip(reps.tolist(), dists.tolist()) if d <= tol)
     keep = sorted(hits)

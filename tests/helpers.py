@@ -597,12 +597,12 @@ def eigenvector_families(spec: ConeSpec) -> list[tuple[str, float, np.ndarray]]:
 # family search reference
 # ---------------------------------------------------------------------------
 
-def enumerate_family_by_partitions(n: int, profile) -> list[ConeSpec]:
+def enumerate_family_by_partitions(profile) -> list[ConeSpec]:
     """The cone family of a profile from one loop over the partitions of the
     cycle and path-interior vertices, sorted: the reference for the union
     of the signature slices."""
     profile = tuple(int(x) for x in profile)
-    p = _path_blocks(n, profile)
+    p = _path_blocks(profile)
     if p is None:
         return []
     n1, _, n3, n4 = profile
@@ -621,8 +621,8 @@ def enumerate_family_by_partitions(n: int, profile) -> list[ConeSpec]:
     return sorted(found, key=lambda c: (c.stars13, c.cycles, c.paths))
 
 
-def slices_union(n: int, profile) -> list[ConeSpec]:
-    """The union of `_family_with_signature(n, profile, k3, k4, nk2)` over
+def slices_union(profile) -> list[ConeSpec]:
+    """The union of `_family_with_signature(profile, k3, k4, nk2)` over
     every (k3, k4, nk2), sorted like `enumerate_family_by_partitions`.
     Asserts that each spec has its slice's numbers of C3, C4 and K2 blocks
     and that no spec comes twice."""
@@ -631,7 +631,7 @@ def slices_union(n: int, profile) -> list[ConeSpec]:
     for k3 in range(n3 // 3 + 1):
         for k4 in range(n3 // 4 + 1):
             for nk2 in range(q + 1):
-                for spec in _family_with_signature(n, profile, k3, k4, nk2):
+                for spec in _family_with_signature(profile, k3, k4, nk2):
                     assert spec.cycles.count(3) == k3
                     assert spec.cycles.count(4) == k4
                     assert spec.paths.count(2) == nk2
@@ -656,7 +656,7 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     for n4 in (0, 1):
         counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
         if counts is not None:
-            candidates.update(enumerate_family_by_partitions(n, (*counts, n4)))
+            candidates.update(enumerate_family_by_partitions((*counts, n4)))
     hits = []
     for cand in candidates:
         if cand == target:

@@ -181,7 +181,7 @@ def test_criterion_06_moment_shift_formulas_match_direct_differences():
             continue
         base = moments_from_counts(realize(spec))
         closed_base = moments_closed_form(spec)
-        for cand in slices_union(spec.n, degree_profile(spec))[:30]:
+        for cand in slices_union(degree_profile(spec))[:30]:
             if cand == spec:
                 continue
             closed = moments_closed_form(cand)

@@ -164,7 +164,7 @@ class TestCountsClosedForm:
 
 
 def _signature_profiles():
-    """(n, profile) of a seeded G grid with n <= 24, and of cones with one
+    """The profiles of a seeded G grid with n <= 24, and of cones with one
     claw and long paths."""
     rng = random.Random(20261018)
     profiles = set()
@@ -172,13 +172,13 @@ def _signature_profiles():
         cycles = [rng.randint(3, 12) for _ in range(rng.randint(1, 3))]
         spec = g_family_spec(cycles, rng.randint(1, 4), rng.randint(1, 4))
         if spec.n <= 24:
-            profiles.add((spec.n, degree_profile(spec)))
+            profiles.add(degree_profile(spec))
     for spec in (
         ConeSpec(cycles=(3,), paths=(7, 2, 1), stars13=1),
         ConeSpec(paths=(9, 5), stars13=1),
         ConeSpec(cycles=(4,), paths=(6, 3, 1), stars13=1),
     ):
-        profiles.add((spec.n, degree_profile(spec)))
+        profiles.add(degree_profile(spec))
     return sorted(profiles)
 
 
@@ -188,8 +188,8 @@ SIGNATURE_PROFILES = _signature_profiles()
 class TestSignatureMoments:
     def test_every_candidate_has_the_moments_of_its_signature(self):
         checked = 0
-        for n, profile in SIGNATURE_PROFILES:
-            for spec in slices_union(n, profile):
+        for profile in SIGNATURE_PROFILES:
+            for spec in slices_union(profile):
                 sig = signature_moments(*_signature(spec))
                 assert moments_closed_form(spec) == sig, spec
                 assert moments_from_counts(realize(spec)) == sig, spec
@@ -199,7 +199,7 @@ class TestSignatureMoments:
     def test_per_block_shifts(self):
         # T4: +8 per C4, +72 per C3, +4 per K2 (so -4 per path of order >= 3);
         # T3: +6 per C3; S4: +8 per C4; T1 and T2 fixed by the profile
-        for _, profile in SIGNATURE_PROFILES:
+        for profile in SIGNATURE_PROFILES:
             for k3, k4, nk2 in ((0, 0, 0), (1, 2, 1), (2, 0, 3)):
                 base = signature_moments(profile, k3, k4, nk2)
                 for step, shift in (
@@ -213,9 +213,9 @@ class TestSignatureMoments:
                     assert tuple(b - a for a, b in zip(base, moved)) == shift
 
     def test_signatures_with_moments_inverts_the_signature(self):
-        for n, profile in SIGNATURE_PROFILES:
+        for profile in SIGNATURE_PROFILES:
             by_moments: dict = {}
-            for spec in slices_union(n, profile):
+            for spec in slices_union(profile):
                 sig = _signature(spec)
                 by_moments.setdefault(signature_moments(*sig)[:4], set()).add(sig[1:])
             for moments, sigs in by_moments.items():

@@ -43,7 +43,7 @@ from qcones.orbits import (
     _orbit,
     _q_stack,
 )
-from qcones.moments import moments_closed_form
+from qcones.moments import moments_closed_form, signatures_with_moments
 from qcones.search import _power_traces, _spectra
 
 from helpers import (
@@ -131,20 +131,16 @@ def naive_partitions(total, min_part):
 
 
 def naive_specs(base_order):
-    """Every block multiset on the given base order, by direct generation."""
+    """Every block multiset on the given base order, with any number of
+    claws, by direct generation."""
     out = set()
-    for stars in (0, 1):
+    for stars in range(base_order // 4 + 1):
         rem = base_order - 4 * stars
-        if rem < 0 or (rem == 0 and not stars):
-            if rem == 0 and stars:
-                out.add(ConeSpec(stars13=1))
-            continue
         for csum in range(rem + 1):
             for cycles in naive_partitions(csum, 3):
                 for paths in naive_partitions(rem - csum, 1):
-                    if not cycles and not paths and not stars:
-                        continue
-                    out.add(ConeSpec(cycles=cycles, paths=paths, stars13=stars))
+                    if cycles or paths or stars:
+                        out.add(ConeSpec(cycles=cycles, paths=paths, stars13=stars))
     return out
 
 
@@ -153,32 +149,35 @@ class TestEnumerateFamily:
     listed families and direct generation."""
 
     @staticmethod
-    def family(n, profile):
-        specs = slices_union(n, profile)
-        assert _family_size(n, profile) == len(specs)
+    def family(profile):
+        specs = slices_union(profile)
+        assert _family_size(profile) == len(specs)
         return specs
 
     def test_flagship_profile(self):
-        assert self.family(7, (1, 2, 3, 0)) == [
+        assert self.family((1, 2, 3, 0)) == [
             ConeSpec(paths=(5, 1)),
             ConeSpec(cycles=(3,), paths=(2, 1)),
         ]
 
     def test_star_profile(self):
-        assert self.family(7, (0, 5, 0, 1)) == [
+        assert self.family((0, 5, 0, 1)) == [
             ConeSpec(paths=(2,), stars13=1)
         ]
 
-    @pytest.mark.parametrize("n, profile", [
-        (7, (1, 3, 2, 0)),  # odd number of path endpoints
-        (7, (1, 2, 2, 0)),  # wrong total
-        (12, (1, 8, 0, 2)),  # two claws
-    ], ids=["odd-endpoints", "wrong-total", "two-stars"])
-    def test_infeasible_profiles_are_empty(self, n, profile):
-        assert self.family(n, profile) == []
+    def test_two_star_profile(self):
+        # the family search asks for at most one claw; the helpers take two
+        assert self.family((1, 8, 0, 2)) == [parse_spec_text("K1 v K13 + K13 + 1K2 + 1K1")]
+
+    @pytest.mark.parametrize("profile", [
+        (1, 3, 2, 0),  # odd number of path endpoints
+    ], ids=["odd-endpoints"])
+    def test_infeasible_profiles_are_empty(self, profile):
+        assert self.family(profile) == []
 
     def test_complete_against_naive_generation(self):
-        for n in range(2, 10):
+        two_stars = 0
+        for n in range(2, 12):
             universe = naive_specs(n - 1)
             profiles = {degree_profile(spec) for spec in universe}
             for profile in profiles:
@@ -186,7 +185,9 @@ class TestEnumerateFamily:
                     (s for s in universe if degree_profile(s) == profile),
                     key=lambda c: (c.stars13, c.cycles, c.paths),
                 )
-                assert self.family(n, profile) == expected
+                assert self.family(profile) == expected
+                two_stars += sum(s.stars13 == 2 for s in expected)
+        assert two_stars == 4  # 2K13 with nothing, K1, K2 or 2K1
 
 
 class TestSearchFamily:
@@ -302,14 +303,14 @@ class TestFamilySearchFromSpecs:
 
 
 def _profiles(n: int):
-    """Every profile with entries >= 0, n4 <= 2 and total n - 1, plus three
-    that enumerate nothing (negative, wrong total, odd endpoints)."""
+    """Every profile with entries >= 0, n4 <= 2 and total n - 1, plus two
+    that enumerate nothing (negative, odd endpoints)."""
     base = n - 1
     for n4 in range(3):
         for n3 in range(base - n4 + 1):
             for n2 in range(base - n4 - n3 + 1):
                 yield (base - n4 - n3 - n2, n2, n3, n4)
-    yield from ((-1, n, 0, 0), (n, 0, 0, 0), (n - 2, 1, 0, 0))
+    yield from ((-1, n, 0, 0), (n - 2, 1, 0, 0))
 
 
 def _solved_profiles(target):
@@ -321,17 +322,23 @@ def _solved_profiles(target):
 
 class TestFamilyBySignature:
     def test_family_size_counts_the_enumeration(self):
-        for n in range(1, 15):
+        two_stars = 0
+        for n in range(2, 15):
             for profile in _profiles(n):
-                expected = len(enumerate_family_by_partitions(n, profile))
-                assert _family_size(n, profile) == expected, (n, profile)
+                expected = enumerate_family_by_partitions(profile)
+                assert _family_size(profile) == len(expected), profile
+                two_stars += sum(s.stars13 == 2 for s in expected)
+        assert two_stars > 0
 
     def test_signatures_split_the_enumeration(self):
         # `slices_union` asserts each slice's block counts and no duplicate
-        for n in range(1, 21):
+        two_stars = 0
+        for n in range(2, 21):
             for profile in _profiles(n):
-                expected = enumerate_family_by_partitions(n, profile)
-                assert slices_union(n, profile) == expected, (n, profile)
+                expected = enumerate_family_by_partitions(profile)
+                assert slices_union(profile) == expected, profile
+                two_stars += sum(s.stars13 == 2 for s in expected)
+        assert two_stars > 0
 
     @pytest.mark.parametrize("target, rejected", [
         (g_family_spec([5, 3], 2, 1), []),
@@ -355,7 +362,7 @@ class TestFamilyBySignature:
         union = {target}
         for n4, counts in enumerate(solved):
             if counts is not None:
-                union.update(enumerate_family_by_partitions(target.n, (*counts, n4)))
+                union.update(enumerate_family_by_partitions((*counts, n4)))
         report = search_family(target)
         assert report.cardinality == len(union)
         assert report == brute_search_family(target)
@@ -375,6 +382,55 @@ class TestFamilyBySignature:
             exhaustive=False,
             cardinality=cardinality,
         )
+
+    def test_degree_lemma(self):
+        """Each claw swap C3 + K1 -> K13 shifts the profile by
+        (-1, 3, -3, 1) and takes one triangle: on every cone over cycles,
+        paths and claws with base order <= 13, the degree system solves
+        for n4 exactly when that shift of the target's profile is
+        non-negative.  Its cone-triangle gate never binds there (the base
+        has at least n3 >= 3 (n4 - n4_t) edges, each a cone triangle), so
+        the base triangles a shift leaves can go negative; those profiles
+        have no signature."""
+        solved = negative_c3 = 0
+        for target in (s for b in range(1, 14) for s in naive_specs(b)):
+            moments = moments_closed_form(target)[:4]
+            profile = degree_profile(target)
+            for n4 in range(6):
+                shift = n4 - target.stars13
+                want = tuple(p + shift * d for p, d in zip(profile, (-1, 3, -3, 1)))
+                counts = solve_degree_system(*moments[:3], target.n, target.n - 1, n4)
+                assert (counts is not None) == (min(want) >= 0), target
+                if counts is None:
+                    continue
+                assert (*counts, n4) == want, target
+                solved += 1
+                if target.cycles.count(3) < shift:
+                    assert signatures_with_moments(want, moments) == [], target
+                    negative_c3 += 1
+        assert (solved, negative_c3) == (2323, 592)
+
+
+class TestSearchesAgree:
+    def test_family_hits_are_the_exhaustive_family_hits(self):
+        """On every family cone with n <= 8 the two searches, which share no
+        candidate generator, find the same family mates; the one exhaustive
+        hit outside the family is K3 + K1 against K13."""
+        targets = [s for b in range(1, 8) for s in naive_specs(b) if s.stars13 <= 1]
+        assert len(targets) == 81
+        outside = []
+        for target in targets:
+            family = {h.candidate for h in search_family(target).hits}
+            read = []
+            for hit in search_exhaustive(target).hits:
+                spec = recognize_cone(hit.candidate)
+                if spec is None or spec.stars13 > 1:
+                    outside.append((target, encode_graph6(hit.candidate), hit.distance))
+                else:
+                    read.append(spec)
+            assert len(read) == len(set(read)) and set(read) == family, target
+        assert [(t, g6) for t, g6, _ in outside] == [(parse_spec_text("K1 v 3K1"), "Cw")]
+        assert outside[0][2] <= 1e-15
 
 
 class TestSearchExhaustive:
@@ -730,12 +786,17 @@ class TestOrbitDedupe:
         # each class shows up under several labellings
         pool = {graph_mask(permuted(g, rng)) for g in graphs for _ in range(6)}
         masks = np.array(sorted(pool), dtype=np.int64)
-        graph = [mask_graph(int(m), n) for m in masks]
         reps = _class_reps(masks, n).tolist()
-        for i, g in enumerate(graph):
-            assert reps[i] <= masks[i] and isomorphic(mask_graph(reps[i], n), g)
-            for j in range(i):
-                assert (reps[i] == reps[j]) == isomorphic(g, graph[j])
+        assert reps == sorted(set(reps))
+        rep_graphs = [mask_graph(r, n) for r in reps]
+        for i, (r, h) in enumerate(zip(reps, rep_graphs)):
+            assert r == permutation_orbit(r, n).min()
+            assert not any(isomorphic(h, other) for other in rep_graphs[:i])
+        # every mask lies in the class of exactly one representative
+        for m in masks.tolist():
+            g = mask_graph(m, n)
+            (r,) = [r for r, h in zip(reps, rep_graphs) if isomorphic(g, h)]
+            assert r <= m
 
     @pytest.mark.parametrize("n, seed", [
         (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (7, 1), (8, 0), (8, 1),
@@ -749,15 +810,14 @@ class TestOrbitDedupe:
         # 0 lies below every other orbit's minimum and Kn above every maximum
         pool |= {graph_mask(target)} | {m for m in (0, 1, full - 1, full) if 0 <= m <= full}
         masks = np.array(sorted(pool), dtype=np.int64)
-        want = np.empty_like(masks)
-        for _, ref in isin_orbit_classes(masks, n):
-            want[np.isin(masks, ref)] = ref.min()
+        want = sorted(int(ref.min()) for _, ref in isin_orbit_classes(masks, n))
         got = _class_reps(masks, n)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.dtype == np.int64 and got.tolist() == want
         # in any order, repeats included
         shuffled = np.concatenate([masks, masks[:5]])
         rng.shuffle(shuffled)
-        assert np.array_equal(_class_reps(shuffled, n), want[np.searchsorted(masks, shuffled)])
+        got = _class_reps(shuffled, n)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     def test_orbits_are_int32_relabellings(self):
         for mask in (0, 1, 12345, (1 << 28) - 1):
@@ -766,11 +826,12 @@ class TestOrbitDedupe:
             assert np.array_equal(orbit, permutation_orbit(mask, 8))
 
     def test_split_edges(self):
-        assert _class_reps(np.zeros(0, dtype=np.int64), 4).size == 0
+        empty = _class_reps(np.zeros(0, dtype=np.int64), 4)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
         # K4 less an edge, listed twice and under another labelling; the
         # empty graph and K4 are their own orbits
         masks = np.array([62, 0, 31, 63, 31, 47], dtype=np.int64)
-        assert _class_reps(masks, 4).tolist() == [31, 0, 31, 63, 31, 31]
+        assert _class_reps(masks, 4).tolist() == [0, 31, 63]
 
     def test_wide_tolerance_reports_agree(self):
         # every key match survives: 127 masks in 11 classes, the most at n = 7
@@ -1230,4 +1291,4 @@ def test_recognition_agrees_with_enumeration_at_order_five():
             continue
         assert isomorphic(realize(spec), g)
         profile = degree_profile(spec)
-        assert spec in slices_union(5, profile)
+        assert spec in slices_union(profile)
