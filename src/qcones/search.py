@@ -12,10 +12,11 @@ to 8 vertices by joining one vertex in every way to each isomorphism class
 of one order less (`qcones.orbits`).  A table per order, built on first
 use, packs each such extension's edge count, degree-square sum and tr(Q^3)
 in one integer, so a target costs one key lookup.  A simple target's own
-sorted relabelling orbit comes first and takes every match in it; only
-the matches outside it are eigensolved, in one batch behind the target,
-and the survivors split into classes by one sorted orbit per class, each
-reported by one graph once its representative is solved again.
+sorted relabelling orbit comes first and takes every match in it; below a
+tolerance bound, an exact tr(Q^4) gate drops the rest that miss the
+target's T4.  Only the matches left are eigensolved, in one batch behind
+the target, and the survivors split into classes by one sorted orbit per
+class, each reported by one graph once its representative is solved again.
 Cone recognition takes each vertex joined simply to all others as the apex
 and reads the blocks of the rest off each component's sorted degrees, which
 fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
@@ -85,11 +86,11 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
-    """tr Q^r for r = 1..4 of a float64 Q = D + A, exact for a cone of order
-    n <= 64 (its entries are at most 63 and those of Q^2 under 2^13, so
-    every sum, the largest sum(Q^2 * Q^2) < 2^38, stays an integer in
-    float64) and for a graph on n <= 8 vertices whose edge count fits the
-    exhaustive key (its multiplicities then fit too)."""
+    """tr Q^r, r = 1..4, of a float64 Q = D + A (the exhaustive key and T4
+    gate), exact for a cone of order n <= 64 (entries at most 63, those of
+    Q^2 under 2^13, so every sum, the largest sum(Q^2 * Q^2) < 2^38, is an
+    integer in float64) and for a graph on n <= 8 vertices whose edge count
+    fits the exhaustive key (its multiplicities then fit too)."""
     q2 = q @ q
     return tuple(int(v) for v in (q.trace(), (q * q).sum(), (q2 * q).sum(), (q2 * q2).sum()))
 
@@ -184,10 +185,13 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
        match in it (`orbits._orbit_members`).  Its class is a hit at
        distance zero, never solved: equal graphs have equal spectra,
        solver noise aside;
-    3. eigensolve the matches left in one batch, with the target's Q as
+    3. T4 gate: when `tol` is below the bound derived at the gate (2.07e-5
+       at n = 7, 1.14e-5 at n = 8 for a simple target), only the matches
+       with the target's exact integer tr(Q^4) go on; above it, all do;
+    4. eigensolve the matches left in one batch, with the target's Q as
        row 0, and keep the ones within `tol` of the target spectrum; with
        no match left nothing is solved;
-    4. split the survivors into classes (`orbits._class_reps`: one sorted
+    5. split the survivors into classes (`orbits._class_reps`: one sorted
        orbit per class, found by binary search), and report each class
        whose representative, its lowest mask, is within `tol` too, from
        one more batch.
@@ -207,7 +211,7 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     # realized only under the cap
     tgraph = realize(target) if isinstance(target, ConeSpec) else target
     q = q_matrix(tgraph)
-    t1, t2, t3, _ = _power_traces(q)
+    t1, t2, t3, t4 = _power_traces(q)
     masks = _moment_matches(n, t1 // 2, t2 - t1, t3)
     own, hits = None, {}
     if tgraph.is_simple():  # its own class is a hit at 0.0: no member is solved
@@ -217,8 +221,16 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
         )
         masks = masks[~found]
         hits[own] = 0.0
+    if masks.size:
+        stack = _q_stack(masks, n)
+        # Q eigenvalues of both lie in [0, M], M = 2 max(n - 1, max degree), so |T4 - T4'|
+        # <= 4 n M^3 x distance: off the target's T4, a match lies above tol + solver error
+        if (tol + STRICT_MARGIN) * 4 * n * (2 * max(n - 1, q.diagonal().max())) ** 3 < 1:
+            q2 = stack @ stack
+            same = (q2 * q2).sum(axis=(1, 2)) == t4
+            masks, stack = masks[same], stack[same]
     if masks.size:  # with no match left there is no other class to solve
-        rows = _spectra(np.concatenate([q[None], _q_stack(masks, n)]))
+        rows = _spectra(np.concatenate([q[None], stack]))
         survivors = masks[np.abs(rows[1:] - rows[0]).max(axis=1) <= tol]
         reps = _class_reps(survivors, n)
         dists = np.abs(_spectra(_q_stack(reps, n)) - rows[0]).max(axis=1)

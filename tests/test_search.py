@@ -107,6 +107,21 @@ def report_key(report):
     return hits, report.cardinality, report.exhaustive, report.tolerance
 
 
+def t4_bound(g: MultiGraph) -> float:
+    """1 / (4 n M^3), M = 2 max(n - 1, max degree of g): no simple graph on
+    g's vertices whose tr(Q^4) differs from g's lies closer to its spectrum."""
+    return 1 / (4 * g.n * (2 * max(g.n - 1, int(g.degrees().max()))) ** 3)
+
+
+def trace4(q: np.ndarray) -> np.ndarray:
+    """tr(Q^4) of each integer matrix of a stack, by integer matrix powers."""
+    return np.trace(np.linalg.matrix_power(q, 4), axis1=-2, axis2=-1)
+
+
+# 1 / (4 * 8 * 14^3), the T4 bound of every simple graph on 8 vertices
+ORDER_EIGHT_BOUND = 1 / 87808
+
+
 class TestPartitions:
     def test_min_part(self):
         assert list(_partitions(6, min_part=3)) == [(6,), (3, 3)]
@@ -495,7 +510,8 @@ class TestSearchExhaustive:
 class TestTargetClassSolvedOnce:
     """The target's own class is a hit at distance 0.0 that is never
     solved: its orbit is built first, and only the key matches outside it
-    and then the other classes' representatives are eigensolved."""
+    with the target's tr(Q^4) (every one above the T4 bound), and then the
+    other classes' representatives, are eigensolved."""
 
     @staticmethod
     def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL, split=None):
@@ -531,34 +547,55 @@ class TestTargetClassSolvedOnce:
         return [sum(1 << e for e, (u, v) in enumerate(pairs) if m[u, v]) for m in q]
 
     @pytest.mark.parametrize("target, tol, solved, classes", [
-        # 10 key matches, 6 of them relabellings of the target: the target
-        # and the other 4 are solved, where all 11 were before
+        # 10 key matches, 6 of them relabellings of the target: the other 4
+        # have its T4 and are solved behind it, where all 11 were before
         (realize(FLAGSHIP), search.COSPECTRAL_TOL, 5, 2),
-        # 5 of the 17 key matches lie in the orbit; none of the other 12 survives
-        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 13, 1),
-        # all 910 key matches survive: 3 in the target's orbit, the other
-        # 907 in the 85 other classes
+        # 5 of the 17 key matches lie in the orbit and none of the other 12
+        # has the target's T4: nothing is solved, up to the T4 bound, and
+        # all 12 are solved beyond it
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 0, 1),
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), 0.9 * ORDER_EIGHT_BOUND, 0, 1),
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), 1.1 * ORDER_EIGHT_BOUND, 13, 1),
+        # above the T4 bound every match is solved, and all 910 key matches
+        # survive: 3 in the target's orbit, the other 907 in 85 other classes
         (decode_graph6("Gz]C?{"), 1e9, 908, 86),
         # the 127 key matches of n = 7's widest target, 14 of them in its orbit
         (decode_graph6("F}_@W"), 1e9, 114, 11),
-    ], ids=["flagship", "order-eight-one-class", "order-eight-wide", "order-seven-wide"])
+    ], ids=["flagship", "order-eight-one-class", "order-eight-one-class-below-bound",
+            "order-eight-one-class-above-bound", "order-eight-wide", "order-seven-wide"])
     def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, solved, classes):
         n, own = target.n, graph_mask(target)
         orbit = set(permutation_orbit(own, n).tolist())
         split = []
         report, calls = self._solved(monkeypatch, target, tol, split)
         # the target first, then exactly the key matches outside its orbit
+        # that have its T4 (below the bound) or all of them (above it)
         matches = _moment_matches(n, *trace_key(target))
         outside = matches[~np.isin(matches, list(orbit))]
-        assert calls[0].shape == (solved, n, n) and outside.size == solved - 1
-        assert np.array_equal(calls[0][0], q_matrix(target))
-        assert calls[0][1:].tobytes() == _q_stack(outside, n).astype(np.float64).tobytes()
-        # no solved stack holds a relabelling of the target but the target itself
-        assert not orbit.intersection(self._stack_masks(np.concatenate([calls[0][1:], *calls[1:]])))
-        # one split of the survivors, none of them in the target's orbit; the
-        # hits are the orbit minima of their classes and of the target's own
-        (seen,) = split
-        assert not orbit.intersection(seen.tolist())
+        if tol < t4_bound(target):
+            t4 = trace4(q_matrix(target).astype(np.int64))
+            outside = outside[trace4(_q_stack(outside, n)) == t4]
+        assert outside.size == max(solved - 1, 0)
+        if not solved:
+            assert calls == split == []
+            seen = np.zeros(0, dtype=np.int64)
+        else:
+            assert calls[0].shape == (solved, n, n)
+            assert np.array_equal(calls[0][0], q_matrix(target))
+            assert calls[0][1:].tobytes() == _q_stack(outside, n).astype(np.float64).tobytes()
+            # no solved stack holds a relabelling of the target but the target itself
+            assert not orbit.intersection(
+                self._stack_masks(np.concatenate([calls[0][1:], *calls[1:]]))
+            )
+            # one split of the survivors, none of them in the target's orbit
+            (seen,) = split
+            assert not orbit.intersection(seen.tolist())
+            # the scan's batch, then the other classes only
+            assert len(calls) == 2
+            assert calls[1].tobytes() == self._others(report, n).tobytes()
+            assert calls[1].shape == (classes - 1, n, n)
+        # the hits are the orbit minima of the survivors' classes and of the
+        # target's own
         classes_of = isin_orbit_classes(np.unique(np.append(seen, own)), n)
         want = sorted(int(ref.min()) for _, ref in classes_of)
         assert [graph_mask(h.candidate) for h in report.hits] == want
@@ -566,18 +603,22 @@ class TestTargetClassSolvedOnce:
         (iso,) = [h for h in report.hits if h.isomorphic]
         assert iso.distance == 0.0 and isomorphic(iso.candidate, target)
         assert graph_mask(iso.candidate) == min(orbit)
-        # the scan's batch, then the other classes only
-        assert len(calls) == 2
-        assert calls[1].tobytes() == self._others(report, n).tobytes()
-        assert calls[1].shape == (classes - 1, n, n)
 
-    @pytest.mark.parametrize("spec", [
-        ConeSpec(cycles=(6,)), ConeSpec(paths=(2, 2, 2)), ConeSpec(cycles=(3, 3)),
-    ], ids=["C6", "3K2", "C3+C3"])
-    def test_an_orbit_that_holds_every_match_solves_nothing(self, monkeypatch, spec):
-        # a DQS cone of the n = 7 panel: every key match relabels the target
-        target = permuted(realize(spec), random.Random(repr(spec)))
-        assert _moment_matches(target.n, *trace_key(target)).size > 1
+    @pytest.mark.parametrize("shape, others", [
+        (ConeSpec(cycles=(6,)), 0), (ConeSpec(paths=(2, 2, 2)), 0), (ConeSpec(cycles=(3, 3)), 0),
+        (ConeSpec(cycles=(4,), paths=(2,)), 9), ("F@Foo", 12),
+    ], ids=["C6", "3K2", "C3+C3", "C4+K2", "F@Foo"])
+    def test_an_orbit_that_holds_every_match_solves_nothing(self, monkeypatch, shape, others):
+        # the n = 7 panel at the default tol: every key match of a DQS cone
+        # relabels the target, and every match of the other two outside the
+        # target's orbit misses its T4
+        g = decode_graph6(shape) if isinstance(shape, str) else realize(shape)
+        target = permuted(g, random.Random(repr(shape)))
+        n = target.n
+        matches = _moment_matches(n, *trace_key(target))
+        outside = matches[~np.isin(matches, permutation_orbit(graph_mask(target), n))]
+        assert matches.size > 1 and outside.size == others
+        assert (trace4(_q_stack(outside, n)) != trace4(q_matrix(target).astype(np.int64))).all()
         report, calls = self._solved(monkeypatch, target)
         assert calls == []
         (hit,) = report.hits
@@ -604,13 +645,16 @@ class TestExhaustiveAgainstBruteSweep:
         targets = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
         assert len(targets) == 52
         # tol = 0 is left out: roundoff decides which relabelled copies of a
-        # target pass it, in the oracle's sweep as in the scan
-        for tol, g in itertools.product((search.COSPECTRAL_TOL, 1e-12, 0.5, 1e9), targets):
+        # target pass it, in the oracle's sweep as in the scan; the T4 gate
+        # acts below its bound (n >= 2) and not above it
+        for g in targets:
             a = nx.to_numpy_array(g, nodelist=range(g.number_of_nodes()), dtype=np.int64)
             target = MultiGraph(a)
-            assert report_key(search_exhaustive(target, tol)) == report_key(
-                brute_search_exhaustive(target, tol)
-            ), (encode_graph6(target), tol)
+            bound = [t4_bound(target) * f for f in (0.9, 1.1)] if target.n > 1 else []
+            for tol in (search.COSPECTRAL_TOL, 1e-12, 1e-6, *bound, 0.5, 1e9):
+                assert report_key(search_exhaustive(target, tol)) == report_key(
+                    brute_search_exhaustive(target, tol)
+                ), (encode_graph6(target), tol)
 
     @pytest.mark.parametrize("shape", EXHAUSTIVE_PANEL, ids=str)
     def test_benchmark_panel_relabelled(self, shape):
@@ -627,6 +671,17 @@ class TestExhaustiveAgainstBruteSweep:
         assert report_key(report) == report_key(brute_search_exhaustive(target))
         assert not any(h.isomorphic for h in report.hits)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e9])
+    def test_digon_cone_around_the_t4_bound(self, tol):
+        # the apex has the largest degree, 6, so M = 12 and the T4 gate acts
+        # below 1 / (4 * 7 * 12^3) = 2.07e-5, where it drops all 6 key
+        # matches; the sweep holds n = 7 in memory
+        target = realize(parse_spec_text("K1 v C2 + C3 + K1"))
+        assert 2.06e-5 < t4_bound(target) < 2.07e-5
+        assert report_key(search_exhaustive(target, tol)) == report_key(
+            brute_search_exhaustive(target, tol)
+        )
+
     def test_order_eight_pinned_hit(self):
         start = time.perf_counter()
         report = search_exhaustive(realize(ConeSpec(cycles=(4,), paths=(2, 1))))
@@ -636,6 +691,32 @@ class TestExhaustiveAgainstBruteSweep:
         assert [(graph_mask(h.candidate), h.distance, h.isomorphic) for h in report.hits] == [
             (2209611, 0.0, True)
         ]
+
+
+class TestT4Gate:
+    """Q eigenvalues of a target and a simple graph on its n vertices lie
+    in [0, M], M = 2 max(n - 1, max degree), so tr(Q^4) differs by at most
+    4 n M^3 times their spectral distance: a T4 gap of one or more puts the
+    pair at least `t4_bound` apart."""
+
+    def test_matches_off_the_target_t4_lie_beyond_the_bound(self):
+        rng = random.Random(34)
+        targets = [decode_graph6(s) if isinstance(s, str) else realize(s) for s in EXHAUSTIVE_PANEL]
+        targets += [random_graph(rng, n, 0.5) for n in (7, 8) for _ in range(10)]
+        off_t4, closest = 0, np.inf
+        for target in targets:
+            n, q = target.n, q_matrix(target)
+            matches = _moment_matches(n, *trace_key(target))
+            stack = _q_stack(matches[~np.isin(matches, permutation_orbit(graph_mask(target), n))], n)
+            stack = stack[trace4(stack) != trace4(q.astype(np.int64))]
+            rows = _spectra(np.concatenate([q[None], stack]))
+            ratio = np.abs(rows[1:] - rows[0]).max(axis=1) / t4_bound(target)
+            assert (ratio > 1).all(), encode_graph6(target)
+            off_t4 += ratio.size
+            closest = min(closest, ratio.min(initial=np.inf))
+        # 3 116 of the 3 248 matches outside the targets' orbits miss their
+        # T4, and the closest of them lies 8 000 bounds away
+        assert off_t4 > 3000 and closest > 1000
 
 
 class TestClasses:
