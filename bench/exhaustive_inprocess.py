@@ -62,7 +62,8 @@ def _worker(passes: int) -> None:
 
 
 def _summary(times: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(times, n=4)
+    # quantiles() wants two points before Python 3.13: one pass is its own quartiles
+    q1, med, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return {"median_ms": round(med, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
             "passes": len(times)}
 

@@ -24,7 +24,7 @@ from .errors import FormatError, ParameterError, ScaleError
 MAX_VERTICES = 4096
 
 # Order cap of the common-neighbour counts (ScaleError, exit 5, above it).
-# Not an overflow bound: every count stays exact in int64 up to MAX_VERTICES.
+# Not a precision bound: every count stays exact in float64 up to MAX_VERTICES.
 MAX_COUNT_VERTICES = 64
 
 
@@ -156,10 +156,11 @@ def count_subgraphs(g: MultiGraph, pattern: str) -> int:
     With c = A @ A the common-neighbour counts, C3 = sum(c * A) / 6 and
     C4 = sum_{u<v} C(c_uv, 2) / 2 (each 4-cycle has two diagonal pairs, each
     closed by its two common neighbours).  No trace identity enters, so the
-    result can still check tr(A^4) against the spectrum.
+    result can still check tr(A^4) against the spectrum.  A is float64 for
+    BLAS: every entry and sum is an integer below 2^53 up to MAX_VERTICES.
     """
     _require_countable(g)
-    adj = (g.mult > 0).astype(np.int64)
+    adj = (g.mult > 0).astype(np.float64)
     common = adj @ adj
     if pattern == "C3":
         return int((common * adj).sum()) // 6
@@ -173,10 +174,10 @@ def t_bar_f_bar(g: MultiGraph) -> tuple[int, int]:
     """(8 * sum_v t(v) d(v), 4 * sum_{uv in E} d(u) d(v)) as exact integers.
 
     t(v) counts triangles through v via common neighbors; both sums feed the
-    fourth spectral moment.
+    fourth spectral moment.  Exact in float64 as in `count_subgraphs`.
     """
     _require_countable(g)
-    adj = (g.mult > 0).astype(np.int64)
+    adj = (g.mult > 0).astype(np.float64)
     d = g.degrees()
     tri_at = ((adj @ adj) * adj).sum(axis=1) // 2
     t_term = 8 * int((tri_at * d).sum())

@@ -1,28 +1,14 @@
 """Cospectral-mate search, exhaustive small-order scans, and structural probes.
 
-The family search covers the cones over disjoint cycles, paths and at most
-one 4-vertex star that share the target's order and degree profile.  Their
-moments T1..T4 depend only on a signature (the profile and the numbers of
-C3, C4 and K2 blocks), so it streams only the candidates whose signature
-gives the target's moments, read as exact traces of the target's Q,
-through a chunked, batched eigensolve whose first row is the target
-itself; the others are counted by partition counts, never built.  The
-exhaustive search of a graph or cone spec covers every simple graph on up
-to 8 vertices by joining one vertex in every way to each isomorphism class
-of one order less (`qcones.orbits`).  A table per order, built on first
-use, packs each such extension's edge count, degree-square sum and tr(Q^3)
-in one integer, so a target costs one key lookup.  A simple target's own
-sorted relabelling orbit comes first and takes every match in it; below a
-tolerance bound, an exact tr(Q^4) gate drops the rest that miss the
-target's T4.  Only the matches left are eigensolved, in one batch behind
-the target, and the survivors split into classes by one sorted orbit per
-class, each reported by one graph once its representative is solved again.
-Cone recognition takes each vertex joined simply to all others as the apex
-and reads the blocks of the rest off each component's sorted degrees, which
-fix a path, cycle, digon or claw.  Probes re-check interlacing, nullity and
-largest-eigenvalue facts numerically.  Edge and vertex deletions edit g's
-own Q and go through chunked batches, scanned in order; path rewirings read
-each largest eigenvalue off a spec's main-part quotient.
+The family search eigensolves only the cones over cycles, paths and at most
+one claw, of the target's order and degree profile, whose block signature
+gives the target's exact moments T1..T4; it counts the others.  The
+exhaustive search covers every simple graph on up to 8 vertices as the
+extensions of the isomorphism classes of one order less (`qcones.orbits`):
+one key lookup on (m, sum d^2, tr Q^3), the target's own orbit, a tr(Q^4)
+band, one batched eigensolve behind the target, and a class split.  Cone
+recognition reads the blocks off each component's sorted degrees.  Probes
+re-check interlacing, nullity and largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
@@ -57,6 +43,7 @@ STRICT_MARGIN = 1e-9
 EDGE_PROBE_BUDGET = 1e10
 
 MAX_EXHAUSTIVE_VERTICES = 8
+_SOLVER_ERROR = 1e-9  # per eigenvalue, allowed for in the exhaustive search's T4 band
 # the candidate count grows like the partitions of the base order
 MAX_FAMILY_VERTICES = 64
 
@@ -87,7 +74,7 @@ class SearchReport:
 
 def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
     """tr Q^r, r = 1..4, of a float64 Q = D + A (the exhaustive key and T4
-    gate), exact for a cone of order n <= 64 (entries at most 63, those of
+    band), exact for a cone of order n <= 64 (entries at most 63, those of
     Q^2 under 2^13, so every sum, the largest sum(Q^2 * Q^2) < 2^38, is an
     integer in float64) and for a graph on n <= 8 vertices whose edge count
     fits the exhaustive key (its multiplicities then fit too)."""
@@ -112,7 +99,9 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     target when it is not one of them (a digon or more than one claw), from
     partition counts, with none of the others built.  The target is always
     its own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
-    ScaleError before enumeration.
+    ScaleError before enumeration.  A candidate off T1..T4 is never reported,
+    at any `tol`; a moment gap puts it 1 / (4 n M^3) away at least, M =
+    2 (n - 1) (2.0e-9 at n = 64, below the default tol from n = 43).
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
@@ -174,7 +163,9 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
 
     `target` is a graph or a cone spec (anything else raises
     ParameterError); the order is capped at 8.  The key (m, sum d^2,
-    tr Q^3) comes from exact integer traces of the target's Q.
+    tr Q^3) comes from exact integer traces of the target's Q, and only
+    its matches are reported, at any `tol`: a T3 gap of 1 puts a graph
+    1 / (3 n M^2) away at least (M of stage 3; 2.1e-4 at n = 8).
 
     1. lookup: every graph is isomorphic to an extension of a class of
        order n - 1 by vertex n - 1.  `_extension_moments(n)`, built on the
@@ -185,9 +176,9 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
        match in it (`orbits._orbit_members`).  Its class is a hit at
        distance zero, never solved: equal graphs have equal spectra,
        solver noise aside;
-    3. T4 gate: when `tol` is below the bound derived at the gate (2.07e-5
-       at n = 7, 1.14e-5 at n = 8 for a simple target), only the matches
-       with the target's exact integer tr(Q^4) go on; above it, all do;
+    3. T4 band: only the matches whose exact tr(Q^4) lies within 4 n M^3
+       (tol + 1e-9) of the target's go on, M = 2 max(n - 1, max degree);
+       under 1 (tol below 1.14e-5 at n = 8), that is the target's T4 alone;
     4. eigensolve the matches left in one batch, with the target's Q as
        row 0, and keep the ones within `tol` of the target spectrum; with
        no match left nothing is solved;
@@ -198,8 +189,8 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
 
     Hits are therefore class representatives in lowest-bitmask order, the
     target's own among them when it is simple; that one is the only hit
-    isomorphic to the target.  A multigraph target has no orbit: every
-    match is solved.  `cardinality` is the whole space, 2^(n choose 2).
+    isomorphic to the target.  A multigraph target has no orbit, so stage 2
+    drops nothing.  `cardinality` is the whole space, 2^(n choose 2).
     """
     if not isinstance(target, (ConeSpec, MultiGraph)):
         raise ParameterError("exhaustive search expects a graph or cone spec target")
@@ -224,11 +215,10 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     if masks.size:
         stack = _q_stack(masks, n)
         # Q eigenvalues of both lie in [0, M], M = 2 max(n - 1, max degree), so |T4 - T4'|
-        # <= 4 n M^3 x distance: off the target's T4, a match lies above tol + solver error
-        if (tol + STRICT_MARGIN) * 4 * n * (2 * max(n - 1, q.diagonal().max())) ** 3 < 1:
-            q2 = stack @ stack
-            same = (q2 * q2).sum(axis=(1, 2)) == t4
-            masks, stack = masks[same], stack[same]
+        # <= 4 n M^3 x distance: a match outside this band lies beyond tol + solver error
+        band = (tol + _SOLVER_ERROR) * 4 * n * (2 * max(n - 1, q.diagonal().max())) ** 3
+        near = np.abs(np.square(stack @ stack).sum(axis=(1, 2)) - t4) <= band
+        masks, stack = masks[near], stack[near]
     if masks.size:  # with no match left there is no other class to solve
         rows = _spectra(np.concatenate([q[None], stack]))
         survivors = masks[np.abs(rows[1:] - rows[0]).max(axis=1) <= tol]

@@ -784,7 +784,8 @@ def _sweep(n: int, pairs, m: int, d2: int, t3: int, tvals, tol: float):
 def brute_search_exhaustive(target, tol: float = 1e-8) -> SearchReport:
     """search_exhaustive by sweeping all 2^(n choose 2) masks and deduping
     the survivors in mask order with pairwise `isomorphic`; n <= 7 keeps
-    the sweep in memory."""
+    the sweep in memory.  Like the search, it keeps only the masks with the
+    target's key (m, sum d^2, tr Q^3) at every tol."""
     tgraph = realize(target) if isinstance(target, ConeSpec) else target
     tspec = q_spectrum(tgraph)
     n = len(tspec)

@@ -15,6 +15,7 @@ from qcones import (
     realize,
     t_bar_f_bar,
 )
+from qcones import graphs as graphs_module
 
 from helpers import (
     complete_graph,
@@ -219,6 +220,35 @@ class TestCounts:
         )
         assert count_subgraphs(k32_32, "C3") == 0
         assert count_subgraphs(k32_32, "C4") == 246_016
+
+    @staticmethod
+    def _int64_counts(g):
+        """C3, C4, t-bar and f-bar from exact int64 matrix products."""
+        adj = (g.mult > 0).astype(np.int64)
+        common, d = adj @ adj, g.degrees()
+        x = common * (common - 1)
+        tri_at = (common * adj).sum(axis=1) // 2
+        return (
+            int((common * adj).sum()) // 6, (int(x.sum()) - int(x.trace())) // 8,
+            8 * int((tri_at * d).sum()), 2 * int(d @ adj @ d),
+        )
+
+    def test_float64_products_equal_int64_ones(self, monkeypatch):
+        # the counts multiply float64 0/1 matrices through BLAS; seeded
+        # graphs up to the cap, and one dense graph far above it
+        rng = np.random.default_rng(64)
+        graphs = []
+        for n in (2, 5, 9, 17, 33, 48, 64, 64):
+            a = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.95), 1).astype(np.int64)
+            graphs.append(MultiGraph(a + a.T))
+        a = np.triu(rng.random((512, 512)) < 0.9, 1).astype(np.int64)
+        graphs.append(MultiGraph(a + a.T))
+        graphs.append(complete_graph(64))
+        monkeypatch.setattr(graphs_module, "MAX_COUNT_VERTICES", 512)
+        for g in graphs:
+            got = (count_subgraphs(g, "C3"), count_subgraphs(g, "C4"), *t_bar_f_bar(g))
+            assert all(type(v) is int for v in got)
+            assert got == self._int64_counts(g), g.n
 
     def test_above_the_order_cap(self):
         for pattern in ("C3", "C4"):

@@ -118,6 +118,13 @@ def trace4(q: np.ndarray) -> np.ndarray:
     return np.trace(np.linalg.matrix_power(q, 4), axis1=-2, axis2=-1)
 
 
+def t4_band(g: MultiGraph, tol: float) -> float:
+    """The widest |tr(Q^4)| gap to g that the exhaustive search eigensolves:
+    4 n M^3 (tol + solver error), under 1 exactly when tol + solver error <
+    `t4_bound(g)`."""
+    return (tol + search._SOLVER_ERROR) / t4_bound(g)
+
+
 # 1 / (4 * 8 * 14^3), the T4 bound of every simple graph on 8 vertices
 ORDER_EIGHT_BOUND = 1 / 87808
 
@@ -510,8 +517,9 @@ class TestSearchExhaustive:
 class TestTargetClassSolvedOnce:
     """The target's own class is a hit at distance 0.0 that is never
     solved: its orbit is built first, and only the key matches outside it
-    with the target's tr(Q^4) (every one above the T4 bound), and then the
-    other classes' representatives, are eigensolved."""
+    whose tr(Q^4) lies within the T4 band (the target's own T4 below the
+    T4 bound), and then the other classes' representatives, are
+    eigensolved."""
 
     @staticmethod
     def _solved(monkeypatch, target, tol=search.COSPECTRAL_TOL, split=None):
@@ -551,30 +559,33 @@ class TestTargetClassSolvedOnce:
         # have its T4 and are solved behind it, where all 11 were before
         (realize(FLAGSHIP), search.COSPECTRAL_TOL, 5, 2),
         # 5 of the 17 key matches lie in the orbit and none of the other 12
-        # has the target's T4: nothing is solved, up to the T4 bound, and
-        # all 12 are solved beyond it
+        # has the target's T4: nothing is solved below the T4 bound, and
+        # at 1.1 bounds the band is 1.1 wide and none of the 12 lies in it
         (realize(ConeSpec(cycles=(4,), paths=(2, 1))), search.COSPECTRAL_TOL, 0, 1),
         (realize(ConeSpec(cycles=(4,), paths=(2, 1))), 0.9 * ORDER_EIGHT_BOUND, 0, 1),
-        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), 1.1 * ORDER_EIGHT_BOUND, 13, 1),
-        # above the T4 bound every match is solved, and all 910 key matches
+        (realize(ConeSpec(cycles=(4,), paths=(2, 1))), 1.1 * ORDER_EIGHT_BOUND, 0, 1),
+        # 8.8 bounds: 187 of the 907 matches outside the orbit lie in the
+        # band; with the one other class's representative, 189 are solved
+        (decode_graph6("Gz]C?{"), 1e-4, 188, 2),
+        # the band takes every match at 1e9, and all 910 key matches
         # survive: 3 in the target's orbit, the other 907 in 85 other classes
         (decode_graph6("Gz]C?{"), 1e9, 908, 86),
         # the 127 key matches of n = 7's widest target, 14 of them in its orbit
         (decode_graph6("F}_@W"), 1e9, 114, 11),
     ], ids=["flagship", "order-eight-one-class", "order-eight-one-class-below-bound",
-            "order-eight-one-class-above-bound", "order-eight-wide", "order-seven-wide"])
+            "order-eight-one-class-above-bound", "order-eight-band", "order-eight-wide",
+            "order-seven-wide"])
     def test_own_class_skips_the_second_solve(self, monkeypatch, target, tol, solved, classes):
         n, own = target.n, graph_mask(target)
         orbit = set(permutation_orbit(own, n).tolist())
         split = []
         report, calls = self._solved(monkeypatch, target, tol, split)
         # the target first, then exactly the key matches outside its orbit
-        # that have its T4 (below the bound) or all of them (above it)
+        # whose T4 lies within the band
         matches = _moment_matches(n, *trace_key(target))
         outside = matches[~np.isin(matches, list(orbit))]
-        if tol < t4_bound(target):
-            t4 = trace4(q_matrix(target).astype(np.int64))
-            outside = outside[trace4(_q_stack(outside, n)) == t4]
+        t4 = trace4(q_matrix(target).astype(np.int64))
+        outside = outside[np.abs(trace4(_q_stack(outside, n)) - t4) <= t4_band(target, tol)]
         assert outside.size == max(solved - 1, 0)
         if not solved:
             assert calls == split == []
@@ -645,13 +656,13 @@ class TestExhaustiveAgainstBruteSweep:
         targets = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
         assert len(targets) == 52
         # tol = 0 is left out: roundoff decides which relabelled copies of a
-        # target pass it, in the oracle's sweep as in the scan; the T4 gate
-        # acts below its bound (n >= 2) and not above it
+        # target pass it, in the oracle's sweep as in the scan; the T4 band
+        # is T4 equality below its bound (n >= 2) and wider above it
         for g in targets:
             a = nx.to_numpy_array(g, nodelist=range(g.number_of_nodes()), dtype=np.int64)
             target = MultiGraph(a)
             bound = [t4_bound(target) * f for f in (0.9, 1.1)] if target.n > 1 else []
-            for tol in (search.COSPECTRAL_TOL, 1e-12, 1e-6, *bound, 0.5, 1e9):
+            for tol in (search.COSPECTRAL_TOL, 1e-12, 1e-6, *bound, 1e-4, 1e-2, 0.5, 1e9):
                 assert report_key(search_exhaustive(target, tol)) == report_key(
                     brute_search_exhaustive(target, tol)
                 ), (encode_graph6(target), tol)
@@ -671,11 +682,11 @@ class TestExhaustiveAgainstBruteSweep:
         assert report_key(report) == report_key(brute_search_exhaustive(target))
         assert not any(h.isomorphic for h in report.hits)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e9])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4, 1e9])
     def test_digon_cone_around_the_t4_bound(self, tol):
-        # the apex has the largest degree, 6, so M = 12 and the T4 gate acts
-        # below 1 / (4 * 7 * 12^3) = 2.07e-5, where it drops all 6 key
-        # matches; the sweep holds n = 7 in memory
+        # the apex has the largest degree, 6, so M = 12 and the T4 band is
+        # T4 equality below 1 / (4 * 7 * 12^3) = 2.07e-5, where it drops all
+        # 6 key matches; the sweep holds n = 7 in memory
         target = realize(parse_spec_text("K1 v C2 + C3 + K1"))
         assert 2.06e-5 < t4_bound(target) < 2.07e-5
         assert report_key(search_exhaustive(target, tol)) == report_key(
@@ -696,8 +707,9 @@ class TestExhaustiveAgainstBruteSweep:
 class TestT4Gate:
     """Q eigenvalues of a target and a simple graph on its n vertices lie
     in [0, M], M = 2 max(n - 1, max degree), so tr(Q^4) differs by at most
-    4 n M^3 times their spectral distance: a T4 gap of one or more puts the
-    pair at least `t4_bound` apart."""
+    4 n M^3 times their spectral distance: a T4 gap of g puts the pair at
+    least g `t4_bound` apart, and a match outside the band lies beyond
+    tol."""
 
     def test_matches_off_the_target_t4_lie_beyond_the_bound(self):
         rng = random.Random(34)
@@ -711,12 +723,41 @@ class TestT4Gate:
             stack = stack[trace4(stack) != trace4(q.astype(np.int64))]
             rows = _spectra(np.concatenate([q[None], stack]))
             ratio = np.abs(rows[1:] - rows[0]).max(axis=1) / t4_bound(target)
-            assert (ratio > 1).all(), encode_graph6(target)
+            gap = np.abs(trace4(stack) - trace4(q.astype(np.int64)))
+            assert (ratio >= gap).all() and (ratio > 1).all(), encode_graph6(target)
             off_t4 += ratio.size
             closest = min(closest, ratio.min(initial=np.inf))
         # 3 116 of the 3 248 matches outside the targets' orbits miss their
         # T4, and the closest of them lies 8 000 bounds away
         assert off_t4 > 3000 and closest > 1000
+
+    def test_band_keeps_its_own_margin(self, monkeypatch):
+        # probe 5.1's margin is not the band's: with it at -100, a band on
+        # it would be negative and drop the claw mate of the flagship
+        monkeypatch.setattr(search, "STRICT_MARGIN", -100.0)
+        report = search_exhaustive(realize(FLAGSHIP))
+        assert [recognize_cone(h.candidate) for h in report.hits] == [
+            FLAGSHIP, ConeSpec(paths=(2,), stars13=1),
+        ]
+        assert report.hits[1].distance < 1e-13
+
+
+class TestKeyAtEveryTolerance:
+    """Both searches match the target's moments exactly at every tol: the
+    exhaustive key (m, sum d^2, tr Q^3) and the family's T1..T4.  A T3 gap
+    of 1 needs a distance of 1 / (3 n M^2), so from that tol a graph within
+    it can go unreported."""
+
+    def test_a_graph_off_the_key_is_not_reported(self):
+        target, other = decode_graph6("DjW"), decode_graph6("Db[")
+        assert (trace_key(target), trace_key(other)) == ((6, 34, 222), (6, 32, 198))
+        dist = np.abs(np.sort(q_spectrum(target).values) - np.sort(q_spectrum(other).values)).max()
+        # far beyond 1 / (3 n M^2) = 1 / 960 at n = 5 (M = 8)
+        assert 0.3105 < dist < 0.3106
+        for search_fn in (search_exhaustive, brute_search_exhaustive):
+            report = search_fn(target, 0.5)
+            assert [encode_graph6(h.candidate) for h in report.hits] == ["D}_"]
+            assert not any(isomorphic(h.candidate, other) for h in report.hits)
 
 
 class TestClasses:
