@@ -228,8 +228,7 @@ def cmd_moments(args) -> tuple[dict, int]:
     result = {**_describe(graph, spec), "from": args.source}
     counted = None
     if args.source in ("counts", "both"):
-        # cones take the block-additive closed form, other graphs the
-        # common-neighbour counts
+        # cones take their blocks' walk sums, other graphs the subgraph counts
         counted = moments_from_counts(graph) if spec is None else moments_closed_form(spec)
         result["counts_moments"] = _moment_payload(counted)
     if args.source in ("spectrum", "both"):

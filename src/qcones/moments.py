@@ -1,28 +1,32 @@
-"""Spectral moments of the signless Laplacian, exact count bookkeeping, and
-the degree-count linear system.
+"""Spectral moments of the signless Laplacian: of any simple graph from
+subgraph counts, of a cone from its blocks' walk sums; and the degree-count
+linear system.
 
-T_i is the i-th power sum of the Q-spectrum; S4 is the fourth power sum of
-the adjacency spectrum.  For simple graphs every T_i and S4 is an integer
-expressible in subgraph counts, which is what makes the moment method bite.
-The moment shift of a rewiring between two cones is the difference of their
-`moments_closed_form` vectors.
+T_r = tr Q^r counts closed semi-edge walks (Cvetković, Rowlinson and Simić,
+LAA 423, 2007); S4 = tr A^4.  With a cone's apex last, Q = [[M, 1], [1ᵀ, N]]
+as in `qcones.cones`, and the matrix determinant lemma gives det(I - xQ) =
+det(I - xM)·g(x), g = 1 - Nx - x²·Σ_j b_j x^j.  So T_r = a_r + h_{r-1} with
+h = -g'/g, a_j = Σ_B tr M_B^j and b_j = Σ_B 1ᵀM_B^j 1 over the base blocks
+B; M = A_H and 0 at the apex give tr A^r.  Past 2R + 2 vertices a block's
+sums of order <= R are affine in its length, so these moments see a cone
+only through its degree profile and its numbers of shorter blocks, its
+order-R signature (at R = 4: its numbers of C3, C4 and K2 blocks).  Digons
+fit the identity, yet `moments_closed_form` raises ParameterError on one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
 
 from .eigen import QSpectrum
 from .errors import ParameterError
-from .graphs import (
-    ConeSpec,
-    MultiGraph,
-    count_subgraphs,
-    degree_profile,
-    t_bar_f_bar,
-)
+from .graphs import ConeSpec, MultiGraph, _blocks, count_subgraphs, realize, t_bar_f_bar
 
 
 class MomentVector(NamedTuple):
@@ -78,97 +82,97 @@ def moments_from_spectrum(
     return MomentVector(*sums, s4)
 
 
-def _cone_counts(
-    profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
-) -> tuple[int, CountVector]:
-    """(edge count, counts) of a simple cone from its signature: the base
-    degree profile (n1, n2, n3, n4) and the numbers of C3, C4 and K2 blocks.
-
-    A base vertex of base degree h has cone degree h + 1; the apex has
-    degree N = n - 1 and is joined to every base vertex.
-    """
-    n1, n2, n3, n4 = profile
-    big_n = n1 + n2 + n3 + n4
-    # paths of order >= 2: two base-degree-1 endpoints each, besides claw leaves
-    q = (n2 - 3 * n4) // 2
-    # a cycle has as many edges as vertices, a path of order >= 2 one more
-    # than its interior vertices, a claw three
-    m_h = n3 + q + 3 * n4
-    # sum over base edges of d(u) d(v): a cycle of length k gives 3*3 k; a
-    # path of order l >= 3 two end edges 2*3 and l - 3 inner 3*3, which is
-    # 9 (l - 2) + 3; a K2 2*2 = 3 + 1; a claw 3 * 2*4
-    edge_dd = 9 * n3 + 3 * q + nk2 + 24 * n4
-    d1, d2, d3, d4 = (
-        big_n ** r + n1 + n2 * 2 ** r + n3 * 3 ** r + n4 * 4 ** r for r in (1, 2, 3, 4)
-    )
-    m = m_h + big_n
-    counts = CountVector(
-        p3=(d2 - 2 * m) // 2,
-        # a triangle is a base edge plus the apex, or a C3 block
-        c3=m_h + k3,
-        # a 4-cycle is a base 2-path closed through the apex, or a C4 block
-        c4=k4 + n3 + 3 * n4,
-        # triangles at the apex: m_H; at a base vertex: its base degree, plus
-        # one on a C3 block (whose three vertices have cone degree 3)
-        t_term=8 * (m_h * big_n + 2 * n2 + 6 * n3 + 12 * n4 + 9 * k3),
-        # edges at the apex, then base edges
-        f_term=4 * (big_n * (d1 - big_n) + edge_dd),
-        d2=d2,
-        d3=d3,
-        d4=d4,
-    )
-    return m, counts
+@lru_cache(maxsize=1024)
+def _walk_sums(kind: str, size: int, order: int) -> tuple[int, ...]:
+    """tr M^j (j = 1..order), then 1ᵀM^j 1 (j < order), for M = Q_B + I and
+    A_B of a base block B, a kind of `graphs._blocks`.  Past 2·order + 2
+    vertices no walk of length <= order sees both ends of a path or wraps a
+    cycle: longer blocks continue the affine run, shorter take exact powers."""
+    far = 2 * order + 2
+    if size > far + 1:
+        near, step = _walk_sums(kind, far, order), _walk_sums(kind, far + 1, order)
+        return tuple(x + (size - far) * (y - x) for x, y in zip(near, step))
+    block = {"claw": {"stars13": 1}, "cycle": {"cycles": (size,)}}.get(kind, {"paths": (size,)})
+    adj = realize(ConeSpec(**block)).mult[:-1, :-1].astype(object)  # apex cut off
+    sums: list[int] = []
+    for m in (adj + np.diag(adj.sum(axis=1) + 1), adj):
+        powers = list(accumulate([m] * order, np.matmul, initial=np.identity(size, dtype=object)))
+        sums += [int(p.trace()) for p in powers[1:]] + [int(p.sum()) for p in powers[:-1]]
+    return tuple(sums)
 
 
-def _signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:
-    if spec.has_digon():
-        raise ParameterError("closed-form counts need a simple cone (no C2 block)")
-    return (
-        degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2),
-    )
+def _cone_traces(blocks, order: int) -> tuple[tuple[int, ...], ...]:
+    """(tr Q^r, tr A^r), r = 1..order, of the cone over `blocks`: counts by
+    (kind, size), negative ones combining blocks linearly.  With c_1 the apex
+    entry, c_k = b_(k-2) and g = 1 - Σ c_k x^k, h_(k-1) = k c_k + Σ c_i h_(k-1-i)."""
+    sums = [0] * (4 * order)
+    for block, count in blocks.items():
+        if count:
+            sums = [x + count * y for x, y in zip(sums, _walk_sums(*block, order))]
+    traces = []
+    for side, apex in ((sums[:2 * order], sums[order]), (sums[2 * order:], 0)):
+        c, h = [0, apex, *side[order:]], []
+        for k in range(1, order + 1):  # h·g = -g', term by term
+            v = k * c[k]
+            for i in range(1, k):
+                v += c[i] * h[k - 1 - i]
+            h.append(v)
+        traces.append(tuple(map(add, side, h)))
+    return tuple(traces)
 
 
 def signature_moments(
     profile: tuple[int, int, int, int], k3: int, k4: int, nk2: int
 ) -> MomentVector:
     """Exact integer moment vector (T1..T4, S4) of every simple cone whose
-    base has degree profile `profile` (see degree_profile) and k3 C3, k4 C4
-    and nk2 K2 blocks: the moments see a spec only through this signature."""
-    return _moments(*_cone_counts(profile, k3, k4, nk2))
+    base has degree profile `profile` and k3 C3, k4 C4 and nk2 K2 blocks.
+    To order 4 paths from P3 on are affine in their order, and C_k (k >= 5)
+    is k steps P4 - P3: so take a P3 per other path and a step per vertex."""
+    n1, n2, n3, n4 = profile
+    longer = (n2 - 3 * n4) // 2 - nk2
+    steps = n3 - 3 * k3 - 4 * k4 - longer
+    q, a = _cone_traces({("path", 1): n1, ("claw", 4): n4, ("cycle", 3): k3, ("cycle", 4): k4,
+                         ("path", 2): nk2, ("path", 3): longer - steps, ("path", 4): steps}, 4)
+    return MomentVector(*q, a[3])
 
 
 def moments_closed_form(spec: ConeSpec) -> MomentVector:
-    """Exact integer moment vector (T1..T4, S4) of a simple cone spec,
-    equal to moments_from_counts(realize(spec)) with no graph built."""
-    return signature_moments(*_signature(spec))
+    """Exact integer moment vector (T1..T4, S4) of a simple cone spec from
+    its blocks' walk sums, equal to moments_from_counts(realize(spec))."""
+    if spec.has_digon():
+        raise ParameterError("closed-form moments need a simple cone (no C2 block)")
+    q, a = _cone_traces(Counter((kind, size) for kind, _, size in _blocks(spec)), 4)
+    return MomentVector(*q, a[3])
+
+
+@lru_cache(maxsize=1)
+def _signature_shifts() -> list[tuple[int, ...]]:
+    """T1..T4 shift of one more C3, C4 and K2 block, at the profile of
+    K1 v P6 + P4.  These blocks keep every base degree, so b_0..b_2 and
+    h_0..h_3 stay put: the a_r alone move, alike at every profile."""
+    base = signature_moments((0, 4, 6, 0), 0, 0, 0)[:4]
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [tuple(map(sub, signature_moments((0, 4, 6, 0), *st)[:4], base)) for st in steps]
 
 
 def signatures_with_moments(
     profile: tuple[int, int, int, int], moments
 ) -> list[tuple[int, int, int]]:
     """Every (k3, k4, nk2) whose signature moments with this profile have
-    T1..T4 equal to moments[:4].
-
-    T3 grows by 6 per C3 block and fixes k3; T4 grows by 72 per C3, 8 per
-    C4 and 4 per K2 block, so each k4 fixes nk2, which must lie within the
-    profile's (n2 - 3 n4) / 2 paths of order >= 2.  Each solution is checked
-    against signature_moments.
-    """
+    T1..T4 equal to moments[:4]: those of (0, 0, 0) plus 6 on T3 and 72 on
+    T4 per C3, 8 on T4 per C4 and 4 per K2.  So T3 fixes k3, and each k4
+    fixes nk2, within the profile's (n2 - 3 n4) / 2 paths of order >= 2."""
     _, n2, n3, n4 = profile
-    q = (n2 - 3 * n4) // 2
-    t = tuple(moments[:4])
+    t1, t2, t3, t4 = moments[:4]
+    (_, _, c3_t3, c3_t4), (*_, c4_t4), (*_, k2_t4) = _signature_shifts()
     base = signature_moments(profile, 0, 0, 0)
-    k3, rem = divmod(t[2] - base.t3, 6)
-    if rem or k3 < 0:
+    k3, rem = divmod(t3 - base.t3, c3_t3)
+    if (t1, t2) != base[:2] or rem or k3 < 0:
         return []
     found = []
     for k4 in range((n3 - 3 * k3) // 4 + 1):
-        nk2, rem = divmod(t[3] - base.t4 - 72 * k3 - 8 * k4, 4)
-        if (
-            not rem
-            and 0 <= nk2 <= q
-            and signature_moments(profile, k3, k4, nk2)[:4] == t
-        ):
+        nk2, rem = divmod(t4 - base.t4 - c3_t4 * k3 - c4_t4 * k4, k2_t4)
+        if not rem and 0 <= nk2 <= (n2 - 3 * n4) // 2:
             found.append((k3, k4, nk2))
     return found
 
@@ -177,15 +181,11 @@ def solve_degree_system(
     t1: int, t2: int, t3: int, n: int, d1: int, n4: int
 ) -> tuple[int, int, int] | None:
     """Degree counts (n1, n2, n3) of the non-maximum vertices, assuming
-    degrees in {1,2,3,4} besides one vertex of degree d1 and n4 vertices of
-    degree 4.
-
-    Solves the linear system from the vertex count and the first two moments
-    minus d1's contribution, then gates feasibility: counts must be
-    non-negative integers and the implied triangle count (T3 minus the degree
-    terms, divided by 6) a non-negative integer.  Returns None when any gate
-    fails; infeasibility is a meaningful outcome for contradiction arguments.
-    """
+    degrees in {1,2,3,4} besides one vertex of degree d1 and n4 of degree 4.
+    They solve the linear system of the vertex count and the first two
+    moments less d1's share.  None unless they are non-negative integers and
+    the implied triangle count (T3 less the degree terms, over 6) is one too:
+    infeasibility is a meaningful outcome for contradiction arguments."""
     for name, v in (("t1", t1), ("t2", t2), ("t3", t3), ("n", n), ("d1", d1), ("n4", n4)):
         # NaN and ±inf first: int() of them raises a ValueError or OverflowError
         if v != v or v in (np.inf, -np.inf) or int(v) != v:

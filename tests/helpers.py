@@ -9,7 +9,9 @@ F families, which the tests check by its residuals against Q.
 The counters here are deliberately written in the dumbest possible way
 (subset enumeration) so they share no code path with the package;
 `brute_counts` assembles them into the counts behind the moments, the
-reference for `moments_from_counts` and the closed-form cone counts.  The
+reference for `moments_from_counts`.  `exact_traces` takes matrix powers
+in Python integers, the reference for the cone moments of every order that
+`moments._cone_traces` reads off block walk sums.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The paper's quartic, with its coefficients, root
@@ -29,6 +31,7 @@ checked constructor, the reference for the probes' edits of Q.
 """
 
 import string
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -45,6 +48,7 @@ from qcones import (
     SearchHit,
     SearchReport,
     count_subgraphs,
+    degree_profile,
     moments_from_counts,
     q_spectrum,
     realize,
@@ -57,7 +61,7 @@ from qcones.cones import _main_values, _quotient_values
 from qcones.family import _family_with_signature, _partitions, _path_blocks
 from qcones.graph6 import MAX_GRAPH6_VERTICES
 from qcones.graphs import _blocks
-from qcones.moments import CountVector
+from qcones.moments import CountVector, _cone_traces
 from qcones.orbits import _classes, _q_stack
 from qcones.search import _spectra
 
@@ -294,6 +298,32 @@ def brute_counts(g: MultiGraph) -> CountVector:
         p3 = sum(x * (x - 1) // 2 for x in d)
         c3, c4 = count_subgraphs(g, "C3"), count_subgraphs(g, "C4")
     return CountVector(p3, c3, c4, t_term, f_term, d2, d3, d4)
+
+
+def exact_traces(matrix, order: int) -> tuple[int, ...]:
+    """tr X^r for r = 1..order of a symmetric integer matrix, in Python
+    integers: tr X^(i + j) = sum(X^i * X^j), from X^1..X^ceil(order / 2)."""
+    x = np.asarray(matrix).astype(object)
+    powers = [np.identity(len(x), dtype=object), x]
+    while len(powers) <= (order + 1) // 2:
+        powers.append(powers[-1] @ x)
+    return tuple(int((powers[r // 2] * powers[r - r // 2]).sum()) for r in range(1, order + 1))
+
+
+def exact_q_and_a_traces(g: MultiGraph, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tr Q^r, tr A^r) for r = 1..order of a graph, by `exact_traces`."""
+    return exact_traces(np.diag(g.degrees()) + g.mult, order), exact_traces(g.mult, order)
+
+
+def cone_traces(spec: ConeSpec, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`moments._cone_traces` of a spec's blocks."""
+    return _cone_traces(Counter((kind, size) for kind, _, size in _blocks(spec)), order)
+
+
+def signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:
+    """A spec's order-4 signature, the arguments of `signature_moments`:
+    its degree profile and its numbers of C3, C4 and K2 blocks."""
+    return degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2)
 
 
 # ---------------------------------------------------------------------------

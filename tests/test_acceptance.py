@@ -27,12 +27,14 @@ from qcones import (
     sym_eigenvalues,
     triangle_star_mate,
 )
-from qcones.moments import _cone_counts, _signature
+from qcones.moments import _moments
 
 from helpers import (
     CHUNK_SIZES,
     brute_counts,
     brute_search_family,
+    cone_traces,
+    exact_q_and_a_traces,
     g_family_spec,
     is_f_family,
     isomorphic,
@@ -139,12 +141,14 @@ def test_criterion_04_moment_identities_on_random_graphs():
             assert abs(a - b) <= MOMENT_REL_TOL * max(1.0, abs(a))
 
 
-def test_criterion_05_closed_counts_exact_on_grid():
+def test_criterion_05_closed_moments_exact_on_grid():
     checked = 0
     for spec in G_GRID:
         if spec.n > 40:
             continue
-        assert _cone_counts(*_signature(spec))[1] == brute_counts(realize(spec))
+        g = realize(spec)
+        q, a = exact_q_and_a_traces(g, 4)
+        assert moments_closed_form(spec) == _moments(g.num_edges, brute_counts(g)) == (*q, a[3])
         checked += 1
     assert checked >= 100
 
@@ -317,15 +321,27 @@ def _t5(g) -> int:
 
 
 def test_criterion_12_even_cycle_candidate_matches_four_moments_not_the_fifth():
+    checked = 0
+    for k in range(6, 61, 2):
+        for q in range(2, 7):
+            for s in (1, 2, 3):
+                g_spec = g_family_spec([k], q, s)
+                candidate, _, _ = even_cycle_split_candidate(g_spec)
+                assert candidate == _split_candidate_spec(k, q, s)
+                tg, tc = cone_traces(g_spec, 5)[0], cone_traces(candidate, 5)[0]
+                assert tg[:4] == tc[:4], (k, q, s)
+                # T5 tells them apart, so the candidate is no cospectral mate
+                assert tc[4] - tg[4] == -80, (k, q, s)
+                dist = spectrum_compare(q_spectrum(realize(g_spec)), q_spectrum(realize(candidate)))
+                assert dist > COSPECTRAL_TOL, (k, q, s, dist)
+                checked += 1
+    assert checked == 420
+    # the dense route on the grid where int64 powers and the counts are exact
     for k in (6, 8, 10, 12, 20):
         for q, s in ((2, 1), (3, 1), (2, 2), (4, 3)):
             g_spec = g_family_spec([k], q, s)
             candidate, _, _ = even_cycle_split_candidate(g_spec)
-            assert candidate == _split_candidate_spec(k, q, s)
             g, c = realize(g_spec), realize(candidate)
             mg, mc = moments_from_counts(g), moments_from_counts(c)
             assert (mg.t1, mg.t2, mg.t3, mg.t4) == (mc.t1, mc.t2, mc.t3, mc.t4)
-            # T5 tells them apart, so the candidate is no cospectral mate
-            assert _t5(c) - _t5(g) == -80, (k, q, s)
-            dist = spectrum_compare(q_spectrum(g), q_spectrum(c))
-            assert dist > COSPECTRAL_TOL, (k, q, s, dist)
+            assert (_t5(g), _t5(c)) == (cone_traces(g_spec, 5)[0][4], cone_traces(candidate, 5)[0][4])

@@ -1,4 +1,4 @@
-"""Moment vectors, closed-form counts, moment shifts, degree systems."""
+"""Moment vectors, closed-form cone moments, moment shifts, degree systems."""
 
 import math
 import random
@@ -13,9 +13,11 @@ from qcones import (
     QSpectrum,
     ScaleError,
     degree_profile,
+    format_spec_text,
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
+    parse_spec_text,
     q_spectrum,
     realize,
     signature_moments,
@@ -23,15 +25,18 @@ from qcones import (
     solve_degree_system,
     sym_eigenvalues,
 )
-from qcones.moments import _cone_counts, _moments, _signature
+from qcones.moments import _moments
 
 from helpers import (
     brute_counts,
     complete_graph,
+    cone_traces,
     digon,
+    exact_q_and_a_traces,
     g_family_spec,
     path_graph,
     random_graph,
+    signature,
     slices_union,
 )
 
@@ -99,22 +104,30 @@ class TestMomentsFromSpectrum:
         assert mv.s4 == 2.0
 
 
-def closed_counts(spec):
-    """The closed-form counts of a simple cone, from its signature."""
-    return _cone_counts(*_signature(spec))[1]
+def closed_and_exact(spec):
+    """moments_closed_form(spec), after checking it against the count route
+    and the exact traces of the realized cone."""
+    g = realize(spec)
+    closed = moments_closed_form(spec)
+    q, a = exact_q_and_a_traces(g, 4)
+    assert closed == moments_from_counts(g) == (*q, a[3]), spec
+    return closed
 
 
-class TestCountsClosedForm:
+class TestClosedFormMoments:
     def test_flagship(self):
-        c = closed_counts(FLAGSHIP)
-        assert c == brute_counts(realize(FLAGSHIP))
+        g = realize(FLAGSHIP)
+        assert closed_and_exact(FLAGSHIP) == _moments(g.num_edges, brute_counts(g))
+        assert closed_and_exact(FLAGSHIP) == (20, 92, 560, 3876, 148)
 
-    def test_four_cycle_count(self):
-        # One C4 block adds one to the apex-edge 4-cycles.
-        assert closed_counts(g_family_spec([4], 1, 1)).c4 == 5
+    def test_four_cycle_block(self):
+        # K1 v C4 + K2 + K1 against K1 v P6 + K1, of the same profile: the C4
+        # block's apex-free 4-cycle adds 8 to S4, and with the K2 12 to T4
+        c4, p6 = closed_and_exact(g_family_spec([4], 1, 1)), closed_and_exact(ConeSpec(paths=(6, 1)))
+        assert (c4.s4 - p6.s4, c4.t4 - p6.t4) == (8, 12)
 
-    def test_t_term_substitution(self):
-        assert closed_counts(g_family_spec([5], 2, 1)).t_term == 864
+    def test_pinned_vector(self):
+        assert closed_and_exact(g_family_spec([5], 2, 1)) == (34, 196, 1696, 17508, 330)
 
     def test_matches_brute_force_grid(self):
         for cycles, q, s in [
@@ -126,7 +139,8 @@ class TestCountsClosedForm:
             ([3, 3, 3], 1, 1),
         ]:
             spec = g_family_spec(cycles, q, s)
-            assert closed_counts(spec) == brute_counts(realize(spec))
+            g = realize(spec)
+            assert closed_and_exact(spec) == _moments(g.num_edges, brute_counts(g)), spec
 
     def test_paths_and_stars_match_brute(self):
         for spec in (
@@ -135,13 +149,15 @@ class TestCountsClosedForm:
             ConeSpec(paths=(1,)),
             ConeSpec(paths=(9, 4), stars13=2),
         ):
-            assert closed_counts(spec) == brute_counts(realize(spec))
+            g = realize(spec)
+            assert closed_and_exact(spec) == _moments(g.num_edges, brute_counts(g)), spec
 
-    def test_rejects_non_family(self):
-        # digons make the cone a multigraph, outside the counted family
-        with pytest.raises(ParameterError, match="closed-form counts need a simple cone"):
-            _signature(ConeSpec(cycles=(4, 2), paths=(1,)))
-        with pytest.raises(ParameterError, match="closed-form counts need a simple cone"):
+    def test_rejects_digons(self):
+        # the identity covers digons, but the closed form keeps to the simple
+        # cones that the count route knows
+        with pytest.raises(ParameterError, match="closed-form moments need a simple cone"):
+            moments_closed_form(ConeSpec(cycles=(4, 2), paths=(1,)))
+        with pytest.raises(ParameterError, match="closed-form moments need a simple cone"):
             moments_closed_form(ConeSpec(cycles=(2,), paths=(2,)))
 
     def test_matches_brute_force_on_random_cones(self):
@@ -158,9 +174,65 @@ class TestCountsClosedForm:
             if spec.n > 40:
                 continue
             g = realize(spec)
-            assert closed_counts(spec) == brute_counts(g), spec
-            assert moments_closed_form(spec) == moments_from_counts(g), spec
+            assert closed_and_exact(spec) == _moments(g.num_edges, brute_counts(g)), spec
             checked += 1
+
+
+# the longest block _walk_sums(kind, size, ORDER) takes as its own powers;
+# longer ones continue the affine run
+ORDER = 8
+FAR = 2 * ORDER + 3
+
+
+def _trace_specs(count=72):
+    """Seeded cones with digons, 0-2 claws, and paths and cycles below and
+    above FAR, n <= 60."""
+    rng = random.Random(20261020)
+    specs = []
+    while len(specs) < count:
+        cycles = [rng.choice((2, 2, 3, 4, 5, 7, 9, 18, 19, 20, 24)) for _ in range(rng.randint(0, 3))]
+        paths = [rng.choice((1, 2, 3, 4, 6, 18, 19, 20, 21, 27)) for _ in range(rng.randint(0, 3))]
+        stars = rng.randint(0, 2)
+        if cycles or paths or stars:
+            spec = ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=stars)
+            if spec.n <= 60 and spec not in specs:
+                specs.append(spec)
+    return specs
+
+
+TRACE_SPECS = _trace_specs()
+
+
+class TestConeTraces:
+    def test_grid_covers_digons_claws_and_long_blocks(self):
+        assert len(TRACE_SPECS) >= 60
+        assert sum(spec.has_digon() for spec in TRACE_SPECS) >= 10
+        assert {spec.stars13 for spec in TRACE_SPECS} == {0, 1, 2}
+        assert sum(any(l > FAR for l in spec.paths) for spec in TRACE_SPECS) >= 15
+        assert sum(any(k > FAR for k in spec.cycles) for spec in TRACE_SPECS) >= 15
+
+    @pytest.mark.parametrize("spec", TRACE_SPECS, ids=format_spec_text)
+    def test_matches_exact_traces(self, spec):
+        # T1..T8 of Q, and tr A^1..A^8, S4 among them
+        assert cone_traces(spec, ORDER) == exact_q_and_a_traces(realize(spec), ORDER)
+
+    def test_every_order_is_a_prefix(self):
+        for spec in TRACE_SPECS[:10]:
+            q, a = cone_traces(spec, ORDER)
+            for order in range(1, ORDER):
+                assert cone_traces(spec, order) == (q[:order], a[:order]), (spec, order)
+
+    def test_order_4096_cone(self):
+        # the long-block path at n = 4 095, against the values the count
+        # formulas gave
+        spec = parse_spec_text("K1 v C4000 + 40K2 + 14K1")
+        assert moments_closed_form(spec) == (
+            16268, 16813438, 68669386988, 281200465256638, 33610072,
+        )
+
+    def test_one_vertex_base(self):
+        # K1 v K1 is K2: Q has eigenvalues 2 and 0, A has 1 and -1
+        assert cone_traces(ConeSpec(paths=(1,)), 6) == ((2, 4, 8, 16, 32, 64), (0, 2, 0, 2, 0, 2))
 
 
 def _signature_profiles():
@@ -190,7 +262,7 @@ class TestSignatureMoments:
         checked = 0
         for profile in SIGNATURE_PROFILES:
             for spec in slices_union(profile):
-                sig = signature_moments(*_signature(spec))
+                sig = signature_moments(*signature(spec))
                 assert moments_closed_form(spec) == sig, spec
                 assert moments_from_counts(realize(spec)) == sig, spec
                 checked += 1
@@ -216,7 +288,7 @@ class TestSignatureMoments:
         for profile in SIGNATURE_PROFILES:
             by_moments: dict = {}
             for spec in slices_union(profile):
-                sig = _signature(spec)
+                sig = signature(spec)
                 by_moments.setdefault(signature_moments(*sig)[:4], set()).add(sig[1:])
             for moments, sigs in by_moments.items():
                 found = signatures_with_moments(profile, moments)
