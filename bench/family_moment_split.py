@@ -1,11 +1,12 @@
 """How many of a family target's signature matches exact T5 and T6 reject.
 
 For each target, the candidates are the cones that `search_family` builds
-and eigensolves: every family member, other than the target, whose T1..T4
-equal the target's.  Their T5 = tr Q^5 and T6 come exactly from the block
-walk sums (`moments._cone_traces` at order 6), with no matrix built.  Per
-target the script prints the number of candidates, how many T5 rejects,
-how many of the rest T6 rejects, and how many share T1..T6.
+and eigensolves, both read from `family._candidates`: every family member,
+other than the target, whose T1..T4 equal the target's.  Their T5 = tr Q^5
+and T6 come exactly from the block walk sums (`moments._cone_traces` at
+order 6), with no matrix built.  Per target the script prints the number
+of candidates, how many T5 rejects, how many of the rest T6 rejects, and
+how many share T1..T6.
 
     python bench/family_moment_split.py "K1 v C20 + C8 + C6 + 3K2 + 2K1" \\
         "K1 v C45 + C3 + 2K2 + K1"
@@ -17,8 +18,8 @@ import argparse
 import json
 from collections import Counter
 
-from qcones import degree_profile, parse_spec_text, signatures_with_moments, solve_degree_system
-from qcones.family import _family_with_signature
+from qcones import parse_spec_text
+from qcones.family import _candidates
 from qcones.graphs import _blocks
 from qcones.moments import _cone_traces
 
@@ -29,22 +30,14 @@ def _traces(spec, order: int = 6) -> tuple[int, ...]:
 
 def split(target) -> dict:
     """The candidates of one target and where their moments first differ."""
-    n, t = target.n, _traces(target)
+    t = _traces(target)
     verdicts = Counter()
-    for n4 in (0, 1):
-        counts = solve_degree_system(*t[:3], n, n - 1, n4)
-        if counts is None:
-            continue
-        profile = (*counts, n4)
-        for sig in signatures_with_moments(profile, t):
-            for cand in _family_with_signature(profile, *sig):
-                if cand == target:
-                    continue
-                c = _traces(cand)
-                assert c[:4] == t[:4] and degree_profile(cand) == profile, cand
-                verdicts["t5" if c[4] != t[4] else "t6" if c[5] != t[5] else "same"] += 1
+    for cand in _candidates(target, t)[1]:
+        c = _traces(cand)
+        assert c[:4] == t[:4], cand
+        verdicts["t5" if c[4] != t[4] else "t6" if c[5] != t[5] else "same"] += 1
     return {
-        "n": n,
+        "n": target.n,
         "candidates": sum(verdicts.values()),
         "rejected_by_t5": verdicts["t5"],
         "rejected_by_t6": verdicts["t6"],

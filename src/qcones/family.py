@@ -1,14 +1,15 @@
-"""The cone family of a degree profile: its size, and the members with a
-given moment signature.
+"""The cone family of a degree profile: its size, the members with a given
+moment signature, and the candidates of the family search.
 
 A family member is a cone over disjoint cycles (length >= 3), paths and
 any number n4 of claws whose base has the degree profile (n1, n2, n3, n4)
-of `degree_profile`, which fixes the order; `search.search_family` asks for
-at most one claw.  `_family_with_signature` builds the members with given
-numbers of C3, C4 and K2 blocks, which together with the profile fix their
-moments T1..T4 (see `moments.signature_moments`); these slices partition
-the family, so the family search builds only the slices it needs.
-`_family_size` counts the members from partition counts.
+of `degree_profile`, which fixes the order.  `_family_with_signature`
+builds the members with given numbers of C3, C4 and K2 blocks, which
+together with the profile fix their moments T1..T4 (see
+`moments.signature_moments`); these slices partition the family.
+`_family_size` counts the members from partition counts.  `_candidates`
+holds the family search's rule for which members it builds, and its claw
+limit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import ConeSpec
+from .graphs import ConeSpec, _path_blocks
+from .moments import signatures_with_moments, solve_degree_system
+
+# the claw counts n4 of the profiles the family search scans
+_N4 = (0, 1)
 
 
 def _partitions(
@@ -36,17 +41,6 @@ def _partitions(
     for first in range(hi, min_part - 1, -1):
         for rest in _partitions(total - first, min_part, first, sub_parts):
             yield (first,) + rest
-
-
-def _path_blocks(profile: tuple[int, int, int, int]) -> int | None:
-    """Number of paths of order >= 2 in every family spec with this base
-    degree profile, whose n4 claws take 3 of its n2 degree-2 vertices each;
-    None when the profile has no such spec (it is negative or leaves a
-    negative or odd number of path endpoints)."""
-    endpoints = profile[1] - 3 * profile[3]
-    if min(profile) < 0 or endpoints < 0 or endpoints % 2:
-        return None
-    return endpoints // 2
 
 
 @lru_cache(maxsize=None)
@@ -103,3 +97,34 @@ def _family_with_signature(
             for extra in extras:
                 paths = tuple(e + 3 for e in extra) + (3,) * (longer - len(extra)) + tail
                 yield ConeSpec(cycles=big + fixed, paths=paths, stars13=n4)
+
+
+def _candidates(target: ConeSpec, moments) -> tuple[int, Iterator[ConeSpec]]:
+    """The family search's cardinality and candidates for a target with
+    exact moments T1..T4 (`moments`, a longer prefix is fine).
+
+    T1..T3 give one degree profile per claw count in _N4, with no claw and
+    with one: that tuple is the search's only claw limit.  T1..T4 see a
+    member only through its signature: the profile and its numbers of C3,
+    C4 and K2 blocks.  So the candidates are the members of the signatures
+    whose closed-form moments equal the target's, less the target, built
+    one at a time as the generator is read; profiles and signatures split
+    the family, so none comes twice.  The cardinality counts every member
+    of the profiles from partition counts, with none built, plus the
+    target when it is not one of them: when it has a digon or a claw count
+    outside _N4.
+    """
+    n = target.n
+    cardinality = int(target.has_digon() or target.stars13 not in _N4)
+    sigs = []
+    for n4 in _N4:
+        counts = solve_degree_system(*moments[:3], n, n - 1, n4)
+        if counts is None:
+            continue
+        profile = (*counts, n4)
+        cardinality += _family_size(profile)
+        sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
+    return cardinality, (
+        cand for profile, sig in sigs for cand in _family_with_signature(profile, *sig)
+        if cand != target
+    )

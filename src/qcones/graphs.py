@@ -301,6 +301,17 @@ def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
     return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
 
 
+def _path_blocks(profile: tuple[int, int, int, int]) -> int | None:
+    """Number of paths of order >= 2 in every cone over cycles (length
+    >= 3), paths and claws with this base degree profile, whose n4 claws
+    take 3 of its n2 degree-2 vertices each; None when no such cone has it
+    (it is negative or leaves a negative or odd number of path endpoints)."""
+    endpoints = profile[1] - 3 * profile[3]
+    if min(profile) < 0 or endpoints < 0 or endpoints % 2:
+        return None
+    return endpoints // 2
+
+
 # ---------------------------------------------------------------------------
 # spec text grammar
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ import numpy as np
 
 from .eigen import QSpectrum
 from .errors import ParameterError
-from .graphs import ConeSpec, MultiGraph, _blocks, count_subgraphs, realize, t_bar_f_bar
+from .graphs import (
+    ConeSpec, MultiGraph, _blocks, _path_blocks, count_subgraphs, realize, t_bar_f_bar,
+)
 
 
 class MomentVector(NamedTuple):
@@ -35,29 +37,6 @@ class MomentVector(NamedTuple):
     t3: float
     t4: float
     s4: float | None
-
-
-class CountVector(NamedTuple):
-    """Subgraph counts and degree power sums entering the moment formulas."""
-
-    p3: int
-    c3: int
-    c4: int
-    t_term: int
-    f_term: int
-    d2: int
-    d3: int
-    d4: int
-
-
-def _moments(m: int, counts: CountVector) -> MomentVector:
-    """Exact integer moment vector (T1..T4, S4) from m edges and the counts."""
-    t1 = 2 * m
-    t2 = counts.d2 + 2 * m
-    t3 = 6 * counts.c3 + counts.d3 + 3 * counts.d2
-    s4 = 2 * m + 4 * counts.p3 + 8 * counts.c4
-    t4 = s4 + counts.t_term + counts.f_term + counts.d4 + 4 * counts.d3
-    return MomentVector(t1, t2, t3, t4, s4)
 
 
 def moments_from_counts(g: MultiGraph) -> MomentVector:
@@ -69,7 +48,10 @@ def moments_from_counts(g: MultiGraph) -> MomentVector:
     d2, d3, d4 = (int((d ** r).sum()) for r in (2, 3, 4))
     m = g.num_edges
     c3, c4 = count_subgraphs(g, "C3"), count_subgraphs(g, "C4")
-    return _moments(m, CountVector((d2 - 2 * m) // 2, c3, c4, t_term, f_term, d2, d3, d4))
+    p3 = (d2 - 2 * m) // 2
+    s4 = 2 * m + 4 * p3 + 8 * c4
+    t4 = s4 + t_term + f_term + d4 + 4 * d3
+    return MomentVector(2 * m, d2 + 2 * m, 6 * c3 + d3 + 3 * d2, t4, s4)
 
 
 def moments_from_spectrum(
@@ -127,9 +109,14 @@ def signature_moments(
     """Exact integer moment vector (T1..T4, S4) of every simple cone whose
     base has degree profile `profile` and k3 C3, k4 C4 and nk2 K2 blocks.
     To order 4 paths from P3 on are affine in their order, and C_k (k >= 5)
-    is k steps P4 - P3: so take a P3 per other path and a step per vertex."""
-    n1, n2, n3, n4 = profile
-    longer = (n2 - 3 * n4) // 2 - nk2
+    is k steps P4 - P3: so take a P3 per other path and a step per vertex.
+    A profile that no such cone has (see `graphs._path_blocks`) raises
+    ParameterError."""
+    p = _path_blocks(profile)
+    if p is None:
+        raise ParameterError(f"no cone over cycles, paths and claws has profile {profile}")
+    n1, _, n3, n4 = profile
+    longer = p - nk2
     steps = n3 - 3 * k3 - 4 * k4 - longer
     q, a = _cone_traces({("path", 1): n1, ("claw", 4): n4, ("cycle", 3): k3, ("cycle", 4): k4,
                          ("path", 2): nk2, ("path", 3): longer - steps, ("path", 4): steps}, 4)
@@ -161,8 +148,12 @@ def signatures_with_moments(
     """Every (k3, k4, nk2) whose signature moments with this profile have
     T1..T4 equal to moments[:4]: those of (0, 0, 0) plus 6 on T3 and 72 on
     T4 per C3, 8 on T4 per C4 and 4 per K2.  So T3 fixes k3, and each k4
-    fixes nk2, within the profile's (n2 - 3 n4) / 2 paths of order >= 2."""
-    _, n2, n3, n4 = profile
+    fixes nk2, within the profile's `_path_blocks` paths of order >= 2; a
+    profile that it rejects has no signature."""
+    p = _path_blocks(profile)
+    if p is None:
+        return []
+    n3 = profile[2]
     t1, t2, t3, t4 = moments[:4]
     (_, _, c3_t3, c3_t4), (*_, c4_t4), (*_, k2_t4) = _signature_shifts()
     base = signature_moments(profile, 0, 0, 0)
@@ -172,7 +163,7 @@ def signatures_with_moments(
     found = []
     for k4 in range((n3 - 3 * k3) // 4 + 1):
         nk2, rem = divmod(t4 - base.t4 - c3_t4 * k3 - c4_t4 * k4, k2_t4)
-        if not rem and 0 <= nk2 <= (n2 - 3 * n4) // 2:
+        if not rem and 0 <= nk2 <= p:
             found.append((k3, k4, nk2))
     return found
 

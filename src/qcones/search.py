@@ -1,14 +1,14 @@
 """Cospectral-mate search, exhaustive small-order scans, and structural probes.
 
-The family search eigensolves only the cones over cycles, paths and at most
-one claw, of the target's order and degree profile, whose block signature
-gives the target's exact moments T1..T4; it counts the others.  The
-exhaustive search covers every simple graph on up to 8 vertices as the
-extensions of the isomorphism classes of one order less (`qcones.orbits`):
-one key lookup on (m, sum d^2, tr Q^3), the target's own orbit, a tr(Q^4)
-band, one batched eigensolve behind the target, and a class split.  Cone
-recognition reads the blocks off each component's sorted degrees.  Probes
-re-check interlacing, nullity and largest-eigenvalue facts numerically.
+The family search eigensolves only the candidates of `family._candidates`,
+the family cones whose block signature gives the target's exact moments
+T1..T4; it counts the others.  The exhaustive search covers every simple
+graph on up to 8 vertices as the extensions of the isomorphism classes of
+one order less (`qcones.orbits`): one key lookup on (m, sum d^2, tr Q^3),
+the target's own orbit, a tr(Q^4) band, one batched eigensolve behind the
+target, and a class split.  Cone recognition reads the blocks off each
+component's sorted degrees.  Probes re-check interlacing, nullity and
+largest-eigenvalue facts numerically.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .graphs import (
 from .cones import largest_q_eigenvalue
 from .graph6 import _pair_index
 from .eigen import _q_rows, q_matrix, q_spectrum
-from .family import _family_size, _family_with_signature
+from .family import _candidates
 from .orbits import _class_reps, _moment_matches, _orbit_members, _q_stack
-from .moments import signatures_with_moments, solve_degree_system
 
 COSPECTRAL_TOL = 1e-8
 PROBE_TOL = 1e-8
@@ -85,23 +84,17 @@ def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
 def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Scan all family candidates sharing the target's order and moments.
 
-    The target's moments T1..T4 are exact integer traces of its Q, and the
-    first three give each candidate degree profile, with no claw and with
-    one: the n4 loop and the cardinality term below are the family's only
-    claw limit (the `qcones.family` helpers take any number).  T1..T4 see
-    a candidate only through its signature: the profile and its numbers of
-    C3, C4 and K2 blocks.  So the search solves for the signatures whose
-    closed-form moments equal the target's and builds only the specs with
-    those signatures, one at a time.  Their Q matrices follow the target's
-    own Q through one chunked, batched eigensolve, and only the hits are
-    kept, so memory does not grow with the number of matches.
-    `cardinality` still counts every candidate of the profiles, plus the
-    target when it is not one of them (a digon or more than one claw), from
-    partition counts, with none of the others built.  The target is always
-    its own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
-    ScaleError before enumeration.  A candidate off T1..T4 is never reported,
-    at any `tol`; a moment gap puts it 1 / (4 n M^3) away at least, M =
-    2 (n - 1) (2.0e-9 at n = 64, below the default tol from n = 43).
+    The target's moments T1..T4 are exact integer traces of its Q, from
+    which `family._candidates`, the one home of the candidate rule and its
+    claw limit, gives the candidates and the `cardinality`.  Their Q
+    matrices follow the target's own Q through one chunked, batched
+    eigensolve, and only the hits are kept, so memory does not grow with
+    the number of matches.  The target is always its
+    own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
+    ScaleError before enumeration.  A candidate off T1..T4 is never
+    reported, at any `tol`; a moment gap puts it 1 / (4 n M^3) away at
+    least, M = 2 (n - 1) (2.0e-9 at n = 64, below the default tol from
+    n = 43).
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
@@ -109,25 +102,9 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         raise ScaleError(
             f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
         )
-    n = target.n
     tq = q_matrix(realize(target))
-    moments = _power_traces(tq)
-    cardinality = 0
-    sigs = []
-    for n4 in (0, 1):
-        counts = solve_degree_system(*moments[:3], n, n - 1, n4)
-        if counts is None:
-            continue
-        profile = (*counts, n4)
-        cardinality += _family_size(profile)
-        sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
-    # the family holds the target unless it has a digon or more than one claw
-    cardinality += target.has_digon() or target.stars13 > 1
-    # profiles and signatures split the family: no candidate comes twice
-    cands, feed = itertools.tee(
-        cand for profile, sig in sigs for cand in _family_with_signature(profile, *sig)
-        if cand != target
-    )
+    cardinality, cands = _candidates(target, _power_traces(tq))
+    cands, feed = itertools.tee(cands)
     # the target's Q is row 0 of the candidates' batch
     chunks = _q_rows(itertools.chain((tq,), (q_matrix(realize(c)) for c in feed)))
     first = next(chunks)

@@ -7,11 +7,11 @@ The graph builders (`from_edges`, `path_graph`, `cycle_graph`, `digon`,
 F families, which the tests check by its residuals against Q.
 
 The counters here are deliberately written in the dumbest possible way
-(subset enumeration) so they share no code path with the package;
-`brute_counts` assembles them into the counts behind the moments, the
-reference for `moments_from_counts`.  `exact_traces` takes matrix powers
-in Python integers, the reference for the cone moments of every order that
-`moments._cone_traces` reads off block walk sums.  The
+(subset enumeration) so they share no code path with the package's
+`count_subgraphs` and `t_bar_f_bar`.  `exact_traces` takes matrix powers
+in Python integers, the reference for `moments_from_counts` and for the
+cone moments of every order that `moments._cone_traces` reads off block
+walk sums.  The
 cyclic plane-rotation (Jacobi) eigensolver and the principal-minor
 characteristic polynomial are independent checks on LAPACK and on the
 quotient quartic.  The paper's quartic, with its coefficients, root
@@ -47,27 +47,29 @@ from qcones import (
     ScaleError,
     SearchHit,
     SearchReport,
-    count_subgraphs,
     degree_profile,
     moments_from_counts,
     q_spectrum,
     realize,
     solve_degree_system,
     spectrum_compare,
-    t_bar_f_bar,
 )
 from qcones import eigen
 from qcones.cones import _main_values, _quotient_values
-from qcones.family import _family_with_signature, _partitions, _path_blocks
+from qcones.family import _family_with_signature, _partitions
 from qcones.graph6 import MAX_GRAPH6_VERTICES
-from qcones.graphs import _blocks
-from qcones.moments import CountVector, _cone_traces
+from qcones.graphs import _blocks, _path_blocks
+from qcones.moments import _cone_traces
 from qcones.orbits import _classes, _q_stack
 from qcones.search import _spectra
 
 # matrices per chunk of the batched eigensolve in the chunk-invariance
 # tests; None keeps the default CHUNK_ENTRIES
 CHUNK_SIZES = (1, 3, None)
+
+# the claw counts n4 of the profiles the family-search oracles scan, as
+# `family._candidates` does
+FAMILY_N4 = (0, 1)
 
 
 def set_chunk(monkeypatch, matrices, order: int) -> None:
@@ -223,16 +225,6 @@ def _adj(g: MultiGraph):
     return lambda u, v: m[u, v] > 0
 
 
-def naive_p3(g: MultiGraph) -> int:
-    adj = _adj(g)
-    total = 0
-    for mid in range(g.n):
-        for a, b in combinations(range(g.n), 2):
-            if mid not in (a, b) and adj(mid, a) and adj(mid, b):
-                total += 1
-    return total
-
-
 def naive_c3(g: MultiGraph) -> int:
     adj = _adj(g)
     return sum(
@@ -275,29 +267,6 @@ def naive_f_bar(g: MultiGraph) -> int:
         for u, v in combinations(range(g.n), 2)
         if adj(u, v)
     )
-
-
-# the subset-enumeration counters are quick up to this order
-NAIVE_COUNT_VERTICES = 16
-
-
-def brute_counts(g: MultiGraph) -> CountVector:
-    """The eight count ingredients of a simple graph's moments.
-
-    Up to NAIVE_COUNT_VERTICES vertices they come from the naive counters
-    above; beyond, from `count_subgraphs`, `t_bar_f_bar` and P3 as the sum
-    of C(d, 2).  Degree power sums are summed as Python ints.
-    """
-    d = [int(x) for x in g.degrees()]
-    d2, d3, d4 = (sum(x ** r for x in d) for r in (2, 3, 4))
-    if g.n <= NAIVE_COUNT_VERTICES:
-        p3, c3, c4 = naive_p3(g), naive_c3(g), naive_c4(g)
-        t_term, f_term = naive_t_bar(g), naive_f_bar(g)
-    else:
-        t_term, f_term = t_bar_f_bar(g)
-        p3 = sum(x * (x - 1) // 2 for x in d)
-        c3, c4 = count_subgraphs(g, "C3"), count_subgraphs(g, "C4")
-    return CountVector(p3, c3, c4, t_term, f_term, d2, d3, d4)
 
 
 def exact_traces(matrix, order: int) -> tuple[int, ...]:
@@ -683,7 +652,7 @@ def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     n = target.n
     t1, t2, t3, t4 = (round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
     candidates = {target}
-    for n4 in (0, 1):
+    for n4 in FAMILY_N4:
         counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
         if counts is not None:
             candidates.update(enumerate_family_by_partitions((*counts, n4)))

@@ -27,11 +27,9 @@ from qcones import (
     sym_eigenvalues,
     triangle_star_mate,
 )
-from qcones.moments import _moments
 
 from helpers import (
     CHUNK_SIZES,
-    brute_counts,
     brute_search_family,
     cone_traces,
     exact_q_and_a_traces,
@@ -148,7 +146,7 @@ def test_criterion_05_closed_moments_exact_on_grid():
             continue
         g = realize(spec)
         q, a = exact_q_and_a_traces(g, 4)
-        assert moments_closed_form(spec) == _moments(g.num_edges, brute_counts(g)) == (*q, a[3])
+        assert moments_closed_form(spec) == moments_from_counts(g) == (*q, a[3])
         checked += 1
     assert checked >= 100
 

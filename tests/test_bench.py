@@ -10,7 +10,7 @@ from pathlib import Path
 
 from qcones import parse_spec_text, realize, solve_degree_system
 
-from helpers import enumerate_family_by_partitions, exact_q_and_a_traces
+from helpers import FAMILY_N4, enumerate_family_by_partitions, exact_q_and_a_traces
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +39,7 @@ def test_exhaustive_inprocess_one_pass(tmp_path):
 
 def test_family_moment_split_matches_exact_traces():
     # the script's verdicts against matrix powers of every realized member
-    # of the target's two profiles (no claw and one)
+    # of the target's profiles, one per claw count in FAMILY_N4
     target = "K1 v C8 + C4 + C3 + 2K2 + K1"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "family_moment_split.py"), target],
@@ -50,7 +50,7 @@ def test_family_moment_split_matches_exact_traces():
     spec = parse_spec_text(target)
     t = exact_q_and_a_traces(realize(spec), 6)[0]
     verdicts = Counter()
-    for n4 in (0, 1):
+    for n4 in FAMILY_N4:
         counts = solve_degree_system(*t[:3], spec.n, spec.n - 1, n4)
         for cand in enumerate_family_by_partitions((*counts, n4)):
             c = exact_q_and_a_traces(realize(cand), 6)[0]

@@ -32,7 +32,7 @@ from qcones import (
 from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6
 from qcones.graphs import _dominating_vertices
-from qcones.family import _family_size, _partitions
+from qcones.family import _candidates, _family_size, _partitions
 from qcones import orbits, search
 from qcones.orbits import (
     _KEY_BITS,
@@ -48,12 +48,14 @@ from qcones.search import _power_traces, _spectra
 
 from helpers import (
     CHUNK_SIZES,
+    FAMILY_N4,
     brute_search_exhaustive,
     brute_search_family,
     complete_graph,
     cycle_graph,
     disjoint_union,
     enumerate_family_by_partitions,
+    exact_q_and_a_traces,
     extension_masks,
     g_family_spec,
     isin_orbit_classes,
@@ -152,14 +154,14 @@ def naive_partitions(total, min_part):
             yield (part,) + rest
 
 
-def naive_specs(base_order):
+def naive_specs(base_order, min_cycle=3):
     """Every block multiset on the given base order, with any number of
-    claws, by direct generation."""
+    claws and cycles of length >= min_cycle, by direct generation."""
     out = set()
     for stars in range(base_order // 4 + 1):
         rem = base_order - 4 * stars
         for csum in range(rem + 1):
-            for cycles in naive_partitions(csum, 3):
+            for cycles in naive_partitions(csum, min_cycle):
                 for paths in naive_partitions(rem - csum, 1):
                     if cycles or paths or stars:
                         out.add(ConeSpec(cycles=cycles, paths=paths, stars13=stars))
@@ -336,10 +338,19 @@ def _profiles(n: int):
 
 
 def _solved_profiles(target):
-    """solve_degree_system on the target's moments, for n4 = 0 and 1."""
-    tspec = q_spectrum(realize(target))
-    t1, t2, t3 = (round(power_sum(tspec, r)) for r in (1, 2, 3))
-    return [solve_degree_system(t1, t2, t3, target.n, target.n - 1, n4) for n4 in (0, 1)]
+    """solve_degree_system on the target's moments, by n4 in FAMILY_N4."""
+    t = exact_q_and_a_traces(realize(target), 3)[0]
+    return {n4: solve_degree_system(*t, target.n, target.n - 1, n4) for n4 in FAMILY_N4}
+
+
+def _family_union(target):
+    """The target and every member of its solved profiles, from the
+    partition loop."""
+    union = {target}
+    for n4, counts in _solved_profiles(target).items():
+        if counts is not None:
+            union.update(enumerate_family_by_partitions((*counts, n4)))
+    return union
 
 
 class TestFamilyBySignature:
@@ -380,13 +391,9 @@ class TestFamilyBySignature:
     ], ids=str)
     def test_cardinality_is_the_enumerated_union(self, target, rejected):
         solved = _solved_profiles(target)
-        assert rejected == [n4 for n4, counts in enumerate(solved) if counts is None]
-        union = {target}
-        for n4, counts in enumerate(solved):
-            if counts is not None:
-                union.update(enumerate_family_by_partitions((*counts, n4)))
+        assert rejected == [n4 for n4, counts in solved.items() if counts is None]
         report = search_family(target)
-        assert report.cardinality == len(union)
+        assert report.cardinality == len(_family_union(target))
         assert report == brute_search_family(target)
 
     @pytest.mark.parametrize("matrices", CHUNK_SIZES)
@@ -431,6 +438,44 @@ class TestFamilyBySignature:
                     assert signatures_with_moments(want, moments) == [], target
                     negative_c3 += 1
         assert (solved, negative_c3) == (2323, 592)
+
+
+class TestCandidates:
+    """`family._candidates`, the family search's candidate rule, against
+    the partition-loop enumeration and matrix-power moments."""
+
+    def test_candidates_are_the_moment_matches(self):
+        rng = random.Random(20261021)
+        targets = [
+            parse_spec_text("K1 v C2 + C5 + 2K2 + K1"),
+            parse_spec_text("K1 v K13 + K13 + C3 + 2K2 + K1"),
+        ]
+        while len(targets) < 60:
+            spec = random_cone_spec(rng, max_path=4)
+            if spec.n <= 20:
+                targets.append(spec)
+        matched = 0
+        for target in targets:
+            t = exact_q_and_a_traces(realize(target), 4)[0]
+            cands = list(_candidates(target, t)[1])
+            want = {
+                c for c in _family_union(target) - {target}
+                if exact_q_and_a_traces(realize(c), 4)[0] == t
+            }
+            assert len(cands) == len(set(cands)) and set(cands) == want, target
+            matched += len(want)
+        assert matched == 87
+
+    def test_cardinality_counts_the_union(self):
+        # every cone with base order <= 12: digons, and up to three claws
+        checked = digons = claws = 0
+        for target in (s for b in range(1, 13) for s in naive_specs(b, min_cycle=2)):
+            t = exact_q_and_a_traces(realize(target), 4)[0]
+            assert _candidates(target, t)[0] == len(_family_union(target)), target
+            checked += 1
+            digons += target.has_digon()
+            claws += target.stars13 > 1
+        assert (checked, digons, claws) == (1370, 551, 21)
 
 
 class TestSearchesAgree:
