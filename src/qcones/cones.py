@@ -41,8 +41,7 @@ from .moments import moments_closed_form
 
 def _cos_tag(prefix: str, num: int, den: int) -> str:
     g = math.gcd(num, den)
-    num //= g
-    den //= g
+    num, den = num // g, den // g
     pi = "π" if num == 1 else f"{num}π"
     return f"{prefix}cos({pi if den == 1 else f'{pi}/{den}'})"
 
@@ -58,8 +57,7 @@ def _path_value(j: int, l: int) -> tuple[float, str]:
     """3 - 2cos(jπ/l), computed from j/l in lowest terms so that equal
     values of different paths are bitwise equal."""
     g = math.gcd(j, l)
-    j //= g
-    l //= g
+    j, l = j // g, l // g
     tag = "1" if j == 0 else "3" if 2 * j == l else _cos_tag("3-2", j, l)
     return 3.0 - 2.0 * math.cos(math.pi * j / l), tag
 

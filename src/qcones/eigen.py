@@ -55,19 +55,16 @@ class QSpectrum:
 
     def __init__(self, values, group_tol: float = GROUP_TOL, sources=None) -> None:
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("spectrum must be a non-empty value list")
+        if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+            raise ParameterError("spectrum must be a non-empty list of finite values")
         order = np.argsort(-arr, kind="stable")
         arr = arr[order]
         arr.setflags(write=False)
         self.values = arr
         self.group_tol = float(group_tol)
-        if sources is not None:
-            if len(sources) != arr.size:
-                raise ParameterError("one source tag per value required")
-            self.sources = tuple(sources[i] for i in order)
-        else:
-            self.sources = None
+        if sources is not None and len(sources) != arr.size:
+            raise ParameterError("one source tag per value required")
+        self.sources = None if sources is None else tuple(sources[i] for i in order)
         self._groups = None
 
     @property
@@ -132,8 +129,8 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
 def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
     a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError("matrix must be square")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
+        raise ParameterError("matrix must be square, with finite entries")
     return QSpectrum(_eigvalsh(_symmetric(a)), group_tol=group_tol)
 
 
@@ -157,10 +154,8 @@ def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     it = iter(matrices)
     for first in it:
         rest = list(itertools.islice(it, max(1, CHUNK_ENTRIES // first.size) - 1))
-        if rest:
-            stack = np.array([first, *rest], dtype=np.float64)
-        else:
-            stack = np.asarray(first, dtype=np.float64)[None]
+        stack = (np.array([first, *rest], dtype=np.float64) if rest
+                 else np.asarray(first, dtype=np.float64)[None])
         rows = _eigvalsh(_symmetric(stack))
         lowest = rows[:, 0].min()
         if lowest < -_PSD_TOL:

@@ -8,8 +8,8 @@ builds the members with given numbers of C3, C4 and K2 blocks, which
 together with the profile fix their moments T1..T4 (see
 `moments.signature_moments`); these slices partition the family.
 `_family_size` counts the members from partition counts.  `_candidates`
-holds the family search's rule for which members it builds, and its claw
-limit.
+holds the family search's rule for which members it builds: the levels
+of one claw-free profile under C3 + K1 -> K13 swaps.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from typing import Iterator
 
 from .graphs import ConeSpec, _path_blocks
 from .moments import signatures_with_moments, solve_degree_system
-
-# the claw counts n4 of the profiles the family search scans
-_N4 = (0, 1)
-
 
 def _partitions(
     total: int,
@@ -103,28 +99,28 @@ def _candidates(target: ConeSpec, moments) -> tuple[int, Iterator[ConeSpec]]:
     """The family search's cardinality and candidates for a target with
     exact moments T1..T4 (`moments`, a longer prefix is fine).
 
-    T1..T3 give one degree profile per claw count in _N4, with no claw and
-    with one: that tuple is the search's only claw limit.  T1..T4 see a
-    member only through its signature: the profile and its numbers of C3,
-    C4 and K2 blocks.  So the candidates are the members of the signatures
-    whose closed-form moments equal the target's, less the target, built
-    one at a time as the generator is read; profiles and signatures split
-    the family, so none comes twice.  The cardinality counts every member
-    of the profiles from partition counts, with none built, plus the
-    target when it is not one of them: when it has a digon or a claw count
-    outside _N4.
+    T1..T4 see a member only through its signature: its degree profile and
+    its numbers of C3, C4 and K2 blocks.  T1..T3 give one claw-free profile,
+    and its signatures whose closed-form moments equal the target's share
+    one C3 count k3, fixed by T3.  A C3 + K1 -> K13 swap keeps the spectrum
+    and shifts the profile by (-1, 3, -3, 1), so level j = 0..k3 holds the
+    members with j claws, with signatures (k3 - j, k4, nk2); no other
+    profile has a signature.  The candidates are the members of these
+    signatures less the target, built one at a time as the generator is
+    read; profiles and signatures split the family, so none comes twice.
+    The cardinality counts every member of the levels from partition
+    counts, with none built (only the claw-free level when no signature
+    matches), plus the target when it has a digon.
     """
     n = target.n
-    cardinality = int(target.has_digon() or target.stars13 not in _N4)
-    sigs = []
-    for n4 in _N4:
-        counts = solve_degree_system(*moments[:3], n, n - 1, n4)
-        if counts is None:
-            continue
-        profile = (*counts, n4)
-        cardinality += _family_size(profile)
-        sigs += [(profile, sig) for sig in signatures_with_moments(profile, moments)]
+    counts = solve_degree_system(*moments[:3], n, n - 1, 0)
+    if counts is None:
+        return int(target.has_digon()), iter(())
+    n1, n2, n3 = counts
+    sigs = signatures_with_moments((n1, n2, n3, 0), moments)
+    levels = [(n1 - j, n2 + 3 * j, n3 - 3 * j, j) for j in range(sigs[0][0] + 1 if sigs else 1)]
+    cardinality = int(target.has_digon()) + sum(map(_family_size, levels))
     return cardinality, (
-        cand for profile, sig in sigs for cand in _family_with_signature(profile, *sig)
-        if cand != target
+        cand for j, profile in enumerate(levels) for k3, k4, nk2 in sigs
+        for cand in _family_with_signature(profile, k3 - j, k4, nk2) if cand != target
     )

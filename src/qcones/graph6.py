@@ -74,6 +74,5 @@ def decode_graph6(text: str) -> MultiGraph:
         raise FormatError("non-zero padding bits")
     rows, cols = _pair_index(n)
     arr = np.zeros((n, n), dtype=np.int64)
-    arr[rows, cols] = bits[:npairs]
-    arr[cols, rows] = bits[:npairs]
+    arr[rows, cols] = arr[cols, rows] = bits[:npairs]
     return MultiGraph._wrap(arr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator
 
 import numpy as np
@@ -29,12 +30,15 @@ MAX_COUNT_VERTICES = 64
 
 
 class MultiGraph:
-    """Undirected multigraph backed by an immutable multiplicity matrix."""
+    """Undirected multigraph backed by an immutable integer multiplicity matrix."""
 
     __slots__ = ("_mult",)
 
     def __init__(self, mult) -> None:
-        arr = np.array(mult, dtype=np.int64)
+        raw = np.asarray(mult)
+        if raw.dtype.kind not in "biu":  # bool or integer: no float, text or object
+            raise ParameterError("multiplicities must be integers")
+        arr = raw.astype(np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ParameterError("multiplicity matrix must be square")
         n = arr.shape[0]
@@ -195,8 +199,8 @@ class ConeSpec:
 
     `cycles` holds cycle lengths (>= 2, where 2 means a digon), `paths` path
     orders (>= 1, where 1 is an isolated base vertex and 2 a K2), `stars13`
-    the number of 4-vertex star blocks.  Both tuples are normalized to
-    descending order, so equal specs compare equal.
+    the number of 4-vertex star blocks, all integers.  Both tuples are
+    normalized to descending order, so equal specs compare equal.
     """
 
     cycles: tuple[int, ...] = ()
@@ -204,19 +208,23 @@ class ConeSpec:
     stars13: int = 0
 
     def __post_init__(self) -> None:
-        cycles = tuple(sorted((int(k) for k in self.cycles), reverse=True))
-        paths = tuple(sorted((int(l) for l in self.paths), reverse=True))
+        try:  # integers alone, numpy's among them: a float or text raises
+            cycles = tuple(sorted(map(index, self.cycles), reverse=True))
+            paths = tuple(sorted(map(index, self.paths), reverse=True))
+            stars = index(self.stars13)
+        except TypeError:
+            raise ParameterError("block sizes and counts must be integers") from None
         if any(k < 2 for k in cycles):
             raise ParameterError("cycle lengths must be >= 2 (2 = digon)")
         if any(l < 1 for l in paths):
             raise ParameterError("path orders must be >= 1")
-        if self.stars13 < 0:
+        if stars < 0:
             raise ParameterError("star count must be >= 0")
-        if not cycles and not paths and not self.stars13:
+        if not cycles and not paths and not stars:
             raise ParameterError("spec needs at least one block")
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "stars13", int(self.stars13))
+        object.__setattr__(self, "stars13", stars)
 
     @property
     def n(self) -> int:

@@ -110,11 +110,13 @@ def signature_moments(
     base has degree profile `profile` and k3 C3, k4 C4 and nk2 K2 blocks.
     To order 4 paths from P3 on are affine in their order, and C_k (k >= 5)
     is k steps P4 - P3: so take a P3 per other path and a step per vertex.
-    A profile that no such cone has (see `graphs._path_blocks`) raises
-    ParameterError."""
+    A profile that no such cone has (see `graphs._path_blocks`), or a block
+    count that is negative or no integer, raises ParameterError."""
     p = _path_blocks(profile)
     if p is None:
         raise ParameterError(f"no cone over cycles, paths and claws has profile {profile}")
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (k3, k4, nk2)):
+        raise ParameterError(f"block counts must be integers >= 0, got {(k3, k4, nk2)}")
     n1, _, n3, n4 = profile
     longer = p - nk2
     steps = n3 - 3 * k3 - 4 * k4 - longer

@@ -85,19 +85,21 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     """Scan all family candidates sharing the target's order and moments.
 
     The target's moments T1..T4 are exact integer traces of its Q, from
-    which `family._candidates`, the one home of the candidate rule and its
-    claw limit, gives the candidates and the `cardinality`.  Their Q
-    matrices follow the target's own Q through one chunked, batched
+    which `family._candidates`, the one home of the candidate rule, gives
+    the candidates, with any number of claws, and the `cardinality`.
+    Their Q matrices follow the target's own Q through one chunked, batched
     eigensolve, and only the hits are kept, so memory does not grow with
-    the number of matches.  The target is always its
-    own hit at distance zero.  Targets above MAX_FAMILY_VERTICES raise
-    ScaleError before enumeration.  A candidate off T1..T4 is never
-    reported, at any `tol`; a moment gap puts it 1 / (4 n M^3) away at
-    least, M = 2 (n - 1) (2.0e-9 at n = 64, below the default tol from
-    n = 43).
+    the number of matches.  The target is always its own hit at distance
+    zero.  A `tol` that is negative or not finite raises ParameterError,
+    and a target above MAX_FAMILY_VERTICES ScaleError, before enumeration.
+    A candidate off T1..T4 is never reported, at any `tol`; a moment gap
+    puts it 1 / (4 n M^3) away at least, M = 2 (n - 1) (2.0e-9 at n = 64,
+    below the default tol from n = 43).
     """
     if not isinstance(target, ConeSpec):
         raise ParameterError("family search expects a cone spec target")
+    if not 0.0 <= tol < np.inf:  # NaN too
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     if target.n > MAX_FAMILY_VERTICES:
         raise ScaleError(
             f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
@@ -117,13 +119,7 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     hits.sort(key=lambda h: (
         h.distance, h.candidate.stars13, h.candidate.cycles, h.candidate.paths,
     ))
-    return SearchReport(
-        target=target,
-        tolerance=float(tol),
-        hits=tuple(hits),
-        exhaustive=False,
-        cardinality=cardinality,
-    )
+    return SearchReport(target, float(tol), tuple(hits), False, cardinality)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +135,11 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Search every labeled simple graph on n vertices for cospectral mates.
 
     `target` is a graph or a cone spec (anything else raises
-    ParameterError); the order is capped at 8.  The key (m, sum d^2,
-    tr Q^3) comes from exact integer traces of the target's Q, and only
-    its matches are reported, at any `tol`: a T3 gap of 1 puts a graph
-    1 / (3 n M^2) away at least (M of stage 3; 2.1e-4 at n = 8).
+    ParameterError, as does a `tol` that is negative or not finite); the
+    order is capped at 8.  The key (m, sum d^2, tr Q^3) comes from exact
+    integer traces of the target's Q, and only its matches are reported,
+    at any `tol`: a T3 gap of 1 puts a graph 1 / (3 n M^2) away at least
+    (M of stage 3; 2.1e-4 at n = 8).
 
     1. lookup: every graph is isomorphic to an extension of a class of
        order n - 1 by vertex n - 1.  `_extension_moments(n)`, built on the
@@ -171,6 +168,8 @@ def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """
     if not isinstance(target, (ConeSpec, MultiGraph)):
         raise ParameterError("exhaustive search expects a graph or cone spec target")
+    if not 0.0 <= tol < np.inf:  # NaN too
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     n = target.n
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ScaleError(

@@ -67,10 +67,6 @@ from qcones.search import _spectra
 # tests; None keeps the default CHUNK_ENTRIES
 CHUNK_SIZES = (1, 3, None)
 
-# the claw counts n4 of the profiles the family-search oracles scan, as
-# `family._candidates` does
-FAMILY_N4 = (0, 1)
-
 
 def set_chunk(monkeypatch, matrices, order: int) -> None:
     """Make each chunk of order-`order` Q matrices hold `matrices` of them."""
@@ -645,14 +641,30 @@ def _brute_moments(cand):
     return tuple(moments_from_counts(realize(cand))[:4])
 
 
+def family_claw_counts(target: ConeSpec) -> range:
+    """The claw counts n4 of the profiles the family search covers, read
+    off the target: 0..#C3 + #claws for a simple target, since each claw
+    swaps back for a C3 and a K1 and T3 fixes their sum.  A digon target
+    has no such count, so it is the C3 count of the claw-free members whose
+    brute-counted T1..T4 equal the target's (they share one), or 0 when no
+    member matches."""
+    if not target.has_digon():
+        return range(target.cycles.count(3) + target.stars13 + 1)
+    t = exact_q_and_a_traces(realize(target), 4)[0]
+    counts = solve_degree_system(*t[:3], target.n, target.n - 1, 0)
+    members = [] if counts is None else enumerate_family_by_partitions((*counts, 0))
+    (k3,) = {c.cycles.count(3) for c in members if _brute_moments(c) == t} or {0}
+    return range(k3 + 1)
+
+
 def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     """search_family with the moment filter on realized, brute-counted
-    candidates (n <= 64)."""
+    members of the profiles of `family_claw_counts` (n <= 64)."""
     tspec = q_spectrum(realize(target))
     n = target.n
     t1, t2, t3, t4 = (round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
     candidates = {target}
-    for n4 in FAMILY_N4:
+    for n4 in family_claw_counts(target):
         counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
         if counts is not None:
             candidates.update(enumerate_family_by_partitions((*counts, n4)))

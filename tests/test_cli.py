@@ -587,7 +587,7 @@ class TestSearchCommand:
         result = doc["result"]
         assert result["mode"] == "family"
         assert result["classes"] == 1
-        assert result["cardinality"] == 50
+        assert result["cardinality"] == 35
         assert result["hits"][0]["spec"] == "K1 v C7 + C5 + 1K2 + 1K1"
         assert result["hits"][0]["isomorphic"] is True
 

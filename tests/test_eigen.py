@@ -165,6 +165,11 @@ class TestQSpectrum:
         with pytest.raises(ParameterError):
             QSpectrum([])
 
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [math.inf], [1.0, -math.inf]])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ParameterError, match="finite values"):
+            QSpectrum(values)
+
     def test_flagship_trace(self):
         s = q_spectrum(realize(g_family_spec([3], 1, 1)))
         assert math.isclose(power_sum(s, 1), 20.0, abs_tol=1e-9)
@@ -396,6 +401,14 @@ class TestSymEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError, match="matrix is not symmetric within 1e-12"):
             sym_eigenvalues([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix", [
+        [[math.nan]], [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],
+    ], ids=["nan", "inf", "off-diagonal-nan"])
+    def test_rejects_non_finite_entries(self, matrix):
+        # LAPACK would return NaN for each
+        with pytest.raises(ParameterError, match="finite entries"):
+            sym_eigenvalues(matrix)
 
 
 class TestSpectrumCompare:

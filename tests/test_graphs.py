@@ -1,6 +1,7 @@
 """Multigraph container, builders, cone specs, and subgraph counting."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ class TestMultiGraph:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             MultiGraph([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("mult", [
+        [[0, 0.5], [0.5, 0]], [[0, np.nan], [np.nan, 0]], [[0, 1.0], [1.0, 0]],
+        [["0", "1"], ["1", "0"]], np.array([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]),
+        [[0, 1j], [1j, 0]],
+    ], ids=["half", "nan", "whole-float", "text", "fraction", "complex"])
+    def test_rejects_non_integer_multiplicities(self, mult):
+        # a cast to int64 would read 0.5 as no edge and "1" as one
+        with pytest.raises(ParameterError, match="multiplicities must be integers"):
+            MultiGraph(mult)
+
+    def test_accepts_numpy_integers_and_bools(self):
+        want = MultiGraph([[0, 1], [1, 0]])
+        assert MultiGraph(np.eye(2, dtype=bool)[::-1]) == want
+        assert MultiGraph(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == want
+        assert MultiGraph(want.mult).mult.dtype == np.int64
 
     def test_from_edges_accumulates(self):
         g = from_edges(2, [(0, 1), (0, 1)])
@@ -309,6 +326,20 @@ class TestConeSpec:
             ConeSpec(stars13=-1)
         with pytest.raises(ParameterError):
             ConeSpec()
+
+    @pytest.mark.parametrize("blocks", [
+        {"cycles": (3.5,)}, {"paths": (2, 1.0)}, {"stars13": 1.5}, {"stars13": "1"},
+        {"cycles": ("3",)}, {"cycles": (np.float64(3),)},
+    ], ids=str)
+    def test_rejects_non_integer_blocks(self, blocks):
+        # int() would take 3.5 for a C3 and 1.5 for one claw
+        with pytest.raises(ParameterError, match="must be integers"):
+            ConeSpec(**blocks)
+
+    def test_numpy_integers_are_integers(self):
+        spec = ConeSpec(cycles=np.array([3, 5]), paths=(np.int32(2),), stars13=np.int64(1))
+        assert spec == ConeSpec(cycles=(5, 3), paths=(2,), stars13=1)
+        assert all(type(v) is int for v in (*spec.cycles, *spec.paths, spec.stars13))
 
     def test_family_predicates(self):
         assert g_family_spec([3], 1, 1).is_g_family()

@@ -311,6 +311,22 @@ class TestSignatureMoments:
             signature_moments(profile, 0, 0, 0)
         assert signatures_with_moments(profile, (12, 48, 234, 1272)) == []
 
+    @pytest.mark.parametrize("counts", [
+        (-1, 0, 0), (0.5, 0, 0), (0, -1, 0), (0, 0, 1.0), (0, 0, math.nan),
+    ], ids=str)
+    def test_block_counts_are_integers_at_least_zero(self, counts):
+        with pytest.raises(ParameterError, match="block counts must be integers >= 0"):
+            signature_moments((1, 2, 3, 0), *counts)
+
+    def test_signature_of_no_cone_is_a_base(self):
+        # no cone has C4's profile and no C4 (its cycles would be of length
+        # >= 5 on 4 vertices), yet that signature is the base the C4 shift
+        # of `signatures_with_moments` starts from
+        base = signature_moments((0, 0, 4, 0), 0, 0, 0)
+        c4 = signature_moments((0, 0, 4, 0), np.int64(0), 1, 0)
+        assert c4 == moments_closed_form(ConeSpec(cycles=(4,)))
+        assert [b - a for a, b in zip(base[:4], c4[:4])] == [0, 0, 0, 8]
+
 
 def _shift(spec: ConeSpec, other: ConeSpec) -> tuple[int, int]:
     """(S4, T4) shift from spec to other: closed-form moment differences."""

@@ -48,7 +48,6 @@ from qcones.search import _power_traces, _spectra
 
 from helpers import (
     CHUNK_SIZES,
-    FAMILY_N4,
     brute_search_exhaustive,
     brute_search_family,
     complete_graph,
@@ -57,6 +56,7 @@ from helpers import (
     enumerate_family_by_partitions,
     exact_q_and_a_traces,
     extension_masks,
+    family_claw_counts,
     g_family_spec,
     isin_orbit_classes,
     edge_deleted,
@@ -154,6 +154,19 @@ def naive_partitions(total, min_part):
             yield (part,) + rest
 
 
+def swap_closure(spec: ConeSpec) -> set[ConeSpec]:
+    """The spec and every cone that C3 + K1 <-> K13 swaps reach from it:
+    j claws for j = 0..min(#C3 + #claws, #K1 + #claws), the rest C3s."""
+    others = tuple(k for k in spec.cycles if k != 3)
+    rest = tuple(l for l in spec.paths if l != 1)
+    triangles = spec.cycles.count(3) + spec.stars13
+    isolated = spec.paths.count(1) + spec.stars13
+    return {
+        ConeSpec(others + (3,) * (triangles - j), rest + (1,) * (isolated - j), j)
+        for j in range(min(triangles, isolated) + 1)
+    }
+
+
 def naive_specs(base_order, min_cycle=3):
     """Every block multiset on the given base order, with any number of
     claws and cycles of length >= min_cycle, by direct generation."""
@@ -190,7 +203,7 @@ class TestEnumerateFamily:
         ]
 
     def test_two_star_profile(self):
-        # the family search asks for at most one claw; the helpers take two
+        # two claws: swap level 2 of K1 v C3 + C3 + K2 + 3K1
         assert self.family((1, 8, 0, 2)) == [parse_spec_text("K1 v K13 + K13 + 1K2 + 1K1")]
 
     @pytest.mark.parametrize("profile", [
@@ -228,7 +241,7 @@ class TestSearchFamily:
 
     def test_odd_cycles_are_determined(self):
         report = search_family(g_family_spec([5, 7], 1, 1))
-        assert report.cardinality == 50
+        assert report.cardinality == 35
         assert [h.candidate for h in report.hits] == [g_family_spec([5, 7], 1, 1)]
 
     def test_triangle_mate_always_found(self):
@@ -239,6 +252,42 @@ class TestSearchFamily:
             mate = triangle_star_mate(spec)
             report = search_family(spec)
             assert mate in {h.candidate for h in report.hits}
+
+    def test_two_triangles_meet_two_claws(self):
+        # each C3 + K1 -> K13 swap keeps the spectrum, so both swaps do too
+        report = search_family(parse_spec_text("K1 v C3 + C3 + K2 + 2K1"))
+        assert [h.candidate for h in report.hits] == [
+            parse_spec_text("K1 v C3 + C3 + K2 + 2K1"),
+            parse_spec_text("K1 v K13 + C3 + K2 + K1"),
+            parse_spec_text("K1 v K13 + K13 + K2"),
+        ]
+        assert report.hits[2].distance <= 1e-13
+        assert report.cardinality == 9
+
+    def test_hits_are_the_swap_closure_with_two_to_four_triangles(self):
+        """On seeded cones with 2-4 C3 blocks, 0-1 claws and 0-4 K1s, n <= 24,
+        the hits are exactly the target's closure under the swaps."""
+        rng = random.Random(20261022)
+        targets = multi_claw = 0
+        while targets < 150:
+            longer = tuple(rng.randint(4, 9) for _ in range(rng.randint(0, 2)))
+            paths = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 3)))
+            target = ConeSpec(
+                (3,) * rng.randint(2, 4) + longer, paths + (1,) * rng.randint(0, 4), rng.randint(0, 1)
+            )
+            if target.n > 24:
+                continue
+            hits = [h.candidate for h in search_family(target).hits]
+            assert len(hits) == len(set(hits)) and set(hits) == swap_closure(target), target
+            targets += 1
+            multi_claw += sum(h.stars13 >= 2 for h in hits)
+        assert multi_claw == 149
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf")], ids=str)
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        # a NaN or negative tol would report the target alone
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            search_family(FLAGSHIP, tol=tol)
 
     def test_rejects_raw_graphs(self):
         with pytest.raises(ParameterError):
@@ -266,7 +315,7 @@ class TestFamilySearchFromSpecs:
     """The target and its candidates are solved in one batch, the target's
     moments read as exact traces of its Q."""
 
-    # G, F, a digon (outside the enumeration) and two claws (outside too)
+    # G, F, a digon (outside the enumeration) and two claws
     TARGETS = (
         FLAGSHIP,
         ConeSpec(paths=(2,), stars13=1),
@@ -338,9 +387,13 @@ def _profiles(n: int):
 
 
 def _solved_profiles(target):
-    """solve_degree_system on the target's moments, by n4 in FAMILY_N4."""
+    """solve_degree_system on the target's moments, by n4 in
+    `family_claw_counts`."""
     t = exact_q_and_a_traces(realize(target), 3)[0]
-    return {n4: solve_degree_system(*t, target.n, target.n - 1, n4) for n4 in FAMILY_N4}
+    return {
+        n4: solve_degree_system(*t, target.n, target.n - 1, n4)
+        for n4 in family_claw_counts(target)
+    }
 
 
 def _family_union(target):
@@ -379,15 +432,16 @@ class TestFamilyBySignature:
         (g_family_spec([4, 4, 3], 1, 2), []),
         (ConeSpec(cycles=(4,), paths=(2, 1), stars13=1), []),
         (ConeSpec(cycles=(3,), paths=(5, 2, 1)), []),
-        (ConeSpec(cycles=(3,), paths=(7, 4), stars13=1), []),
-        (ConeSpec(paths=(4,)), [1]),
-        (ConeSpec(cycles=(5,)), [1]),
-        # outside the enumeration: two claws, then digons
+        (ConeSpec(paths=(4,)), []),
+        (ConeSpec(cycles=(5,)), []),
         (ConeSpec(paths=(2, 1), stars13=2), []),
-        (ConeSpec(cycles=(3,), paths=(4,), stars13=2), []),
+        # the top swap level has no K1 left (n1 < 0)
+        (ConeSpec(cycles=(3,), paths=(7, 4), stars13=1), [2]),
+        (ConeSpec(cycles=(3,), paths=(4,), stars13=2), [3]),
+        # outside the enumeration: digons
         (ConeSpec(cycles=(2,), paths=(3, 1)), [0]),
-        (ConeSpec(cycles=(2, 2), paths=(1,)), [0, 1]),
-        (ConeSpec(cycles=(6, 2), paths=(1,)), [0, 1]),
+        (ConeSpec(cycles=(2, 2), paths=(1,)), [0]),
+        (ConeSpec(cycles=(6, 2), paths=(1,)), [0]),
     ], ids=str)
     def test_cardinality_is_the_enumerated_union(self, target, rejected):
         solved = _solved_profiles(target)
@@ -398,8 +452,8 @@ class TestFamilyBySignature:
 
     @pytest.mark.parametrize("matrices", CHUNK_SIZES)
     @pytest.mark.parametrize("text, cardinality", [
-        ("K1 v C20 + C8 + C6 + 3K2 + 2K1", 41_120),
-        ("K1 v C20 + C6 + C8 + 10K2 + 4K1", 223_932),
+        ("K1 v C20 + C8 + C6 + 3K2 + 2K1", 26_715),
+        ("K1 v C20 + C6 + C8 + 10K2 + 4K1", 151_848),
     ])
     def test_large_targets_pinned(self, monkeypatch, text, cardinality, matrices):
         target = parse_spec_text(text)
@@ -464,7 +518,7 @@ class TestCandidates:
             }
             assert len(cands) == len(set(cands)) and set(cands) == want, target
             matched += len(want)
-        assert matched == 87
+        assert matched == 91
 
     def test_cardinality_counts_the_union(self):
         # every cone with base order <= 12: digons, and up to three claws
@@ -483,7 +537,7 @@ class TestSearchesAgree:
         """On every family cone with n <= 8 the two searches, which share no
         candidate generator, find the same family mates; the one exhaustive
         hit outside the family is K3 + K1 against K13."""
-        targets = [s for b in range(1, 8) for s in naive_specs(b) if s.stars13 <= 1]
+        targets = [s for b in range(1, 8) for s in naive_specs(b)]
         assert len(targets) == 81
         outside = []
         for target in targets:
@@ -491,7 +545,7 @@ class TestSearchesAgree:
             read = []
             for hit in search_exhaustive(target).hits:
                 spec = recognize_cone(hit.candidate)
-                if spec is None or spec.stars13 > 1:
+                if spec is None:
                     outside.append((target, encode_graph6(hit.candidate), hit.distance))
                 else:
                     read.append(spec)
@@ -551,6 +605,11 @@ class TestSearchExhaustive:
     def test_rejects_targets_that_are_no_graph(self, target):
         with pytest.raises(ParameterError, match="graph or cone spec"):
             search_exhaustive(target)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf")], ids=str)
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            search_exhaustive(FLAGSHIP, tol=tol)
 
     def test_target_is_its_own_hit_at_zero_tolerance(self):
         report = search_exhaustive(realize(FLAGSHIP), tol=0.0)
