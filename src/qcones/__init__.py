@@ -40,9 +40,6 @@ from .moments import (
     moments_closed_form,
     moments_from_counts,
     moments_from_spectrum,
-    signature_moments,
-    signatures_with_moments,
-    solve_degree_system,
 )
 from .search import (
     ProbeResult,

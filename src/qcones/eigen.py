@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import EigensolverError, ParameterError
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _array
 
 GROUP_TOL = 1e-9
 # Q = D + A is PSD: a value below -_PSD_TOL is a bug, whatever the group_tol
@@ -54,9 +54,10 @@ class QSpectrum:
     __slots__ = ("values", "group_tol", "sources", "_groups")
 
     def __init__(self, values, group_tol: float = GROUP_TOL, sources=None) -> None:
-        arr = np.asarray(values, dtype=np.float64)
+        message = "spectrum must be a non-empty list of finite values (real numbers)"
+        arr = _array(values, "biuf", message).astype(np.float64, copy=False)
         if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
-            raise ParameterError("spectrum must be a non-empty list of finite values")
+            raise ParameterError(message)
         order = np.argsort(-arr, kind="stable")
         arr = arr[order]
         arr.setflags(write=False)
@@ -128,9 +129,10 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
 
 def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
-    a = np.asarray(matrix, dtype=np.float64)
+    message = "matrix must be square, with finite entries (real numbers)"
+    a = _array(matrix, "biuf", message).astype(np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
-        raise ParameterError("matrix must be square, with finite entries")
+        raise ParameterError(message)
     return QSpectrum(_eigvalsh(_symmetric(a)), group_tol=group_tol)
 
 

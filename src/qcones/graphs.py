@@ -29,16 +29,27 @@ MAX_VERTICES = 4096
 MAX_COUNT_VERTICES = 64
 
 
+def _array(values, kinds: str, message: str) -> np.ndarray:
+    """`values` as an array of a dtype kind in `kinds`; another kind (text,
+    complex, object) or ragged nesting raises ParameterError with `message`."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        raise ParameterError(message)
+    return arr
+
+
 class MultiGraph:
     """Undirected multigraph backed by an immutable integer multiplicity matrix."""
 
     __slots__ = ("_mult",)
 
     def __init__(self, mult) -> None:
-        raw = np.asarray(mult)
-        if raw.dtype.kind not in "biu":  # bool or integer: no float, text or object
-            raise ParameterError("multiplicities must be integers")
-        arr = raw.astype(np.int64)
+        # bool or integer: no float, text, complex or object, and not ragged
+        arr = _array(mult, "biu", "multiplicities must be integers, in a square matrix")
+        arr = arr.astype(np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ParameterError("multiplicity matrix must be square")
         n = arr.shape[0]
@@ -307,17 +318,6 @@ def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
     """
     n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
     return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
-
-
-def _path_blocks(profile: tuple[int, int, int, int]) -> int | None:
-    """Number of paths of order >= 2 in every cone over cycles (length
-    >= 3), paths and claws with this base degree profile, whose n4 claws
-    take 3 of its n2 degree-2 vertices each; None when no such cone has it
-    (it is negative or leaves a negative or odd number of path endpoints)."""
-    endpoints = profile[1] - 3 * profile[3]
-    if min(profile) < 0 or endpoints < 0 or endpoints % 2:
-        return None
-    return endpoints // 2
 
 
 # ---------------------------------------------------------------------------

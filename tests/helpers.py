@@ -51,14 +51,13 @@ from qcones import (
     moments_from_counts,
     q_spectrum,
     realize,
-    solve_degree_system,
     spectrum_compare,
 )
 from qcones import eigen
 from qcones.cones import _main_values, _quotient_values
-from qcones.family import _family_with_signature, _partitions
+from qcones.family import _family_with_signature, _partitions, _path_blocks, _profile
 from qcones.graph6 import MAX_GRAPH6_VERTICES
-from qcones.graphs import _blocks, _path_blocks
+from qcones.graphs import _blocks
 from qcones.moments import _cone_traces
 from qcones.orbits import _classes, _q_stack
 from qcones.search import _spectra
@@ -286,7 +285,7 @@ def cone_traces(spec: ConeSpec, order: int) -> tuple[tuple[int, ...], tuple[int,
 
 
 def signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:
-    """A spec's order-4 signature, the arguments of `signature_moments`:
+    """A spec's order-4 signature, the arguments of `family._signature_moments`:
     its degree profile and its numbers of C3, C4 and K2 blocks."""
     return degree_profile(spec), spec.cycles.count(3), spec.cycles.count(4), spec.paths.count(2)
 
@@ -641,6 +640,12 @@ def _brute_moments(cand):
     return tuple(moments_from_counts(realize(cand))[:4])
 
 
+def claw_level(profile, n4: int) -> tuple[int, ...]:
+    """The profile n4 C3 + K1 -> K13 swaps away from the claw-free
+    `profile` of `family._profile`: shifted by n4 times (-1, 3, -3, 1)."""
+    return tuple(p + n4 * d for p, d in zip(profile, (-1, 3, -3, 1)))
+
+
 def family_claw_counts(target: ConeSpec) -> range:
     """The claw counts n4 of the profiles the family search covers, read
     off the target: 0..#C3 + #claws for a simple target, since each claw
@@ -651,23 +656,23 @@ def family_claw_counts(target: ConeSpec) -> range:
     if not target.has_digon():
         return range(target.cycles.count(3) + target.stars13 + 1)
     t = exact_q_and_a_traces(realize(target), 4)[0]
-    counts = solve_degree_system(*t[:3], target.n, target.n - 1, 0)
-    members = [] if counts is None else enumerate_family_by_partitions((*counts, 0))
+    profile = _profile(*t[:3], target.n)
+    members = [] if profile is None else enumerate_family_by_partitions(profile)
     (k3,) = {c.cycles.count(3) for c in members if _brute_moments(c) == t} or {0}
     return range(k3 + 1)
 
 
 def brute_search_family(target, tol: float = 1e-8) -> SearchReport:
     """search_family with the moment filter on realized, brute-counted
-    members of the profiles of `family_claw_counts` (n <= 64)."""
+    members of the `claw_level`s of the target's `family._profile` at the
+    claw counts of `family_claw_counts` (n <= 64)."""
     tspec = q_spectrum(realize(target))
     n = target.n
     t1, t2, t3, t4 = (round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
-    candidates = {target}
-    for n4 in family_claw_counts(target):
-        counts = solve_degree_system(t1, t2, t3, n, n - 1, n4)
-        if counts is not None:
-            candidates.update(enumerate_family_by_partitions((*counts, n4)))
+    candidates, profile = {target}, _profile(t1, t2, t3, n)
+    for n4 in family_claw_counts(target) if profile is not None else ():
+        # a level with a negative entry enumerates nothing
+        candidates.update(enumerate_family_by_partitions(claw_level(profile, n4)))
     hits = []
     for cand in candidates:
         if cand == target:

@@ -8,9 +8,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from qcones import parse_spec_text, realize, solve_degree_system
+from qcones import parse_spec_text, realize
+from qcones.family import _profile
 
-from helpers import enumerate_family_by_partitions, exact_q_and_a_traces, family_claw_counts
+from helpers import (
+    claw_level, enumerate_family_by_partitions, exact_q_and_a_traces, family_claw_counts,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +42,8 @@ def test_exhaustive_inprocess_one_pass(tmp_path):
 
 def test_family_moment_split_matches_exact_traces():
     # the script's verdicts against matrix powers of every realized member
-    # of the target's profiles, one per claw count of `family_claw_counts`
+    # of the target's profiles, the `claw_level`s of its `family._profile`
+    # at the claw counts of `family_claw_counts`
     target = "K1 v C8 + C4 + C3 + 2K2 + K1"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "family_moment_split.py"), target],
@@ -49,10 +53,9 @@ def test_family_moment_split_matches_exact_traces():
     assert proc.returncode == 0, proc.stderr
     spec = parse_spec_text(target)
     t = exact_q_and_a_traces(realize(spec), 6)[0]
-    verdicts = Counter()
+    verdicts, profile = Counter(), _profile(*t[:3], spec.n)
     for n4 in family_claw_counts(spec):
-        counts = solve_degree_system(*t[:3], spec.n, spec.n - 1, n4)
-        for cand in enumerate_family_by_partitions((*counts, n4)):
+        for cand in enumerate_family_by_partitions(claw_level(profile, n4)):
             c = exact_q_and_a_traces(realize(cand), 6)[0]
             if cand != spec and c[:4] == t[:4]:
                 verdicts["t5" if c[4] != t[4] else "t6" if c[5] != t[5] else "same"] += 1

@@ -4,6 +4,7 @@ oracle's roots."""
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,29 @@ class TestSymEigenvalues:
         # LAPACK would return NaN for each
         with pytest.raises(ParameterError, match="finite entries"):
             sym_eigenvalues(matrix)
+
+
+@pytest.mark.parametrize("build, values", [
+    (MultiGraph, [[0, 1], [1]]),
+    (QSpectrum, [[1.0], [2.0, 3.0]]),
+    (QSpectrum, "abc"),
+    (QSpectrum, ["1.5", "2.5"]),
+    (QSpectrum, [1 + 2j]),
+    (QSpectrum, np.array([1.0 + 0j])),
+    (QSpectrum, [Fraction(1, 2), 2.0]),
+    (sym_eigenvalues, [[1.0, 0.0], [0.0]]),
+    (sym_eigenvalues, "abc"),
+    (sym_eigenvalues, [["1", "0"], ["0", "1"]]),
+    (sym_eigenvalues, [[1j, 0], [0, 1]]),
+    (sym_eigenvalues, np.array([[1.0]], dtype=object)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_ragged_text_and_complex_inputs_raise_parameter_error(build, values):
+    # numpy alone raises a bare ValueError (ragged nesting, text), a
+    # TypeError or a ComplexWarning (complex), or reads "1.5" as a number;
+    # object arrays are refused whatever they hold (`MultiGraph`'s text,
+    # complex and object matrices are in test_graphs)
+    with pytest.raises(ParameterError):
+        build(values)
 
 
 class TestSpectrumCompare:

@@ -1,6 +1,6 @@
-"""Moment vectors, closed-form cone moments, moment shifts, degree systems."""
+"""Moment vectors, closed-form cone moments, moment shifts, and the family's
+order-4 signatures and degree profiles."""
 
-import math
 import random
 
 import numpy as np
@@ -20,13 +20,12 @@ from qcones import (
     parse_spec_text,
     q_spectrum,
     realize,
-    signature_moments,
-    signatures_with_moments,
-    solve_degree_system,
     sym_eigenvalues,
 )
+from qcones.family import _path_blocks, _profile, _signature_moments, _signatures
 
 from helpers import (
+    claw_level,
     complete_graph,
     cone_traces,
     digon,
@@ -259,7 +258,7 @@ class TestSignatureMoments:
         checked = 0
         for profile in SIGNATURE_PROFILES:
             for spec in slices_union(profile):
-                sig = signature_moments(*signature(spec))
+                sig = _signature_moments(*signature(spec))
                 assert moments_closed_form(spec) == sig, spec
                 assert moments_from_counts(realize(spec)) == sig, spec
                 checked += 1
@@ -270,60 +269,43 @@ class TestSignatureMoments:
         # T3: +6 per C3; S4: +8 per C4; T1 and T2 fixed by the profile
         for profile in SIGNATURE_PROFILES:
             for k3, k4, nk2 in ((0, 0, 0), (1, 2, 1), (2, 0, 3)):
-                base = signature_moments(profile, k3, k4, nk2)
+                base = _signature_moments(profile, k3, k4, nk2)
                 for step, shift in (
                     ((1, 0, 0), (0, 0, 6, 72, 0)),
                     ((0, 1, 0), (0, 0, 0, 8, 8)),
                     ((0, 0, 1), (0, 0, 0, 4, 0)),
                 ):
-                    moved = signature_moments(
+                    moved = _signature_moments(
                         profile, k3 + step[0], k4 + step[1], nk2 + step[2]
                     )
                     assert tuple(b - a for a, b in zip(base, moved)) == shift
 
-    def test_signatures_with_moments_inverts_the_signature(self):
+    def test_signatures_inverts_the_signature(self):
         for profile in SIGNATURE_PROFILES:
             by_moments: dict = {}
             for spec in slices_union(profile):
                 sig = signature(spec)
-                by_moments.setdefault(signature_moments(*sig)[:4], set()).add(sig[1:])
+                by_moments.setdefault(_signature_moments(*sig)[:4], set()).add(sig[1:])
             for moments, sigs in by_moments.items():
-                found = signatures_with_moments(profile, moments)
+                found = _signatures(profile, moments)
                 assert sigs <= set(found)
                 for sig in found:
-                    assert signature_moments(profile, *sig)[:4] == moments
+                    assert _signature_moments(profile, *sig)[:4] == moments
 
     def test_no_signature_for_foreign_moments(self):
         profile = degree_profile(FLAGSHIP)
-        t1, t2, t3, t4, _ = signature_moments(profile, 1, 0, 1)
-        assert signatures_with_moments(profile, (t1, t2, t3, t4)) == [(1, 0, 1)]
-        assert signatures_with_moments(profile, (t1, t2, t3 + 3, t4)) == []
-        assert signatures_with_moments(profile, (t1, t2, t3, t4 + 2)) == []
-        assert signatures_with_moments(profile, (t1, t2, t3 - 6, t4)) == []
-
-    @pytest.mark.parametrize("profile", [
-        (0, 1, 3, 0),   # odd number of path endpoints
-        (-1, 4, 3, 0),  # a negative entry
-        (0, 1, 3, 1),   # fewer degree-2 vertices than three per claw
-    ])
-    def test_profile_of_no_cone(self, profile):
-        with pytest.raises(ParameterError, match="no cone over cycles, paths and claws"):
-            signature_moments(profile, 0, 0, 0)
-        assert signatures_with_moments(profile, (12, 48, 234, 1272)) == []
-
-    @pytest.mark.parametrize("counts", [
-        (-1, 0, 0), (0.5, 0, 0), (0, -1, 0), (0, 0, 1.0), (0, 0, math.nan),
-    ], ids=str)
-    def test_block_counts_are_integers_at_least_zero(self, counts):
-        with pytest.raises(ParameterError, match="block counts must be integers >= 0"):
-            signature_moments((1, 2, 3, 0), *counts)
+        t1, t2, t3, t4, _ = _signature_moments(profile, 1, 0, 1)
+        assert _signatures(profile, (t1, t2, t3, t4)) == [(1, 0, 1)]
+        assert _signatures(profile, (t1, t2, t3 + 3, t4)) == []
+        assert _signatures(profile, (t1, t2, t3, t4 + 2)) == []
+        assert _signatures(profile, (t1, t2, t3 - 6, t4)) == []
 
     def test_signature_of_no_cone_is_a_base(self):
         # no cone has C4's profile and no C4 (its cycles would be of length
         # >= 5 on 4 vertices), yet that signature is the base the C4 shift
-        # of `signatures_with_moments` starts from
-        base = signature_moments((0, 0, 4, 0), 0, 0, 0)
-        c4 = signature_moments((0, 0, 4, 0), np.int64(0), 1, 0)
+        # of `_signatures` starts from
+        base = _signature_moments((0, 0, 4, 0), 0, 0, 0)
+        c4 = _signature_moments((0, 0, 4, 0), np.int64(0), 1, 0)
         assert c4 == moments_closed_form(ConeSpec(cycles=(4,)))
         assert [b - a for a, b in zip(base[:4], c4[:4])] == [0, 0, 0, 8]
 
@@ -368,38 +350,25 @@ class TestDeltaMoments:
             assert (mo.s4 - mg.s4, mo.t4 - mg.t4) == (ds4, dt4)
 
 
-class TestSolveDegreeSystem:
+class TestProfile:
     def test_flagship_profile(self):
         t1, t2, t3, _, _ = moments_from_counts(realize(FLAGSHIP))
-        assert solve_degree_system(t1, t2, t3, 7, 6, 0) == (1, 2, 3)
+        assert _profile(t1, t2, t3, 7) == (1, 2, 3, 0)
 
     def test_c5_two_k2_profiles(self):
         spec = g_family_spec([5], 2, 1)
         t1, t2, t3, _, _ = moments_from_counts(realize(spec))
-        assert solve_degree_system(t1, t2, t3, 11, 10, 0) == (1, 4, 5)
-        assert solve_degree_system(t1, t2, t3, 11, 10, 1) == (0, 7, 2)
-        assert solve_degree_system(t1, t2, t3, 11, 10, 2) is None
+        profile = _profile(t1, t2, t3, 11)
+        assert profile == (1, 4, 5, 0)
+        assert claw_level(profile, 1) == (0, 7, 2, 1)
+        assert min(claw_level(profile, 2)) < 0
 
-    def test_parity_infeasibility(self):
-        assert solve_degree_system(10, 30, 80, 6, 5, 0) is None
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ParameterError):
-            solve_degree_system(10.5, 30, 80, 6, 5, 0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5], ids=str)
-    @pytest.mark.parametrize("position", range(6))
-    def test_rejects_non_finite_with_a_typed_error(self, value, position):
-        args = [10, 30, 80, 6, 5, 0]
-        args[position] = value
-        with pytest.raises(ParameterError, match="must be an integer"):
-            solve_degree_system(*args)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ParameterError):
-            solve_degree_system(10, 30, 80, 0, 5, 0)
-        with pytest.raises(ParameterError):
-            solve_degree_system(10, 30, 80, 6, 5, -1)
+    def test_infeasible_moments(self):
+        assert _profile(10, 30, 80, 6) is None  # n3 = -5
+        assert _profile(10, 31, 80, 6) is None  # 2·n3 = -9, odd
+        t1, t2, t3, _, _ = moments_from_counts(realize(FLAGSHIP))
+        assert _profile(t1, t2, t3 + 3, 7) is None  # T3 off a multiple of 6
+        assert _profile(t1, t2, t3 - 6 * 6, 7) is None  # six of its five triangles gone
 
     def test_recovers_true_profiles(self):
         # The solver inverts the degree census for real family cones.
@@ -410,8 +379,13 @@ class TestSolveDegreeSystem:
             n1 = spec.s
             n2 = 2 * spec.q
             n3 = sum(spec.cycles)
-            assert solve_degree_system(t1, t2, t3, spec.n, spec.n - 1, 0) == (
-                n1,
-                n2,
-                n3,
-            )
+            assert _profile(t1, t2, t3, spec.n) == (n1, n2, n3, 0)
+
+    def test_every_profile_has_its_path_blocks(self):
+        # n2 = T1 - 2(n - 1) - 2·n3 is even and >= 0, so the signatures of
+        # every solved profile have paths to count
+        for profile in SIGNATURE_PROFILES:
+            spec = slices_union(profile)[0]
+            solved = _profile(*moments_closed_form(spec)[:3], spec.n)
+            assert solved == claw_level(profile, -profile[3])
+            assert _path_blocks(solved) == _path_blocks(profile)

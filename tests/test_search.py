@@ -26,13 +26,12 @@ from qcones import (
     run_probe,
     search_exhaustive,
     search_family,
-    solve_degree_system,
     triangle_star_mate,
 )
 from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6
 from qcones.graphs import _dominating_vertices
-from qcones.family import _candidates, _family_size, _partitions
+from qcones.family import _candidates, _family_size, _partitions, _profile, _signatures
 from qcones import orbits, search
 from qcones.orbits import (
     _KEY_BITS,
@@ -43,13 +42,14 @@ from qcones.orbits import (
     _orbit,
     _q_stack,
 )
-from qcones.moments import moments_closed_form, signatures_with_moments
+from qcones.moments import moments_closed_form
 from qcones.search import _power_traces, _spectra
 
 from helpers import (
     CHUNK_SIZES,
     brute_search_exhaustive,
     brute_search_family,
+    claw_level,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -387,22 +387,24 @@ def _profiles(n: int):
 
 
 def _solved_profiles(target):
-    """solve_degree_system on the target's moments, by n4 in
-    `family_claw_counts`."""
+    """The `claw_level`s of `family._profile` on the target's moments, by
+    n4 in `family_claw_counts`: None where `_profile` is None or the level
+    has a negative entry."""
     t = exact_q_and_a_traces(realize(target), 3)[0]
-    return {
-        n4: solve_degree_system(*t, target.n, target.n - 1, n4)
-        for n4 in family_claw_counts(target)
-    }
+    profile, solved = _profile(*t, target.n), {}
+    for n4 in family_claw_counts(target):
+        level = None if profile is None else claw_level(profile, n4)
+        solved[n4] = level if level is not None and min(level) >= 0 else None
+    return solved
 
 
 def _family_union(target):
     """The target and every member of its solved profiles, from the
     partition loop."""
     union = {target}
-    for n4, counts in _solved_profiles(target).items():
-        if counts is not None:
-            union.update(enumerate_family_by_partitions((*counts, n4)))
+    for profile in _solved_profiles(target).values():
+        if profile is not None:
+            union.update(enumerate_family_by_partitions(profile))
     return union
 
 
@@ -469,27 +471,25 @@ class TestFamilyBySignature:
     def test_degree_lemma(self):
         """Each claw swap C3 + K1 -> K13 shifts the profile by
         (-1, 3, -3, 1) and takes one triangle: on every cone over cycles,
-        paths and claws with base order <= 13, the degree system solves
-        for n4 exactly when that shift of the target's profile is
-        non-negative.  Its cone-triangle gate never binds there (the base
-        has at least n3 >= 3 (n4 - n4_t) edges, each a cone triangle), so
-        the base triangles a shift leaves can go negative; those profiles
-        have no signature."""
+        paths and claws with base order <= 13, `family._profile` solves the
+        target's T1..T3 for its profile with every claw swapped back, and
+        `claw_level` of that is the shift of the target's profile.  The
+        levels with no negative entry can still leave a negative number of
+        base triangles; those levels have no signature."""
         solved = negative_c3 = 0
         for target in (s for b in range(1, 14) for s in naive_specs(b)):
             moments = moments_closed_form(target)[:4]
             profile = degree_profile(target)
+            claw_free = _profile(*moments[:3], target.n)
             for n4 in range(6):
                 shift = n4 - target.stars13
                 want = tuple(p + shift * d for p, d in zip(profile, (-1, 3, -3, 1)))
-                counts = solve_degree_system(*moments[:3], target.n, target.n - 1, n4)
-                assert (counts is not None) == (min(want) >= 0), target
-                if counts is None:
+                assert claw_level(claw_free, n4) == want, target
+                if min(want) < 0:
                     continue
-                assert (*counts, n4) == want, target
                 solved += 1
                 if target.cycles.count(3) < shift:
-                    assert signatures_with_moments(want, moments) == [], target
+                    assert _signatures(want, moments) == [], target
                     negative_c3 += 1
         assert (solved, negative_c3) == (2323, 592)
 
