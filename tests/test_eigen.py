@@ -414,17 +414,21 @@ class TestSymEigenvalues:
 
 @pytest.mark.parametrize("build, values", [
     (MultiGraph, [[0, 1], [1]]),
+    (MultiGraph, [[0, 1], [1, [0]]]),
+    (MultiGraph, "abc"),
     (QSpectrum, [[1.0], [2.0, 3.0]]),
     (QSpectrum, "abc"),
     (QSpectrum, ["1.5", "2.5"]),
     (QSpectrum, [1 + 2j]),
     (QSpectrum, np.array([1.0 + 0j])),
     (QSpectrum, [Fraction(1, 2), 2.0]),
+    (QSpectrum, [None, 1.0]),
     (sym_eigenvalues, [[1.0, 0.0], [0.0]]),
     (sym_eigenvalues, "abc"),
     (sym_eigenvalues, [["1", "0"], ["0", "1"]]),
     (sym_eigenvalues, [[1j, 0], [0, 1]]),
     (sym_eigenvalues, np.array([[1.0]], dtype=object)),
+    (sym_eigenvalues, [[None]]),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_ragged_text_and_complex_inputs_raise_parameter_error(build, values):
     # numpy alone raises a bare ValueError (ragged nesting, text), a

@@ -1,5 +1,6 @@
 """Multigraph container, builders, cone specs, and subgraph counting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -329,10 +330,15 @@ class TestConeSpec:
 
     @pytest.mark.parametrize("blocks", [
         {"cycles": (3.5,)}, {"paths": (2, 1.0)}, {"stars13": 1.5}, {"stars13": "1"},
-        {"cycles": ("3",)}, {"cycles": (np.float64(3),)},
+        {"cycles": ("3",)}, {"cycles": (np.float64(3),)}, {"cycles": (3 + 0j,)},
+        {"stars13": None},
+        *({field: value if field == "stars13" else (value,)}
+          for field in ("cycles", "paths", "stars13")
+          for value in (math.nan, math.inf, -math.inf)),
     ], ids=str)
     def test_rejects_non_integer_blocks(self, blocks):
-        # int() would take 3.5 for a C3 and 1.5 for one claw
+        # int() would take 3.5 for a C3 and 1.5 for one claw, and raise
+        # ValueError or OverflowError on NaN and infinities
         with pytest.raises(ParameterError, match="must be integers"):
             ConeSpec(**blocks)
 

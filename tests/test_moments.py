@@ -22,7 +22,9 @@ from qcones import (
     realize,
     sym_eigenvalues,
 )
-from qcones.family import _path_blocks, _profile, _signature_moments, _signatures
+from qcones.family import (
+    _family_size, _family_with_signature, _path_blocks, _profile, _signature_moments, _signatures,
+)
 
 from helpers import (
     claw_level,
@@ -300,6 +302,18 @@ class TestSignatureMoments:
         assert _signatures(profile, (t1, t2, t3, t4 + 2)) == []
         assert _signatures(profile, (t1, t2, t3 - 6, t4)) == []
 
+    @pytest.mark.parametrize("profile", [
+        (0, 1, 3, 0),   # odd number of path endpoints
+        (-1, 4, 3, 0),  # a negative entry
+        (0, 1, 3, 1),   # fewer degree-2 vertices than three per claw
+    ])
+    def test_profile_of_no_cone(self, profile):
+        # the claw levels of `_candidates` keep n2 - 3·n4 even and >= 0, but
+        # a top level can go negative, as the second does: none has a member
+        assert _path_blocks(profile) is None
+        assert _family_size(profile) == 0
+        assert list(_family_with_signature(profile, 0, 0, 0)) == []
+
     def test_signature_of_no_cone_is_a_base(self):
         # no cone has C4's profile and no C4 (its cycles would be of length
         # >= 5 on 4 vertices), yet that signature is the base the C4 shift
@@ -363,12 +377,18 @@ class TestProfile:
         assert claw_level(profile, 1) == (0, 7, 2, 1)
         assert min(claw_level(profile, 2)) < 0
 
-    def test_infeasible_moments(self):
-        assert _profile(10, 30, 80, 6) is None  # n3 = -5
-        assert _profile(10, 31, 80, 6) is None  # 2·n3 = -9, odd
-        t1, t2, t3, _, _ = moments_from_counts(realize(FLAGSHIP))
-        assert _profile(t1, t2, t3 + 3, 7) is None  # T3 off a multiple of 6
-        assert _profile(t1, t2, t3 - 6 * 6, 7) is None  # six of its five triangles gone
+    @pytest.mark.parametrize("moments", [
+        (10, 30, 80, 6),  # n3 = -5
+        (10, 31, 80, 6),  # 2·n3 = -9, odd
+        (10, 42, 238, 6),  # n2 = -2 alone: (n1, n2, n3) = (6, -2, 1), no triangle
+        (20, 84, 416, 6),  # n1 = -3 alone: (-3, 6, 2), no triangle
+        (20, 93, 560, 7),  # the flagship's (20, 92, 560) with T2 odd against T1
+        (20, 92, 563, 7),  # the flagship's, with T3 off a multiple of 6
+        (20, 92, 560 - 6 * 6, 7),  # the flagship's, with six of its five triangles gone
+    ], ids=["n3", "odd", "n2", "n1", "parity", "t3-remainder", "triangles"])
+    def test_infeasible_moments(self, moments):
+        assert moments_from_counts(realize(FLAGSHIP))[:3] == (20, 92, 560)
+        assert _profile(*moments) is None
 
     def test_recovers_true_profiles(self):
         # The solver inverts the degree census for real family cones.
