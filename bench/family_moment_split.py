@@ -32,7 +32,7 @@ def split(target) -> dict:
     """The candidates of one target and where their moments first differ."""
     t = _traces(target)
     verdicts = Counter()
-    for cand in _candidates(target, t)[1]:
+    for cand in _candidates(target)[1]:
         c = _traces(cand)
         assert c[:4] == t[:4], cand
         verdicts["t5" if c[4] != t[4] else "t6" if c[5] != t[5] else "same"] += 1

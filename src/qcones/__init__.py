@@ -16,7 +16,6 @@ from .graphs import (
     MultiGraph,
     components_and_bipartiteness,
     count_subgraphs,
-    degree_profile,
     format_spec_text,
     parse_spec_text,
     realize,

@@ -1,9 +1,11 @@
 """The cone family of a degree profile and the family search's candidates.
 
 A family member is a cone over disjoint cycles (length >= 3), paths and n4
-claws whose base has the degree profile (n1, n2, n3, n4) of
-`degree_profile`.  Its order-4 signature, the profile and its numbers of
-C3, C4 and K2 blocks, fixes its moments T1..T4 (`_signature_moments`).
+claws whose base has the degree profile (n1, n2, n3, n4): n_d base vertices
+of cone degree d, so n1 isolated vertices, n2 path ends and claw leaves, n3
+cycle and inner path vertices and n4 claw centres.  Its order-4 signature,
+the profile and its numbers of C3, C4 and K2 blocks, fixes its moments
+T1..T4 (`_signature_moments`).
 `_profile` and `_signatures` solve a target's moments for them,
 `_family_with_signature` builds a signature's members (these slices
 partition the family), and `_family_size` counts a profile's members.
@@ -17,9 +19,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graphs import ConeSpec
-from .moments import MomentVector, _cone_traces
+from .moments import MomentVector, _cone_traces, moments_closed_form
 
-_Profile = tuple[int, int, int, int]  # (n1, n2, n3, n4) of `degree_profile`
+_Profile = tuple[int, int, int, int]  # (n1, ..., n4): base vertices of cone degree 1..4
 
 
 def _path_blocks(profile: _Profile) -> int | None:
@@ -151,9 +153,9 @@ def _family_with_signature(profile: _Profile, k3: int, k4: int, nk2: int) -> Ite
                 yield ConeSpec(cycles=big + fixed, paths=paths, stars13=n4)
 
 
-def _candidates(target: ConeSpec, moments) -> tuple[int, Iterator[ConeSpec]]:
-    """The family search's cardinality and candidates for a target with
-    exact moments T1..T4 (`moments`, a longer prefix is fine).
+def _candidates(target: ConeSpec) -> tuple[int, Iterator[ConeSpec]]:
+    """The family search's cardinality and candidates for a target, from
+    its exact moments T1..T4 (`moments_closed_form`).
 
     T1..T4 see a member only through its signature.  T1..T3 give one
     claw-free profile, and its signatures whose moments equal the target's
@@ -167,6 +169,7 @@ def _candidates(target: ConeSpec, moments) -> tuple[int, Iterator[ConeSpec]]:
     with none built (only the claw-free level when no signature matches),
     plus the target when it has a digon.
     """
+    moments = moments_closed_form(target)
     profile = _profile(*moments[:3], target.n)
     if profile is None:
         return int(target.has_digon()), iter(())

@@ -310,16 +310,6 @@ def realize(spec: ConeSpec) -> MultiGraph:
     return MultiGraph._wrap(np.bincount(idx, minlength=n * n).reshape(n, n))
 
 
-def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
-    """Base-vertex counts (n1, n2, n3, n4) by degree inside the cone.
-
-    n1 isolated vertices, n2 path endpoints and star leaves, n3 cycle and
-    path-interior vertices, n4 star centers.
-    """
-    n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
-    return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
-
-
 # ---------------------------------------------------------------------------
 # spec text grammar
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ B; M = A_H and 0 at the apex give tr A^r.  Past 2R + 2 vertices a block's
 sums of order <= R are affine in its length, so these moments see a cone
 only through its degree profile and its numbers of shorter blocks, its
 order-R signature (at R = 4 its C3, C4 and K2 counts; see `qcones.family`).
-Digons fit, yet `moments_closed_form` raises ParameterError on one.
+So splitting a cycle into two both longer than R keeps T1..T_R: no finite
+prefix sees every block, which is why the family search eigensolves the
+cones that match its target's T1..T4.  Digons fit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import QSpectrum
-from .errors import ParameterError
 from .graphs import (
     ConeSpec, MultiGraph, _blocks, count_subgraphs, realize, t_bar_f_bar,
 )
@@ -104,9 +105,8 @@ def _cone_traces(blocks, order: int) -> tuple[tuple[int, ...], ...]:
 
 
 def moments_closed_form(spec: ConeSpec) -> MomentVector:
-    """Exact integer moment vector (T1..T4, S4) of a simple cone spec from
-    its blocks' walk sums, equal to moments_from_counts(realize(spec))."""
-    if spec.has_digon():
-        raise ParameterError("closed-form moments need a simple cone (no C2 block)")
+    """Exact integer moment vector (T1..T4, S4) of a cone spec from its
+    blocks' walk sums: tr Q^r and tr A^4 of realize(spec), digons included,
+    so moments_from_counts(realize(spec)) on a simple spec."""
     q, a = _cone_traces(Counter((kind, size) for kind, _, size in _blocks(spec)), 4)
     return MomentVector(*q, a[3])

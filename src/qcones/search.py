@@ -71,22 +71,12 @@ class SearchReport:
 # family search
 # ---------------------------------------------------------------------------
 
-def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
-    """tr Q^r, r = 1..4, of a float64 Q = D + A (the exhaustive key and T4
-    band), exact for a cone of order n <= 64 (entries at most 63, those of
-    Q^2 under 2^13, so every sum, the largest sum(Q^2 * Q^2) < 2^38, is an
-    integer in float64) and for a graph on n <= 8 vertices whose edge count
-    fits the exhaustive key (its multiplicities then fit too)."""
-    q2 = q @ q
-    return tuple(int(v) for v in (q.trace(), (q * q).sum(), (q2 * q).sum(), (q2 * q2).sum()))
-
-
 def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport:
     """Scan all family candidates sharing the target's order and moments.
 
-    The target's moments T1..T4 are exact integer traces of its Q, from
-    which `family._candidates`, the one home of the candidate rule, gives
-    the candidates, with any number of claws, and the `cardinality`.
+    `family._candidates`, the one home of the candidate rule, reads the
+    target's exact moments T1..T4 off its blocks and gives the candidates,
+    with any number of claws, and the `cardinality`.
     Their Q matrices follow the target's own Q through one chunked, batched
     eigensolve, and only the hits are kept, so memory does not grow with
     the number of matches.  The target is always its own hit at distance
@@ -104,11 +94,10 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
         raise ScaleError(
             f"family search supports n <= {MAX_FAMILY_VERTICES}, got n={target.n}"
         )
-    tq = q_matrix(realize(target))
-    cardinality, cands = _candidates(target, _power_traces(tq))
+    cardinality, cands = _candidates(target)
     cands, feed = itertools.tee(cands)
     # the target's Q is row 0 of the candidates' batch
-    chunks = _q_rows(itertools.chain((tq,), (q_matrix(realize(c)) for c in feed)))
+    chunks = _q_rows(q_matrix(realize(c)) for c in itertools.chain((target,), feed))
     first = next(chunks)
     tvals = first[0]
     dists = (np.abs(r - tvals).max(axis=1) for r in itertools.chain((first[1:],), chunks))
@@ -125,6 +114,14 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
 # ---------------------------------------------------------------------------
 # exhaustive search
 # ---------------------------------------------------------------------------
+
+def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
+    """tr Q^r, r = 1..4, of a float64 Q = D + A (the exhaustive key and T4
+    band), exact for a graph on n <= 8 vertices whose edge count fits the
+    exhaustive key (its multiplicities then fit too)."""
+    q2 = q @ q
+    return tuple(int(v) for v in (q.trace(), (q * q).sum(), (q2 * q).sum(), (q2 * q2).sum()))
+
 
 def _spectra(q: np.ndarray) -> np.ndarray:
     """Ascending spectra of a Q stack, one row each, from batched eigensolves."""

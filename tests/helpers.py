@@ -47,7 +47,6 @@ from qcones import (
     ScaleError,
     SearchHit,
     SearchReport,
-    degree_profile,
     moments_from_counts,
     q_spectrum,
     realize,
@@ -282,6 +281,14 @@ def exact_q_and_a_traces(g: MultiGraph, order: int) -> tuple[tuple[int, ...], tu
 def cone_traces(spec: ConeSpec, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`moments._cone_traces` of a spec's blocks."""
     return _cone_traces(Counter((kind, size) for kind, _, size in _blocks(spec)), order)
+
+
+def degree_profile(spec: ConeSpec) -> tuple[int, int, int, int]:
+    """Base-vertex counts (n1, n2, n3, n4) by degree inside the cone, read
+    off the spec's block sizes: n1 isolated vertices, n2 path endpoints and
+    star leaves, n3 cycle and path-interior vertices, n4 star centers."""
+    n3 = sum(spec.cycles) + sum(l - 2 for l in spec.paths if l >= 2)
+    return spec.s, 2 * spec.q + 3 * spec.stars13, n3, spec.stars13
 
 
 def signature(spec: ConeSpec) -> tuple[tuple[int, int, int, int], int, int, int]:

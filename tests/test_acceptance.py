@@ -12,7 +12,6 @@ import numpy as np
 from qcones import (
     ConeSpec,
     closed_spectrum,
-    degree_profile,
     even_cycle_split_candidate,
     largest_q_eigenvalue,
     moments_closed_form,
@@ -32,6 +31,7 @@ from helpers import (
     CHUNK_SIZES,
     brute_search_family,
     cone_traces,
+    degree_profile,
     exact_q_and_a_traces,
     g_family_spec,
     is_f_family,

@@ -12,7 +12,6 @@ from qcones import (
     ParameterError,
     QSpectrum,
     ScaleError,
-    degree_profile,
     format_spec_text,
     moments_closed_form,
     moments_from_counts,
@@ -29,7 +28,9 @@ from qcones.family import (
 from helpers import (
     claw_level,
     complete_graph,
+    cone_from_builders,
     cone_traces,
+    degree_profile,
     digon,
     exact_q_and_a_traces,
     g_family_spec,
@@ -38,6 +39,7 @@ from helpers import (
     naive_f_bar,
     naive_t_bar,
     path_graph,
+    random_cone_spec,
     random_graph,
     signature,
     slices_union,
@@ -151,13 +153,15 @@ class TestClosedFormMoments:
         ):
             closed_and_exact(spec)
 
-    def test_rejects_digons(self):
-        # the identity covers digons, but the closed form keeps to the simple
-        # cones that the count route knows
-        with pytest.raises(ParameterError, match="closed-form moments need a simple cone"):
-            moments_closed_form(ConeSpec(cycles=(4, 2), paths=(1,)))
-        with pytest.raises(ParameterError, match="closed-form moments need a simple cone"):
-            moments_closed_form(ConeSpec(cycles=(2,), paths=(2,)))
+    def test_digons_give_the_multigraph_traces(self):
+        # the identity covers digons, whose closing edge doubles: the count
+        # route knows only simple graphs, the exact traces know both
+        for spec, want in (
+            (ConeSpec(cycles=(4, 2), paths=(1,)), (26, 134, 890, 6758, 258)),
+            (ConeSpec(cycles=(2,), paths=(2,)), (14, 60, 314, 1780, 106)),
+        ):
+            q, a = exact_q_and_a_traces(realize(spec), 4)
+            assert moments_closed_form(spec) == (*q, a[3]) == want, spec
 
     def test_matches_brute_force_on_random_cones(self):
         # long paths, 0-2 stars and C3/C4 blocks, n <= 40
@@ -231,6 +235,44 @@ class TestConeTraces:
     def test_one_vertex_base(self):
         # K1 v K1 is K2: Q has eigenvalues 2 and 0, A has 1 and -1
         assert cone_traces(ConeSpec(paths=(1,)), 6) == ((2, 4, 8, 16, 32, 64), (0, 2, 0, 2, 0, 2))
+
+
+def _split(a: int, b: int, rest: ConeSpec) -> tuple[ConeSpec, ConeSpec]:
+    """C_(a+b) ∪ rest and C_a ∪ C_b ∪ rest, as cones."""
+    return tuple(
+        ConeSpec(cycles=rest.cycles + cycles, paths=rest.paths, stars13=rest.stars13)
+        for cycles in ((a + b,), (a, b))
+    )
+
+
+def _first_gap(q, other) -> int | None:
+    """The least r with T_r unequal, or None when the prefixes agree."""
+    return next((r for r, (x, y) in enumerate(zip(q, other), 1) if x != y), None)
+
+
+class TestLongCycleLemma:
+    """A cycle C_k adds k times a fixed walk sum to each T_r with r < k, so
+    splitting C_(a+b) into C_a ∪ C_b keeps T1..T_(m-1), m = min(a, b), and
+    the walks that wind once round C_m first tell them apart at T_m."""
+
+    def test_split_grid(self):
+        rng = random.Random(20261022)
+        pairs = 0
+        for a in range(3, 16):
+            for b in range(3, a + 1):
+                whole, split = _split(a, b, random_cone_spec(rng, max_path=6))
+                assert _first_gap(cone_traces(whole, b)[0], cone_traces(split, b)[0]) == b, (a, b)
+                pairs += 1
+        assert pairs == 91
+
+    def test_small_splits_against_exact_traces(self):
+        # the matrix powers of cones built block by block, with no `src` walk sums
+        rng = random.Random(20261023)
+        for a, b in ((3, 3), (4, 3), (5, 4), (6, 5), (7, 7)):
+            whole, split = _split(a, b, random_cone_spec(rng, max_path=4))
+            q, other = (exact_q_and_a_traces(cone_from_builders(s), b + 1)[0] for s in (whole, split))
+            assert _first_gap(q, other) == b, (a, b)
+            assert (q, other) == (cone_traces(whole, b + 1)[0], cone_traces(split, b + 1)[0])
 
 
 def _signature_profiles():

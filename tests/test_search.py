@@ -16,7 +16,6 @@ from qcones import (
     SearchHit,
     SearchReport,
     components_and_bipartiteness,
-    degree_profile,
     encode_graph6,
     largest_q_eigenvalue,
     parse_spec_text,
@@ -52,6 +51,7 @@ from helpers import (
     claw_level,
     complete_graph,
     cycle_graph,
+    degree_profile,
     disjoint_union,
     enumerate_family_by_partitions,
     exact_q_and_a_traces,
@@ -339,7 +339,9 @@ class TestFamilySearchFromSpecs:
             set_chunk(monkeypatch, matrices, target.n)
             assert search_family(target) == brute_search_family(target), target
 
-    def test_moments_are_the_closed_form_on_simple_specs(self):
+    # the family search reads its target's T1..T4 from `moments_closed_form`
+    # alone: those are the exact traces of the realized cone, up to the cap
+    def test_closed_form_is_the_exact_traces_on_simple_specs(self):
         rng = random.Random(20261019)
         specs = [
             parse_spec_text("K1 v C55 + C3 + 2K2 + K1"),
@@ -354,10 +356,10 @@ class TestFamilySearchFromSpecs:
                 specs.append(spec)
         for spec in specs:
             assert spec.n <= 64
-            want = tuple(moments_closed_form(spec)[:4])
-            assert _power_traces(q_matrix(realize(spec))) == want, spec
+            q, a = exact_q_and_a_traces(realize(spec), 4)
+            assert moments_closed_form(spec) == (*q, a[3]), spec
 
-    def test_moments_are_the_rounded_power_sums_on_digon_specs(self):
+    def test_closed_form_is_the_exact_traces_on_digon_specs(self):
         rng = random.Random(20261020)
         specs = [
             ConeSpec(cycles=(2,) * 31, paths=(1,)),
@@ -369,10 +371,8 @@ class TestFamilySearchFromSpecs:
                 specs.append(spec)
         assert max(spec.n for spec in specs) == 64
         for spec in specs:
-            q = q_matrix(realize(spec))
-            tspec = q_spectrum(realize(spec))
-            want = tuple(round(power_sum(tspec, r)) for r in (1, 2, 3, 4))
-            assert _power_traces(q) == want, spec
+            q, a = exact_q_and_a_traces(realize(spec), 4)
+            assert moments_closed_form(spec) == (*q, a[3]), spec
 
 
 def _profiles(n: int):
@@ -511,7 +511,7 @@ class TestCandidates:
         matched = 0
         for target in targets:
             t = exact_q_and_a_traces(realize(target), 4)[0]
-            cands = list(_candidates(target, t)[1])
+            cands = list(_candidates(target)[1])
             want = {
                 c for c in _family_union(target) - {target}
                 if exact_q_and_a_traces(realize(c), 4)[0] == t
@@ -524,8 +524,7 @@ class TestCandidates:
         # every cone with base order <= 12: digons, and up to three claws
         checked = digons = claws = 0
         for target in (s for b in range(1, 13) for s in naive_specs(b, min_cycle=2)):
-            t = exact_q_and_a_traces(realize(target), 4)[0]
-            assert _candidates(target, t)[0] == len(_family_union(target)), target
+            assert _candidates(target)[0] == len(_family_union(target)), target
             checked += 1
             digons += target.has_digon()
             claws += target.stars13 > 1
