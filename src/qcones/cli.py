@@ -48,6 +48,7 @@ from .graph6 import decode_graph6, encode_graph6
 from .eigen import (
     GROUP_TOL,
     QSpectrum,
+    _groups,
     q_spectrum,
     spectrum_compare,
     sym_eigenvalues,
@@ -130,7 +131,7 @@ def _number(x):
     return _f(x) if isinstance(x, float) else x
 
 
-def _spectrum_payload(spec: QSpectrum) -> dict:
+def _spectrum_payload(spec: QSpectrum, group_tol: float = GROUP_TOL) -> dict:
     payload: dict = {"values": [_f(v) for v in spec.values.tolist()]}
     if spec.sources is not None:
         payload["sources"] = list(spec.sources)
@@ -140,7 +141,7 @@ def _spectrum_payload(spec: QSpectrum) -> dict:
             "multiplicity": g.multiplicity,
             **({"sources": list(g.sources)} if g.sources else {}),
         }
-        for g in spec.groups
+        for g in _groups(spec.values, group_tol, spec.sources)
     ]
     return payload
 
@@ -206,11 +207,11 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         # a graph6 input that is no cone has no closed route
         if spec is None:
             raise FormatError("closed form needs a cone spec input")
-        closed = closed_spectrum(spec, args.group_tol)
-        result["closed"] = _spectrum_payload(closed)
+        closed = closed_spectrum(spec)
+        result["closed"] = _spectrum_payload(closed, args.group_tol)
     if args.mode in ("numeric", "both"):
-        numeric = q_spectrum(_graph(graph, spec), group_tol=args.group_tol)
-        result["numeric"] = _spectrum_payload(numeric)
+        numeric = q_spectrum(_graph(graph, spec))
+        result["numeric"] = _spectrum_payload(numeric, args.group_tol)
     if args.mode == "both":
         distance = spectrum_compare(closed, numeric)
         result["distance"] = _f(distance)

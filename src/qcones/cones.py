@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .eigen import GROUP_TOL, QSpectrum, _q_rows
+from .eigen import QSpectrum, _q_rows
 from .errors import ConstructionError, InapplicableError, ScaleError
 from .graphs import MAX_VERTICES, ConeSpec
 from .moments import moments_closed_form
@@ -110,11 +110,10 @@ def _quotient_values(n: int, main: dict) -> list[float]:
     matrix the package builds."""
     m = np.diag([n - 1.0, *main])
     m[0, 1:] = m[1:, 0] = np.sqrt([w for w, _, _ in main.values()])
-    (rows,) = _q_rows((m,))
-    return rows[0, ::-1].tolist()
+    return next(_q_rows((m,)))[::-1].tolist()
 
 
-def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
+def closed_spectrum(spec: ConeSpec) -> QSpectrum:
     """Spectrum of any cone spec from its blocks' explicit values and one
     eigensolve of the main-part quotient, with a source tag per value."""
     main = _main_values(spec)
@@ -126,7 +125,7 @@ def closed_spectrum(spec: ConeSpec, group_tol: float = GROUP_TOL) -> QSpectrum:
     # spare copies, path and claw values come before cycle values, so where
     # a constant equals a cycle value the constant's tag is listed first
     values, sources = zip(*tagged, *_plain_values(spec))
-    return QSpectrum(values, group_tol=group_tol, sources=sources)
+    return QSpectrum(values, sources=sources)
 
 
 def largest_q_eigenvalue(spec: ConeSpec) -> float:

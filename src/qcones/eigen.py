@@ -1,4 +1,4 @@
-"""Dense symmetric eigenvalues and grouped spectra.
+"""Dense symmetric eigenvalues and plain spectra.
 
 Every spectrum in the package comes from LAPACK's symmetric eigensolver
 (`np.linalg.eigvalsh`, behind `_eigvalsh`), through two entry points:
@@ -23,7 +23,7 @@ from .errors import EigensolverError, ParameterError
 from .graphs import MultiGraph, _array
 
 GROUP_TOL = 1e-9
-# Q = D + A is PSD: a value below -_PSD_TOL is a bug, whatever the group_tol
+# Q = D + A is PSD: a value below -_PSD_TOL is a bug, whatever the grouping
 _PSD_TOL = 1e-9
 # a batched eigensolve stacks at most this many float64 entries (1 MiB)
 CHUNK_ENTRIES = 1 << 17
@@ -43,17 +43,12 @@ class Group(NamedTuple):
 
 
 class QSpectrum:
-    """Eigenvalue multiset with tolerance grouping.
+    """Eigenvalue multiset, sorted non-increasing and read-only, with an
+    optional source tag per value (keyword-only) that follows it in the sort."""
 
-    Values are kept sorted non-increasing; groups split where consecutive
-    values gap by more than the grouping tolerance.  Closed-form builders
-    attach a symbolic source tag per value, which the groups aggregate.
-    Groups are formed on first use of `groups` and kept.
-    """
+    __slots__ = ("values", "sources")
 
-    __slots__ = ("values", "group_tol", "sources", "_groups")
-
-    def __init__(self, values, group_tol: float = GROUP_TOL, sources=None) -> None:
+    def __init__(self, values, *, sources=None) -> None:
         message = "spectrum must be a non-empty list of finite values (real numbers)"
         arr = _array(values, "biuf", message).astype(np.float64, copy=False)
         if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
@@ -62,35 +57,9 @@ class QSpectrum:
         arr = arr[order]
         arr.setflags(write=False)
         self.values = arr
-        self.group_tol = float(group_tol)
         if sources is not None and len(sources) != arr.size:
             raise ParameterError("one source tag per value required")
         self.sources = None if sources is None else tuple(sources[i] for i in order)
-        self._groups = None
-
-    @property
-    def groups(self) -> tuple[Group, ...]:
-        if self._groups is None:
-            self._groups = self._group()
-        return self._groups
-
-    def _group(self) -> tuple[Group, ...]:
-        """Groups split at every gap above the tolerance, found at once.
-
-        A group's value is its members' `sum() / size`, bitwise `mean()`
-        without numpy's Python-level wrapper.  For a single member that is
-        the value plus 0.0 (-0.0 becomes 0.0), so singletons skip numpy.
-        """
-        vals = self.values
-        cuts = np.flatnonzero(vals[:-1] - vals[1:] > self.group_tol) + 1
-        bounds = [0, *cuts.tolist(), vals.size]
-        singles = (vals + 0.0).tolist()
-        groups = []
-        for a, b in zip(bounds, bounds[1:]):
-            value = singles[a] if b - a == 1 else float(vals[a:b].sum() / (b - a))
-            tags = () if self.sources is None else tuple(sorted(set(self.sources[a:b])))
-            groups.append(Group(value, b - a, tags))
-        return tuple(groups)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -98,13 +67,30 @@ class QSpectrum:
     def __iter__(self):
         return iter(self.values)
 
-    def multiplicity_at(self, x: float, tol: float = 1e-7) -> int:
-        """Total size of the groups whose representative lies within tol of x."""
-        return sum(g.multiplicity for g in self.groups if abs(g.value - x) <= tol)
-
     def __repr__(self) -> str:
-        parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in self.groups)
+        groups = _groups(self.values, GROUP_TOL)
+        parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in groups)
         return f"QSpectrum({parts})"
+
+
+def _groups(values: np.ndarray, tol: float, sources=None) -> tuple[Group, ...]:
+    """The printed groups: non-increasing `values` (with their `sources`)
+    split at every gap above `tol`, found at once.
+
+    A group's value is its members' `sum() / size`, bitwise `mean()`
+    without numpy's Python-level wrapper.  For a single member that is the
+    value plus 0.0 (-0.0 becomes 0.0), so singletons skip numpy.  Its tags
+    are its members' distinct tags, sorted.
+    """
+    cuts = np.flatnonzero(values[:-1] - values[1:] > tol) + 1
+    bounds = [0, *cuts.tolist(), values.size]
+    singles = (values + 0.0).tolist()
+    groups = []
+    for a, b in zip(bounds, bounds[1:]):
+        value = singles[a] if b - a == 1 else float(values[a:b].sum() / (b - a))
+        tags = () if sources is None else tuple(sorted(set(sources[a:b])))
+        groups.append(Group(value, b - a, tags))
+    return tuple(groups)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -127,24 +113,24 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + at)
 
 
-def sym_eigenvalues(matrix, group_tol: float = GROUP_TOL) -> QSpectrum:
+def sym_eigenvalues(matrix) -> QSpectrum:
     """Spectrum of a square matrix that is symmetric within 1e-12 (relative)."""
     message = "matrix must be square, with finite entries (real numbers)"
     a = _array(matrix, "biuf", message).astype(np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         raise ParameterError(message)
-    return QSpectrum(_eigvalsh(_symmetric(a)), group_tol=group_tol)
+    return QSpectrum(_eigvalsh(_symmetric(a)))
 
 
-def q_spectrum(g: MultiGraph, group_tol: float = GROUP_TOL) -> QSpectrum:
+def q_spectrum(g: MultiGraph) -> QSpectrum:
     """Numeric signless-Laplacian spectrum: the one row of `_q_rows`."""
-    (rows,) = _q_rows((q_matrix(g),))
-    return QSpectrum(rows[0], group_tol=group_tol)
+    return QSpectrum(next(_q_rows((q_matrix(g),))))
 
 
 def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Ascending eigenvalues of same-order Q matrices, one (k, n) array per
-    chunk of at most CHUNK_ENTRIES stacked entries (one matrix at least).
+    """Ascending eigenvalues of same-order Q matrices, one row per matrix,
+    solved in chunks of at most CHUNK_ENTRIES stacked entries (one matrix
+    at least).
 
     Each matrix must be symmetric within 1e-12 (relative); a value below
     -1e-9 raises `EigensolverError`, as Q = D + A is semidefinite.  Matrices
@@ -164,7 +150,7 @@ def _q_rows(matrices: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
             raise EigensolverError(
                 f"negative value {float(lowest)!r} in a degree-plus-adjacency spectrum"
             )
-        yield rows
+        yield from rows
 
 
 def spectrum_compare(a: QSpectrum, b: QSpectrum) -> float:

@@ -7,13 +7,14 @@ LAA 423, 2007); S4 = tr A^4.  With a cone's apex last, Q = [[M, 1], [1ᵀ, N]]
 as in `qcones.cones`, and the matrix determinant lemma gives det(I - xQ) =
 det(I - xM)·g(x), g = 1 - Nx - x²·Σ_j b_j x^j.  So T_r = a_r + h_{r-1} with
 h = -g'/g, a_j = Σ_B tr M_B^j and b_j = Σ_B 1ᵀM_B^j 1 over the base blocks
-B; M = A_H and 0 at the apex give tr A^r.  Past 2R + 2 vertices a block's
-sums of order <= R are affine in its length, so these moments see a cone
-only through its degree profile and its numbers of shorter blocks, its
-order-R signature (at R = 4 its C3, C4 and K2 counts; see `qcones.family`).
-So splitting a cycle into two both longer than R keeps T1..T_R: no finite
-prefix sees every block, which is why the family search eigensolves the
-cones that match its target's T1..T4.  Digons fit.
+B; M = A_H and 0 at the apex give tr A^r.  A block's sums of order <= R
+are affine in its length from max(2, R - 1) path and R + 1 cycle vertices
+on, so these moments see a cone only through its degree profile and its
+numbers of shorter blocks, its order-R signature (at R = 4 its C3, C4 and
+K2 counts; see `qcones.family`).  So splitting a cycle into two both
+longer than R keeps T1..T_R: no finite prefix sees every block, which is
+why the family search eigensolves the cones that match its target's
+T1..T4.  Digons fit.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def moments_from_spectrum(
 @lru_cache(maxsize=1024)
 def _walk_sums(kind: str, size: int, order: int) -> tuple[int, ...]:
     """tr M^j (j = 1..order), then 1ᵀM^j 1 (j < order), for M = Q_B + I and
-    A_B of a base block B, a kind of `graphs._blocks`.  Past 2·order + 2
-    vertices no walk of length <= order sees both ends of a path or wraps a
-    cycle: longer blocks continue the affine run, shorter take exact powers."""
-    far = 2 * order + 2
+    A_B of a base block B, a kind of `graphs._blocks`.  They are affine in
+    the length from max(2, order - 1) path and order + 1 cycle vertices on:
+    blocks past order + 3 continue the run, shorter take exact powers."""
+    far = order + 2
     if size > far + 1:
         near, step = _walk_sums(kind, far, order), _walk_sums(kind, far + 1, order)
         return tuple(x + (size - far) * (y - x) for x, y in zip(near, step))

@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .cones import largest_q_eigenvalue
 from .graph6 import _pair_index
-from .eigen import _q_rows, q_matrix, q_spectrum
+from .eigen import GROUP_TOL, _groups, _q_rows, q_matrix, q_spectrum
 from .family import _candidates
 from .orbits import _class_reps, _moment_matches, _orbit_members, _q_stack
 
@@ -97,12 +97,11 @@ def search_family(target: ConeSpec, tol: float = COSPECTRAL_TOL) -> SearchReport
     cardinality, cands = _candidates(target)
     cands, feed = itertools.tee(cands)
     # the target's Q is row 0 of the candidates' batch
-    chunks = _q_rows(q_matrix(realize(c)) for c in itertools.chain((target,), feed))
-    first = next(chunks)
-    tvals = first[0]
-    dists = (np.abs(r - tvals).max(axis=1) for r in itertools.chain((first[1:],), chunks))
+    rows = _q_rows(q_matrix(realize(c)) for c in itertools.chain((target,), feed))
+    tvals = next(rows)
     hits = [SearchHit(target, 0.0, True)]
-    for cand, dist in zip(cands, itertools.chain.from_iterable(dists)):
+    for cand, row in zip(cands, rows):
+        dist = np.abs(row - tvals).max()
         if dist <= tol:
             hits.append(SearchHit(cand, float(dist), False))
     hits.sort(key=lambda h: (
@@ -124,8 +123,8 @@ def _power_traces(q: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _spectra(q: np.ndarray) -> np.ndarray:
-    """Ascending spectra of a Q stack, one row each, from batched eigensolves."""
-    return np.concatenate([np.empty((0, q.shape[-1])), *_q_rows(q)])
+    """Ascending spectra of a Q stack, one row each; (0, n) for an empty stack."""
+    return np.array(list(_q_rows(q))).reshape(-1, q.shape[-1])
 
 
 def search_exhaustive(target, tol: float = COSPECTRAL_TOL) -> SearchReport:
@@ -288,9 +287,7 @@ def _probe_edge_deletion(g: MultiGraph):
     # g's own Q is row 0; deleting uv (one copy of a digon) takes off b b^T
     q = q_matrix(g)
     bs = (np.bincount((u, v), minlength=g.n) for u, v in edges)  # b = e_u + e_v
-    rows = itertools.chain.from_iterable(
-        _q_rows(itertools.chain((q,), (q - np.outer(b, b) for b in bs)))
-    )
+    rows = _q_rows(itertools.chain((q,), (q - np.outer(b, b) for b in bs)))
     vals = next(rows)[::-1]
     # Q(g) = Q(g - uv) + b b^T: lambda_i(g) >= lambda_i(g - uv) >= lambda_{i+1}(g), or 0
     lo = np.append(vals[1:], 0.0)
@@ -319,11 +316,11 @@ def _probe_dominating_vertex(g: MultiGraph):
         return "skipped", None, "no vertex joined simply to all others"
     # g's Q is solved on its own: the deletions have order n - 1
     q, eye = q_matrix(g), np.eye(g.n - 1)
-    vals = next(_q_rows((q,)))[0][::-1]
+    vals = next(_q_rows((q,)))[::-1]
     hi, lo = vals[:-1] - 1, vals[1:] - 1
     # v has a simple edge to each other vertex: its deletion lowers each degree
     subs = _q_rows(np.delete(np.delete(q, v, 0), v, 1) - eye for v in doms)
-    for v, row in zip(doms, itertools.chain.from_iterable(subs)):
+    for v, row in zip(doms, subs):
         sub = row[::-1]
         bad = np.nonzero((sub > hi + PROBE_TOL) | (sub < lo - PROBE_TOL))[0]
         if bad.size:
@@ -344,7 +341,8 @@ def _probe_dominating_vertex(g: MultiGraph):
 
 
 def _probe_zero_multiplicity(g: MultiGraph):
-    mz = q_spectrum(g).multiplicity_at(0.0)
+    groups = _groups(q_spectrum(g).values, GROUP_TOL)
+    mz = sum(m for value, m, _ in groups if abs(value) <= 1e-7)
     _, bip = components_and_bipartiteness(g)
     if mz == bip:
         return "pass", None, f"zero multiplicity {mz} matches the bipartite component count"

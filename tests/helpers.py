@@ -28,6 +28,8 @@ relabelling table, and their `np.isin` dedupe for the one-orbit class
 split.  The bit-by-bit graph6 loops are the reference for the array codec.
 `edge_deleted` and `vertex_deleted` build a deletion subgraph through the
 checked constructor, the reference for the probes' edits of Q.
+`eager_groups` splits a sorted list in a Python loop and takes numpy's
+`mean`, the reference for the groups the command line prints.
 """
 
 import string
@@ -53,6 +55,7 @@ from qcones import (
     spectrum_compare,
 )
 from qcones import eigen
+from qcones.eigen import GROUP_TOL, Group
 from qcones.cones import _main_values, _quotient_values
 from qcones.family import _family_with_signature, _partitions, _path_blocks, _profile
 from qcones.graph6 import MAX_GRAPH6_VERTICES
@@ -200,6 +203,27 @@ def is_f_family(spec: ConeSpec) -> bool:
 def power_sum(spec: QSpectrum, r: int) -> float:
     """The r-th power sum of a spectrum's values."""
     return float((spec.values ** r).sum())
+
+
+def eager_groups(values, tol, sources=None) -> tuple[Group, ...]:
+    """Consecutive descending values split where they gap by more than tol."""
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    vals = [values[i] for i in order]
+    tags = [sources[i] for i in order] if sources is not None else None
+    groups, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i - 1] - vals[i] > tol:
+            members = tuple(sorted(set(tags[start:i]))) if tags is not None else ()
+            groups.append(Group(float(np.mean(vals[start:i])), i - start, members))
+            start = i
+    return tuple(groups)
+
+
+def multiplicity_at(spec: QSpectrum, x: float, tol: float = 1e-7) -> int:
+    """Total size of the groups at GROUP_TOL, the command line's default,
+    whose value lies within tol of x."""
+    groups = eager_groups(spec.values.tolist(), GROUP_TOL)
+    return sum(g.multiplicity for g in groups if abs(g.value - x) <= tol)
 
 
 def cone_from_builders(spec: ConeSpec) -> MultiGraph:

@@ -36,6 +36,7 @@ from helpers import (
     g_family_spec,
     is_f_family,
     isomorphic,
+    multiplicity_at,
     quartic_coeffs,
     quartic_roots,
     random_graph,
@@ -238,7 +239,7 @@ def test_criterion_08_unit_eigenvalue_multiplicity_law():
         assert spec.is_g_family()
         even = sum(1 for k in spec.cycles if k % 2 == 0)
         expected = spec.s + spec.q - 1 + even
-        assert closed_spectrum(spec).multiplicity_at(1.0) == expected
+        assert multiplicity_at(closed_spectrum(spec), 1.0) == expected
 
 
 def test_criterion_09_structural_probes_never_fail():

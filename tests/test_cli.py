@@ -1,6 +1,7 @@
 """Command-line contract: JSON documents, CSV tables, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -13,15 +14,17 @@ from qcones import (
     FormatError,
     MomentVector,
     ScaleError,
+    closed_spectrum,
     decode_graph6,
     encode_graph6,
+    q_spectrum,
     realize,
 )
 from qcones import cli
 from qcones.cli import format_spec_text, main, parse_spec_text
 from qcones.search import PROBE_IDS
 
-from helpers import cycle_graph, disjoint_union, g_family_spec
+from helpers import cycle_graph, disjoint_union, eager_groups, g_family_spec
 
 FLAGSHIP_TEXT = "K1 v C3 + 1K2 + 1K1"
 MOMENT_REL_TOL = 1e-7
@@ -350,6 +353,64 @@ class TestSpectrumCommand:
         assert doc["status"] == "scale"
 
 
+def _grouped_specs(count=24):
+    """Seeded cones with digons, 0-2 claws, and a value of multiplicity 8
+    or more (many K2s, K1s or C4s); every third has a path of 100 to 120
+    vertices, whose values near 1 lie under 1e-3 apart."""
+    rng = random.Random(20261022)
+    specs = []
+    while len(specs) < count:
+        cycles = [rng.choice((2, 2, 3, 4, 5, 6, 8)) for _ in range(rng.randint(0, 3))]
+        paths = [rng.choice((1, 2, 3, 5)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 1 / 3:
+            cycles += [4] * rng.randint(4, 6)
+        else:
+            paths += [rng.choice((1, 2))] * rng.randint(8, 14)
+        if len(specs) % 3 == 0:
+            paths.append(rng.choice((100, 110, 120)))
+        spec = ConeSpec(cycles=tuple(cycles), paths=tuple(paths), stars13=rng.randint(0, 2))
+        if spec not in specs:
+            specs.append(spec)
+    return specs
+
+
+GROUPED_SPECS = _grouped_specs()
+
+
+class TestPrintedGroups:
+    """The `groups` that `spectrum --both` prints for each route, against
+    the `eager_groups` oracle on the unrounded spectrum: value bits after
+    the 12-digit rounding, multiplicities and tags."""
+
+    def test_grid_covers_digons_claws_and_large_groups(self):
+        assert sum(spec.has_digon() for spec in GROUPED_SPECS) >= 5
+        assert {spec.stars13 for spec in GROUPED_SPECS} == {0, 1, 2}
+        merged = 0
+        for spec in GROUPED_SPECS:
+            values = closed_spectrum(spec).values.tolist()
+            groups = eager_groups(values, 1e-9)
+            assert max(g.multiplicity for g in groups) >= 8, spec
+            merged += len(eager_groups(values, 1e-3)) < len(groups)
+        assert merged >= 5
+
+    @pytest.mark.parametrize("group_tol", ["0", "1e-9", "1e-3"])
+    def test_groups_match_the_oracle(self, capsys, group_tol):
+        for spec in GROUPED_SPECS:
+            code, doc, _ = run_json(
+                capsys, "spectrum", format_spec_text(spec), "--both", "--group-tol", group_tol
+            )
+            assert code == 0
+            routes = {"closed": closed_spectrum(spec), "numeric": q_spectrum(realize(spec))}
+            for route, s in routes.items():
+                want = [
+                    (float(f"{g.value:.12g}").hex(), g.multiplicity, list(g.sources))
+                    for g in eager_groups(s.values.tolist(), float(group_tol), s.sources)
+                ]
+                got = [(g["value"].hex(), g["multiplicity"], g.get("sources", []))
+                       for g in doc["result"][route]["groups"]]
+                assert got == want, (spec, route)
+
+
 class TestMomentsCommand:
     def test_flagship_counts(self, capsys):
         code, doc, _ = run_json(capsys, "moments", FLAGSHIP_TEXT)
@@ -540,7 +601,7 @@ class TestMateCommand:
         ("K1 v C3 + C3990 + 40K2 + 14K1", "13", 5),
     ])
     def test_refusals_come_before_any_eigensolve(self, capsys, monkeypatch, text, theorem, code):
-        def no_solve(graph, group_tol=None):
+        def no_solve(graph):
             raise AssertionError("the command solved a spectrum")
 
         monkeypatch.setattr("qcones.cli.q_spectrum", no_solve)

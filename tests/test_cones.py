@@ -23,15 +23,18 @@ from qcones import (
     triangle_star_mate,
 )
 from qcones import cones
+from qcones.eigen import GROUP_TOL
 
 from helpers import (
     RESIDUAL_TOL,
     char_poly_4x4,
     cycle_graph,
     digon,
+    eager_groups,
     eigenvector_families,
     g_family_spec,
     is_f_family,
+    multiplicity_at,
     path_graph,
     power_sum,
     quartic_coeffs,
@@ -123,16 +126,16 @@ class TestClosedSpectrumG:
         assert math.isclose(power_sum(closed_spectrum(spec), 1), 2 * m, abs_tol=1e-8)
 
     def test_multiplicity_of_one_counts_even_cycles(self):
-        assert closed_spectrum(g_family_spec([4], 1, 1)).multiplicity_at(1.0) == 2
-        assert closed_spectrum(g_family_spec([3], 1, 1)).multiplicity_at(1.0) == 1
+        assert multiplicity_at(closed_spectrum(g_family_spec([4], 1, 1)), 1.0) == 2
+        assert multiplicity_at(closed_spectrum(g_family_spec([3], 1, 1)), 1.0) == 1
         spec = g_family_spec([6, 4, 3], 2, 2)
-        assert closed_spectrum(spec).multiplicity_at(1.0) == 2 + 2 - 1 + 2
+        assert multiplicity_at(closed_spectrum(spec), 1.0) == 2 + 2 - 1 + 2
 
     def test_second_value_is_five_only_with_two_cycles(self):
         one = closed_spectrum(g_family_spec([5], 1, 1))
-        assert one.groups[1].value < 5.0 - 1e-9
+        assert eager_groups(one.values.tolist(), GROUP_TOL)[1].value < 5.0 - 1e-9
         two = closed_spectrum(g_family_spec([5, 3], 1, 1))
-        assert two.multiplicity_at(5.0) >= 1
+        assert multiplicity_at(two, 5.0) >= 1
 
     def test_source_tags(self):
         s = closed_spectrum(g_family_spec([4], 1, 1))
@@ -193,8 +196,8 @@ class TestClosedSpectrumF:
         closed = closed_spectrum(spec)
         numeric = q_spectrum(realize(spec))
         assert spectrum_compare(closed, numeric) <= 1e-8
-        assert closed.multiplicity_at(2.0) == 2
-        assert closed.multiplicity_at(1.0) == 1
+        assert multiplicity_at(closed, 2.0) == 2
+        assert multiplicity_at(closed, 1.0) == 1
 
     def test_matches_triangle_cone_exactly(self):
         f = closed_spectrum(ConeSpec(paths=(2,), stars13=1))

@@ -1,5 +1,5 @@
-"""Eigenvalue machinery: the Jacobi oracle, grouped spectra, and the quartic
-oracle's roots."""
+"""Eigenvalue machinery: the Jacobi oracle, spectra and their printed groups,
+and the quartic oracle's roots."""
 
 import math
 import random
@@ -23,8 +23,8 @@ from qcones import (
     spectrum_compare,
     sym_eigenvalues,
 )
-from qcones import eigen
-from qcones.eigen import Group, _q_rows
+from qcones import cli, eigen
+from qcones.eigen import GROUP_TOL, _groups, _q_rows
 
 from helpers import (
     CHUNK_SIZES,
@@ -34,8 +34,10 @@ from helpers import (
     cycle_graph,
     digon,
     disjoint_union,
+    eager_groups,
     g_family_spec,
     jacobi_eigenvalues,
+    multiplicity_at,
     path_graph,
     power_sum,
     quartic_coeffs,
@@ -130,13 +132,12 @@ class TestQSpectrum:
         assert list(s.values) == [3.0, 2.0, 1.0]
 
     def test_grouping(self):
-        s = QSpectrum([2.0, 2.0 + 1e-12, 1.0], group_tol=1e-9)
-        assert [(g.value, g.multiplicity) for g in s.groups][0][1] == 2
-        assert len(s.groups) == 2
+        groups = _groups(QSpectrum([2.0, 2.0 + 1e-12, 1.0]).values, 1e-9)
+        assert [(g.value, g.multiplicity) for g in groups][0][1] == 2
+        assert len(groups) == 2
 
     def test_grouping_splits_beyond_tolerance(self):
-        s = QSpectrum([2.0, 2.0 + 1e-6, 1.0], group_tol=1e-9)
-        assert len(s.groups) == 3
+        assert len(_groups(QSpectrum([2.0, 2.0 + 1e-6, 1.0]).values, 1e-9)) == 3
 
     def test_power_sum(self):
         s = QSpectrum([2.0, 0.0])
@@ -145,22 +146,41 @@ class TestQSpectrum:
 
     def test_multiplicity_at(self):
         s = q_spectrum(realize(g_family_spec([3], 1, 1)))
-        assert s.multiplicity_at(2.0) == 2
-        assert s.multiplicity_at(1.0) == 1
-        assert s.multiplicity_at(10.0) == 0
+        assert multiplicity_at(s, 2.0) == 2
+        assert multiplicity_at(s, 1.0) == 1
+        assert multiplicity_at(s, 10.0) == 0
 
     def test_zero_multiplicity_union(self):
         g = disjoint_union([cycle_graph(4), cycle_graph(3)])
-        assert q_spectrum(g).multiplicity_at(0.0) == 1
+        assert multiplicity_at(q_spectrum(g), 0.0) == 1
 
     def test_sources_follow_values(self):
         s = QSpectrum([1.0, 3.0], sources=("low", "high"))
         assert s.sources == ("high", "low")
-        assert s.groups[0].sources == ("high",)
+        assert _groups(s.values, GROUP_TOL, s.sources)[0].sources == ("high",)
 
     def test_sources_length_checked(self):
         with pytest.raises(ParameterError):
             QSpectrum([1.0, 2.0], sources=("only",))
+
+    def test_holds_values_and_tags_only(self):
+        # a grouping tolerance is no argument: given in its old place, it
+        # fails instead of landing in `sources`
+        with pytest.raises(TypeError):
+            QSpectrum([1.0, 2.0], ("a", "b"))
+        with pytest.raises(TypeError):
+            QSpectrum([1.0, 2.0], 1e-9, ("a", "b"))
+        g = realize(g_family_spec([3], 1, 1))
+        for call in (lambda: q_spectrum(g, group_tol=1e-9),
+                     lambda: closed_spectrum(g_family_spec([3], 1, 1), 1e-9),
+                     lambda: sym_eigenvalues(g.mult, group_tol=1e-9)):
+            with pytest.raises(TypeError):
+                call()
+        s = q_spectrum(g)
+        for name in ("groups", "group_tol", "multiplicity_at", "_groups"):
+            assert not hasattr(s, name), name
+        with pytest.raises(AttributeError):
+            s.group_tol = 1e-9
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
@@ -180,21 +200,10 @@ class TestQSpectrum:
         assert np.abs(np.array(s.values) - np.array(FLAGSHIP_VALUES)).max() < 1e-8
 
 
-def _eager_groups(values, tol, sources=None):
-    """Consecutive descending values split where they gap by more than tol."""
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    vals = [values[i] for i in order]
-    tags = [sources[i] for i in order] if sources is not None else None
-    groups, start = [], 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i - 1] - vals[i] > tol:
-            members = tuple(sorted(set(tags[start:i]))) if tags is not None else ()
-            groups.append(Group(float(np.mean(vals[start:i])), i - start, members))
-            start = i
-    return tuple(groups)
-
-
 class TestLazyGroups:
+    """`eigen._groups`, which only the command line's payload and probe 2.4
+    call, against the `eager_groups` oracle."""
+
     TOL = 2.0 ** -30
 
     def _spectra(self):
@@ -211,13 +220,15 @@ class TestLazyGroups:
 
     def test_groups_match_eager_grouping(self):
         for values, sources in self._spectra():
-            spec = QSpectrum(values, group_tol=self.TOL, sources=sources)
-            eager = _eager_groups(values, self.TOL, sources)
-            assert spec.groups == eager
-            parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in eager)
+            spec = QSpectrum(values, sources=sources)
+            groups = _groups(spec.values, self.TOL, spec.sources)
+            eager = eager_groups(values, self.TOL, sources)
+            assert groups == eager
+            default = eager_groups(values, GROUP_TOL)
+            parts = ", ".join(f"{g.value:.6g}^{g.multiplicity}" for g in default)
             assert repr(spec) == f"QSpectrum({parts})"
             for x in (0.0, 1.0, 3.5, values[0]):
-                assert spec.multiplicity_at(x, tol=self.TOL) == sum(
+                assert sum(g.multiplicity for g in groups if abs(g.value - x) <= self.TOL) == sum(
                     g.multiplicity for g in eager if abs(g.value - x) <= self.TOL
                 )
 
@@ -238,40 +249,45 @@ class TestLazyGroups:
             values += [rng.uniform(0.0, 50.0) for _ in range(rng.randrange(0, 4))] + [-0.0]
             sources += ["d"] * (len(values) - len(sources))
             for tags in (None, tuple(sources)):
-                spec = QSpectrum(values, group_tol=1e-9, sources=tags)
-                assert max(g.multiplicity for g in spec.groups) >= 8
-                assert self._bits(spec.groups) == self._bits(_eager_groups(values, 1e-9, tags))
+                spec = QSpectrum(values, sources=tags)
+                groups = _groups(spec.values, 1e-9, spec.sources)
+                assert max(g.multiplicity for g in groups) >= 8
+                assert self._bits(groups) == self._bits(eager_groups(values, 1e-9, tags))
 
     @pytest.mark.parametrize("text", ["K1 v 20K2 + 12K1", "K1 v C4 + C4 + C4 + C4 + C4 + K2 + K1"])
     def test_large_groups_of_cone_spectra_match_eager_grouping_bitwise(self, text):
         spec = parse_spec_text(text)
         for s in (closed_spectrum(spec), q_spectrum(realize(spec))):
-            assert max(g.multiplicity for g in s.groups) >= 8
-            eager = _eager_groups(s.values.tolist(), s.group_tol, s.sources)
-            assert self._bits(s.groups) == self._bits(eager)
+            groups = _groups(s.values, GROUP_TOL, s.sources)
+            assert max(g.multiplicity for g in groups) >= 8
+            eager = eager_groups(s.values.tolist(), GROUP_TOL, s.sources)
+            assert self._bits(groups) == self._bits(eager)
 
     def test_tie_at_the_tolerance_joins_the_group(self):
-        spec = QSpectrum([1.0, 1.0 - self.TOL, 1.0 - 3 * self.TOL], group_tol=self.TOL)
-        assert [g.multiplicity for g in spec.groups] == [2, 1]
+        spec = QSpectrum([1.0, 1.0 - self.TOL, 1.0 - 3 * self.TOL])
+        assert [g.multiplicity for g in _groups(spec.values, self.TOL)] == [2, 1]
 
-    def test_groups_are_formed_once_and_only_on_use(self, monkeypatch):
+    def test_groups_are_formed_only_on_print(self, monkeypatch):
         calls = []
-        original = QSpectrum._group
+        original = eigen._groups
 
-        def counted(self):
+        def counted(*args):
             calls.append(1)
-            return original(self)
+            return original(*args)
 
-        monkeypatch.setattr(QSpectrum, "_group", counted)
+        monkeypatch.setattr(eigen, "_groups", counted)
+        monkeypatch.setattr(cli, "_groups", counted)
         spec = q_spectrum(realize(g_family_spec([3], 1, 1)))
+        closed = closed_spectrum(g_family_spec([3], 1, 1))
         power_sum(spec, 2)
-        spectrum_compare(spec, spec)
+        spectrum_compare(spec, closed)
         assert calls == []
-        spec.groups
         repr(spec)
-        spec.multiplicity_at(2.0)
-        assert spec.groups is spec.groups
         assert calls == [1]
+        payload = cli._spectrum_payload(closed)
+        assert calls == [1, 1]
+        assert payload["groups"][3] == {"value": 2.0, "multiplicity": 2,
+                                        "sources": ["3+2cos(2π/3)", "3+2cos(4π/3)"]}
 
 
 class TestQRows:
@@ -288,22 +304,30 @@ class TestQRows:
     @pytest.mark.parametrize("n", [1, 5, 14, 24])
     def test_rows_are_the_reversed_q_spectrum_bitwise(self, monkeypatch, matrices, n):
         set_chunk(monkeypatch, matrices, n)
+        stacks = []
+        original = eigen._eigvalsh
+
+        def spy(a):
+            stacks.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(eigen, "_eigvalsh", spy)
         graphs = self._graphs(n)
-        chunks = list(_q_rows(q_matrix(g) for g in graphs))
+        rows = list(_q_rows(q_matrix(g) for g in graphs))
         per = max(1, eigen.CHUNK_ENTRIES // (n * n))
-        assert [len(c) for c in chunks[:-1]] == [per] * (len(chunks) - 1)
-        rows = np.concatenate(chunks)
+        assert stacks[:-1] == [per] * (len(stacks) - 1) and sum(stacks) == len(graphs)
+        assert all(row.shape == (n,) for row in rows)
         expected = np.array([q_spectrum(g).values[::-1] for g in graphs])
-        assert rows.tobytes() == expected.tobytes()
+        assert np.array(rows).tobytes() == expected.tobytes()
 
     def test_int64_stacks_give_the_generator_rows(self):
         # `search._spectra` hands over a ready int64 stack
         graphs = self._graphs(7, count=10)
         for k in range(1, len(graphs) + 1):
             stack = np.array([q_matrix(g) for g in graphs[:k]]).astype(np.int64)
-            (want,) = _q_rows(q_matrix(g) for g in graphs[:k])
-            (got,) = _q_rows(stack)
-            assert got.tobytes() == want.tobytes()
+            want = np.array(list(_q_rows(q_matrix(g) for g in graphs[:k])))
+            got = np.array(list(_q_rows(stack)))
+            assert got.shape == (k, 7) and got.tobytes() == want.tobytes()
 
     def test_small_batches_allocate_no_full_chunk(self):
         q = q_matrix(cycle_graph(7))
@@ -326,14 +350,14 @@ class TestQRows:
 
         monkeypatch.setattr(eigen, "_eigvalsh", spy)
         q = q_matrix(cycle_graph(6))
-        (rows,) = _q_rows((q,))
+        (row,) = _q_rows((q,))
         assert len(seen) == 1 and seen[0].shape == (1, 6, 6)
         assert np.shares_memory(seen[0], q)
-        assert rows.tobytes() == original(q[None]).tobytes()
+        assert row.tobytes() == original(q[None])[0].tobytes()
 
     def test_multigraph_rows(self):
         g = realize(ConeSpec(cycles=(2, 3), paths=(4, 1), stars13=1))
-        (rows,) = _q_rows([q_matrix(g), q_matrix(g)])
+        rows = np.array(list(_q_rows([q_matrix(g), q_matrix(g)])))
         assert rows.tobytes() == np.array([q_spectrum(g).values[::-1]] * 2).tobytes()
 
     def test_empty_input_yields_nothing(self):
@@ -348,8 +372,14 @@ class TestQRows:
                 fed.append(1)
                 yield q_matrix(cycle_graph(3))
 
-        next(_q_rows(feed()))
+        rows = _q_rows(feed())
+        next(rows)
         assert len(fed) == 2
+        # the second row comes from the same chunk; the third reads two more
+        next(rows)
+        assert len(fed) == 2
+        next(rows)
+        assert len(fed) == 4
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError, match="matrix is not symmetric within 1e-12"):
@@ -359,8 +389,8 @@ class TestQRows:
         a = q_matrix(cycle_graph(5))
         b = a.copy()
         b[0, 1] += 1e-13
-        (rows,) = _q_rows([b])
-        assert rows[0].tobytes() == sym_eigenvalues(b).values[::-1].tobytes()
+        (row,) = _q_rows([b])
+        assert row.tobytes() == sym_eigenvalues(b).values[::-1].tobytes()
 
     def test_rejects_negative_values(self):
         with pytest.raises(EigensolverError, match="negative value"):

@@ -24,12 +24,14 @@ from qcones import (
 from qcones.family import (
     _family_size, _family_with_signature, _path_blocks, _profile, _signature_moments, _signatures,
 )
+from qcones.moments import _walk_sums
 
 from helpers import (
     claw_level,
     complete_graph,
     cone_from_builders,
     cone_traces,
+    cycle_graph,
     degree_profile,
     digon,
     exact_q_and_a_traces,
@@ -183,7 +185,56 @@ class TestClosedFormMoments:
 # the longest block _walk_sums(kind, size, ORDER) takes as its own powers;
 # longer ones continue the affine run
 ORDER = 8
-FAR = 2 * ORDER + 3
+FAR = ORDER + 3
+
+
+def _exact_walk_sums(kind: str, size: int, order: int) -> tuple[int, ...]:
+    """`_walk_sums` from the block's own integer powers: tr M^j (j = 1..order),
+    then 1ᵀM^j 1 (j < order), for M = Q_B + I and then A_B."""
+    g = path_graph(size) if kind == "path" else digon() if size == 2 else cycle_graph(size)
+    adj = g.mult.astype(object)
+    sums = []
+    for m in (adj + np.diag(g.degrees().astype(object) + 1), adj):
+        power, traces, totals = np.identity(size, dtype=object), [], []
+        for _ in range(order):
+            totals.append(int(power.sum()))
+            power = power @ m
+            traces.append(int(power.trace()))
+        sums += traces + totals
+    return tuple(sums)
+
+
+class TestAffineBound:
+    """A block's walk sums of order R are affine in its length for paths
+    from max(2, R - 1) vertices and for cycles from R + 1, and one vertex
+    fewer breaks the run for R >= 2.  The blocks below the thresholds make
+    the order-R signature: C3, C4 and K2 at R = 4 (with the digon), C5, C6,
+    P3 and P4 on top at R = 6."""
+
+    @staticmethod
+    def _first_affine(kind: str, order: int) -> int:
+        """The least length from which exact sums stay on one line, through
+        length 2R + 4."""
+        least, top = (2 if kind == "cycle" else 1), 2 * order + 4
+        sums = {s: np.array(_exact_walk_sums(kind, s, order), dtype=object)
+                for s in range(least, top + 1)}
+        bent = [s for s in range(least, top - 1) if any(sums[s] - 2 * sums[s + 1] + sums[s + 2])]
+        return max(bent, default=least - 1) + 1
+
+    @pytest.mark.parametrize("order", range(1, ORDER + 1))
+    def test_thresholds_and_their_tightness(self, order):
+        path, cycle = self._first_affine("path", order), self._first_affine("cycle", order)
+        assert path <= max(2, order - 1) and cycle <= order + 1
+        if order >= 2:
+            assert (path, cycle) == (max(2, order - 1), order + 1)
+
+    @pytest.mark.parametrize("order", range(1, ORDER + 1))
+    def test_walk_sums_are_exact_through_twice_the_order(self, order):
+        # lengths past order + 3 continue the run through order + 2 and order + 3
+        for kind, least in (("path", 1), ("cycle", 2)):
+            for size in range(least, 2 * order + 5):
+                assert _walk_sums(kind, size, order) == _exact_walk_sums(kind, size, order), (
+                    kind, size)
 
 
 def _trace_specs(count=72):

@@ -31,7 +31,7 @@ from qcones.eigen import q_matrix
 from qcones.graph6 import decode_graph6
 from qcones.graphs import _dominating_vertices
 from qcones.family import _candidates, _family_size, _partitions, _profile, _signatures
-from qcones import orbits, search
+from qcones import eigen, orbits, search
 from qcones.orbits import (
     _KEY_BITS,
     _class_reps,
@@ -294,10 +294,11 @@ class TestSearchFamily:
             search_family(realize(FLAGSHIP))
 
     def test_never_groups_a_spectrum(self, monkeypatch):
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("search_family grouped a spectrum")
 
-        monkeypatch.setattr(QSpectrum, "_group", refuse)
+        monkeypatch.setattr(eigen, "_groups", refuse)
+        monkeypatch.setattr(search, "_groups", refuse)
         for target in (FLAGSHIP, g_family_spec([3, 4], 2, 1), ConeSpec(cycles=(2,), paths=(3, 1))):
             assert search_family(target).hits[0].candidate == target
 
@@ -905,6 +906,19 @@ def scan(n: int, key, head: np.ndarray):
     return masks, _spectra(np.concatenate([head, _q_stack(masks, n)]))
 
 
+@pytest.mark.parametrize("matrices", CHUNK_SIZES)
+def test_spectra_are_one_ascending_row_per_matrix(monkeypatch, matrices):
+    # an empty stack gives no row, shaped (0, n) for the distance against row 0
+    set_chunk(monkeypatch, matrices, 7)
+    masks = np.array([0, 1, 5, 1 << 20, (1 << 21) - 1], dtype=np.int64)
+    for k in range(masks.size + 1):
+        stack = _q_stack(masks[:k], 7)
+        rows = _spectra(stack)
+        assert rows.shape == (k, 7)
+        want = [np.linalg.eigvalsh(q.astype(np.float64)) for q in stack]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+
 class TestScanAgainstQStackOracle:
     """The packed moment-key lookup against the filter-by-filter scan over
     int64 Q stacks: the same masks in the same order."""
@@ -1215,11 +1229,12 @@ class TestProbes:
         low = (vals[i + 1] if i + 1 < g.n else 0.0) - 1.0
 
         def lowered(matrices, real=search._q_rows):
-            chunks = real(matrices)
-            rows = next(chunks).copy()  # ascending rows, g's own first
-            rows[1, g.n - 1 - i] = low
-            yield rows
-            yield from chunks
+            rows = real(matrices)
+            yield next(rows)  # ascending rows, g's own first
+            row = next(rows).copy()
+            row[g.n - 1 - i] = low
+            yield row
+            yield from rows
 
         monkeypatch.setattr(search, "_q_rows", lowered)
         res = run_probe(g, "2.2")
@@ -1244,15 +1259,15 @@ class TestProbes:
         solves = []
 
         def perturbed(matrices, real=search._q_rows):
-            chunks = real(matrices)
+            rows = real(matrices)
             solves.append(1)
             if len(solves) == 1:  # g's own Q
-                yield from chunks
+                yield from rows
                 return
-            rows = next(chunks).copy()  # ascending rows of order n - 1
-            rows[0, g.n - 2 - i] = value
-            yield rows
-            yield from chunks
+            row = next(rows).copy()  # ascending, of order n - 1
+            row[g.n - 2 - i] = value
+            yield row
+            yield from rows
 
         monkeypatch.setattr(search, "_q_rows", perturbed)
         res = run_probe(g, "2.3")
